@@ -1,180 +1,115 @@
-"""Hot numerical kernels: vectorized NumPy, or compiled with numba when available.
-
-Three kernels are NumPy array programs on every install and never go
-through numba: ``partition_step`` (a prefix scan of the play operator),
-``qv_on_grid`` (a cumulative sum of partition increments) and ``bdg_batch``
-(per-length batches of cumulative sums and maxima).  Each returns exactly the
-same bits as its reference loop, kept under the ``*_py`` name.
-
-The other kernels are written once as a plain Python-over-NumPy function
-(kept under its ``*_py`` name) and wrapped with ``numba.njit`` unless the
-environment variable ``PATHCALC_NO_NUMBA`` is set to ``1``/``true``/``yes``
-or numba is not importable.  Both variants stay importable so they can be
-compared: see ``pathcalc.benchmark``.
+"""Numerical kernels: one NumPy implementation per kernel.
 
 Dyadic levels are handled as scaled integers ``j`` with level ``j * 2**-n``.
-Multiplying a float by ``2**n`` only shifts the exponent, so ``floor``/``ceil``
-of ``value * 2**n`` are exact as long as ``|value| * 2**n`` stays inside the
-int64 range; callers enforce ``n <= 52``.
+Most kernels are built on one of two primitives, each written once here:
+
+- The integer play operator ``j_e = clip(j_{e-1}, floor(x_e), ceil(x_e))`` on
+  scaled values ``x`` (Krasnosel'skii & Pokrovskii, *Systems with
+  Hysteresis*, 1989), computed by the prefix scan :func:`_play_tracks`.  Its
+  switching times from ``j_0 = floor(x_0)`` are the Lebesgue partition times
+  (``partition_step``), its unit steps are the linear-mode crossings
+  (``partition_linear_count``/``partition_linear_fill``), and the positive
+  steps of the track from ``j_0 = ceil(x_0)`` of ``values / h`` are the
+  accumulated upcrossings of the grid of spacing ``h``
+  (``crossings_total_up``).
+- The state of one interval ``(a, b)``, :func:`_interval_state`: long after a
+  value ``<= a``, flat after a value ``>= b``, unchanged by values strictly
+  inside.  Greedy crossing counts are its transitions (``crossings_greedy``,
+  ``crossings_interval_batch``) and the Doob aggregate position counts the
+  intervals that are long (``doob_positions``).
+
+Multiplying a float by ``2**n`` only shifts its exponent, so ``floor`` and
+``ceil`` of ``value * 2**n`` are exact.  :func:`_play_tracks` is the only
+place where a value becomes an int64 level index; it raises
+:class:`ContractError` once a scaled value reaches ``2**62`` in magnitude,
+so every index and every difference of two indices is exact.
+
+Each vectorized kernel returns exactly the bits of the per-event loop it
+replaced; the test suite keeps those loops as its reference.  ``clip_jumps``
+stays a loop: the bound at each event depends on the already-clipped prefix.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("PATHCALC_NO_NUMBA", "").strip().lower()
-NUMBA_ENABLED = _flag not in ("1", "true", "yes")
+from .errors import ContractError
 
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+NUMBA_ENABLED = False  # no kernel is compiled (numba is not a dependency)
 
 
 # ---------------------------------------------------------------------------
-# Lebesgue partitions
+# The play operator and the Lebesgue partitions
 # ---------------------------------------------------------------------------
 
-def partition_step_py(times, values, scale):
-    """Dyadic-crossing times of a 1-d step path.
+def _play_tracks(x):
+    """Play-operator tracks of the scaled values ``x``.
 
-    ``scale = 2.0**n``.  Returns ``(tau, level_idx, count)`` where the first
-    ``count`` entries are valid; ``tau[0] = 0`` and ``level_idx[0]`` is the
-    largest level index with ``j * 2**-n <= values[0]``.
+    Returns int64 arrays ``(lo, hi)``: ``lo[e]`` is ``j_e`` started from
+    ``j_0 = floor(x_0)`` and ``hi[e]`` is ``j_e`` started from
+    ``j_0 = ceil(x_0)``.  A composition of clamps is again a clamp,
+    ``[a2, b2] o [a1, b1] = [clip(a1, a2, b2), clip(b1, a2, b2)]``, so a
+    Hillis-Steele doubling scan composes every prefix of the clamp intervals
+    in ``ceil(log2(m))`` passes.  The composed prefix map sends
+    the first interval's lower (upper) end to the lower (upper) end of the
+    composed interval, so the scanned ends are the two tracks.
     """
-    m = times.shape[0]
-    out_t = np.empty(m, np.float64)
-    out_j = np.empty(m, np.int64)
-    anchor = values[0]
-    j = np.int64(np.floor(values[0] * scale))
-    out_t[0] = times[0]
-    out_j[0] = j
-    cnt = 1
-    for e in range(1, m):
-        v = values[e]
-        if anchor < v:
-            lo = anchor
-            hi = v
-        else:
-            lo = v
-            hi = anchor
-        jlo = np.int64(np.ceil(lo * scale))
-        jhi = np.int64(np.floor(hi * scale))
-        if jhi < jlo:
-            continue
-        if jlo == jhi and jlo == j:
-            continue
-        # qualifying level closest to the landing value v; the excluded
-        # tracked level is never the candidate adjacent to v, so no ties.
-        if v >= anchor:
-            cand = jhi
-            if cand == j:
-                cand -= 1
-        else:
-            cand = jlo
-            if cand == j:
-                cand += 1
-        out_t[cnt] = times[e]
-        out_j[cnt] = cand
-        cnt += 1
-        anchor = v
-        j = cand
-    return out_t, out_j, cnt
-
-
-def partition_step(times, values, scale):
-    """Vectorized :func:`partition_step_py`: same contract, same bits.
-
-    The tracked level index follows the play operator
-    ``j_e = clip(j_{e-1}, floor(v_e * scale), ceil(v_e * scale))`` from
-    ``j_0 = floor(v_0 * scale)``, and a crossing is emitted exactly when
-    ``j`` changes.  A composition of clamps is again a clamp,
-    ``[a2, b2] o [a1, b1] = [clip(a1, a2, b2), clip(b1, a2, b2)]``, so all
-    ``j_e`` come from a Hillis-Steele doubling scan over the clamp intervals
-    in ``ceil(log2(m))`` passes of ``np.clip``.  The lower end of a composed
-    interval is the composed map applied to the first map's lower end, so
-    the lower end of the scanned prefix ending at event ``e`` is ``j_e``.
-    The returned arrays have exactly ``count`` entries.
-    """
-    x = values * scale
+    if not np.all(np.abs(x) < 2.0 ** 62):
+        raise ContractError("a scaled value reaches 2**62 in magnitude, beyond exact "
+                            "int64 level indices: use a coarser generation or spacing")
     lo = np.floor(x).astype(np.int64)
     hi = np.ceil(x).astype(np.int64)
     d = 1
     while d < lo.shape[0]:
-        lo_next = lo.copy()
-        hi_next = hi.copy()
-        lo_next[d:] = np.clip(lo[:-d], lo[d:], hi[d:])
-        hi_next[d:] = np.clip(hi[:-d], lo[d:], hi[d:])
-        lo, hi = lo_next, hi_next
+        lo, hi = (np.concatenate((lo[:d], np.minimum(np.maximum(lo[:-d], lo[d:]), hi[d:]))),
+                  np.concatenate((hi[:d], np.minimum(np.maximum(hi[:-d], lo[d:]), hi[d:]))))
         d *= 2
-    idx = np.concatenate(([0], np.flatnonzero(lo[1:] != lo[:-1]) + 1))
-    return times[idx], lo[idx], idx.shape[0]
+    return lo, hi
 
 
-def partition_linear_count_py(times, values, scale):
-    """Number of crossing times the linear-mode construction will emit."""
-    m = times.shape[0]
-    j = np.int64(np.floor(values[0] * scale))
-    cnt = 1
-    for e in range(1, m):
-        vb = values[e]
-        up = np.int64(np.floor(vb * scale))
-        if up > j:
-            cnt += up - j
-            j = up
-        else:
-            dn = np.int64(np.ceil(vb * scale))
-            if dn < j:
-                cnt += j - dn
-                j = dn
-    return cnt
+def partition_step(times, values, scale):
+    """Dyadic-crossing times of a 1-d step path.
+
+    ``scale = 2.0**n``.  Returns ``(tau, level_idx, count)``: the events
+    where the tracked level index changes, with ``tau[0] = times[0]`` and
+    ``level_idx[0]`` the largest index with ``j * 2**-n <= values[0]``.  The
+    arrays have exactly ``count`` entries.
+    """
+    j, _ = _play_tracks(values * scale)
+    idx = np.concatenate(([0], np.flatnonzero(j[1:] != j[:-1]) + 1))
+    return times[idx], j[idx], idx.shape[0]
 
 
-def partition_linear_fill_py(times, values, scale, out_t, out_j):
-    """Fill crossing times for a 1-d linear-mode path (exact segment roots)."""
-    m = times.shape[0]
+def partition_linear_count(times, values, scale):
+    """Number of crossing times of a 1-d linear-mode path: ``1 + sum |dj|``."""
+    j, _ = _play_tracks(values * scale)
+    return 1 + int(np.abs(np.diff(j)).sum())
+
+
+def partition_linear_fill(times, values, scale, out_t, out_j):
+    """Fill crossing times for a 1-d linear-mode path (exact segment roots).
+
+    On segment ``e`` the tracked index moves one level at a time from
+    ``j_{e-1}`` to ``j_e``; level ``j`` is crossed at
+    ``ta + (j * 2**-n - va) * (tb - ta) / (vb - va)``.  ``out_t``/``out_j``
+    must hold :func:`partition_linear_count` entries; returns that count.
+    """
     inv = 1.0 / scale
-    j = np.int64(np.floor(values[0] * scale))
+    j, _ = _play_tracks(values * scale)
+    dj = np.diff(j)
+    steps = np.abs(dj)
+    seg = np.repeat(np.arange(dj.shape[0]), steps)
+    # 1, 2, ..., |dj| within each segment
+    rank = np.arange(1, seg.shape[0] + 1) - np.repeat(np.cumsum(steps) - steps, steps)
+    lev_j = j[seg] + np.sign(dj)[seg] * rank
+    ta = times[seg]
+    va = values[seg]
+    slope_dt = (times[seg + 1] - ta) / (values[seg + 1] - va)
+    cnt = seg.shape[0] + 1
     out_t[0] = times[0]
-    out_j[0] = j
-    cnt = 1
-    for e in range(1, m):
-        ta = times[e - 1]
-        tb = times[e]
-        va = values[e - 1]
-        vb = values[e]
-        if vb == va:
-            continue
-        slope_dt = (tb - ta) / (vb - va)
-        if vb > va:
-            top = np.int64(np.floor(vb * scale))
-            while j < top:
-                j += 1
-                lev = j * inv
-                out_t[cnt] = ta + (lev - va) * slope_dt
-                out_j[cnt] = j
-                cnt += 1
-        else:
-            bot = np.int64(np.ceil(vb * scale))
-            while j > bot:
-                j -= 1
-                lev = j * inv
-                out_t[cnt] = ta + (lev - va) * slope_dt
-                out_j[cnt] = j
-                cnt += 1
+    out_j[0] = j[0]
+    out_t[1:cnt] = ta + (lev_j * inv - va) * slope_dt
+    out_j[1:cnt] = lev_j
     return cnt
 
 
@@ -182,40 +117,16 @@ def partition_linear_fill_py(times, values, scale, out_t, out_j):
 # Discrete quadratic variation along a partition, evaluated on a grid
 # ---------------------------------------------------------------------------
 
-def qv_on_grid_py(si, sj, part_pos):
+def qv_on_grid(si, sj, part_pos):
     """``Q_t = sum_k (S^i increments)(S^j increments)`` with partial tail.
 
     ``si``/``sj`` are coordinate values on a sorted evaluation grid that
     contains every partition time; ``part_pos`` are the grid positions of the
-    partition times (``part_pos[0] == 0``).
-    """
-    n = si.shape[0]
-    q = np.empty(n, np.float64)
-    npart = part_pos.shape[0]
-    acc = 0.0
-    kp = 0
-    ai = si[part_pos[0]]
-    aj = sj[part_pos[0]]
-    for g in range(n):
-        while kp + 1 < npart and part_pos[kp + 1] <= g:
-            kp += 1
-            bi = si[part_pos[kp]]
-            bj = sj[part_pos[kp]]
-            acc += (bi - ai) * (bj - aj)
-            ai = bi
-            aj = bj
-        q[g] = acc + (si[g] - ai) * (sj[g] - aj)
-    return q
-
-
-def qv_on_grid(si, sj, part_pos):
-    """Vectorized :func:`qv_on_grid_py`: same contract, same bits.
-
-    ``np.cumsum`` adds strictly left to right from the leading ``0.0``, so
-    every partial sum rounds exactly as the loop's accumulator; a repeated
-    position contributes ``+0.0`` in both.  Grid point ``g`` takes the sum up
-    to the last partition point at or before it (one exists because
-    ``part_pos[0] == 0``) plus the partial tail.
+    partition times (``part_pos[0] == 0``).  ``np.cumsum`` adds strictly left
+    to right from the leading ``0.0``, so every partial sum rounds as a
+    running accumulator would; a repeated position contributes ``+0.0``.
+    Grid point ``g`` takes the sum up to the last partition point at or
+    before it plus the partial tail.
     """
     ai = si[part_pos]
     aj = sj[part_pos]
@@ -225,86 +136,82 @@ def qv_on_grid(si, sj, part_pos):
 
 
 # ---------------------------------------------------------------------------
-# Crossing counters
+# Interval states and crossing counters
 # ---------------------------------------------------------------------------
 
-def crossings_greedy_py(values, a, b):
+def _interval_state(values, a, b):
+    """State of the buy-low/sell-high strategy on ``(a, b)`` after each value.
+
+    ``1`` (long) after a value ``<= a``, ``0`` (flat) after a value ``>= b``,
+    the previous state after a value strictly inside, and ``-1`` before the
+    first value outside ``(a, b)``.  Needs ``a < b``.
+    """
+    label = np.where(values <= a, 1, np.where(values >= b, 0, -1))
+    last = np.maximum.accumulate(np.where(label >= 0, np.arange(label.shape[0]), -1))
+    return np.where(last >= 0, label[last], -1)
+
+
+def crossings_greedy(values, a, b):
     """Greedy (optimal) up/down crossing counts of the open interval (a, b)."""
-    up = 0
-    down = 0
-    armed_up = False
-    armed_down = False
-    for k in range(values.shape[0]):
-        v = values[k]
-        if armed_up:
-            if v >= b:
-                up += 1
-                armed_up = False
-        if not armed_up and v <= a:
-            armed_up = True
-        if armed_down:
-            if v <= a:
-                down += 1
-                armed_down = False
-        if not armed_down and v >= b:
-            armed_down = True
-    return up, down
+    state = _interval_state(values, a, b)
+    up = np.count_nonzero((state[:-1] == 1) & (state[1:] == 0))
+    down = np.count_nonzero((state[:-1] == 0) & (state[1:] == 1))
+    return int(up), int(down)
 
 
-def crossings_total_up_py(values, h):
+def crossings_total_up(values, h):
     """Accumulated upcrossings over the full grid of intervals (kh, (k+1)h).
 
-    Single pass: the set of "armed" intervals is always an up-set {k >= m}.
+    The intervals armed for an upcrossing are always the up-set
+    ``{k >= m_e}``, where ``m`` is the play-operator track of ``values / h``
+    from ``ceil(values[0] / h)``; each upward step of ``m`` completes one
+    upcrossing per level passed.
     """
-    m = np.int64(np.ceil(values[0] / h))
-    count = np.int64(0)
-    for idx in range(1, values.shape[0]):
-        v = values[idx]
-        q = v / h
-        qc = np.int64(np.ceil(q))
-        if qc < m:
-            m = qc
-        qf = np.int64(np.floor(q))
-        if qf > m:
-            count += qf - m
-            m = qf
-    return count
+    _, m = _play_tracks(values / h)
+    return np.maximum(np.diff(m), 0).sum()
 
 
-def crossings_interval_batch_py(values, klo, khi, h):
+def crossings_interval_batch(values, klo, khi, h):
     """Greedy counts per interval (kh, (k+1)h) for k in [klo, khi]."""
     nk = khi - klo + 1
     up = np.zeros(nk, np.int64)
     down = np.zeros(nk, np.int64)
     for ki in range(nk):
         a = (klo + ki) * h
-        b = a + h
-        armed_up = False
-        armed_down = False
-        u = 0
-        d = 0
-        for idx in range(values.shape[0]):
-            v = values[idx]
-            if armed_up and v >= b:
-                u += 1
-                armed_up = False
-            if not armed_up and v <= a:
-                armed_up = True
-            if armed_down and v <= a:
-                d += 1
-                armed_down = False
-            if not armed_down and v >= b:
-                armed_down = True
-        up[ki] = u
-        down[ki] = d
+        up[ki], down[ki] = crossings_greedy(values, a, a + h)
     return up, down
+
+
+# ---------------------------------------------------------------------------
+# Doob interval strategies (aggregate position accumulation, step paths)
+# ---------------------------------------------------------------------------
+
+def doob_positions(values, klo, khi, spacing, weight, gamma_idx):
+    """Aggregate position per event of the weighted dyadic Doob portfolio.
+
+    ``pos[e]`` is the (scalar) position held on ``(t_e, t_{e+1}]``; each
+    interval strategy on ``(k * spacing, (k + 1) * spacing)`` buys one unit
+    at the first event with value <= a and sells at the next event with
+    value >= b, closing out at ``gamma_idx``.  Every long interval adds
+    ``weight`` once, so ``pos[e]`` is the running sum of ``weight`` taken
+    over as many terms as there are long intervals at ``e``.
+    """
+    head = values[:gamma_idx]
+    n_long = np.zeros(head.shape[0], np.int64)
+    for k in range(klo, khi + 1):
+        a = k * spacing
+        n_long += _interval_state(head, a, a + spacing) == 1
+    partial = np.cumsum(np.concatenate(([0.0], np.full(max(khi - klo + 1, 0), weight))))
+    pos = np.zeros(values.shape[0], np.float64)
+    pos[:head.shape[0]] = partial[n_long]
+    return pos
 
 
 # ---------------------------------------------------------------------------
 # Pathwise Burkholder-Davis-Gundy machinery
 # ---------------------------------------------------------------------------
 
-def bdg_core_py(x):
+def bdg_core(x):
     """Running max, quadratic variation and weighted transform of a sequence.
 
     Returns ``(xstar, qv, hx)`` for the full sequence, with weights
@@ -328,7 +235,7 @@ def bdg_core_py(x):
     return xstar, qv, hx
 
 
-def bdg_weights_py(x, out_h):
+def bdg_weights(x, out_h):
     """Fill the transform weights h_k for k = 0..len(x)-2."""
     qv = x[0] * x[0]
     xstar = abs(x[0])
@@ -346,26 +253,14 @@ def bdg_weights_py(x, out_h):
     return x.shape[0] - 1
 
 
-def bdg_batch_py(flat, offsets):
-    """(lhs, rhs) of the pathwise BDG inequality for concatenated sequences."""
-    ns = offsets.shape[0] - 1
-    lhs = np.empty(ns, np.float64)
-    rhs = np.empty(ns, np.float64)
-    for s in range(ns):
-        x = flat[offsets[s]:offsets[s + 1]]
-        xstar, qv, hx = bdg_core_py(x)
-        lhs[s] = xstar
-        rhs[s] = 6.0 * np.sqrt(qv) + 2.0 * hx
-    return lhs, rhs
-
-
 def bdg_batch(flat, offsets):
-    """Vectorized :func:`bdg_batch_py`: same contract, same bits.
+    """(lhs, rhs) of the pathwise BDG inequality for concatenated sequences.
 
     Sequences of equal length are stacked into one matrix, and each running
-    quantity of :func:`bdg_core_py` becomes a row-wise accumulation: ``[x]_k``
+    quantity of :func:`bdg_core` becomes a row-wise accumulation: ``[x]_k``
     and ``(h.x)_k`` by ``np.cumsum`` (strictly left to right, ``(h.x)`` from a
-    leading ``0.0``), ``x*_k`` by ``np.maximum.accumulate``.
+    leading ``0.0``), ``x*_k`` by ``np.maximum.accumulate``.  The result is
+    bit-identical to :func:`bdg_core` applied to each sequence.
     """
     lengths = np.diff(offsets)
     lhs = np.empty(lengths.shape[0], np.float64)
@@ -395,7 +290,7 @@ PSI_POWER = 2
 PSI_TABLE = 3
 
 
-def psi_eval_py(code, p0, p1, xs, ys, x):
+def psi_eval(code, p0, p1, xs, ys, x):
     if code == PSI_CONSTANT:
         return p0
     if code == PSI_AFFINE:
@@ -421,7 +316,7 @@ def psi_eval_py(code, p0, p1, xs, ys, x):
     return ys[lo] + w * (ys[hi] - ys[lo])
 
 
-def clip_jumps_py(values, code, p0, p1, xs, ys):
+def clip_jumps(values, code, p0, p1, xs, ys):
     """Clip downward jumps in-place so every event obeys the psi bound.
 
     ``values`` has shape (events, dim).  The running supremum is taken over
@@ -434,7 +329,7 @@ def clip_jumps_py(values, code, p0, p1, xs, ys):
         sq += values[0, i] * values[0, i]
     runsup = np.sqrt(sq)
     for e in range(1, m):
-        bound = psi_eval_py(code, p0, p1, xs, ys, runsup)
+        bound = psi_eval(code, p0, p1, xs, ys, runsup)
         for i in range(d):
             prev = values[e - 1, i]
             if prev - values[e, i] > bound:
@@ -449,84 +344,3 @@ def clip_jumps_py(values, code, p0, p1, xs, ys):
         if nv > runsup:
             runsup = nv
     return values
-
-
-# ---------------------------------------------------------------------------
-# Doob interval strategies (aggregate position accumulation, step paths)
-# ---------------------------------------------------------------------------
-
-def doob_positions_py(values, klo, khi, spacing, weight, gamma_idx):
-    """Aggregate position per event of the weighted dyadic Doob portfolio.
-
-    ``pos[e]`` is the (scalar) position held on ``(t_e, t_{e+1}]``; each
-    interval strategy buys one unit at the first event with value <= a and
-    sells at the next event with value >= b, closing out at ``gamma_idx``.
-    """
-    m = values.shape[0]
-    pos = np.zeros(m, np.float64)
-    for k in range(klo, khi + 1):
-        a = k * spacing
-        b = a + spacing
-        long = False
-        for e in range(m):
-            if e >= gamma_idx:
-                break
-            v = values[e]
-            if long:
-                if v >= b:
-                    long = False
-            if not long:
-                if v <= a:
-                    long = True
-            if long:
-                pos[e] += weight
-    return pos
-
-
-# ---------------------------------------------------------------------------
-# njit wrapping
-# ---------------------------------------------------------------------------
-
-def _wrap(fn):
-    return _njit(cache=True)(fn) if NUMBA_ENABLED else fn
-
-
-partition_linear_count = _wrap(partition_linear_count_py)
-partition_linear_fill = _wrap(partition_linear_fill_py)
-crossings_greedy = _wrap(crossings_greedy_py)
-crossings_total_up = _wrap(crossings_total_up_py)
-crossings_interval_batch = _wrap(crossings_interval_batch_py)
-bdg_core = _wrap(bdg_core_py)
-bdg_weights = _wrap(bdg_weights_py)
-psi_eval = _wrap(psi_eval_py)
-doob_positions = _wrap(doob_positions_py)
-
-if NUMBA_ENABLED:
-    # calls another kernel, so the compiled variant needs the compiled
-    # psi_eval in scope rather than the *_py reference
-    @_njit(cache=True)
-    def clip_jumps(values, code, p0, p1, xs, ys):  # noqa: D103 - mirrors clip_jumps_py
-        m = values.shape[0]
-        d = values.shape[1]
-        sq = 0.0
-        for i in range(d):
-            sq += values[0, i] * values[0, i]
-        runsup = np.sqrt(sq)
-        for e in range(1, m):
-            bound = psi_eval(code, p0, p1, xs, ys, runsup)
-            for i in range(d):
-                prev = values[e - 1, i]
-                if prev - values[e, i] > bound:
-                    v = prev - bound
-                    while prev - v > bound:
-                        v = np.nextafter(v, np.inf)
-                    values[e, i] = v
-            sq = 0.0
-            for i in range(d):
-                sq += values[e, i] * values[e, i]
-            nv = np.sqrt(sq)
-            if nv > runsup:
-                runsup = nv
-        return values
-else:
-    clip_jumps = clip_jumps_py

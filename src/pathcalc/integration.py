@@ -217,6 +217,8 @@ class ItoIntegralReport:
 def ito_integral(rule: Callable[[Path, float], np.ndarray], path: Path,
                  n_max: int, tol: float = 1e-6) -> ItoIntegralReport:
     """Integrate successive step approximations; the last curve is the estimate."""
+    if n_max < 1:
+        raise ContractError(f"n_max must be >= 1, got {n_max}")
     parts = {n: lebesgue_partition_nd(path, n) for n in range(1, n_max + 1)}
     grid = np.unique(np.concatenate([path.times]
                                     + [parts[n].times for n in parts]))

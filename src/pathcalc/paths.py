@@ -278,11 +278,21 @@ def write_path_csv(path: Path, csv_file, sidecar: dict | None = None):
 def read_path_csv(csv_file) -> Path:
     """Read a path written by :func:`write_path_csv` (sidecar optional)."""
     csv_file = FsPath(csv_file)
-    with csv_file.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "t":
+    try:
+        with csv_file.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{csv_file}: not a text file: {exc}") from exc
+    if not rows or rows[0][:1] != ["t"]:
         raise ContractError(f"{csv_file}: expected header t,x1,...,xd")
-    data = np.array([[float(x) for x in row] for row in rows[1:]], dtype=np.float64)
+    width = len(rows[0])
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ContractError(f"{csv_file}:{line}: {len(row)} cells, the header has {width}")
+    try:
+        data = np.array([[float(x) for x in row] for row in rows[1:]], dtype=np.float64)
+    except ValueError as exc:
+        raise ContractError(f"{csv_file}: {exc}") from exc
     if data.size == 0:
         raise ContractError(f"{csv_file}: no events")
     mode = MODE_STEP
@@ -290,7 +300,12 @@ def read_path_csv(csv_file) -> Path:
     sidecar = csv_file.with_suffix(".json")
     if sidecar.exists():
         with sidecar.open() as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ContractError(f"{sidecar}: malformed JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ContractError(f"{sidecar}: expected a JSON object")
         mode = meta.get("mode", MODE_STEP)
         horizon = meta.get("horizon")
     return Path(times=data[:, 0], values=data[:, 1:], mode=mode, horizon=horizon)

@@ -100,6 +100,8 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
     times, which makes the sup-norms ``z_sup`` exact for step paths (and for
     linear paths too: ``Z^n`` is affine between consecutive grid points).
     """
+    if n_max < 1:
+        raise ContractError(f"n_max must be >= 1, got {n_max}")
     if tol <= 0:
         raise ContractError("tol must be > 0")
     d = path.dim

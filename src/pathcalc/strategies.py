@@ -241,7 +241,7 @@ def _realize(rule_or_realized, path: Path) -> RealizedStrategy:
 def check_strong_admissibility(rule, paths, lam: float) -> list[AdmissibilityVerdict]:
     """Capital stays >= -lam on the merged grid of every supplied path.
 
-    Грid checks are exact: capital is constant between grid times in step
+    Grid checks are exact: capital is constant between grid times in step
     mode and affine in linear mode, so extrema sit on the grid.
     """
     if lam <= 0:
@@ -291,21 +291,15 @@ def check_weak_admissibility(rule, paths, lam: float) -> list[AdmissibilityVerdi
 def _interval_trades(path: Path, a: float, b: float, K_bound: float) -> list[tuple[float, float]]:
     """(time, new_position) changes of the one-interval strategy on a 1-d path."""
     gamma = gamma_K(path, K_bound)
-    trades: list[tuple[float, float]] = []
-    long = False
     if path.mode == MODE_STEP:
-        for e in range(path.n_events):
-            t = float(path.times[e])
-            if t >= gamma:
-                break
-            v = float(path.values[e, 0])
-            if long and v >= b:
-                trades.append((t, 0.0))
-                long = False
-            if not long and v <= a:
-                trades.append((t, 1.0))
-                long = True
+        upto = int(np.searchsorted(path.times, gamma))  # events before gamma
+        held = K._interval_state(path.values[:upto, 0], a, b) == 1
+        trades = [(float(path.times[e]), float(held[e]))
+                  for e in np.flatnonzero(np.diff(held, prepend=False))]
+        long = bool(upto) and bool(held[-1])
     else:
+        trades: list[tuple[float, float]] = []
+        long = False
         t_cursor = 0.0
         v = float(path.values[0, 0])
         if v <= a and 0.0 < gamma:

@@ -1,8 +1,12 @@
+import itertools
 import json
+import time
 
 import pytest
 
+from pathcalc import cli
 from pathcalc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
+from pathcalc.errors import CheckFailedError, InternalConsistencyError
 from pathcalc.paths import write_path_csv
 
 
@@ -122,6 +126,19 @@ class TestVerifyCommand:
                      "--seed", "5", "--output-dir", str(tmp_path / "v")])
         assert code == EXIT_OK
 
+    def test_report_reproducible_byte_identical(self, tmp_path, monkeypatch):
+        # successive clock readings drift further apart, so no two runs take
+        # the same time; the report must not record it
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)) ** 2)
+        reports = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert main(["verify", "--check", "all", "--count", "3", "--seed", "1",
+                         "--output-dir", str(out)]) == EXIT_OK
+            reports.append((out / "verification_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestConfigFile:
     def test_config_overrides(self, tmp_path, p1_file):
@@ -152,3 +169,62 @@ class TestManifest:
         assert outs[0]["config_sha256"] == outs[1]["config_sha256"]
         assert (tmp_path / "m1" / "qv_limit.csv").read_bytes() \
             == (tmp_path / "m2" / "qv_limit.csv").read_bytes()
+
+
+GOOD_CSV = "t,x1\n0.0,0.0\n1.0,0.5\n2.0,0.25\n"
+
+
+def _failing_check(exc):
+    def check(args):
+        raise exc
+    return check
+
+
+# (case, files written to the run directory, argv, verify check replaced, exit code)
+EXIT_CODE_CASES = [
+    ("qv ok", {"p.csv": GOOD_CSV}, ["qv", "--input", "p.csv"], None, EXIT_OK),
+    ("config converted by flag type", {"p.csv": GOOD_CSV, "c.json": '{"n-max": "3", "tol": 1}'},
+     ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_OK),
+    ("ragged csv row", {"p.csv": "t,x1\n0.0,0.0\n1.0,0.5,0.7\n"},
+     ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("non-numeric csv cell", {"p.csv": "t,x1\n0.0,zero\n"},
+     ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("empty csv", {"p.csv": ""}, ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("malformed sidecar json", {"p.csv": GOOD_CSV, "p.json": "{mode"},
+     ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("malformed config json", {"p.csv": GOOD_CSV, "c.json": "{n-max"},
+     ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_CONFIG),
+    ("config not an object", {"c.json": "[1, 2]"},
+     ["simulate", "--config", "c.json"], None, EXIT_CONFIG),
+    ("config value of wrong type", {"c.json": '{"count": "ten"}'},
+     ["simulate", "--config", "c.json"], None, EXIT_CONFIG),
+    ("config list value", {"c.json": '{"count": [1]}'},
+     ["simulate", "--config", "c.json"], None, EXIT_CONFIG),
+    ("config value outside choices", {"c.json": '{"check": "nope"}'},
+     ["verify", "--config", "c.json"], None, EXIT_CONFIG),
+    ("qv n-max 0", {"p.csv": GOOD_CSV}, ["qv", "--input", "p.csv", "--n-max", "0"],
+     None, EXIT_CONFIG),
+    ("integrate n-max 0", {"p.csv": GOOD_CSV},
+     ["integrate", "--input", "p.csv", "--n-max", "0"], None, EXIT_CONFIG),
+    ("level index beyond int64", {"p.csv": "t,x1\n0.0,1000000.0\n1.0,1000000.5\n"},
+     ["qv", "--input", "p.csv", "--n-max", "52"], None, EXIT_CONFIG),
+    ("missing input", {}, ["qv", "--input", "absent.csv"], None, EXIT_IO),
+    ("missing config", {"p.csv": GOOD_CSV},
+     ["qv", "--input", "p.csv", "--config", "absent.json"], None, EXIT_IO),
+    ("identity failed", {}, ["verify", "--check", "bdg"],
+     InternalConsistencyError("injected"), EXIT_INTERNAL),
+    ("bound check failed", {}, ["verify", "--check", "bdg"],
+     CheckFailedError("injected"), EXIT_CHECK_FAILED),
+]
+
+
+@pytest.mark.parametrize("files, argv, failure, expected",
+                         [case[1:] for case in EXIT_CODE_CASES],
+                         ids=[case[0] for case in EXIT_CODE_CASES])
+def test_exit_code_contract(tmp_path, monkeypatch, files, argv, failure, expected):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    if failure is not None:
+        monkeypatch.setitem(cli.VERIFY_CHECKS, "bdg", _failing_check(failure))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--output-dir", "out"]) == expected

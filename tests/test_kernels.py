@@ -1,19 +1,23 @@
-"""Fast kernels must agree bit-for-bit with their reference loops.
+"""Every kernel agrees bit-for-bit with its per-event reference loop.
 
-``partition_step``, ``qv_on_grid`` and ``bdg_batch`` are NumPy array programs
-on every install, so their equivalence tests always run.  The other kernels
-are numba twins of their ``*_py`` loops and are compared only when numba is
-enabled (otherwise the two names are the same function).
+The loops live in ``reference_kernels``.  The property tests pin down the
+two equivalences the vectorized kernels rest on: the play-operator scan
+reproduces the partition, linear-crossing and accumulated-upcrossing loops,
+and the interval state reproduces the greedy-crossing and Doob-position
+loops.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathcalc import _kernels as K
+from pathcalc.errors import ContractError
 
+import reference_kernels as R
 
-requires_numba = pytest.mark.skipif(not K.NUMBA_ENABLED,
-                                    reason="numba disabled; variants identical")
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 def _random_step(rng, m):
@@ -28,29 +32,14 @@ class TestBackendEquivalence:
         for _ in range(30):
             times, values = _random_step(rng, int(rng.integers(2, 40)))
             for n in (1, 3, 7):
-                a = K.partition_step(times, values, 2.0 ** n)
-                b = K.partition_step_py(times, values, 2.0 ** n)
-                assert a[2] == b[2]
-                np.testing.assert_array_equal(a[0][:a[2]], b[0][:b[2]])
-                np.testing.assert_array_equal(a[1][:a[2]], b[1][:b[2]])
+                _assert_partition_matches(times, values, n)
 
-    @requires_numba
     def test_partition_linear(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             times, values = _random_step(rng, int(rng.integers(2, 20)))
             for n in (1, 4):
-                scale = 2.0 ** n
-                cnt = K.partition_linear_count(times, values, scale)
-                assert cnt == K.partition_linear_count_py(times, values, scale)
-                ta = np.empty(cnt)
-                ja = np.empty(cnt, np.int64)
-                tb = np.empty(cnt)
-                jb = np.empty(cnt, np.int64)
-                K.partition_linear_fill(times, values, scale, ta, ja)
-                K.partition_linear_fill_py(times, values, scale, tb, jb)
-                np.testing.assert_array_equal(ta, tb)
-                np.testing.assert_array_equal(ja, jb)
+                _assert_linear_matches(times, values, n)
 
     def test_qv_on_grid(self):
         rng = np.random.default_rng(3)
@@ -58,17 +47,16 @@ class TestBackendEquivalence:
         pos = np.unique(rng.integers(0, 50, 12)).astype(np.int64)
         pos[0] = 0
         np.testing.assert_array_equal(K.qv_on_grid(v, v, pos),
-                                      K.qv_on_grid_py(v, v, pos))
+                                      R.qv_on_grid_py(v, v, pos))
 
-    @requires_numba
     def test_crossings(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             v = rng.normal(size=int(rng.integers(2, 60)))
-            assert K.crossings_greedy(v, -0.3, 0.4) == K.crossings_greedy_py(v, -0.3, 0.4)
-            assert K.crossings_total_up(v, 0.5) == K.crossings_total_up_py(v, 0.5)
+            assert K.crossings_greedy(v, -0.3, 0.4) == R.crossings_greedy_py(v, -0.3, 0.4)
+            assert K.crossings_total_up(v, 0.5) == R.crossings_total_up_py(v, 0.5)
             a = K.crossings_interval_batch(v, -4, 4, 0.5)
-            b = K.crossings_interval_batch_py(v, -4, 4, 0.5)
+            b = R.crossings_interval_batch_py(v, -4, 4, 0.5)
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
 
@@ -76,48 +64,62 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(5)
         for _ in range(30):
             x = rng.normal(size=int(rng.integers(1, 40)))
-            assert K.bdg_core(x) == K.bdg_core_py(x)
+            assert K.bdg_core(x) == R.bdg_core_py(x)
+            h_kernel = np.empty(x.shape[0] - 1)
+            h_ref = np.empty(x.shape[0] - 1)
+            assert K.bdg_weights(x, h_kernel) == R.bdg_weights_py(x, h_ref)
+            np.testing.assert_array_equal(h_kernel, h_ref)
         seqs = [rng.normal(size=int(rng.integers(1, 30))) for _ in range(20)]
-        flat = np.concatenate(seqs)
-        offsets = np.concatenate([[0], np.cumsum([len(s) for s in seqs])]).astype(np.int64)
-        la, ra = K.bdg_batch(flat, offsets)
-        lb, rb = K.bdg_batch_py(flat, offsets)
-        np.testing.assert_array_equal(la, lb)
-        np.testing.assert_array_equal(ra, rb)
+        _assert_bdg_batch_matches(seqs)
 
-    @requires_numba
     def test_clip_jumps(self):
         rng = np.random.default_rng(6)
         vals = np.cumsum(rng.normal(0, 0.5, (40, 2)), axis=0)
-        a = K.clip_jumps(vals.copy(), K.PSI_AFFINE, 0.05, 0.1,
-                         np.empty(0), np.empty(0))
-        b = K.clip_jumps_py(vals.copy(), K.PSI_AFFINE, 0.05, 0.1,
-                            np.empty(0), np.empty(0))
-        np.testing.assert_array_equal(a, b)
+        for code, p0, p1, xs, ys in (
+                (K.PSI_CONSTANT, 0.3, 0.0, np.empty(0), np.empty(0)),
+                (K.PSI_AFFINE, 0.05, 0.1, np.empty(0), np.empty(0)),
+                (K.PSI_POWER, 0.2, 0.5, np.empty(0), np.empty(0)),
+                (K.PSI_TABLE, 0.0, 0.0, np.array([0.0, 1.0, 3.0]), np.array([0.1, 0.2, 0.6]))):
+            a = K.clip_jumps(vals.copy(), code, p0, p1, xs, ys)
+            b = R.clip_jumps_py(vals.copy(), code, p0, p1, xs, ys)
+            np.testing.assert_array_equal(a, b)
 
-    @requires_numba
     def test_doob_positions(self):
         rng = np.random.default_rng(7)
         v = np.cumsum(rng.normal(0, 0.3, 50))
         a = K.doob_positions(v, -8, 8, 0.25, 0.01, 50)
-        b = K.doob_positions_py(v, -8, 8, 0.25, 0.01, 50)
+        b = R.doob_positions_py(v, -8, 8, 0.25, 0.01, 50)
         np.testing.assert_array_equal(a, b)
 
 
 def _assert_partition_matches(times, values, n):
     a = K.partition_step(times, values, 2.0 ** n)
-    b = K.partition_step_py(times, values, 2.0 ** n)
+    b = R.partition_step_py(times, values, 2.0 ** n)
     assert a[2] == b[2]
     np.testing.assert_array_equal(a[0][:a[2]], b[0][:b[2]])
     np.testing.assert_array_equal(a[1][:a[2]], b[1][:b[2]])
     return a[2]
 
 
+def _assert_linear_matches(times, values, n):
+    scale = 2.0 ** n
+    cnt = K.partition_linear_count(times, values, scale)
+    assert cnt == R.partition_linear_count_py(times, values, scale)
+    ta = np.empty(cnt)
+    ja = np.empty(cnt, np.int64)
+    tb = np.empty(cnt)
+    jb = np.empty(cnt, np.int64)
+    assert K.partition_linear_fill(times, values, scale, ta, ja) == cnt
+    assert R.partition_linear_fill_py(times, values, scale, tb, jb) == cnt
+    np.testing.assert_array_equal(ta, tb)
+    np.testing.assert_array_equal(ja, jb)
+
+
 def _assert_bdg_batch_matches(seqs):
     flat = np.concatenate(seqs)
     offsets = np.concatenate([[0], np.cumsum([len(s) for s in seqs])]).astype(np.int64)
     la, ra = K.bdg_batch(flat, offsets)
-    lb, rb = K.bdg_batch_py(flat, offsets)
+    lb, rb = R.bdg_batch_py(flat, offsets)
     np.testing.assert_array_equal(la, lb)
     np.testing.assert_array_equal(ra, rb)
     return la, ra
@@ -180,7 +182,7 @@ class TestVectorizedEdgeCases:
             pos[0] = 0
             for a, b in ((si, sj), (sj, si), (si, si)):
                 np.testing.assert_array_equal(K.qv_on_grid(a, b, pos),
-                                              K.qv_on_grid_py(a, b, pos))
+                                              R.qv_on_grid_py(a, b, pos))
 
     def test_bdg_batch_length_one_and_all_zero(self):
         rng = np.random.default_rng(15)
@@ -193,3 +195,119 @@ class TestVectorizedEdgeCases:
                                    for _ in range(50)]
         rng.shuffle(mixed)
         _assert_bdg_batch_matches(mixed)
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the play-operator scan and the interval state
+# ---------------------------------------------------------------------------
+
+@st.composite
+def scaled_paths(draw, generations, bound):
+    """``(times, values, n)``: values on generation-n levels, arbitrary, or constant.
+
+    Level values are integer multiples of ``2**-n`` (even multiples also sit
+    on coarser levels); arbitrary values lie in ``[-bound, bound]``.
+    """
+    n = draw(st.sampled_from(generations))
+    m = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["levels", "floats", "constant"]))
+    if kind == "levels":
+        ints = draw(st.lists(st.integers(-64, 64), min_size=m, max_size=m))
+        values = np.array(ints, dtype=np.float64) * 2.0 ** -n
+    elif kind == "floats":
+        values = np.array(draw(st.lists(st.floats(-bound, bound), min_size=m, max_size=m)))
+    else:
+        values = np.full(m, draw(st.floats(-bound, bound)))
+    gaps = draw(st.lists(st.floats(0.001, 1.0), min_size=m - 1, max_size=m - 1))
+    return np.concatenate([[0.0], np.cumsum(gaps)]), values, n
+
+
+# At generation 52 every float with |v| >= 1 lies on a level, and |v| < 512
+# keeps |v| * 2**52 below the 2**62 guard.
+STEP_INPUTS = scaled_paths(generations=(1, 2, 3, 7, 12, 52), bound=512.0)
+# Linear partitions emit one point per level crossed, so keep the count small.
+LINEAR_INPUTS = scaled_paths(generations=(1, 2, 4, 6), bound=2.0)
+
+
+class TestPlayOperatorScan:
+    @PROPERTY
+    @given(STEP_INPUTS)
+    @example((np.array([0.0]), np.array([0.5]), 1))
+    @example((np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0 + 2.0 ** -52, 1.0]), 52))
+    def test_partition_step(self, inputs):
+        times, values, n = inputs
+        _assert_partition_matches(times, values, n)
+
+    @PROPERTY
+    @given(LINEAR_INPUTS)
+    @example((np.array([0.0, 1.0]), np.array([-0.5, 0.5]), 1))
+    @example((np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.25, 0.25]), 2))
+    def test_partition_linear(self, inputs):
+        times, values, n = inputs
+        _assert_linear_matches(times, values, n)
+
+    @PROPERTY
+    @given(STEP_INPUTS, st.sampled_from([1.0, 3.0]))
+    def test_crossings_total_up(self, inputs, stretch):
+        _, values, n = inputs
+        h = stretch * 2.0 ** -n
+        assert K.crossings_total_up(values, h) == R.crossings_total_up_py(values, h)
+        assert K.crossings_total_up(-values, h) == R.crossings_total_up_py(-values, h)
+
+    def test_scaled_values_beyond_2_62_are_rejected(self):
+        times = np.array([0.0, 1.0])
+        with pytest.raises(ContractError):
+            K.partition_step(times, np.array([0.0, 1e6]), 2.0 ** 52)
+        with pytest.raises(ContractError):
+            K.partition_linear_count(times, np.array([0.0, 2.0 ** 10]), 2.0 ** 52)
+        with pytest.raises(ContractError):
+            K.crossings_total_up(np.array([0.0, 10.0]), 1e-18)
+        # just below the guard the scan still runs
+        assert K.partition_step(times, np.array([0.0, 1023.0]), 2.0 ** 52)[2] == 2
+
+
+@st.composite
+def interval_inputs(draw):
+    """Values, an interval ``(a, b)`` and a cut-off index, often on one lattice.
+
+    Lattice values are multiples of 0.25 and so hit ``a``, ``b`` and the
+    Doob grid levels exactly.
+    """
+    m = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m))) * 0.25
+        a = draw(st.integers(-8, 8)) * 0.25
+        b = a + draw(st.integers(1, 4)) * 0.25
+    else:
+        values = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+        a = draw(st.floats(-3.0, 3.0))
+        b = a + draw(st.floats(0.01, 3.0))
+    return values, a, b, draw(st.integers(0, m))
+
+
+class TestIntervalState:
+    @PROPERTY
+    @given(interval_inputs())
+    @example((np.array([0.0, 1.0, 0.0, 1.0]), 0.0, 1.0, 4))
+    def test_crossings_greedy(self, inputs):
+        values, a, b, _ = inputs
+        assert K.crossings_greedy(values, a, b) == R.crossings_greedy_py(values, a, b)
+
+    @PROPERTY
+    @given(interval_inputs(), st.floats(1e-3, 1.0))
+    @example((np.array([-0.25, 0.5, -0.25]), 0.0, 0.25, 0), 0.1)
+    @example((np.array([-0.25, 0.5, -0.25]), 0.0, 0.25, 3), 0.1)
+    def test_doob_positions(self, inputs, weight):
+        values, _, _, gamma_idx = inputs
+        np.testing.assert_array_equal(
+            K.doob_positions(values, -13, 12, 0.25, weight, gamma_idx),
+            R.doob_positions_py(values, -13, 12, 0.25, weight, gamma_idx))
+
+    @PROPERTY
+    @given(interval_inputs())
+    def test_crossings_interval_batch(self, inputs):
+        values = inputs[0]
+        a = K.crossings_interval_batch(values, -13, 12, 0.25)
+        b = R.crossings_interval_batch_py(values, -13, 12, 0.25)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])

@@ -104,6 +104,14 @@ class TestPartition1d:
         with pytest.raises(ContractError):
             lebesgue_partition_1d(p1, 53)
 
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    def test_level_index_beyond_int64_rejected(self, mode):
+        # 1e6 * 2**52 is past 2**62: the level index would not be exact
+        p = Path(times=[0.0, 1.0, 2.0], values=[1e6, 1e6 + 0.5, 1e6 - 0.25], mode=mode)
+        with pytest.raises(ContractError, match="2\\*\\*62"):
+            lebesgue_partition_1d(p, 52)
+        assert lebesgue_partition_1d(p, 2).level_indices[0] == 4_000_000
+
 
 class TestRefinementAndJumps:
     def test_nesting_on_random_step_paths(self):
@@ -219,6 +227,12 @@ class TestCrossingsAccumulated:
     def test_h_positive(self, p1):
         with pytest.raises(ContractError):
             crossings_accumulated(p1, 0.0)
+
+    def test_level_index_beyond_int64_rejected(self):
+        p = Path(times=[0.0, 1.0, 2.0], values=[0.0, 10.0, 0.0], mode="step")
+        with pytest.raises(ContractError, match="2\\*\\*62"):
+            crossings_accumulated(p, 1e-18)
+        assert crossings_accumulated(p, 1e-3) == (10000, 10000)
 
     def test_fast_counter_matches_per_interval_sums(self):
         rng = np.random.default_rng(7)
