@@ -39,7 +39,7 @@ from .partitions import (
     write_partition_csv,
 )
 from .paths import Path, PsiSpec, read_path_csv, write_path_csv
-from .qv import qv_limit, write_qv_report
+from .qv import discrete_qv, qv_limit, write_qv_report
 from .simulate import SimSpec, ensemble, write_simspec
 from .strategies import (
     RealizedStrategy,
@@ -166,7 +166,8 @@ def cmd_integrate(args) -> tuple[int, list, dict]:
                "detail": f"last gap {rep.generation_gaps[-1]:.3e}" if rep.generation_gaps.size else "single generation"}]
     code = EXIT_OK
     if args.rule == "prev-price" and path.dim == 1:
-        qv_term = qv_limit(path, n_max=args.n_max, tol=args.tol).terminal[0, 0]
+        finest = lebesgue_partition_1d(path, args.n_max)
+        qv_term = discrete_qv(path, finest, path.horizon)
         s = path.values[:, 0]
         resid = abs(2 * rep.terminal + qv_term - (s[-1] ** 2 - s[0] ** 2))
         scale = max(1.0, abs(s[-1] ** 2 - s[0] ** 2))

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, InternalConsistencyError
-from .partitions import lebesgue_partition_nd
+from .partitions import lebesgue_partition_nd, partition_ladder
 from .paths import Path, PsiSpec
 from .qv import qv_limit
 from .strategies import CapitalCurve, RealizedStrategy, bdg_weights, capital_curve
@@ -160,20 +160,13 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
     times; per-generation terminals supply the Cauchy diagnostic.
     """
     from . import _kernels as K
-    terminals = np.empty(n_max)
-    curve = None
-    grid = None
-    for n in range(1, n_max + 1):
-        part = lebesgue_partition_nd(path, n)
-        if n < n_max:
-            terminals[n - 1] = _compensator_terminal(F, path, part.times)
-            continue
-        rho = _union_grid(path, F, part.times)
-        grid = np.unique(np.concatenate([rho, path.times]))
-        x = np.ascontiguousarray(integral_curve(F, path).values_at(grid))
-        pos = np.ascontiguousarray(np.searchsorted(grid, rho).astype(np.int64))
-        curve = K.qv_on_grid(x, x, pos)
-        terminals[n - 1] = curve[-1]
+    parts, _ = partition_ladder(path, n_max)
+    rho = _union_grid(path, F, parts[-1].times)
+    grid = np.unique(np.concatenate([rho, path.times]))
+    x = np.ascontiguousarray(integral_curve(F, path).values_at(grid))
+    curve = K.qv_on_grid(x, x, np.searchsorted(grid, rho))
+    terminals = np.array([_compensator_terminal(F, path, part.times) for part in parts[:-1]]
+                         + [curve[-1]])
     gap = float(abs(terminals[-1] - terminals[-2])) if n_max >= 2 else float("nan")
     return CompensatorReport(times=grid, values=curve, terminal=float(terminals[-1]),
                              per_generation=terminals, cauchy_gap=gap,
@@ -184,21 +177,28 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
 # Left-point sampling of non-anticipating integrands and the limit integral
 # ---------------------------------------------------------------------------
 
-def approximate_caglad(rule: Callable[[Path, float], np.ndarray], path: Path,
+def _sample(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
+            times: np.ndarray) -> StepIntegrand:
+    """The step integrand holding ``rule(path, times)[k]`` on ``(times[k], times[k+1]]``."""
+    vals = np.empty((len(times), path.dim))
+    vals[...] = rule(path, times)
+    return StepIntegrand(times=times, values=vals, value_at_zero=vals[0])
+
+
+def approximate_caglad(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
                        n: int) -> StepIntegrand:
     """Sample a non-anticipating rule at generation-n crossing times.
 
-    ``rule(path, t)`` must return the information available at time t (for
-    the left-continuous integrand ``t -> S_{t-}`` that is the current value
-    ``S_t``); the step approximation holds ``rule(path, tau_k)`` on
+    ``rule(path, times)`` gets the float64 array of the generation's times
+    and returns, for each time t, the information available at t (for the
+    left-continuous integrand ``t -> S_{t-}`` that is the current value
+    ``S_t``, so ``lambda p, t: p.eval(t)``).  The result must broadcast to
+    ``(len(times), d)``: a scalar or a ``(d,)`` vector is held at every
+    time.  The step approximation holds the value at ``tau_k`` on
     ``(tau_k, tau_{k+1}]``, which converges to the left-continuous process
     as generations refine.
     """
-    part = lebesgue_partition_nd(path, n)
-    vals = [np.atleast_1d(np.asarray(rule(path, float(t)), dtype=np.float64))
-            for t in part.times]
-    return StepIntegrand(times=part.times, values=np.vstack(vals),
-                         value_at_zero=vals[0])
+    return _sample(rule, path, lebesgue_partition_nd(path, n).times)
 
 
 @dataclass(frozen=True)
@@ -214,21 +214,19 @@ class ItoIntegralReport:
         return float(self.curve.values[-1])
 
 
-def ito_integral(rule: Callable[[Path, float], np.ndarray], path: Path,
+def ito_integral(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
                  n_max: int, tol: float = 1e-6) -> ItoIntegralReport:
-    """Integrate successive step approximations; the last curve is the estimate."""
-    if n_max < 1:
-        raise ContractError(f"n_max must be >= 1, got {n_max}")
-    parts = {n: lebesgue_partition_nd(path, n) for n in range(1, n_max + 1)}
-    grid = np.unique(np.concatenate([path.times]
-                                    + [parts[n].times for n in parts]))
+    """Integrate successive step approximations; the last curve is the estimate.
+
+    ``rule(path, times)`` is called once per generation n = 1..n_max with
+    the float64 array of that generation's crossing times and returns values
+    that broadcast to ``(len(times), d)``, as in :func:`approximate_caglad`.
+    """
+    parts, grid = partition_ladder(path, n_max)
     prev_vals = None
     gaps = []
-    last_curve = None
-    for n in range(1, n_max + 1):
-        F = approximate_caglad(rule, path, n)
-        last_curve = integral_curve(F, path)
-        vals = last_curve.values_at(grid)
+    for part in parts:
+        vals = integral_curve(_sample(rule, path, part.times), path).values_at(grid)
         if prev_vals is not None:
             gaps.append(float(np.max(np.abs(vals - prev_vals))))
         prev_vals = vals
@@ -256,8 +254,7 @@ class PathStats:
 
 def _make_stats(p: Path, n_max: int) -> PathStats:
     report = qv_limit(p, n_max=n_max, tol=1e-9, keep_generations=False)
-    part = lebesgue_partition_nd(p, n_max)
-    return PathStats(path=p, partition_times=part.times,
+    return PathStats(path=p, partition_times=report.limit_times,
                      qv_frobenius=report.frobenius_terminal,
                      sup_norm=p.sup_norm(), n_max=n_max)
 

@@ -25,6 +25,12 @@ from .paths import MODE_LINEAR, MODE_STEP, Path
 
 MAX_GENERATION = 52
 
+MAX_LINEAR_POINTS = 2 ** 26
+"""Largest linear-mode partition built; one point per level crossed."""
+
+MAX_CROSSING_INTERVALS = 2 ** 20
+"""Largest number of grid intervals :func:`crossing_report` counts."""
+
 SENTINEL = np.inf
 """Stopping-time value meaning "never happens" (beyond any horizon)."""
 
@@ -79,6 +85,9 @@ def lebesgue_partition_1d(path: Path, n: int) -> LebesguePartition:
         out_t, out_j, cnt = K.partition_step(path.times, values, scale)
         return LebesguePartition(int(n), out_t[:cnt].copy(), out_j[:cnt].copy())
     cnt = K.partition_linear_count(path.times, values, scale)
+    if cnt > MAX_LINEAR_POINTS:
+        raise ContractError(f"generation {n} crosses {cnt} levels, more than "
+                            f"{MAX_LINEAR_POINTS}: use a coarser generation")
     out_t = np.empty(cnt, np.float64)
     out_j = np.empty(cnt, np.int64)
     K.partition_linear_fill(path.times, values, scale, out_t, out_j)
@@ -97,6 +106,20 @@ def lebesgue_partition_nd(path: Path, n: int) -> LebesguePartition:
         for j in range(i + 1, path.dim + 1):
             pieces.append(lebesgue_partition_1d(path.coordinate_sum(i, j), n).times)
     return LebesguePartition(int(n), np.unique(np.concatenate(pieces)), None)
+
+
+def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], np.ndarray]:
+    """Generations 1..n_max of :func:`lebesgue_partition_nd` and their grid.
+
+    Returns ``(parts, grid)`` with ``parts[n - 1]`` the generation-n
+    partition and ``grid = unique(event times and every generation's
+    times)``, the common grid on which limits along the ladder are taken.
+    """
+    if not 1 <= int(n_max) <= MAX_GENERATION:
+        raise ContractError(f"n_max must be in 1..{MAX_GENERATION}, got {n_max}")
+    parts = [lebesgue_partition_nd(path, n) for n in range(1, int(n_max) + 1)]
+    grid = np.unique(np.concatenate([path.times] + [p.times for p in parts]))
+    return parts, grid
 
 
 def chi(partition: LebesguePartition, t: float) -> float:
@@ -156,8 +179,11 @@ def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
         raise ContractError("need h > 0")
     vals = _sample_values(path, t)
     t_eff = float(path.horizon) if t is None else float(t)
-    klo = int(np.floor(vals.min() / h)) - 1
-    khi = int(np.ceil(vals.max() / h)) + 1
+    lo, hi = np.floor(vals.min() / h), np.ceil(vals.max() / h)
+    if not hi - lo + 3 <= MAX_CROSSING_INTERVALS:  # also rejects an infinite quotient
+        raise ContractError(f"spacing {h} gives {hi - lo + 3:.3g} intervals, more than "
+                            f"{MAX_CROSSING_INTERVALS}: use a coarser spacing")
+    klo, khi = int(lo) - 1, int(hi) + 1
     up, down = K.crossings_interval_batch(vals, klo, khi, float(h))
     per_interval = [
         {"k": int(klo + i), "a": (klo + i) * h, "b": (klo + i + 1) * h,

@@ -20,16 +20,11 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .partitions import SENTINEL, LebesguePartition, lebesgue_partition_1d, lebesgue_partition_nd
+from .partitions import (SENTINEL, LebesguePartition, lebesgue_partition_1d,
+                         lebesgue_partition_nd, partition_ladder)
 from .paths import MODE_STEP, Path, PsiSpec
 
 Q0_CONVENTION = "Q^0 := 0, so Z^1 = Q^1"
-
-
-def _partition_for(path: Path, n: int) -> LebesguePartition:
-    if path.dim == 1:
-        return lebesgue_partition_1d(path, n)
-    return lebesgue_partition_nd(path, n)
 
 
 def _positions(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -55,7 +50,7 @@ def discrete_cross_qv(path: Path, n: int, i: int, j: int, t: float,
     """``Q^{i,j,n}_t`` along the d-dimensional partition (1-based i, j)."""
     if not (1 <= i <= path.dim and 1 <= j <= path.dim):
         raise ContractError("coordinate index out of range")
-    part = partition if partition is not None else _partition_for(path, n)
+    part = partition if partition is not None else lebesgue_partition_nd(path, n)
     clamped = np.append(np.minimum(part.times, t), t)
     vals = path.eval(clamped)
     di = np.diff(vals[:, i - 1])
@@ -100,14 +95,10 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
     times, which makes the sup-norms ``z_sup`` exact for step paths (and for
     linear paths too: ``Z^n`` is affine between consecutive grid points).
     """
-    if n_max < 1:
-        raise ContractError(f"n_max must be >= 1, got {n_max}")
     if tol <= 0:
         raise ContractError("tol must be > 0")
+    partitions, grid = partition_ladder(path, n_max)
     d = path.dim
-    partitions = {n: _partition_for(path, n) for n in range(1, n_max + 1)}
-    grid = np.unique(np.concatenate([path.times]
-                                    + [partitions[n].times for n in partitions]))
     vals = path.eval(grid)
 
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
@@ -115,10 +106,9 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
     z_sup = np.empty(n_max)
     qv_terminal = np.empty((n_max, d, d))
     qv_paths: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    last_curves = None
 
-    for n in range(1, n_max + 1):
-        pos = _positions(grid, partitions[n].times)
+    for n, part in enumerate(partitions, start=1):
+        pos = _positions(grid, part.times)
         cur = {}
         worst = 0.0
         for (a, b) in pairs:
@@ -127,29 +117,18 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
             q = K.qv_on_grid(va, vb, pos)
             cur[(a, b)] = q
             worst = max(worst, float(np.max(np.abs(q - prev[(a, b)]))))
+            qv_terminal[n - 1, a, b] = qv_terminal[n - 1, b, a] = q[-1]
         z_sup[n - 1] = worst
-        for (a, b) in pairs:
-            qv_terminal[n - 1, a, b] = qv_terminal[n - 1, b, a] = cur[(a, b)][-1]
         if keep_generations or n == n_max:
-            ppos = _positions(grid, partitions[n].times)
-            qp = np.empty((len(ppos), d, d))
-            for (a, b) in pairs:
-                qp[:, a, b] = qp[:, b, a] = cur[(a, b)][ppos]
-            qv_paths[n] = (partitions[n].times, qp)
+            qp = np.empty((len(pos), d, d))
+            for (a, b), q in cur.items():
+                qp[:, a, b] = qp[:, b, a] = q[pos]
+            qv_paths[n] = (part.times, qp)
         prev = cur
-        last_curves = cur
+    limit_times, limit_values = qv_paths[n_max]
 
-    limit_times = partitions[n_max].times
-    lpos = _positions(grid, limit_times)
-    limit_values = np.empty((len(limit_times), d, d))
-    for (a, b) in pairs:
-        limit_values[:, a, b] = limit_values[:, b, a] = last_curves[(a, b)][lpos]
-
-    converged_at = None
-    for n in range(2, n_max + 1):
-        if z_sup[n - 1] < tol:
-            converged_at = n
-            break
+    hits = np.flatnonzero(z_sup[1:] < tol)
+    converged_at = int(hits[0]) + 2 if hits.size else None
 
     return QVReport(
         dim=d, n_max=n_max, tol=tol,
@@ -159,7 +138,7 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
         terminal=qv_terminal[n_max - 1].copy(),
         cauchy_tol_met=bool(z_sup[n_max - 1] < tol),
         converged_at=converged_at,
-        qv_paths=qv_paths if keep_generations else {n_max: qv_paths.get(n_max)},
+        qv_paths=qv_paths,
     )
 
 
@@ -168,27 +147,27 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 def _z_data(path: Path, n: int, extra_times=()):
-    """Grid, Z values on grid, and the generation-n partition positions."""
+    """Grid, path values and Z on it, and the generation-n and n-1 partitions.
+
+    The grid holds the event times, both generations' times and
+    ``extra_times``; the coarse partition is ``None`` at n = 1.
+    """
     if path.dim != 1:
         raise ContractError("Z/K processes are defined for 1-d paths")
     pn = lebesgue_partition_1d(path, n)
-    pieces = [path.times, pn.times, np.asarray(extra_times, dtype=np.float64)]
-    if n >= 2:
-        pn1 = lebesgue_partition_1d(path, n - 1)
-        pieces.append(pn1.times)
-    grid = np.unique(np.concatenate(pieces))
+    pn1 = lebesgue_partition_1d(path, n - 1) if n >= 2 else None
+    coarse = [pn1.times] if pn1 is not None else []
+    grid = np.unique(np.concatenate([path.times, pn.times,
+                                     np.asarray(extra_times, dtype=np.float64)] + coarse))
     v = np.ascontiguousarray(path.eval(grid)[:, 0])
     qn = K.qv_on_grid(v, v, _positions(grid, pn.times))
-    if n >= 2:
-        qn1 = K.qv_on_grid(v, v, _positions(grid, pn1.times))
-    else:
-        qn1 = np.zeros_like(qn)
-    return grid, qn - qn1, pn
+    qn1 = K.qv_on_grid(v, v, _positions(grid, pn1.times)) if pn1 is not None else 0.0
+    return grid, v, qn - qn1, pn, pn1
 
 
 def z_process(path: Path, n: int, t: float) -> float:
     """``Z^n_t = Q^n_t - Q^{n-1}_t`` (with ``Q^0 := 0``)."""
-    grid, z, _ = _z_data(path, n, extra_times=[t])
+    grid, _, z, _, _ = _z_data(path, n, extra_times=[t])
     return float(z[np.searchsorted(grid, t)])
 
 
@@ -205,10 +184,27 @@ def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float
     """
     if K_bound < 1:
         raise ContractError("K must be a positive integer")
-    grid, z, pn = _z_data(path, n, extra_times=[t])
+    grid, _, z, pn, _ = _z_data(path, n, extra_times=[t])
     sumsq = K.qv_on_grid(z, z, _positions(grid, pn.times))
     it = int(np.searchsorted(grid, t))
     return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(sumsq[it])
+
+
+def _sigma_from_z(grid: np.ndarray, z: np.ndarray, pn: LebesguePartition,
+                  n: int, K_bound: int) -> float:
+    """:func:`sigma_n_K` from Z on a grid that holds the partition ``pn``."""
+    if K_bound < 1:
+        raise ContractError("K must be a positive integer")
+    if len(pn.times) < 2:
+        return SENTINEL
+    z_at_tau = z[_positions(grid, pn.times)]
+    acc = np.cumsum(np.diff(z_at_tau) ** 2)
+    threshold = float(n) ** 4 * 2.0 ** (-2 * n)
+    hit_acc = np.flatnonzero(acc > threshold)
+    hit_z = np.flatnonzero(z_at_tau[1:] > K_bound)
+    t_acc = pn.times[hit_acc[0] + 1] if hit_acc.size else SENTINEL
+    t_z = pn.times[hit_z[0] + 1] if hit_z.size else SENTINEL
+    return float(min(t_acc, t_z))
 
 
 def sigma_n_K(path: Path, n: int, K_bound: int) -> float:
@@ -218,19 +214,8 @@ def sigma_n_K(path: Path, n: int, K_bound: int) -> float:
     accumulated squared Z-increments above ``n^4 2^{-2n}`` and the first one
     with ``Z^n > K``; ``inf`` if neither occurs.
     """
-    if K_bound < 1:
-        raise ContractError("K must be a positive integer")
-    grid, z, pn = _z_data(path, n)
-    z_at_tau = z[_positions(grid, pn.times)]
-    if len(pn.times) < 2:
-        return SENTINEL
-    acc = np.cumsum(np.diff(z_at_tau) ** 2)
-    threshold = float(n) ** 4 * 2.0 ** (-2 * n)
-    hit_acc = np.flatnonzero(acc > threshold)
-    hit_z = np.flatnonzero(z_at_tau[1:] > K_bound)
-    t_acc = pn.times[hit_acc[0] + 1] if hit_acc.size else SENTINEL
-    t_z = pn.times[hit_z[0] + 1] if hit_z.size else SENTINEL
-    return float(min(t_acc, t_z))
+    grid, _, z, pn, _ = _z_data(path, n)
+    return _sigma_from_z(grid, z, pn, n, K_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +240,15 @@ def jump_identity_check(path: Path, report: QVReport, tolerance: float = 1e-9) -
     grid = np.unique(np.concatenate([path.times, report.limit_times]))
     vals = path.eval(grid)
     pos = _positions(grid, report.limit_times)
-    d = path.dim
-    worst = 0.0
-    curves = {}
-    for a in range(d):
-        for b in range(a, d):
-            va = np.ascontiguousarray(vals[:, a])
-            vb = np.ascontiguousarray(vals[:, b])
-            curves[(a, b)] = K.qv_on_grid(va, vb, pos)
-    event_idx = np.searchsorted(grid, path.times[1:])
+    g = np.searchsorted(grid, path.times[1:])
     dv = np.diff(path.values, axis=0)
-    for e, g in enumerate(event_idx):
-        for (a, b), q in curves.items():
-            lhs = q[g] - q[g - 1]
-            rhs = dv[e, a] * dv[e, b]
-            worst = max(worst, abs(lhs - rhs))
+    worst = 0.0
+    for a in range(path.dim):
+        for b in range(a, path.dim):
+            q = K.qv_on_grid(np.ascontiguousarray(vals[:, a]),
+                             np.ascontiguousarray(vals[:, b]), pos)
+            worst = max(worst, float(np.max(np.abs(q[g] - q[g - 1] - dv[:, a] * dv[:, b]),
+                                            initial=0.0)))
     return JumpIdentityReport(ok=worst <= tolerance, max_discrepancy=worst, tolerance=tolerance)
 
 

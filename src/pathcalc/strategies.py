@@ -28,9 +28,9 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
-from .partitions import SENTINEL, lebesgue_partition_1d
+from .partitions import SENTINEL
 from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec
-from .qv import k_constant, sigma_n_K
+from .qv import _sigma_from_z, _z_data, k_constant
 
 __all__ = [
     "RealizedStrategy", "StrategyRule", "CapitalCurve",
@@ -501,21 +501,14 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
         raise ContractError("the compensated-Z strategy acts on 1-d paths")
     if n < 2:
         raise ContractError("needs n >= 2 (a coarser generation must exist)")
-    fine = lebesgue_partition_1d(path, n)
-    coarse = lebesgue_partition_1d(path, n - 1)
     gamma = gamma_K(path, float(K_bound))
-    sigma = sigma_n_K(path, n, K_bound)
+    # a finite sigma is a fine partition time, so the grid already holds it
+    grid, v, z, fine, coarse = _z_data(path, n, [gamma] if np.isfinite(gamma) else [])
+    sigma = _sigma_from_z(grid, z, fine, n, K_bound)
     cut = min(gamma, sigma)
 
-    extra = [t for t in (gamma, sigma) if np.isfinite(t)]
-    grid = np.unique(np.concatenate([path.times, fine.times, coarse.times, extra]))
-    v = np.ascontiguousarray(path.eval(grid)[:, 0])
-    fine_pos = np.searchsorted(grid, fine.times).astype(np.int64)
-    coarse_pos = np.searchsorted(grid, coarse.times).astype(np.int64)
-    qn = K.qv_on_grid(v, v, np.ascontiguousarray(fine_pos))
-    qn1 = K.qv_on_grid(v, v, np.ascontiguousarray(coarse_pos))
-    z = np.ascontiguousarray(qn - qn1)
-    sumsq = K.qv_on_grid(z, z, np.ascontiguousarray(fine_pos))
+    fine_pos = np.searchsorted(grid, fine.times)
+    sumsq = K.qv_on_grid(z, z, fine_pos)
 
     # realized positions on (tau_k, tau_{k+1} ^ cut]
     s_tau = v[fine_pos]

@@ -208,6 +208,11 @@ EXIT_CODE_CASES = [
      ["integrate", "--input", "p.csv", "--n-max", "0"], None, EXIT_CONFIG),
     ("level index beyond int64", {"p.csv": "t,x1\n0.0,1000000.0\n1.0,1000000.5\n"},
      ["qv", "--input", "p.csv", "--n-max", "52"], None, EXIT_CONFIG),
+    ("crossings spacing too fine", {"p.csv": GOOD_CSV},
+     ["crossings", "--input", "p.csv", "--h", "1e-7"], None, EXIT_CONFIG),
+    ("linear partition too long",
+     {"p.csv": "t,x1\n0.0,0.0\n1.0,1000000000.0\n", "p.json": '{"mode": "linear"}'},
+     ["qv", "--input", "p.csv", "--n-max", "3"], None, EXIT_CONFIG),
     ("missing input", {}, ["qv", "--input", "absent.csv"], None, EXIT_IO),
     ("missing config", {"p.csv": GOOD_CSV},
      ["qv", "--input", "p.csv", "--config", "absent.json"], None, EXIT_IO),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcalc import ContractError, Path, PsiSpec
 from pathcalc.integration import (
@@ -19,9 +21,11 @@ from pathcalc.integration import (
     prepare_ensemble,
     StepIntegrand,
 )
+from pathcalc.partitions import lebesgue_partition_nd
 from pathcalc.qv import qv_limit
 from pathcalc.simulate import SimSpec, ensemble
 
+import reference_loops as R
 from conftest import random_step_path
 
 PSI_AFF = PsiSpec("affine", (0.1, 0.1))
@@ -100,6 +104,84 @@ class TestCaglad:
         F = approximate_caglad(lambda p, t: G.value_after(t), p1, 6)
         merged = np.unique(np.concatenate([p1.times, [0.5, 2.5]]))
         np.testing.assert_allclose(F.value_after(merged)[:, 0], G.value_after(merged)[:, 0])
+
+
+def bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+def same_integrand(F, G):
+    return (bits(F.times) == bits(G.times) and bits(F.values) == bits(G.values)
+            and bits(F.value_at_zero) == bits(G.value_at_zero))
+
+
+class TestRuleContract:
+    def test_one_call_per_generation_with_its_times(self):
+        rng = np.random.default_rng(61)
+        p = random_step_path(rng, n_events=15, dim=2)
+        calls = []
+
+        def recording(path, times):
+            calls.append(times)
+            return path.eval(times)
+
+        ito_integral(recording, p, n_max=6)
+        assert len(calls) == 6
+        for n, times in enumerate(calls, start=1):
+            assert isinstance(times, np.ndarray) and times.dtype == np.float64
+            assert bits(times) == bits(lebesgue_partition_nd(p, n).times)
+
+    def test_scalar_vector_and_matrix_results_agree(self):
+        rng = np.random.default_rng(62)
+        p = random_step_path(rng, n_events=15, dim=2)
+        rules = [lambda q, t: 2.5,
+                 lambda q, t: np.full(q.dim, 2.5),
+                 lambda q, t: np.full((len(t), q.dim), 2.5)]
+        F0, *others = [approximate_caglad(rule, p, 4) for rule in rules]
+        assert F0.values.shape == (len(lebesgue_partition_nd(p, 4)), 2)
+        for F in others:
+            assert same_integrand(F, F0)
+
+
+LEVEL_OR_ANY = st.one_of(st.integers(-8, 8).map(lambda k: k / 8.0),
+                        st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sampling_paths(draw):
+    """Step and linear paths in 1 and 2 dimensions, values often on dyadic levels."""
+    m = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 2))
+    mode = draw(st.sampled_from(["step", "linear"]))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    values = np.array(draw(st.lists(st.lists(LEVEL_OR_ANY, min_size=d, max_size=d),
+                                    min_size=m, max_size=m)))
+    return Path(times=times, values=values, mode=mode, horizon=float(times[-1]) + 0.5)
+
+
+SAMPLING_RULES = {
+    "prev-price": lambda p, t: p.eval(t),
+    "unit": lambda p, t: np.ones(p.dim),
+    "sine of price": lambda p, t: np.sin(3.0 * p.eval(t)),
+}
+
+
+class TestSamplerReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(path=sampling_paths(), n=st.integers(1, 8),
+           rule=st.sampled_from(sorted(SAMPLING_RULES)))
+    def test_bit_identical_to_per_time_loop(self, path, n, rule):
+        fn = SAMPLING_RULES[rule]
+        assert same_integrand(approximate_caglad(fn, path, n),
+                              R.approximate_caglad_py(fn, path, n))
+        got = ito_integral(fn, path, n_max=n)
+        ref = R.ito_integral_py(fn, path, n_max=n)
+        assert bits(got.curve.times) == bits(ref.curve.times)
+        assert bits(got.curve.values) == bits(ref.curve.values)
+        assert bits(got.generation_gaps) == bits(ref.generation_gaps)
+        assert got.converged == ref.converged
 
 
 class TestItoIntegral:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pathcalc import ContractError, Path
+from pathcalc import ContractError, Path, partitions
 from pathcalc.partitions import (
     SENTINEL,
     LebesguePartition,
@@ -13,7 +13,10 @@ from pathcalc.partitions import (
     crossings_accumulated,
     lebesgue_partition_1d,
     lebesgue_partition_nd,
+    partition_ladder,
 )
+from pathcalc.integration import constant_integrand, integrate_f2_dqv, ito_integral
+from pathcalc.qv import qv_limit
 
 from conftest import random_step_path
 
@@ -158,6 +161,55 @@ class TestPartitionNd:
         np.testing.assert_array_equal(lebesgue_partition_nd(p, 3).times, [0.0])
 
 
+LADDER_CALLERS = {
+    "partition_ladder": partition_ladder,
+    "qv_limit": qv_limit,
+    "ito_integral": lambda p, n: ito_integral(lambda q, t: q.eval(t), p, n),
+    "integrate_f2_dqv": lambda p, n: integrate_f2_dqv(constant_integrand(1.0), p, n),
+}
+
+
+class TestLadder:
+    @pytest.mark.parametrize("dim, mode", [(1, "step"), (2, "step"), (1, "linear")])
+    def test_generations_and_grid(self, dim, mode):
+        rng = np.random.default_rng(9)
+        q = random_step_path(rng, n_events=15, dim=dim)
+        p = Path(q.times, q.values, mode=mode, horizon=2.0)
+        parts, grid = partition_ladder(p, 5)
+        assert [part.generation for part in parts] == [1, 2, 3, 4, 5]
+        for n, part in enumerate(parts, start=1):
+            np.testing.assert_array_equal(part.times, lebesgue_partition_nd(p, n).times)
+        expected = np.unique(np.concatenate([p.times] + [part.times for part in parts]))
+        np.testing.assert_array_equal(grid, expected)
+
+    @pytest.mark.parametrize("n_max", [0, -1, 53])
+    @pytest.mark.parametrize("caller", sorted(LADDER_CALLERS))
+    def test_range(self, p1, n_max, caller):
+        with pytest.raises(ContractError, match="n_max must be in 1..52"):
+            LADDER_CALLERS[caller](p1, n_max)
+
+
+class TestLinearCap:
+    def test_rejected_before_allocating(self, monkeypatch):
+        p = Path(times=[0.0, 1.0], values=[0.0, 0.75], mode="linear")
+
+        def no_fill(*args):
+            raise AssertionError("the fill kernel ran")
+
+        monkeypatch.setattr(partitions.K, "partition_linear_fill", no_fill)
+        assert partitions.K.partition_linear_count(p.times, p.values[:, 0], 2.0 ** 40) \
+            == 824_633_720_833
+        with pytest.raises(ContractError, match="crosses 824633720833 levels"):
+            lebesgue_partition_1d(p, 40)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        p = Path(times=[0.0, 1.0], values=[0.0, 1.0], mode="linear")  # 1 + 2^n points
+        monkeypatch.setattr(partitions, "MAX_LINEAR_POINTS", 9)
+        assert len(lebesgue_partition_1d(p, 3)) == 9
+        with pytest.raises(ContractError):
+            lebesgue_partition_1d(p, 4)
+
+
 class TestChi:
     def test_examples(self):
         part = LebesguePartition(1, np.array([0.0, 1.0, 3.0]))
@@ -244,6 +296,20 @@ class TestCrossingsAccumulated:
             h = float(rng.choice([0.25, 0.5, 1.0]))
             rep = crossing_report(p, h)
             assert (rep["U"], rep["D"]) == crossings_accumulated(p, h)
+
+    def test_report_interval_cap(self, p2, monkeypatch):
+        # values 0..1 at h = 1/8 span klo = -1 .. khi = 9: 11 intervals
+        monkeypatch.setattr(partitions, "MAX_CROSSING_INTERVALS", 11)
+        assert crossing_report(p2, 0.125)["U"] == 16
+        monkeypatch.setattr(partitions, "MAX_CROSSING_INTERVALS", 10)
+        with pytest.raises(ContractError, match="11 intervals"):
+            crossing_report(p2, 0.125)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("h", [1e-7, 1e-320])
+    def test_report_rejects_fine_spacing(self, p2, h):
+        with pytest.raises(ContractError, match="intervals"):
+            crossing_report(p2, h)
 
     def test_report_fields(self, p2):
         rep = crossing_report(p2, 1.0, 4.0)

@@ -15,6 +15,7 @@ from pathcalc.qv import (
     z_process,
 )
 
+import reference_loops as R
 from conftest import random_step_path
 
 PSI0 = PsiSpec("constant", (0.0,))
@@ -131,6 +132,19 @@ class TestQVLimit:
                 for a in range(p.dim):
                     assert np.all(np.diff(qp[:, a, a]) >= -1e-15)
 
+    def test_limit_is_the_last_generation(self):
+        rng = np.random.default_rng(28)
+        for dim in (1, 2):
+            p = random_step_path(rng, n_events=20, dim=dim)
+            for keep in (True, False):
+                report = qv_limit(p, n_max=7, tol=1e-9, keep_generations=keep)
+                times, values = report.qv_paths[7]
+                assert sorted(report.qv_paths) == (list(range(1, 8)) if keep else [7])
+                np.testing.assert_array_equal(report.limit_times, times)
+                np.testing.assert_array_equal(report.limit_times,
+                                              lebesgue_partition_nd(p, 7).times)
+                np.testing.assert_array_equal(report.limit_values, values)
+
     def test_z_sup_vanishes_once_jumps_isolated(self, p1):
         report = qv_limit(p1, n_max=8, tol=1e-13)
         # generations 5..8 all isolate the three jumps, so Z = 0 exactly
@@ -197,6 +211,17 @@ class TestJumpIdentity:
         p = Path(times=[0.0, 1.0], values=[0.0, 1.0], mode="linear")
         report = qv_limit(p, n_max=3, tol=1e-9)
         assert jump_identity_check(p, report).ok
+
+    def test_bit_identical_to_event_loop(self):
+        rng = np.random.default_rng(27)
+        for dim in (1, 2, 3):
+            for n_max in (1, 3, 6, 12):
+                p = random_step_path(rng, n_events=30, dim=dim, min_jump=0.01)
+                report = qv_limit(p, n_max=n_max, tol=1e-12, keep_generations=False)
+                got = jump_identity_check(p, report).max_discrepancy
+                assert got == R.jump_identity_worst_py(p, report)
+        single = Path(times=[0.0], values=[[0.3, 0.1]], horizon=1.0)
+        assert jump_identity_check(single, qv_limit(single, n_max=2)).max_discrepancy == 0.0
 
     def test_2d_polarized_jumps(self):
         rng = np.random.default_rng(26)

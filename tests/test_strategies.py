@@ -5,6 +5,7 @@ import pytest
 
 from pathcalc import ContractError, Path, PsiSpec
 from pathcalc.partitions import SENTINEL, crossings, crossings_accumulated
+from pathcalc.qv import sigma_n_K
 from pathcalc.simulate import SimSpec, ensemble, simulate
 from pathcalc.strategies import (
     RealizedStrategy,
@@ -307,6 +308,20 @@ class TestLStrategy:
             K = int(rng.choice([1, 2, 4]))
             _, report = l_strategy(p, n, K, psi)
             assert report.max_deviation <= 1e-9
+
+    def test_sigma_matches_sigma_n_K(self):
+        psi = PsiSpec("constant", (0.5,))
+        spec = SimSpec(kind="jump-diffusion", steps=48, seed=2, volatility=4.0,
+                       jump_intensity=6.0, jump_mean=-0.05, jump_std=0.25, psi=psi)
+        paths = ensemble(spec, 6)
+        finite = 0
+        for p in paths + [Path(p.times, p.values, mode="linear") for p in paths[:3]]:
+            for n in range(2, 9):
+                for K in (1, 2, 4):
+                    sigma = l_strategy(p, n, K, psi)[1].sigma
+                    assert sigma == sigma_n_K(p, n, K)
+                    finite += bool(np.isfinite(sigma))
+        assert finite > 0
 
     def test_weak_admissibility_on_member_paths(self):
         psi = PsiSpec("constant", (0.3,))
