@@ -3,26 +3,38 @@
 Dyadic levels are handled as scaled integers ``j`` with level ``j * 2**-n``.
 Most kernels are built on one of two primitives, each written once here:
 
-- The integer play operator ``j_e = clip(j_{e-1}, floor(x_e), ceil(x_e))`` on
-  scaled values ``x`` (Krasnosel'skii & Pokrovskii, *Systems with
-  Hysteresis*, 1989), computed by the prefix scan :func:`_play_tracks`.  Its
-  switching times from ``j_0 = floor(x_0)`` are the Lebesgue partition times
+- The integer play operator ``j_e = clip(j_{e-1}, lo_e, hi_e)``
+  (Krasnosel'skii & Pokrovskii, *Systems with Hysteresis*, 1989), computed
+  for integer clamps by the prefix scan :func:`_play_scan`.
+  :func:`_play_tracks` is its entry for scaled values ``x``, with the clamps
+  ``[floor(x_e), ceil(x_e)]``.  Its switching times from
+  ``j_0 = floor(x_0)`` are the Lebesgue partition times
   (``partition_step``), its unit steps are the linear-mode crossings
   (``partition_linear_count``/``partition_linear_fill``), and the positive
   steps of the track from ``j_0 = ceil(x_0)`` of ``values / h`` are the
   accumulated upcrossings of the grid of spacing ``h``
-  (``crossings_total_up``).
+  (``crossings_up_prefix``, ``crossings_total_up``).  On the halved fine
+  indices, clamps ``[floor(J/2), ceil(J/2)]``, it derives generation
+  ``n - 1`` from generation ``n`` (``partition_coarsen``; the nesting lemma
+  is in :mod:`pathcalc.partitions`).  On the interval ranks that a value
+  makes long or flat, it counts the greedy crossings of every interval
+  ``(kh, (k+1)h)`` in one pass (``crossings_interval_batch``).
 - The state of one interval ``(a, b)``, :func:`_interval_state`: long after a
   value ``<= a``, flat after a value ``>= b``, unchanged by values strictly
-  inside.  Greedy crossing counts are its transitions (``crossings_greedy``,
-  ``crossings_interval_batch``) and the Doob aggregate position counts the
-  intervals that are long (``doob_positions``).
+  inside.  Greedy crossing counts are its transitions (``crossings_greedy``)
+  and the Doob aggregate position counts the intervals that are long
+  (``doob_positions``).
 
 Multiplying a float by ``2**n`` only shifts its exponent, so ``floor`` and
 ``ceil`` of ``value * 2**n`` are exact.  :func:`_play_tracks` is the only
 place where a value becomes an int64 level index; it raises
 :class:`ContractError` once a scaled value reaches ``2**62`` in magnitude,
-so every index and every difference of two indices is exact.
+so every index and every difference of two indices is exact.  Indices are
+halved by integer shifts, never through float64, which is inexact beyond
+``2**53``.
+
+``qv_on_grid`` finds each grid point's last partition point as a running
+count of ``np.bincount`` of the partition positions, in one O(grid) pass.
 
 Each vectorized kernel returns exactly the bits of the per-event loop it
 replaced; the test suite keeps those loops as its reference.  ``clip_jumps``
@@ -42,29 +54,43 @@ NUMBA_ENABLED = False  # no kernel is compiled (numba is not a dependency)
 # The play operator and the Lebesgue partitions
 # ---------------------------------------------------------------------------
 
-def _play_tracks(x):
-    """Play-operator tracks of the scaled values ``x``.
+def _play_scan(lo, hi):
+    """Play-operator tracks through the integer clamps ``[lo[e], hi[e]]``.
 
-    Returns int64 arrays ``(lo, hi)``: ``lo[e]`` is ``j_e`` started from
-    ``j_0 = floor(x_0)`` and ``hi[e]`` is ``j_e`` started from
-    ``j_0 = ceil(x_0)``.  A composition of clamps is again a clamp,
-    ``[a2, b2] o [a1, b1] = [clip(a1, a2, b2), clip(b1, a2, b2)]``, so a
-    Hillis-Steele doubling scan composes every prefix of the clamp intervals
-    in ``ceil(log2(m))`` passes.  The composed prefix map sends
-    the first interval's lower (upper) end to the lower (upper) end of the
-    composed interval, so the scanned ends are the two tracks.
+    Needs ``lo <= hi`` elementwise.  Returns int64 arrays ``(lo_track,
+    hi_track)``: ``j_e = clip(j_{e-1}, lo[e], hi[e])`` started from
+    ``j_0 = lo[0]`` and from ``j_0 = hi[0]``.  A composition of clamps is
+    again a clamp, ``[a2, b2] o [a1, b1] = [clip(a1, a2, b2), clip(b1, a2,
+    b2)]``, so a Hillis-Steele doubling scan composes every prefix of the
+    clamp intervals in ``ceil(log2(m))`` passes.  The composed prefix map
+    sends the first interval's lower (upper) end to the lower (upper) end of
+    the composed interval, so the scanned ends are the two tracks.
     """
-    if not np.all(np.abs(x) < 2.0 ** 62):
-        raise ContractError("a scaled value reaches 2**62 in magnitude, beyond exact "
-                            "int64 level indices: use a coarser generation or spacing")
-    lo = np.floor(x).astype(np.int64)
-    hi = np.ceil(x).astype(np.int64)
     d = 1
     while d < lo.shape[0]:
         lo, hi = (np.concatenate((lo[:d], np.minimum(np.maximum(lo[:-d], lo[d:]), hi[d:]))),
                   np.concatenate((hi[:d], np.minimum(np.maximum(hi[:-d], lo[d:]), hi[d:]))))
         d *= 2
     return lo, hi
+
+
+def _play_tracks(x):
+    """Play-operator tracks of the scaled values ``x``.
+
+    The clamps are ``[floor(x_e), ceil(x_e)]``, so ``lo[e]`` is ``j_e``
+    started from ``j_0 = floor(x_0)`` and ``hi[e]`` is ``j_e`` started from
+    ``j_0 = ceil(x_0)`` (see :func:`_play_scan`).
+    """
+    if not np.all(np.abs(x) < 2.0 ** 62):
+        raise ContractError("a scaled value reaches 2**62 in magnitude, beyond exact "
+                            "int64 level indices: use a coarser generation or spacing")
+    return _play_scan(np.floor(x).astype(np.int64), np.ceil(x).astype(np.int64))
+
+
+def _switches(times, j):
+    """``(times, j, count)`` at the first entry and wherever ``j`` changes."""
+    idx = np.concatenate(([0], np.flatnonzero(j[1:] != j[:-1]) + 1))
+    return times[idx], j[idx], idx.shape[0]
 
 
 def partition_step(times, values, scale):
@@ -76,8 +102,21 @@ def partition_step(times, values, scale):
     arrays have exactly ``count`` entries.
     """
     j, _ = _play_tracks(values * scale)
-    idx = np.concatenate(([0], np.flatnonzero(j[1:] != j[:-1]) + 1))
-    return times[idx], j[idx], idx.shape[0]
+    return _switches(times, j)
+
+
+def partition_coarsen(tau, level_idx):
+    """Generation ``n - 1`` crossings from the generation-n ones, either mode.
+
+    ``tau``/``level_idx`` are a generation-n partition.  The coarse index is
+    the play operator over the integer clamps ``[floor(J/2), ceil(J/2)]`` of
+    the fine indices ``J``, started from ``floor(J_0/2)``; the halving is an
+    int64 shift, exact for every index.  Returns ``(tau, level_idx, count)``
+    of generation ``n - 1`` as :func:`partition_step` does; the nesting lemma
+    in :mod:`pathcalc.partitions` shows these are the direct build's bits.
+    """
+    j, _ = _play_scan(level_idx >> 1, -((-level_idx) >> 1))
+    return _switches(tau, j)
 
 
 def partition_linear_count(times, values, scale):
@@ -126,12 +165,14 @@ def qv_on_grid(si, sj, part_pos):
     to right from the leading ``0.0``, so every partial sum rounds as a
     running accumulator would; a repeated position contributes ``+0.0``.
     Grid point ``g`` takes the sum up to the last partition point at or
-    before it plus the partial tail.
+    before it plus the partial tail.  That point's rank is the number of
+    partition positions ``<= g`` minus one, a running count of
+    ``np.bincount(part_pos)``, in one O(grid) pass.
     """
     ai = si[part_pos]
     aj = sj[part_pos]
     acc = np.cumsum(np.concatenate(([0.0], (ai[1:] - ai[:-1]) * (aj[1:] - aj[:-1]))))
-    kp = np.searchsorted(part_pos, np.arange(si.shape[0]), side="right") - 1
+    kp = np.cumsum(np.bincount(part_pos, minlength=si.shape[0])) - 1
     return acc[kp] + (si - ai[kp]) * (sj - aj[kp])
 
 
@@ -159,27 +200,54 @@ def crossings_greedy(values, a, b):
     return int(up), int(down)
 
 
-def crossings_total_up(values, h):
+def crossings_up_prefix(values, h):
     """Accumulated upcrossings over the full grid of intervals (kh, (k+1)h).
 
-    The intervals armed for an upcrossing are always the up-set
-    ``{k >= m_e}``, where ``m`` is the play-operator track of ``values / h``
-    from ``ceil(values[0] / h)``; each upward step of ``m`` completes one
+    Entry ``e`` counts the upcrossings completed by ``values[:e + 1]``.  The
+    intervals armed for an upcrossing are always the up-set ``{k >= m_e}``,
+    where ``m`` is the play-operator track of ``values / h`` from
+    ``ceil(values[0] / h)``; each upward step of ``m`` completes one
     upcrossing per level passed.
     """
     _, m = _play_tracks(values / h)
-    return np.maximum(np.diff(m), 0).sum()
+    return np.concatenate(([0], np.cumsum(np.maximum(np.diff(m), 0))))
+
+
+def crossings_total_up(values, h):
+    """Accumulated upcrossings of the whole sequence (last prefix count)."""
+    return crossings_up_prefix(values, h)[-1]
+
+
+def _range_counts(start, stop, size):
+    """How many of the ranges ``[start[r], stop[r])`` hold each of ``0..size-1``."""
+    ends = np.bincount(start, minlength=size + 1) - np.bincount(stop, minlength=size + 1)
+    return np.cumsum(ends)[:size]
 
 
 def crossings_interval_batch(values, klo, khi, h):
-    """Greedy counts per interval (kh, (k+1)h) for k in [klo, khi]."""
+    """Greedy counts per interval (kh, (k+1)h) for k in [klo, khi], in one scan.
+
+    Interval ``i`` (``k = klo + i``) has the ends ``a_i = k*h`` and
+    ``b_i = a_i + h`` of :func:`crossings_greedy`, both nondecreasing in
+    ``i``.  A value ``v`` makes long the intervals
+    ``i >= long_from = #{a_i < v}`` and flat those
+    ``i < flat_below = min(#{b_i <= v}, long_from)``, so after each value the
+    long intervals are an up-set ``i >= m_e`` and the flat ones a down-set
+    ``i < f_e``: ``m`` and ``f`` are the play-operator tracks through the
+    clamps ``[flat_below, long_from]`` from their upper and lower ends.
+    Interval ``i`` completes an upcrossing at ``e`` when
+    ``m_{e-1} <= i < m_e`` and a downcrossing when ``f_e <= i < f_{e-1}``.
+    """
     nk = khi - klo + 1
-    up = np.zeros(nk, np.int64)
-    down = np.zeros(nk, np.int64)
-    for ki in range(nk):
-        a = (klo + ki) * h
-        up[ki], down[ki] = crossings_greedy(values, a, a + h)
-    return up, down
+    a = (klo + np.arange(nk)) * h
+    b = a + h
+    long_from = np.searchsorted(a, values, side="left")
+    flat_below = np.minimum(np.searchsorted(b, values, side="right"), long_from)
+    f, m = _play_scan(flat_below, long_from)
+    rise = m[1:] > m[:-1]
+    fall = f[1:] < f[:-1]
+    return (_range_counts(m[:-1][rise], m[1:][rise], nk),
+            _range_counts(f[1:][fall], f[:-1][fall], nk))
 
 
 # ---------------------------------------------------------------------------

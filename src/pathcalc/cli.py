@@ -34,8 +34,8 @@ from .integration import (
 )
 from .partitions import (
     crossing_report,
-    crossings_accumulated,
     lebesgue_partition_1d,
+    upcrossings_at_events,
     write_partition_csv,
 )
 from .paths import Path, PsiSpec, read_path_csv, write_path_csv
@@ -245,8 +245,8 @@ def _verify_doob(args) -> dict:
                 raise InternalConsistencyError("aggregate not strongly 1-admissible")
             factor = doob_aggregate_bound_factor(n, K, psi)
             curve = capital_curve(realized, p)
-            for t in p.times:
-                up, _ = crossings_accumulated(p, 2.0 ** -n, float(t))
+            ups = upcrossings_at_events(p, 2.0 ** -n).tolist()
+            for t, up in zip(p.times, ups):
                 slack = 1.0 + curve.value_at(float(t)) - factor * up
                 path_worst = min(path_worst, slack)
                 if slack < -1e-12:

@@ -11,6 +11,44 @@ excluded level is never adjacent to the landing value).
 Step paths trigger at event times; linear paths trigger at exact segment
 roots against the levels.  ``inf`` plays the role of "never" for stopping
 times; emitted time arrays contain realized times only.
+
+Nesting lemma.  The tracked index is the play operator
+``j_e = clip(j_{e-1}, floor(x_e), ceil(x_e))`` on ``x = 2**n * value`` (see
+:mod:`pathcalc._kernels`).  Let ``J`` be the generation-n index and ``j``
+the generation-``(n-1)`` one, on ``x / 2``.  Then ``j_0 = floor(J_0 / 2)`` and
+
+    ``j_e = clip(j_{e-1}, floor(J_e / 2), ceil(J_e / 2))``,
+
+so ``2 j_e - J_e`` is always -1, 0 or 1: ``j = J / 2`` when ``J`` is even
+and ``j`` is one of ``(J - 1) / 2``, ``(J + 1) / 2`` when ``J`` is odd.
+
+Proof.  ``floor(x_0 / 2) = floor(floor(x_0) / 2)``.  At ``e >= 1`` assume
+``|2 j_{e-1} - J_{e-1}| <= 1``.
+
+- ``J`` stays at ``J``: ``floor(x_e) <= J <= ceil(x_e)`` puts ``x_e`` in the
+  open band ``(J - 1, J + 1)``.  For ``J = 2k`` the coarse clamp
+  ``[floor(x_e / 2), ceil(x_e / 2)]`` contains ``k = j_{e-1}``, so ``j``
+  stays ``k``, as ``clip(k, k, k)`` does.  For ``J = 2k + 1``, ``x_e / 2``
+  lies in ``(k, k + 1)`` and the coarse clamp is ``[k, k + 1]`` itself.
+- ``J`` rises to ``J_e = floor(x_e)``: ``x_e / 2`` lies in
+  ``[J_e / 2, (J_e + 1) / 2)``, so the coarse clamp has the lower end
+  ``floor(J_e / 2)``, and ``j_{e-1} <= ceil(J_{e-1} / 2) <= floor(J_e / 2)``.
+  Both clamps therefore send ``j_{e-1}`` to ``floor(J_e / 2)``.
+- ``J`` falls: the mirror image, with both results ``ceil(J_e / 2)``.
+
+Consequences.  ``j`` changes only where ``J`` does, and where ``J`` is
+constant the clamp repeats, so running the recursion over the fine
+partition alone (:func:`_coarsen`) gives the generation-``(n-1)`` indices
+and, at the points where they change, its times: every coarse time is a
+fine time, bit for bit.  In linear mode the partition lists every level
+crossed.  The coarse index leaves ``j`` when the path reaches fine level
+``2j + 2`` or ``2j - 2``; by continuity it first crosses every fine level
+between, so each coarse crossing of level ``L`` is the fine crossing of
+``2L`` on the same segment, and its root is the same float expression,
+because ``L * 2**-(n-1) == 2L * 2**-n`` exactly.  :func:`partition_ladder`
+therefore scans the events once, at the finest generation, and derives the
+others; the halving is done on int64 indices, which stay exact beyond
+``2**53``.
 """
 
 from __future__ import annotations
@@ -94,18 +132,40 @@ def lebesgue_partition_1d(path: Path, n: int) -> LebesguePartition:
     return LebesguePartition(int(n), out_t, out_j)
 
 
+def _components(path: Path) -> list[Path]:
+    """The 1-d paths whose partitions make up the d-dimensional one.
+
+    The path itself when ``d = 1``; else the coordinates, then the pairwise
+    sums ``S^i + S^j`` for ``i < j``.
+    """
+    if path.dim == 1:
+        return [path]
+    d = path.dim
+    return ([path.coordinate(i) for i in range(1, d + 1)]
+            + [path.coordinate_sum(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
+
+
+def _union(n: int, pieces: list[LebesguePartition]) -> LebesguePartition:
+    """Generation-n partition of a path from those of its :func:`_components`."""
+    if len(pieces) == 1:
+        return LebesguePartition(n, pieces[0].times, None)
+    return LebesguePartition(n, np.unique(np.concatenate([p.times for p in pieces])), None)
+
+
+def _coarsen(part: LebesguePartition) -> LebesguePartition:
+    """Generation ``n - 1`` of a 1-d partition, derived from generation n.
+
+    Bit-identical to :func:`lebesgue_partition_1d` at ``n - 1``, in either
+    mode (see the nesting lemma in the module docstring).
+    """
+    tau, idx, _ = K.partition_coarsen(part.times, part.level_indices)
+    return LebesguePartition(part.generation - 1, tau, idx)
+
+
 def lebesgue_partition_nd(path: Path, n: int) -> LebesguePartition:
     """Sorted union of the coordinate and pairwise-sum partition times."""
     _check_generation(n)
-    if path.dim == 1:
-        p = lebesgue_partition_1d(path, n)
-        return LebesguePartition(int(n), p.times, None)
-    pieces = [lebesgue_partition_1d(path.coordinate(i), n).times
-              for i in range(1, path.dim + 1)]
-    for i in range(1, path.dim + 1):
-        for j in range(i + 1, path.dim + 1):
-            pieces.append(lebesgue_partition_1d(path.coordinate_sum(i, j), n).times)
-    return LebesguePartition(int(n), np.unique(np.concatenate(pieces)), None)
+    return _union(int(n), [lebesgue_partition_1d(c, n) for c in _components(path)])
 
 
 def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], np.ndarray]:
@@ -114,11 +174,19 @@ def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], n
     Returns ``(parts, grid)`` with ``parts[n - 1]`` the generation-n
     partition and ``grid = unique(event times and every generation's
     times)``, the common grid on which limits along the ladder are taken.
+    Each component is scanned once, at ``n_max``; every coarser generation
+    is derived from the next finer one by :func:`_coarsen`.  By nesting,
+    the grid is the union of the event times and generation ``n_max``.
     """
     if not 1 <= int(n_max) <= MAX_GENERATION:
         raise ContractError(f"n_max must be in 1..{MAX_GENERATION}, got {n_max}")
-    parts = [lebesgue_partition_nd(path, n) for n in range(1, int(n_max) + 1)]
-    grid = np.unique(np.concatenate([path.times] + [p.times for p in parts]))
+    pieces = [lebesgue_partition_1d(c, n_max) for c in _components(path)]
+    parts = [_union(int(n_max), pieces)]
+    for n in range(int(n_max) - 1, 0, -1):
+        pieces = [_coarsen(p) for p in pieces]
+        parts.append(_union(n, pieces))
+    parts.reverse()
+    grid = np.unique(np.concatenate([path.times, parts[-1].times]))
     return parts, grid
 
 
@@ -168,6 +236,15 @@ def crossings_accumulated(path: Path, h: float, t: float | None = None) -> tuple
     return up, down
 
 
+def upcrossings_at_events(path: Path, h: float) -> np.ndarray:
+    """``crossings_accumulated(path, h, t)[0]`` at every event time t, in one scan."""
+    if h <= 0:
+        raise ContractError("need h > 0")
+    if path.dim != 1:
+        raise ContractError("crossing counters work on 1-dimensional paths")
+    return K.crossings_up_prefix(np.ascontiguousarray(path.values[:, 0]), float(h))
+
+
 def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
     """Per-interval crossing counts plus totals, as a JSON-ready dict.
 
@@ -188,7 +265,7 @@ def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
     per_interval = [
         {"k": int(klo + i), "a": (klo + i) * h, "b": (klo + i + 1) * h,
          "up": int(up[i]), "down": int(down[i])}
-        for i in range(len(up)) if up[i] or down[i]
+        for i in np.flatnonzero(up | down).tolist()
     ]
     report = {
         "h": h,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .partitions import (SENTINEL, LebesguePartition, lebesgue_partition_1d,
+from .partitions import (SENTINEL, LebesguePartition, _coarsen, lebesgue_partition_1d,
                          lebesgue_partition_nd, partition_ladder)
 from .paths import MODE_STEP, Path, PsiSpec
 
@@ -149,16 +149,16 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
 def _z_data(path: Path, n: int, extra_times=()):
     """Grid, path values and Z on it, and the generation-n and n-1 partitions.
 
-    The grid holds the event times, both generations' times and
-    ``extra_times``; the coarse partition is ``None`` at n = 1.
+    The grid holds the event times, the generation-n times (which contain
+    the coarse ones) and ``extra_times``; the coarse partition is derived
+    from the fine one and is ``None`` at n = 1.
     """
     if path.dim != 1:
         raise ContractError("Z/K processes are defined for 1-d paths")
     pn = lebesgue_partition_1d(path, n)
-    pn1 = lebesgue_partition_1d(path, n - 1) if n >= 2 else None
-    coarse = [pn1.times] if pn1 is not None else []
+    pn1 = _coarsen(pn) if n >= 2 else None
     grid = np.unique(np.concatenate([path.times, pn.times,
-                                     np.asarray(extra_times, dtype=np.float64)] + coarse))
+                                     np.asarray(extra_times, dtype=np.float64)]))
     v = np.ascontiguousarray(path.eval(grid)[:, 0])
     qn = K.qv_on_grid(v, v, _positions(grid, pn.times))
     qn1 = K.qv_on_grid(v, v, _positions(grid, pn1.times)) if pn1 is not None else 0.0

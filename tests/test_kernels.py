@@ -115,6 +115,15 @@ def _assert_linear_matches(times, values, n):
     np.testing.assert_array_equal(ja, jb)
 
 
+def _linear_partition_py(times, values, n):
+    scale = 2.0 ** n
+    cnt = R.partition_linear_count_py(times, values, scale)
+    t = np.empty(cnt)
+    j = np.empty(cnt, np.int64)
+    R.partition_linear_fill_py(times, values, scale, t, j)
+    return t, j
+
+
 def _assert_bdg_batch_matches(seqs):
     flat = np.concatenate(seqs)
     offsets = np.concatenate([[0], np.cumsum([len(s) for s in seqs])]).astype(np.int64)
@@ -254,6 +263,38 @@ class TestPlayOperatorScan:
         assert K.crossings_total_up(values, h) == R.crossings_total_up_py(values, h)
         assert K.crossings_total_up(-values, h) == R.crossings_total_up_py(-values, h)
 
+    @PROPERTY
+    @given(STEP_INPUTS)
+    def test_partition_coarsen_step(self, inputs):
+        # generation n - 1 from generation n; n = 1 gives generation 0 (scale 1)
+        times, values, n = inputs
+        fine_t, fine_j, _ = K.partition_step(times, values, 2.0 ** n)
+        t, j, cnt = K.partition_coarsen(fine_t, fine_j)
+        ref_t, ref_j, ref_cnt = R.partition_step_py(times, values, 2.0 ** (n - 1))
+        assert cnt == ref_cnt == t.shape[0] == j.shape[0]
+        assert t.tobytes() == ref_t[:cnt].tobytes()
+        assert j.tobytes() == ref_j[:cnt].tobytes()
+
+    @PROPERTY
+    @given(LINEAR_INPUTS)
+    @example((np.array([0.0, 1.0, 2.0]), np.array([-0.75, 0.75, -0.25]), 2))
+    def test_partition_coarsen_linear(self, inputs):
+        times, values, n = inputs
+        t, j, cnt = K.partition_coarsen(*_linear_partition_py(times, values, n))
+        ref_t, ref_j = _linear_partition_py(times, values, n - 1)
+        assert cnt == ref_t.shape[0]
+        assert t.tobytes() == ref_t.tobytes()
+        assert j.tobytes() == ref_j.tobytes()
+
+    @PROPERTY
+    @given(STEP_INPUTS, st.sampled_from([1.0, 3.0]))
+    def test_crossings_up_prefix(self, inputs, stretch):
+        _, values, n = inputs
+        h = stretch * 2.0 ** -n
+        prefix = K.crossings_up_prefix(values, h)
+        assert prefix.tolist() == [R.crossings_total_up_py(values[:e + 1], h)
+                                   for e in range(values.shape[0])]
+
     def test_scaled_values_beyond_2_62_are_rejected(self):
         times = np.array([0.0, 1.0])
         with pytest.raises(ContractError):
@@ -285,6 +326,47 @@ def interval_inputs(draw):
     return values, a, b, draw(st.integers(0, m))
 
 
+@st.composite
+def qv_grid_inputs(draw):
+    """Two coordinates on a grid and sorted partition positions with repeats."""
+    g = draw(st.integers(1, 30))
+    si = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=g, max_size=g)))
+    sj = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=g, max_size=g)))
+    rest = draw(st.lists(st.integers(0, g - 1), max_size=3 * g))
+    return si, sj, np.array([0] + sorted(rest), dtype=np.int64)
+
+
+class TestQvOnGrid:
+    @PROPERTY
+    @given(qv_grid_inputs())
+    @example((np.array([1.0, 2.0, 4.0]), np.array([1.0, 3.0, 2.0]),
+              np.array([0, 0, 2, 2, 2], dtype=np.int64)))
+    def test_matches_reference(self, inputs):
+        si, sj, pos = inputs
+        for a, b in ((si, sj), (si, si)):
+            assert K.qv_on_grid(a, b, pos).tobytes() == R.qv_on_grid_py(a, b, pos).tobytes()
+
+
+@st.composite
+def grid_inputs(draw):
+    """Values and an interval range ``klo..khi`` of a spacing h, dyadic or not.
+
+    Values often sit exactly on an interval's ends ``k*h`` and ``k*h + h``
+    as the kernel computes them; for non-dyadic h, ``k*h + h`` need not
+    equal ``(k + 1)*h``.
+    """
+    h = draw(st.sampled_from([0.25, 0.1, 0.3, 1.0 / 3.0, 0.7]))
+    klo = draw(st.integers(-6, 0))
+    khi = klo + draw(st.integers(0, 12))
+    m = draw(st.integers(1, 30))
+    picks = draw(st.lists(st.tuples(st.integers(klo - 2, khi + 2),
+                                    st.sampled_from(["a", "b", "inside"])),
+                          min_size=m, max_size=m))
+    values = [k * h if end == "a" else k * h + h if end == "b" else (k + 0.5) * h
+              for k, end in picks]
+    return np.array(values), klo, khi, h
+
+
 class TestIntervalState:
     @PROPERTY
     @given(interval_inputs())
@@ -311,3 +393,24 @@ class TestIntervalState:
         b = R.crossings_interval_batch_py(values, -13, 12, 0.25)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    @PROPERTY
+    @given(grid_inputs())
+    @example((np.array([0.3, 0.0, 0.30000000000000004, 0.0]), 0, 2, 0.1))
+    def test_crossings_interval_batch_any_spacing(self, inputs):
+        values, klo, khi, h = inputs
+        a = K.crossings_interval_batch(values, klo, khi, h)
+        b = R.crossings_interval_batch_py(values, klo, khi, h)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_crossings_interval_batch_near_the_cap(self):
+        # 2**20 intervals, as many as crossing_report counts, of a non-dyadic h
+        values = np.array([0.0, 0.5, 0.25, 1.0, 0.0, 0.75])
+        h = 1.0 / (2 ** 20 - 3)
+        klo, khi = -1, 2 ** 20 - 2
+        up, down = K.crossings_interval_batch(values, klo, khi, h)
+        ref_up, ref_down = R.crossings_interval_batch_py(values, klo, khi, h)
+        assert up.shape == down.shape == (2 ** 20,)
+        np.testing.assert_array_equal(up, ref_up)
+        np.testing.assert_array_equal(down, ref_down)

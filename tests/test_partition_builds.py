@@ -1,11 +1,13 @@
-"""How many 1-d partitions each operation builds.
+"""How many 1-d partitions each operation scans from the events.
 
 A path's ladder of generations is built once and shared: ``ito_integral``
-and ``qv_limit`` build each generation once, ``prepare_ensemble`` takes the
-finest generation from its QV report, ``l_strategy`` builds its fine and
-coarse generations once, and ``integrate`` rebuilds only the finest
-generation for its telescoping check.  Every 1-d build runs exactly one of
-the two kernels counted here.
+and ``qv_limit`` scan only the finest generation and derive each coarser
+one from the next finer one, ``prepare_ensemble`` takes the finest
+generation from its QV report, ``l_strategy`` scans its fine generation and
+derives the coarse one, and ``integrate`` rescans only the finest generation
+for its telescoping check.  Every scan from the events runs exactly one of
+``partition_step`` and ``partition_linear_count``; every derivation runs
+``partition_coarsen``.
 """
 
 import json
@@ -21,15 +23,18 @@ from pathcalc.partitions import lebesgue_partition_nd
 from pathcalc.paths import write_path_csv
 from pathcalc.strategies import l_strategy
 
+KERNELS = {"partition_step": "n", "partition_linear_count": "n", "partition_coarsen": "coarsen"}
+
 
 @pytest.fixture
 def builds(monkeypatch):
-    count = {"n": 0}
-    for name in ("partition_step", "partition_linear_count"):
+    """Calls of the scan kernels (``n``) and of the derivation (``coarsen``)."""
+    count = {"n": 0, "coarsen": 0}
+    for name, key in KERNELS.items():
         kernel = getattr(K, name)
 
-        def counted(*args, kernel=kernel):
-            count["n"] += 1
+        def counted(*args, kernel=kernel, key=key):
+            count[key] += 1
             return kernel(*args)
 
         monkeypatch.setattr(K, name, counted)
@@ -45,18 +50,18 @@ def linear_p1(p1):
 def test_ito_integral_builds_each_generation_once(request, builds, path_name):
     path = request.getfixturevalue(path_name)
     ito_integral(lambda p, t: p.eval(t), path, n_max=6)
-    assert builds["n"] == 6
+    assert builds == {"n": 1, "coarsen": 5}
 
 
 def test_prepare_ensemble_reuses_the_qv_ladder(builds, p1):
     (stats,) = prepare_ensemble([p1], 6)
-    assert builds["n"] == 6
+    assert builds == {"n": 1, "coarsen": 5}
     np.testing.assert_array_equal(stats.partition_times, lebesgue_partition_nd(p1, 6).times)
 
 
 def test_l_strategy_builds_fine_and_coarse_once(builds, p1):
     l_strategy(p1, 3, 2, PsiSpec("constant", (0.5,)))
-    assert builds["n"] == 2
+    assert builds == {"n": 1, "coarsen": 1}
 
 
 def test_integrate_command(builds, tmp_path, p1):
@@ -64,6 +69,8 @@ def test_integrate_command(builds, tmp_path, p1):
     code = main(["integrate", "--input", str(tmp_path / "p1.csv"), "--rule", "prev-price",
                  "--n-max", "6", "--output-dir", str(tmp_path / "out")])
     assert code == EXIT_OK
-    assert builds["n"] == 7  # six generations plus the finest for the telescoping check
+    # the finest generation, coarsened five times, plus the finest again for
+    # the telescoping check
+    assert builds == {"n": 2, "coarsen": 5}
     checks = json.loads((tmp_path / "out" / "manifest.json").read_text())["checks"]
     assert {c["name"]: c["passed"] for c in checks}["telescoping-identity"]

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathcalc import ContractError, Path, partitions
 from pathcalc.partitions import (
     SENTINEL,
     LebesguePartition,
+    _coarsen,
+    _components,
     chi,
     crossing_report,
     crossings,
@@ -14,6 +18,7 @@ from pathcalc.partitions import (
     lebesgue_partition_1d,
     lebesgue_partition_nd,
     partition_ladder,
+    upcrossings_at_events,
 )
 from pathcalc.integration import constant_integrand, integrate_f2_dqv, ito_integral
 from pathcalc.qv import qv_limit
@@ -189,6 +194,83 @@ class TestLadder:
             LADDER_CALLERS[caller](p1, n_max)
 
 
+@st.composite
+def ladder_paths(draw):
+    """``(path, n_max)``: step or linear, d = 1..3, values often on dyadic levels.
+
+    Level values are multiples of ``2**-k`` for some ``k <= n_max``, so they
+    sit on the levels of generation k and of every finer one.  Linear
+    partitions hold one point per level crossed, so their values stay small.
+    """
+    mode = draw(st.sampled_from(["step", "linear"]))
+    n_max = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        k = draw(st.integers(max(0, n_max - 4) if mode == "linear" else 0, n_max))
+        ints = draw(st.lists(st.integers(-64, 64), min_size=m * d, max_size=m * d))
+        values = np.array(ints, dtype=np.float64) * 2.0 ** -k
+    else:
+        bound = min(2.0, 2.0 ** (8 - n_max)) if mode == "linear" else 512.0
+        values = np.array(draw(st.lists(st.floats(-bound, bound), min_size=m * d,
+                                        max_size=m * d)))
+    gaps = draw(st.lists(st.floats(0.001, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    return Path(times, values.reshape(m, d), mode=mode, horizon=times[-1] + 1.0), n_max
+
+
+def _assert_same_partition(a, b):
+    assert a.generation == b.generation
+    assert a.times.tobytes() == b.times.tobytes()
+    if b.level_indices is None:
+        assert a.level_indices is None
+    else:
+        assert a.level_indices.tobytes() == b.level_indices.tobytes()
+
+
+class TestNestingLemma:
+    """Coarse generations derived from fine ones equal the direct builds, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ladder_paths())
+    @example((Path([0.0, 1.0], [0.0, 0.75], mode="linear"), 3))
+    @example((Path([0.0, 1.0, 2.0], [[0.5, -0.5], [-0.5, 0.5], [0.25, 0.25]]), 12))
+    def test_ladder_equals_direct_builds(self, case):
+        path, n_max = case
+        parts, grid = partition_ladder(path, n_max)
+        direct = [lebesgue_partition_nd(path, n) for n in range(1, n_max + 1)]
+        for part, ref in zip(parts, direct, strict=True):
+            _assert_same_partition(part, ref)
+        expected = np.unique(np.concatenate([path.times] + [ref.times for ref in direct]))
+        assert grid.tobytes() == expected.tobytes()
+        for comp in _components(path):
+            fine = lebesgue_partition_1d(comp, n_max)
+            while fine.generation > 1:
+                coarse = _coarsen(fine)
+                _assert_same_partition(coarse, lebesgue_partition_1d(comp, fine.generation - 1))
+                assert set(coarse.times.tolist()) <= set(fine.times.tolist())
+                fine = coarse
+
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    def test_level_indices_beyond_2_53(self, mode):
+        # near 5 the generation-52 indices lie between 2**54 and 2**55, where
+        # float64 holds only multiples of 4.  A linear partition also crosses
+        # the levels 4k + 2 between the values, and halving those through
+        # float64 would skip the coarse level 2k + 1.
+        ulp = 2.0 ** -50
+        p = Path([0.0, 1.0, 2.0, 3.0], [5.0, 5.0 + 8 * ulp, 5.0 + ulp, 5.0 + 5 * ulp],
+                 mode=mode)
+        fine = lebesgue_partition_1d(p, 52)
+        assert fine.level_indices.min() > 2 ** 54
+        assert np.any(fine.level_indices % 4 == 2) == (mode == "linear")
+        parts, _ = partition_ladder(p, 52)
+        for n in range(52, 0, -1):
+            _assert_same_partition(fine, lebesgue_partition_1d(p, n))
+            assert parts[n - 1].times.tobytes() == fine.times.tobytes()
+            if n > 1:
+                fine = _coarsen(fine)
+
+
 class TestLinearCap:
     def test_rejected_before_allocating(self, monkeypatch):
         p = Path(times=[0.0, 1.0], values=[0.0, 0.75], mode="linear")
@@ -296,6 +378,27 @@ class TestCrossingsAccumulated:
             h = float(rng.choice([0.25, 0.5, 1.0]))
             rep = crossing_report(p, h)
             assert (rep["U"], rep["D"]) == crossings_accumulated(p, h)
+
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    def test_upcrossings_at_events(self, mode):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            q = random_step_path(rng, n_events=int(rng.integers(2, 30)))
+            p = Path(q.times, q.values, mode=mode, horizon=q.horizon)
+            for h in (0.125, 0.25, 0.3, 1.0):
+                ups = upcrossings_at_events(p, h)
+                assert ups.tolist() == [crossings_accumulated(p, h, float(t))[0]
+                                        for t in p.times]
+        on_levels = Path([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.5, 0.0, 0.5, 0.25])
+        assert upcrossings_at_events(on_levels, 0.25).tolist() == [0, 2, 2, 4, 4]
+        assert upcrossings_at_events(Path([0.0], [0.3], horizon=1.0), 0.25).tolist() == [0]
+
+    def test_upcrossings_at_events_contract(self):
+        p = Path([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ContractError):
+            upcrossings_at_events(p, 0.5)
+        with pytest.raises(ContractError):
+            upcrossings_at_events(p.coordinate(1), 0.0)
 
     def test_report_interval_cap(self, p2, monkeypatch):
         # values 0..1 at h = 1/8 span klo = -1 .. khi = 9: 11 intervals
