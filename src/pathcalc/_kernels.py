@@ -13,7 +13,8 @@ Most kernels are built on one of two primitives, each written once here:
   (``partition_linear_count``/``partition_linear_fill``), and the positive
   steps of the track from ``j_0 = ceil(x_0)`` of ``values / h`` are the
   accumulated upcrossings of the grid of spacing ``h``
-  (``crossings_up_prefix``, ``crossings_total_up``).  On the halved fine
+  (``crossings_up_prefix``), while the falls of the other track are the
+  accumulated downcrossings (``crossings_total_up``).  On the halved fine
   indices, clamps ``[floor(J/2), ceil(J/2)]``, it derives generation
   ``n - 1`` from generation ``n`` (``partition_coarsen``; the nesting lemma
   is in :mod:`pathcalc.partitions`).  On the interval ranks that a value
@@ -31,7 +32,16 @@ place where a value becomes an int64 level index; it raises
 :class:`ContractError` once a scaled value reaches ``2**62`` in magnitude,
 so every index and every difference of two indices is exact.  Indices are
 halved by integer shifts, never through float64, which is inexact beyond
-``2**53``.
+``2**53``.  Counts summed from index differences (accumulated crossings,
+linear partition sizes) go through :func:`_accumulate`, which raises
+:class:`ContractError` once a total passes ``2**63 - 1`` instead of wrapping.
+
+The scan resolves a prefix as soon as its composed clamp is a single
+integer and stops once every prefix is resolved.  On a path that moves
+between levels that takes a few doubling passes (a 2**16-event Brownian
+path at n = 10 needs 3 of the 17); only a path that stays inside one cell
+``(k, k + 1)`` keeps every prefix open and pays the full ``ceil(log2(m))``
+passes, O(m log m).
 
 ``qv_on_grid`` finds each grid point's last partition point as a running
 count of ``np.bincount`` of the partition positions, in one O(grid) pass.
@@ -62,14 +72,42 @@ def _play_scan(lo, hi):
     ``j_0 = lo[0]`` and from ``j_0 = hi[0]``.  A composition of clamps is
     again a clamp, ``[a2, b2] o [a1, b1] = [clip(a1, a2, b2), clip(b1, a2,
     b2)]``, so a Hillis-Steele doubling scan composes every prefix of the
-    clamp intervals in ``ceil(log2(m))`` passes.  The composed prefix map
-    sends the first interval's lower (upper) end to the lower (upper) end of
-    the composed interval, so the scanned ends are the two tracks.
+    clamp intervals.  The composed prefix map sends the first interval's
+    lower (upper) end to the lower (upper) end of the composed interval, so
+    the scanned ends are the two tracks.
+
+    Early exit.  Before the pass with offset ``d``, entry ``e >= d`` holds
+    the composition of the clamps ``e - d + 1 .. e``; entries ``e < d``
+    already hold their whole prefix.  A constant map (``lo == hi``) stays
+    the same constant whatever is composed before it, so it is final too.
+    Only the other entries, the live ones, are updated, and a live entry
+    was live in every earlier pass, so it still covers exactly the last
+    ``d`` clamps; composing with a constant partner makes it constant.  The
+    scan stops when no entry is live.  Passes stay dense (whole-array)
+    while at least half of the entries are live, and then update the live
+    indices only.  A path that moves between cells resolves in a few
+    passes; the worst case, a path that never leaves one cell, keeps every
+    entry live and runs all ``ceil(log2(m))`` dense passes, O(m log m).
     """
+    m = lo.shape[0]
+    live = None  # the live indices, once passes are sparse
     d = 1
-    while d < lo.shape[0]:
-        lo, hi = (np.concatenate((lo[:d], np.minimum(np.maximum(lo[:-d], lo[d:]), hi[d:]))),
-                  np.concatenate((hi[:d], np.minimum(np.maximum(hi[:-d], lo[d:]), hi[d:]))))
+    while d < m:
+        if live is None:
+            lo, hi = (np.concatenate((lo[:d], np.minimum(np.maximum(lo[:-d], lo[d:]), hi[d:]))),
+                      np.concatenate((hi[:d], np.minimum(np.maximum(hi[:-d], lo[d:]), hi[d:]))))
+            mask = lo[2 * d:] != hi[2 * d:]
+            n_live = np.count_nonzero(mask)
+            if 2 * n_live < mask.shape[0]:
+                live = np.flatnonzero(mask) + 2 * d
+        else:
+            a, b = lo[live], hi[live]
+            lo[live] = na = np.minimum(np.maximum(lo[live - d], a), b)
+            hi[live] = nb = np.minimum(np.maximum(hi[live - d], a), b)
+            live = live[(na != nb) & (live >= 2 * d)]
+            n_live = live.shape[0]
+        if n_live == 0:
+            break
         d *= 2
     return lo, hi
 
@@ -87,10 +125,23 @@ def _play_tracks(x):
     return _play_scan(np.floor(x).astype(np.int64), np.ceil(x).astype(np.int64))
 
 
-def _switches(times, j):
-    """``(times, j, count)`` at the first entry and wherever ``j`` changes."""
-    idx = np.concatenate(([0], np.flatnonzero(j[1:] != j[:-1]) + 1))
-    return times[idx], j[idx], idx.shape[0]
+def _switches(j):
+    """Indices of the first entry and of every entry where ``j`` changes."""
+    return np.concatenate(([0], np.flatnonzero(j[1:] != j[:-1]) + 1))
+
+
+def _accumulate(steps):
+    """Running total of the positive ``steps`` from a leading 0, exact in int64.
+
+    Raises :class:`ContractError` once the total passes ``2**63 - 1``: each
+    step is below ``2**63`` and the total never decreases, so the first sum
+    past the range wraps to a negative value.
+    """
+    total = np.cumsum(np.concatenate(([0], np.maximum(steps, 0))))
+    if total.min() < 0:
+        raise ContractError("a count exceeds 2**63 - 1, beyond int64: use a coarser "
+                            "generation or spacing")
+    return total
 
 
 def partition_step(times, values, scale):
@@ -102,27 +153,30 @@ def partition_step(times, values, scale):
     arrays have exactly ``count`` entries.
     """
     j, _ = _play_tracks(values * scale)
-    return _switches(times, j)
+    idx = _switches(j)
+    return times[idx], j[idx], idx.shape[0]
 
 
-def partition_coarsen(tau, level_idx):
+def partition_coarsen(level_idx):
     """Generation ``n - 1`` crossings from the generation-n ones, either mode.
 
-    ``tau``/``level_idx`` are a generation-n partition.  The coarse index is
-    the play operator over the integer clamps ``[floor(J/2), ceil(J/2)]`` of
-    the fine indices ``J``, started from ``floor(J_0/2)``; the halving is an
-    int64 shift, exact for every index.  Returns ``(tau, level_idx, count)``
-    of generation ``n - 1`` as :func:`partition_step` does; the nesting lemma
-    in :mod:`pathcalc.partitions` shows these are the direct build's bits.
+    ``level_idx`` are the indices ``J`` of a generation-n partition.  The
+    coarse index is the play operator over the integer clamps
+    ``[floor(J/2), ceil(J/2)]``, started from ``floor(J_0/2)``; the halving is
+    an int64 shift, exact for every index.  Returns ``(sel, coarse_idx)``:
+    the generation-n points that are generation-``(n - 1)`` points, and the
+    coarse indices there.  The nesting lemma in :mod:`pathcalc.partitions`
+    shows that the fine times at ``sel`` are the direct build's bits.
     """
     j, _ = _play_scan(level_idx >> 1, -((-level_idx) >> 1))
-    return _switches(tau, j)
+    sel = _switches(j)
+    return sel, j[sel]
 
 
 def partition_linear_count(times, values, scale):
     """Number of crossing times of a 1-d linear-mode path: ``1 + sum |dj|``."""
     j, _ = _play_tracks(values * scale)
-    return 1 + int(np.abs(np.diff(j)).sum())
+    return 1 + int(_accumulate(np.abs(np.diff(j)))[-1])
 
 
 def partition_linear_fill(times, values, scale, out_t, out_j):
@@ -130,8 +184,11 @@ def partition_linear_fill(times, values, scale, out_t, out_j):
 
     On segment ``e`` the tracked index moves one level at a time from
     ``j_{e-1}`` to ``j_e``; level ``j`` is crossed at
-    ``ta + (j * 2**-n - va) * (tb - ta) / (vb - va)``.  ``out_t``/``out_j``
-    must hold :func:`partition_linear_count` entries; returns that count.
+    ``ta + (j * 2**-n - va) * slope`` with ``slope = (tb - ta) / (vb - va)``.
+    A value step so small that the slope overflows float64 takes the root as
+    the fraction ``(j * 2**-n - va) / (vb - va)`` of the segment instead.
+    ``out_t``/``out_j`` must hold :func:`partition_linear_count` entries;
+    returns that count.
     """
     inv = 1.0 / scale
     j, _ = _play_tracks(values * scale)
@@ -143,11 +200,15 @@ def partition_linear_fill(times, values, scale, out_t, out_j):
     lev_j = j[seg] + np.sign(dj)[seg] * rank
     ta = times[seg]
     va = values[seg]
-    slope_dt = (times[seg + 1] - ta) / (values[seg + 1] - va)
+    dt = times[seg + 1] - ta
+    dv = values[seg + 1] - va
+    rise = lev_j * inv - va
+    with np.errstate(over="ignore"):
+        slope_dt = dt / dv
     cnt = seg.shape[0] + 1
     out_t[0] = times[0]
     out_j[0] = j[0]
-    out_t[1:cnt] = ta + (lev_j * inv - va) * slope_dt
+    out_t[1:cnt] = np.where(np.isfinite(slope_dt), ta + rise * slope_dt, ta + rise / dv * dt)
     out_j[1:cnt] = lev_j
     return cnt
 
@@ -210,12 +271,20 @@ def crossings_up_prefix(values, h):
     upcrossing per level passed.
     """
     _, m = _play_tracks(values / h)
-    return np.concatenate(([0], np.cumsum(np.maximum(np.diff(m), 0))))
+    return _accumulate(np.diff(m))
 
 
 def crossings_total_up(values, h):
-    """Accumulated upcrossings of the whole sequence (last prefix count)."""
-    return crossings_up_prefix(values, h)[-1]
+    """Accumulated upcrossings of ``values`` and of ``-values``, from one scan.
+
+    The second count is the accumulated downcrossings of ``values``.  As
+    ``floor(-x) = -ceil(x)``, the track of ``-values / h`` from
+    ``ceil(-values[0] / h)`` is minus the track of ``values / h`` from
+    ``floor(values[0] / h)``, so the downcrossings are the falls of that
+    track, as the upcrossings are the rises of the one from the ceiling.
+    """
+    f, m = _play_tracks(values / h)
+    return int(_accumulate(np.diff(m))[-1]), int(_accumulate(-np.diff(f))[-1])
 
 
 def _range_counts(start, stop, size):

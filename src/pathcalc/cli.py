@@ -34,7 +34,6 @@ from .integration import (
 )
 from .partitions import (
     crossing_report,
-    lebesgue_partition_1d,
     upcrossings_at_events,
     write_partition_csv,
 )
@@ -125,8 +124,7 @@ def cmd_qv(args) -> tuple[int, list, dict]:
     report = qv_limit(path, n_max=args.n_max, tol=args.tol)
     write_qv_report(report, out / "qv_report.json", out / "qv_limit.csv")
     if path.dim == 1:
-        part = lebesgue_partition_1d(path, args.n_max)
-        write_partition_csv(part, out / f"partition_n{args.n_max}.csv")
+        write_partition_csv(report.partition, out / f"partition_n{args.n_max}.csv")
     checks = [{"name": "qv-cauchy", "passed": bool(report.cauchy_tol_met),
                "detail": f"z_sup[{args.n_max}]={report.z_sup[-1]:.3e} tol={args.tol}"}]
     config = {"input": str(args.input), "n_max": args.n_max, "tol": args.tol}
@@ -166,8 +164,7 @@ def cmd_integrate(args) -> tuple[int, list, dict]:
                "detail": f"last gap {rep.generation_gaps[-1]:.3e}" if rep.generation_gaps.size else "single generation"}]
     code = EXIT_OK
     if args.rule == "prev-price" and path.dim == 1:
-        finest = lebesgue_partition_1d(path, args.n_max)
-        qv_term = discrete_qv(path, finest, path.horizon)
+        qv_term = discrete_qv(path, rep.partition, path.horizon)
         s = path.values[:, 0]
         resid = abs(2 * rep.terminal + qv_term - (s[-1] ** 2 - s[0] ** 2))
         scale = max(1.0, abs(s[-1] ** 2 - s[0] ** 2))

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, InternalConsistencyError
-from .partitions import lebesgue_partition_nd, partition_ladder
+from .partitions import LebesguePartition, lebesgue_partition_nd, partition_ladder
 from .paths import Path, PsiSpec
 from .qv import qv_limit
 from .strategies import CapitalCurve, RealizedStrategy, bdg_weights, capital_curve
@@ -160,7 +160,7 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
     times; per-generation terminals supply the Cauchy diagnostic.
     """
     from . import _kernels as K
-    parts, _ = partition_ladder(path, n_max)
+    parts, _, _ = partition_ladder(path, n_max)
     rho = _union_grid(path, F, parts[-1].times)
     grid = np.unique(np.concatenate([rho, path.times]))
     x = np.ascontiguousarray(integral_curve(F, path).values_at(grid))
@@ -208,6 +208,7 @@ class ItoIntegralReport:
     converged: bool
     tol: float
     note: str = ARBITRAGE_NOTE
+    partition: LebesguePartition | None = None  # generation n_max, sampled last
 
     @property
     def terminal(self) -> float:
@@ -222,7 +223,7 @@ def ito_integral(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
     the float64 array of that generation's crossing times and returns values
     that broadcast to ``(len(times), d)``, as in :func:`approximate_caglad`.
     """
-    parts, grid = partition_ladder(path, n_max)
+    parts, grid, _ = partition_ladder(path, n_max)
     prev_vals = None
     gaps = []
     for part in parts:
@@ -234,7 +235,8 @@ def ito_integral(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
     converged = bool(gaps.size and gaps[-1] < tol)
     return ItoIntegralReport(curve=CapitalCurve(times=grid, values=prev_vals,
                                                 mode=path.mode),
-                             generation_gaps=gaps, converged=converged, tol=tol)
+                             generation_gaps=gaps, converged=converged, tol=tol,
+                             partition=parts[-1])
 
 
 # ---------------------------------------------------------------------------

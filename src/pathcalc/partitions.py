@@ -145,49 +145,70 @@ def _components(path: Path) -> list[Path]:
             + [path.coordinate_sum(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
 
 
-def _union(n: int, pieces: list[LebesguePartition]) -> LebesguePartition:
-    """Generation-n partition of a path from those of its :func:`_components`."""
-    if len(pieces) == 1:
-        return LebesguePartition(n, pieces[0].times, None)
-    return LebesguePartition(n, np.unique(np.concatenate([p.times for p in pieces])), None)
-
-
-def _coarsen(part: LebesguePartition) -> LebesguePartition:
+def _coarsen(part: LebesguePartition) -> tuple[LebesguePartition, np.ndarray]:
     """Generation ``n - 1`` of a 1-d partition, derived from generation n.
 
-    Bit-identical to :func:`lebesgue_partition_1d` at ``n - 1``, in either
-    mode (see the nesting lemma in the module docstring).
+    Returns the coarse partition and the indices of its points in ``part``.
+    It is bit-identical to :func:`lebesgue_partition_1d` at ``n - 1``, in
+    either mode (see the nesting lemma in the module docstring).
     """
-    tau, idx, _ = K.partition_coarsen(part.times, part.level_indices)
-    return LebesguePartition(part.generation - 1, tau, idx)
+    sel, idx = K.partition_coarsen(part.level_indices)
+    return LebesguePartition(part.generation - 1, part.times[sel], idx), sel
 
 
 def lebesgue_partition_nd(path: Path, n: int) -> LebesguePartition:
-    """Sorted union of the coordinate and pairwise-sum partition times."""
+    """Sorted union of the coordinate and pairwise-sum partition times.
+
+    A 1-d path is its own only component, so its partition is
+    :func:`lebesgue_partition_1d`'s, level indices included.
+    """
     _check_generation(n)
-    return _union(int(n), [lebesgue_partition_1d(c, n) for c in _components(path)])
+    pieces = [lebesgue_partition_1d(c, n) for c in _components(path)]
+    if len(pieces) == 1:
+        return pieces[0]
+    return LebesguePartition(int(n), np.unique(np.concatenate([p.times for p in pieces])))
 
 
-def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], np.ndarray]:
-    """Generations 1..n_max of :func:`lebesgue_partition_nd` and their grid.
+def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], np.ndarray,
+                                                      list[np.ndarray]]:
+    """Generations 1..n_max of :func:`lebesgue_partition_nd`, their grid and positions.
 
-    Returns ``(parts, grid)`` with ``parts[n - 1]`` the generation-n
-    partition and ``grid = unique(event times and every generation's
-    times)``, the common grid on which limits along the ladder are taken.
-    Each component is scanned once, at ``n_max``; every coarser generation
-    is derived from the next finer one by :func:`_coarsen`.  By nesting,
-    the grid is the union of the event times and generation ``n_max``.
+    Returns ``(parts, grid, positions)`` with ``parts[n - 1]`` the
+    generation-n partition, ``grid = unique(event times and every
+    generation's times)``, the common grid on which limits along the ladder
+    are taken, and ``positions[n - 1]`` the grid positions of
+    ``parts[n - 1].times`` (``searchsorted(grid, times)``).  Each component
+    is scanned once, at ``n_max``, and its points are located on the grid
+    once; every coarser generation is derived from the next finer one by
+    :func:`_coarsen`, and its positions are the fine ones at the points it
+    keeps.  A d-dimensional generation holds the grid points at which any
+    of its components has a point.  By nesting, the grid is the union of the
+    event times and generation ``n_max``.
     """
     if not 1 <= int(n_max) <= MAX_GENERATION:
         raise ContractError(f"n_max must be in 1..{MAX_GENERATION}, got {n_max}")
     pieces = [lebesgue_partition_1d(c, n_max) for c in _components(path)]
-    parts = [_union(int(n_max), pieces)]
-    for n in range(int(n_max) - 1, 0, -1):
-        pieces = [_coarsen(p) for p in pieces]
-        parts.append(_union(n, pieces))
+    grid = np.unique(np.concatenate([path.times] + [p.times for p in pieces]))
+    pos = [np.searchsorted(grid, p.times) for p in pieces]
+    parts, positions = [], []
+    for n in range(int(n_max), 0, -1):
+        if n < n_max:
+            derived = [_coarsen(p) for p in pieces]
+            pieces = [coarse for coarse, _ in derived]
+            pos = [at[sel] for at, (_, sel) in zip(pos, derived)]
+        if len(pieces) == 1:
+            parts.append(pieces[0])
+            positions.append(pos[0])
+        else:
+            on_grid = np.zeros(grid.shape[0], np.bool_)
+            for piece_pos in pos:
+                on_grid[piece_pos] = True
+            at = np.flatnonzero(on_grid)
+            parts.append(LebesguePartition(n, grid[at]))
+            positions.append(at)
     parts.reverse()
-    grid = np.unique(np.concatenate([path.times, parts[-1].times]))
-    return parts, grid
+    positions.reverse()
+    return parts, grid, positions
 
 
 def chi(partition: LebesguePartition, t: float) -> float:
@@ -230,10 +251,7 @@ def crossings_accumulated(path: Path, h: float, t: float | None = None) -> tuple
     """Accumulated crossing counts over the full level grid of spacing h."""
     if h <= 0:
         raise ContractError("need h > 0")
-    vals = _sample_values(path, t)
-    up = int(K.crossings_total_up(vals, float(h)))
-    down = int(K.crossings_total_up(np.ascontiguousarray(-vals), float(h)))
-    return up, down
+    return K.crossings_total_up(_sample_values(path, t), float(h))
 
 
 def upcrossings_at_events(path: Path, h: float) -> np.ndarray:

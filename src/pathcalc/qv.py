@@ -75,6 +75,7 @@ class QVReport:
     converged_at: int | None
     convention: str = Q0_CONVENTION
     qv_paths: dict = field(default_factory=dict)  # generation -> (times, (len, d, d))
+    partition: LebesguePartition | None = None  # generation n_max, at limit_times
 
     @property
     def frobenius_terminal(self) -> float:
@@ -97,24 +98,22 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
     """
     if tol <= 0:
         raise ContractError("tol must be > 0")
-    partitions, grid = partition_ladder(path, n_max)
+    partitions, grid, positions = partition_ladder(path, n_max)
     d = path.dim
     vals = path.eval(grid)
 
+    cols = [np.ascontiguousarray(vals[:, a]) for a in range(d)]
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
     prev = {pair: np.zeros(len(grid)) for pair in pairs}
     z_sup = np.empty(n_max)
     qv_terminal = np.empty((n_max, d, d))
     qv_paths: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    for n, part in enumerate(partitions, start=1):
-        pos = _positions(grid, part.times)
+    for n, (part, pos) in enumerate(zip(partitions, positions), start=1):
         cur = {}
         worst = 0.0
         for (a, b) in pairs:
-            va = np.ascontiguousarray(vals[:, a])
-            vb = np.ascontiguousarray(vals[:, b])
-            q = K.qv_on_grid(va, vb, pos)
+            q = K.qv_on_grid(cols[a], cols[b], pos)
             cur[(a, b)] = q
             worst = max(worst, float(np.max(np.abs(q - prev[(a, b)]))))
             qv_terminal[n - 1, a, b] = qv_terminal[n - 1, b, a] = q[-1]
@@ -139,6 +138,7 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
         cauchy_tol_met=bool(z_sup[n_max - 1] < tol),
         converged_at=converged_at,
         qv_paths=qv_paths,
+        partition=partitions[-1],
     )
 
 
@@ -156,7 +156,7 @@ def _z_data(path: Path, n: int, extra_times=()):
     if path.dim != 1:
         raise ContractError("Z/K processes are defined for 1-d paths")
     pn = lebesgue_partition_1d(path, n)
-    pn1 = _coarsen(pn) if n >= 2 else None
+    pn1 = _coarsen(pn)[0] if n >= 2 else None
     grid = np.unique(np.concatenate([path.times, pn.times,
                                      np.asarray(extra_times, dtype=np.float64)]))
     v = np.ascontiguousarray(path.eval(grid)[:, 0])

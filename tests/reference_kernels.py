@@ -10,6 +10,19 @@ import numpy as np
 from pathcalc._kernels import PSI_AFFINE, PSI_CONSTANT, PSI_POWER
 
 
+def play_scan_py(lo, hi):
+    """Play-operator tracks ``j_e = clip(j_{e-1}, lo[e], hi[e])`` from both ends of clamp 0."""
+    lo_track = np.empty(lo.shape[0], np.int64)
+    hi_track = np.empty(lo.shape[0], np.int64)
+    a, b = lo[0], hi[0]
+    for e in range(lo.shape[0]):
+        a = min(max(a, lo[e]), hi[e])
+        b = min(max(b, lo[e]), hi[e])
+        lo_track[e] = a
+        hi_track[e] = b
+    return lo_track, hi_track
+
+
 def partition_step_py(times, values, scale):
     """Dyadic-crossing times of a 1-d step path.
 
@@ -76,6 +89,20 @@ def partition_linear_count_py(times, values, scale):
     return cnt
 
 
+def _crossing_time(ta, tb, va, vb, lev):
+    """Time at which the segment from ``(ta, va)`` to ``(tb, vb)`` reaches ``lev``.
+
+    ``ta + (lev - va) * slope`` with ``slope = (tb - ta) / (vb - va)``; when
+    the value step is so small that the slope overflows, the fraction
+    ``(lev - va) / (vb - va)`` of the segment.
+    """
+    with np.errstate(over="ignore"):
+        slope_dt = (tb - ta) / (vb - va)
+    if np.isfinite(slope_dt):
+        return ta + (lev - va) * slope_dt
+    return ta + (lev - va) / (vb - va) * (tb - ta)
+
+
 def partition_linear_fill_py(times, values, scale, out_t, out_j):
     """Fill crossing times for a 1-d linear-mode path (exact segment roots)."""
     m = times.shape[0]
@@ -91,13 +118,12 @@ def partition_linear_fill_py(times, values, scale, out_t, out_j):
         vb = values[e]
         if vb == va:
             continue
-        slope_dt = (tb - ta) / (vb - va)
         if vb > va:
             top = np.int64(np.floor(vb * scale))
             while j < top:
                 j += 1
                 lev = j * inv
-                out_t[cnt] = ta + (lev - va) * slope_dt
+                out_t[cnt] = _crossing_time(ta, tb, va, vb, lev)
                 out_j[cnt] = j
                 cnt += 1
         else:
@@ -105,7 +131,7 @@ def partition_linear_fill_py(times, values, scale, out_t, out_j):
             while j > bot:
                 j -= 1
                 lev = j * inv
-                out_t[cnt] = ta + (lev - va) * slope_dt
+                out_t[cnt] = _crossing_time(ta, tb, va, vb, lev)
                 out_j[cnt] = j
                 cnt += 1
     return cnt
@@ -164,16 +190,17 @@ def crossings_total_up_py(values, h):
     """Accumulated upcrossings over the full grid of intervals (kh, (k+1)h).
 
     Single pass: the set of "armed" intervals is always an up-set {k >= m}.
+    Levels and the count are Python ints, so the count never wraps.
     """
-    m = np.int64(np.ceil(values[0] / h))
-    count = np.int64(0)
+    m = int(np.ceil(values[0] / h))
+    count = 0
     for idx in range(1, values.shape[0]):
         v = values[idx]
         q = v / h
-        qc = np.int64(np.ceil(q))
+        qc = int(np.ceil(q))
         if qc < m:
             m = qc
-        qf = np.int64(np.floor(q))
+        qf = int(np.floor(q))
         if qf > m:
             count += qf - m
             m = qf

@@ -18,6 +18,10 @@ from pathcalc.errors import ContractError
 import reference_kernels as R
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+INT64_MAX = int(np.iinfo(np.int64).max)
+# Accumulated upcrossings of 2**63 at spacing 2**-52, with every level index
+# below 2**62: the counts used to wrap to -2**63.
+COUNT_PAST_INT64 = np.array([0.0, 2.0, 0.0, 512.0, 0.0, 512.0, -510.0, 512.0])
 
 
 def _random_step(rng, m):
@@ -54,7 +58,7 @@ class TestBackendEquivalence:
         for _ in range(30):
             v = rng.normal(size=int(rng.integers(2, 60)))
             assert K.crossings_greedy(v, -0.3, 0.4) == R.crossings_greedy_py(v, -0.3, 0.4)
-            assert K.crossings_total_up(v, 0.5) == R.crossings_total_up_py(v, 0.5)
+            _assert_total_up_matches(v, 0.5)
             a = K.crossings_interval_batch(v, -4, 4, 0.5)
             b = R.crossings_interval_batch_py(v, -4, 4, 0.5)
             np.testing.assert_array_equal(a[0], b[0])
@@ -113,6 +117,16 @@ def _assert_linear_matches(times, values, n):
     assert R.partition_linear_fill_py(times, values, scale, tb, jb) == cnt
     np.testing.assert_array_equal(ta, tb)
     np.testing.assert_array_equal(ja, jb)
+
+
+def _assert_total_up_matches(values, h):
+    """``crossings_total_up`` gives the reference up counts of ``values`` and ``-values``."""
+    ref = (R.crossings_total_up_py(values, h), R.crossings_total_up_py(-values, h))
+    if max(ref) > INT64_MAX:
+        with pytest.raises(ContractError, match="2\\*\\*63"):
+            K.crossings_total_up(values, h)
+    else:
+        assert K.crossings_total_up(values, h) == ref
 
 
 def _linear_partition_py(times, values, n):
@@ -238,6 +252,33 @@ STEP_INPUTS = scaled_paths(generations=(1, 2, 3, 7, 12, 52), bound=512.0)
 LINEAR_INPUTS = scaled_paths(generations=(1, 2, 4, 6), bound=2.0)
 
 
+@st.composite
+def clamp_sequences(draw):
+    """``(lo, hi)``: up to a few thousand integer clamps, in runs.
+
+    A run either holds one clamp (a path that stays in one cell, or on one
+    level for width 0) or walks its lower end with widths drawn from
+    ``0..width``, so widths 0, 1 and more than 1 all occur, and prefixes
+    resolve after few or many doubling passes.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    centre = draw(st.integers(-50, 50))
+    lo, hi = [], []
+    for kind, length, width, spread in draw(st.lists(
+            st.tuples(st.sampled_from(["hold", "walk"]), st.integers(1, 1200),
+                      st.integers(0, 3), st.integers(1, 40)), min_size=1, max_size=5)):
+        if kind == "hold":
+            start = np.full(length, centre)
+            widths = np.full(length, width)
+        else:
+            start = centre + np.cumsum(rng.integers(-spread, spread + 1, length))
+            widths = rng.integers(0, width + 1, length)
+        lo.append(start)
+        hi.append(start + widths)
+        centre = int(start[-1])
+    return np.concatenate(lo).astype(np.int64), np.concatenate(hi).astype(np.int64)
+
+
 class TestPlayOperatorScan:
     @PROPERTY
     @given(STEP_INPUTS)
@@ -251,17 +292,18 @@ class TestPlayOperatorScan:
     @given(LINEAR_INPUTS)
     @example((np.array([0.0, 1.0]), np.array([-0.5, 0.5]), 1))
     @example((np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.25, 0.25]), 2))
+    @example((np.array([0.0, 1.0]), np.array([-1e-320, 1e-320]), 1))
     def test_partition_linear(self, inputs):
         times, values, n = inputs
         _assert_linear_matches(times, values, n)
 
     @PROPERTY
     @given(STEP_INPUTS, st.sampled_from([1.0, 3.0]))
+    @example((np.arange(8.0), COUNT_PAST_INT64, 52), 1.0)
+    @example((np.arange(8.0), -COUNT_PAST_INT64, 52), 1.0)
     def test_crossings_total_up(self, inputs, stretch):
         _, values, n = inputs
-        h = stretch * 2.0 ** -n
-        assert K.crossings_total_up(values, h) == R.crossings_total_up_py(values, h)
-        assert K.crossings_total_up(-values, h) == R.crossings_total_up_py(-values, h)
+        _assert_total_up_matches(values, stretch * 2.0 ** -n)
 
     @PROPERTY
     @given(STEP_INPUTS)
@@ -269,31 +311,47 @@ class TestPlayOperatorScan:
         # generation n - 1 from generation n; n = 1 gives generation 0 (scale 1)
         times, values, n = inputs
         fine_t, fine_j, _ = K.partition_step(times, values, 2.0 ** n)
-        t, j, cnt = K.partition_coarsen(fine_t, fine_j)
+        sel, j = K.partition_coarsen(fine_j)
         ref_t, ref_j, ref_cnt = R.partition_step_py(times, values, 2.0 ** (n - 1))
-        assert cnt == ref_cnt == t.shape[0] == j.shape[0]
-        assert t.tobytes() == ref_t[:cnt].tobytes()
-        assert j.tobytes() == ref_j[:cnt].tobytes()
+        assert ref_cnt == sel.shape[0] == j.shape[0]
+        assert fine_t[sel].tobytes() == ref_t[:ref_cnt].tobytes()
+        assert j.tobytes() == ref_j[:ref_cnt].tobytes()
 
     @PROPERTY
     @given(LINEAR_INPUTS)
     @example((np.array([0.0, 1.0, 2.0]), np.array([-0.75, 0.75, -0.25]), 2))
+    @example((np.array([0.0, 1.0]), np.array([0.0, 2.225073858e-313]), 1))
     def test_partition_coarsen_linear(self, inputs):
         times, values, n = inputs
-        t, j, cnt = K.partition_coarsen(*_linear_partition_py(times, values, n))
+        fine_t, fine_j = _linear_partition_py(times, values, n)
+        sel, j = K.partition_coarsen(fine_j)
         ref_t, ref_j = _linear_partition_py(times, values, n - 1)
-        assert cnt == ref_t.shape[0]
-        assert t.tobytes() == ref_t.tobytes()
+        assert fine_t[sel].tobytes() == ref_t.tobytes()
         assert j.tobytes() == ref_j.tobytes()
 
     @PROPERTY
     @given(STEP_INPUTS, st.sampled_from([1.0, 3.0]))
+    @example((np.arange(8.0), COUNT_PAST_INT64, 52), 1.0)
     def test_crossings_up_prefix(self, inputs, stretch):
         _, values, n = inputs
         h = stretch * 2.0 ** -n
-        prefix = K.crossings_up_prefix(values, h)
-        assert prefix.tolist() == [R.crossings_total_up_py(values[:e + 1], h)
-                                   for e in range(values.shape[0])]
+        ref = [R.crossings_total_up_py(values[:e + 1], h) for e in range(values.shape[0])]
+        if ref[-1] > INT64_MAX:
+            with pytest.raises(ContractError, match="2\\*\\*63"):
+                K.crossings_up_prefix(values, h)
+        else:
+            assert K.crossings_up_prefix(values, h).tolist() == ref
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(clamp_sequences())
+    @example((np.array([3]), np.array([5])))
+    @example((np.full(4096, 7), np.full(4096, 8)))
+    def test_play_scan(self, clamps):
+        lo, hi = clamps
+        tracks = K._play_scan(lo, hi)
+        ref = R.play_scan_py(lo, hi)
+        assert tracks[0].tobytes() == ref[0].tobytes()
+        assert tracks[1].tobytes() == ref[1].tobytes()
 
     def test_scaled_values_beyond_2_62_are_rejected(self):
         times = np.array([0.0, 1.0])

@@ -4,10 +4,10 @@ A path's ladder of generations is built once and shared: ``ito_integral``
 and ``qv_limit`` scan only the finest generation and derive each coarser
 one from the next finer one, ``prepare_ensemble`` takes the finest
 generation from its QV report, ``l_strategy`` scans its fine generation and
-derives the coarse one, and ``integrate`` rescans only the finest generation
-for its telescoping check.  Every scan from the events runs exactly one of
-``partition_step`` and ``partition_linear_count``; every derivation runs
-``partition_coarsen``.
+derives the coarse one, and the ``qv`` and ``integrate`` commands take the
+finest generation they write or check from the ladder they built.  Every
+scan from the events runs exactly one of ``partition_step`` and
+``partition_linear_count``; every derivation runs ``partition_coarsen``.
 """
 
 import json
@@ -19,7 +19,8 @@ from pathcalc import Path, PsiSpec
 from pathcalc import _kernels as K
 from pathcalc.cli import EXIT_OK, main
 from pathcalc.integration import ito_integral, prepare_ensemble
-from pathcalc.partitions import lebesgue_partition_nd
+from pathcalc.partitions import (lebesgue_partition_1d, lebesgue_partition_nd,
+                                 write_partition_csv)
 from pathcalc.paths import write_path_csv
 from pathcalc.strategies import l_strategy
 
@@ -64,13 +65,25 @@ def test_l_strategy_builds_fine_and_coarse_once(builds, p1):
     assert builds == {"n": 1, "coarsen": 1}
 
 
+def test_qv_command(builds, tmp_path, p1):
+    write_path_csv(p1, tmp_path / "p1.csv")
+    code = main(["qv", "--input", str(tmp_path / "p1.csv"), "--n-max", "6",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    # partition_n6.csv is the finest generation of the QV ladder
+    assert builds == {"n": 1, "coarsen": 5}
+    write_partition_csv(lebesgue_partition_1d(p1, 6), tmp_path / "direct.csv")
+    assert ((tmp_path / "out" / "partition_n6.csv").read_bytes()
+            == (tmp_path / "direct.csv").read_bytes())
+
+
 def test_integrate_command(builds, tmp_path, p1):
     write_path_csv(p1, tmp_path / "p1.csv")
     code = main(["integrate", "--input", str(tmp_path / "p1.csv"), "--rule", "prev-price",
                  "--n-max", "6", "--output-dir", str(tmp_path / "out")])
     assert code == EXIT_OK
-    # the finest generation, coarsened five times, plus the finest again for
-    # the telescoping check
-    assert builds == {"n": 2, "coarsen": 5}
+    # the finest generation, coarsened five times; the telescoping check
+    # reuses the finest
+    assert builds == {"n": 1, "coarsen": 5}
     checks = json.loads((tmp_path / "out" / "manifest.json").read_text())["checks"]
     assert {c["name"]: c["passed"] for c in checks}["telescoping-identity"]

@@ -52,6 +52,11 @@ class TestPartition1d:
             np.testing.assert_array_equal(part.times, [0.0])
             assert part.finite
 
+    def test_linear_root_of_a_subnormal_step(self):
+        # (tb - ta) / (vb - va) overflows; the root is still inside the segment
+        p = Path(times=[0.0, 1.0], values=[-1e-320, 1e-320], mode="linear")
+        np.testing.assert_array_equal(lebesgue_partition_1d(p, 1).times, [0.0, 0.5])
+
     def test_linear_unit_ramp(self):
         p = Path(times=[0.0, 1.0], values=[0.0, 1.0], mode="linear")
         part = lebesgue_partition_1d(p, 1)
@@ -180,7 +185,7 @@ class TestLadder:
         rng = np.random.default_rng(9)
         q = random_step_path(rng, n_events=15, dim=dim)
         p = Path(q.times, q.values, mode=mode, horizon=2.0)
-        parts, grid = partition_ladder(p, 5)
+        parts, grid, _ = partition_ladder(p, 5)
         assert [part.generation for part in parts] == [1, 2, 3, 4, 5]
         for n, part in enumerate(parts, start=1):
             np.testing.assert_array_equal(part.times, lebesgue_partition_nd(p, n).times)
@@ -237,7 +242,7 @@ class TestNestingLemma:
     @example((Path([0.0, 1.0, 2.0], [[0.5, -0.5], [-0.5, 0.5], [0.25, 0.25]]), 12))
     def test_ladder_equals_direct_builds(self, case):
         path, n_max = case
-        parts, grid = partition_ladder(path, n_max)
+        parts, grid, _ = partition_ladder(path, n_max)
         direct = [lebesgue_partition_nd(path, n) for n in range(1, n_max + 1)]
         for part, ref in zip(parts, direct, strict=True):
             _assert_same_partition(part, ref)
@@ -246,10 +251,22 @@ class TestNestingLemma:
         for comp in _components(path):
             fine = lebesgue_partition_1d(comp, n_max)
             while fine.generation > 1:
-                coarse = _coarsen(fine)
+                coarse, _ = _coarsen(fine)
                 _assert_same_partition(coarse, lebesgue_partition_1d(comp, fine.generation - 1))
                 assert set(coarse.times.tolist()) <= set(fine.times.tolist())
                 fine = coarse
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ladder_paths())
+    @example((Path([0.0, 1.0, 2.0], [[0.5, -0.5], [-0.5, 0.5], [0.25, 0.25]]), 12))
+    def test_ladder_positions(self, case):
+        # positions carried down the ladder are the grid search of each
+        # generation's times
+        path, n_max = case
+        parts, grid, positions = partition_ladder(path, n_max)
+        for part, pos in zip(parts, positions, strict=True):
+            assert pos.tobytes() == np.searchsorted(grid, part.times).tobytes()
+            assert grid[pos].tobytes() == part.times.tobytes()
 
     @pytest.mark.parametrize("mode", ["step", "linear"])
     def test_level_indices_beyond_2_53(self, mode):
@@ -263,12 +280,12 @@ class TestNestingLemma:
         fine = lebesgue_partition_1d(p, 52)
         assert fine.level_indices.min() > 2 ** 54
         assert np.any(fine.level_indices % 4 == 2) == (mode == "linear")
-        parts, _ = partition_ladder(p, 52)
+        parts, _, _ = partition_ladder(p, 52)
         for n in range(52, 0, -1):
             _assert_same_partition(fine, lebesgue_partition_1d(p, n))
             assert parts[n - 1].times.tobytes() == fine.times.tobytes()
             if n > 1:
-                fine = _coarsen(fine)
+                fine, _ = _coarsen(fine)
 
 
 class TestLinearCap:
@@ -283,6 +300,13 @@ class TestLinearCap:
             == 824_633_720_833
         with pytest.raises(ContractError, match="crosses 824633720833 levels"):
             lebesgue_partition_1d(p, 40)
+
+    def test_count_beyond_int64_rejected(self):
+        # sum |dj| at n = 52 is exactly 2**64, which used to wrap to a count
+        # of 1; the fill kernel then crashed the interpreter
+        p = Path([0.0, 1.0, 2.0, 3.0], [0.0, 1000.0, -1000.0, 96.0], mode="linear")
+        with pytest.raises(ContractError, match="2\\*\\*63"):
+            lebesgue_partition_1d(p, 52)
 
     def test_cap_is_inclusive(self, monkeypatch):
         p = Path(times=[0.0, 1.0], values=[0.0, 1.0], mode="linear")  # 1 + 2^n points
@@ -367,6 +391,16 @@ class TestCrossingsAccumulated:
         with pytest.raises(ContractError, match="2\\*\\*62"):
             crossings_accumulated(p, 1e-18)
         assert crossings_accumulated(p, 1e-3) == (10000, 10000)
+
+    def test_count_beyond_int64_rejected(self):
+        # every scaled value is below 2**62, but the upcrossings of the grid
+        # of spacing 2**-52 add up to 2**63
+        p = Path(np.arange(8.0), [0.0, 2.0, 0.0, 512.0, 0.0, 512.0, -510.0, 512.0])
+        with pytest.raises(ContractError, match="2\\*\\*63"):
+            crossings_accumulated(p, 2.0 ** -52)
+        with pytest.raises(ContractError, match="2\\*\\*63"):
+            upcrossings_at_events(p, 2.0 ** -52)
+        assert crossings_accumulated(p, 2.0 ** -52, 5.0) == (1026 * 2 ** 52, 514 * 2 ** 52)
 
     def test_fast_counter_matches_per_interval_sums(self):
         rng = np.random.default_rng(7)
