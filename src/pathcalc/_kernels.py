@@ -1,12 +1,12 @@
 """Numerical kernels: one NumPy implementation per kernel.
 
 Dyadic levels are handled as scaled integers ``j`` with level ``j * 2**-n``.
-Most kernels are built on one of two primitives, each written once here:
+The partition, crossing and Doob kernels rest on one primitive, the integer
+play operator ``j_e = clip(j_{e-1}, lo_e, hi_e)`` (Krasnosel'skii &
+Pokrovskii, *Systems with Hysteresis*, 1989), computed for integer clamps by
+the prefix scan :func:`_play_scan`, written once here.  It has two entries:
 
-- The integer play operator ``j_e = clip(j_{e-1}, lo_e, hi_e)``
-  (Krasnosel'skii & Pokrovskii, *Systems with Hysteresis*, 1989), computed
-  for integer clamps by the prefix scan :func:`_play_scan`.
-  :func:`_play_tracks` is its entry for scaled values ``x``, with the clamps
+- :func:`_play_tracks`, for scaled values ``x``, with the clamps
   ``[floor(x_e), ceil(x_e)]``.  Its switching times from
   ``j_0 = floor(x_0)`` are the Lebesgue partition times
   (``partition_step``), its unit steps are the linear-mode crossings
@@ -15,26 +15,27 @@ Most kernels are built on one of two primitives, each written once here:
   accumulated upcrossings of the grid of spacing ``h``
   (``crossings_up_prefix``), while the falls of the other track are the
   accumulated downcrossings (``crossings_total_up``).  On the halved fine
-  indices, clamps ``[floor(J/2), ceil(J/2)]``, it derives generation
+  indices, clamps ``[floor(J/2), ceil(J/2)]``, the scan derives generation
   ``n - 1`` from generation ``n`` (``partition_coarsen``; the nesting lemma
-  is in :mod:`pathcalc.partitions`).  On the interval ranks that a value
-  makes long or flat, it counts the greedy crossings of every interval
-  ``(kh, (k+1)h)`` in one pass (``crossings_interval_batch``).
-- The state of one interval ``(a, b)``, :func:`_interval_state`: long after a
-  value ``<= a``, flat after a value ``>= b``, unchanged by values strictly
-  inside.  Greedy crossing counts are its transitions (``crossings_greedy``)
-  and the Doob aggregate position counts the intervals that are long
-  (``doob_positions``).
+  is in :mod:`pathcalc.partitions`).
+- :func:`_interval_tracks`, for the buy-low/sell-high state of a family of
+  intervals ``(a_i, b_i)``, with the clamps of the interval ranks that a
+  value makes flat or long.  Its tracks give the greedy crossing counts of
+  every interval ``(kh, (k+1)h)`` in one pass (``crossings_interval_batch``,
+  and ``crossings_greedy`` for one interval) and the number of long
+  intervals, which the Doob aggregate position counts (``doob_positions``).
 
 Multiplying a float by ``2**n`` only shifts its exponent, so ``floor`` and
 ``ceil`` of ``value * 2**n`` are exact.  :func:`_play_tracks` is the only
 place where a value becomes an int64 level index; it raises
 :class:`ContractError` once a scaled value reaches ``2**62`` in magnitude,
-so every index and every difference of two indices is exact.  Indices are
-halved by integer shifts, never through float64, which is inexact beyond
-``2**53``.  Counts summed from index differences (accumulated crossings,
-linear partition sizes) go through :func:`_accumulate`, which raises
-:class:`ContractError` once a total passes ``2**63 - 1`` instead of wrapping.
+so every index and every difference of two indices is exact.  Linear-mode
+roots take the level ``j * 2**-n`` as a float64, which is exact only below
+``2**53``, so the linear kernels raise from there on.  Indices are halved by
+integer shifts, never through float64.  Counts summed from index differences
+(accumulated crossings, linear partition sizes) go through
+:func:`_accumulate`, which raises :class:`ContractError` once a total passes
+``2**63 - 1`` instead of wrapping.
 
 The scan resolves a prefix as soon as its composed clamp is a single
 integer and stops once every prefix is resolved.  On a path that moves
@@ -45,6 +46,7 @@ passes, O(m log m).
 
 ``qv_on_grid`` finds each grid point's last partition point as a running
 count of ``np.bincount`` of the partition positions, in one O(grid) pass.
+The pathwise BDG kernels share one row body, :func:`_bdg_rows`.
 
 Each vectorized kernel returns exactly the bits of the per-event loop it
 replaced; the test suite keeps those loops as its reference.  ``clip_jumps``
@@ -52,6 +54,8 @@ stays a loop: the bound at each event depends on the already-clipped prefix.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -112,16 +116,19 @@ def _play_scan(lo, hi):
     return lo, hi
 
 
-def _play_tracks(x):
+def _play_tracks(x, bits=62):
     """Play-operator tracks of the scaled values ``x``.
 
     The clamps are ``[floor(x_e), ceil(x_e)]``, so ``lo[e]`` is ``j_e``
     started from ``j_0 = floor(x_0)`` and ``hi[e]`` is ``j_e`` started from
-    ``j_0 = ceil(x_0)`` (see :func:`_play_scan`).
+    ``j_0 = ceil(x_0)`` (see :func:`_play_scan`).  Raises
+    :class:`ContractError` once a scaled value reaches ``2**bits`` in
+    magnitude: 62 keeps every int64 index exact, and the linear-mode roots,
+    which take the level ``j * 2**-n`` as a float64, need 53.
     """
-    if not np.all(np.abs(x) < 2.0 ** 62):
-        raise ContractError("a scaled value reaches 2**62 in magnitude, beyond exact "
-                            "int64 level indices: use a coarser generation or spacing")
+    if not np.all(np.abs(x) < 2.0 ** bits):
+        raise ContractError(f"a scaled value reaches 2**{bits} in magnitude, beyond exact "
+                            "level indices: use a coarser generation or spacing")
     return _play_scan(np.floor(x).astype(np.int64), np.ceil(x).astype(np.int64))
 
 
@@ -175,7 +182,7 @@ def partition_coarsen(level_idx):
 
 def partition_linear_count(times, values, scale):
     """Number of crossing times of a 1-d linear-mode path: ``1 + sum |dj|``."""
-    j, _ = _play_tracks(values * scale)
+    j, _ = _play_tracks(values * scale, 53)
     return 1 + int(_accumulate(np.abs(np.diff(j)))[-1])
 
 
@@ -191,7 +198,7 @@ def partition_linear_fill(times, values, scale, out_t, out_j):
     returns that count.
     """
     inv = 1.0 / scale
-    j, _ = _play_tracks(values * scale)
+    j, _ = _play_tracks(values * scale, 53)
     dj = np.diff(j)
     steps = np.abs(dj)
     seg = np.repeat(np.arange(dj.shape[0]), steps)
@@ -241,24 +248,32 @@ def qv_on_grid(si, sj, part_pos):
 # Interval states and crossing counters
 # ---------------------------------------------------------------------------
 
-def _interval_state(values, a, b):
-    """State of the buy-low/sell-high strategy on ``(a, b)`` after each value.
+def _interval_tracks(values, a, b):
+    """Flat and long tracks ``(f, m)`` of the intervals ``(a[i], b[i])``.
 
-    ``1`` (long) after a value ``<= a``, ``0`` (flat) after a value ``>= b``,
-    the previous state after a value strictly inside, and ``-1`` before the
-    first value outside ``(a, b)``.  Needs ``a < b``.
+    ``a`` and ``b`` are nondecreasing arrays with ``a[i] <= b[i]``.  The
+    buy-low/sell-high state of interval ``i`` is long after a value
+    ``<= a[i]``, flat after a value ``>= b[i]`` (long wins if both hold),
+    unchanged by a value strictly inside, and neither before the first value
+    outside.  A value ``v`` makes long the intervals
+    ``i >= long_from = #{a_i < v}`` and flat those
+    ``i < flat_below = min(#{b_i <= v}, long_from)``, so after each value the
+    long intervals are an up-set ``i >= m_e`` and the flat ones a down-set
+    ``i < f_e``: ``m`` and ``f`` are the play-operator tracks through the
+    clamps ``[flat_below, long_from]`` from their upper and lower ends.
+    Interval ``i`` completes an upcrossing (long to flat) at ``e`` when
+    ``m_{e-1} <= i < m_e`` and a downcrossing (flat to long) when
+    ``f_e <= i < f_{e-1}``.
     """
-    label = np.where(values <= a, 1, np.where(values >= b, 0, -1))
-    last = np.maximum.accumulate(np.where(label >= 0, np.arange(label.shape[0]), -1))
-    return np.where(last >= 0, label[last], -1)
+    long_from = np.searchsorted(a, values, side="left")
+    flat_below = np.minimum(np.searchsorted(b, values, side="right"), long_from)
+    return _play_scan(flat_below, long_from)
 
 
 def crossings_greedy(values, a, b):
     """Greedy (optimal) up/down crossing counts of the open interval (a, b)."""
-    state = _interval_state(values, a, b)
-    up = np.count_nonzero((state[:-1] == 1) & (state[1:] == 0))
-    down = np.count_nonzero((state[:-1] == 0) & (state[1:] == 1))
-    return int(up), int(down)
+    f, m = _interval_tracks(values, np.array([a]), np.array([b]))
+    return int(np.count_nonzero(m[1:] > m[:-1])), int(np.count_nonzero(f[1:] < f[:-1]))
 
 
 def crossings_up_prefix(values, h):
@@ -293,30 +308,26 @@ def _range_counts(start, stop, size):
     return np.cumsum(ends)[:size]
 
 
+def _grid_intervals(klo, khi, h):
+    """Ends ``(a, b)`` of the intervals ``(kh, kh + h)`` for ``k = klo..khi``."""
+    a = (klo + np.arange(max(khi - klo + 1, 0))) * h
+    return a, a + h
+
+
 def crossings_interval_batch(values, klo, khi, h):
     """Greedy counts per interval (kh, (k+1)h) for k in [klo, khi], in one scan.
 
     Interval ``i`` (``k = klo + i``) has the ends ``a_i = k*h`` and
     ``b_i = a_i + h`` of :func:`crossings_greedy`, both nondecreasing in
-    ``i``.  A value ``v`` makes long the intervals
-    ``i >= long_from = #{a_i < v}`` and flat those
-    ``i < flat_below = min(#{b_i <= v}, long_from)``, so after each value the
-    long intervals are an up-set ``i >= m_e`` and the flat ones a down-set
-    ``i < f_e``: ``m`` and ``f`` are the play-operator tracks through the
-    clamps ``[flat_below, long_from]`` from their upper and lower ends.
-    Interval ``i`` completes an upcrossing at ``e`` when
-    ``m_{e-1} <= i < m_e`` and a downcrossing when ``f_e <= i < f_{e-1}``.
+    ``i``; :func:`_interval_tracks` gives where each interval completes a
+    crossing.
     """
-    nk = khi - klo + 1
-    a = (klo + np.arange(nk)) * h
-    b = a + h
-    long_from = np.searchsorted(a, values, side="left")
-    flat_below = np.minimum(np.searchsorted(b, values, side="right"), long_from)
-    f, m = _play_scan(flat_below, long_from)
+    a, b = _grid_intervals(klo, khi, h)
+    f, m = _interval_tracks(values, a, b)
     rise = m[1:] > m[:-1]
     fall = f[1:] < f[:-1]
-    return (_range_counts(m[:-1][rise], m[1:][rise], nk),
-            _range_counts(f[1:][fall], f[:-1][fall], nk))
+    return (_range_counts(m[:-1][rise], m[1:][rise], a.shape[0]),
+            _range_counts(f[1:][fall], f[:-1][fall], a.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +342,14 @@ def doob_positions(values, klo, khi, spacing, weight, gamma_idx):
     at the first event with value <= a and sells at the next event with
     value >= b, closing out at ``gamma_idx``.  Every long interval adds
     ``weight`` once, so ``pos[e]`` is the running sum of ``weight`` taken
-    over as many terms as there are long intervals at ``e``.
+    over as many terms as there are long intervals at ``e``, ``nk - m_e``
+    with ``m`` the long track of :func:`_interval_tracks`.
     """
-    head = values[:gamma_idx]
-    n_long = np.zeros(head.shape[0], np.int64)
-    for k in range(klo, khi + 1):
-        a = k * spacing
-        n_long += _interval_state(head, a, a + spacing) == 1
-    partial = np.cumsum(np.concatenate(([0.0], np.full(max(khi - klo + 1, 0), weight))))
+    a, b = _grid_intervals(klo, khi, spacing)
+    _, m = _interval_tracks(values[:gamma_idx], a, b)
+    partial = np.cumsum(np.concatenate(([0.0], np.full(a.shape[0], weight))))
     pos = np.zeros(values.shape[0], np.float64)
-    pos[:head.shape[0]] = partial[n_long]
+    pos[:m.shape[0]] = partial[a.shape[0] - m]
     return pos
 
 
@@ -348,136 +357,99 @@ def doob_positions(values, klo, khi, spacing, weight, gamma_idx):
 # Pathwise Burkholder-Davis-Gundy machinery
 # ---------------------------------------------------------------------------
 
-def bdg_core(x):
-    """Running max, quadratic variation and weighted transform of a sequence.
+def _bdg_rows(x):
+    """Running max, quadratic variation, weights and transform of each row.
 
-    Returns ``(xstar, qv, hx)`` for the full sequence, with weights
-    ``h_k = x_k / sqrt([x]_k + (x*_k)^2)`` and the 0/0 := 0 convention.
+    Returns ``(xstar, qv, h, hx)``: per row of ``x``, ``x*`` and ``[x]`` of
+    the full row, the weights ``h_k = x_k / sqrt([x]_k + (x*_k)^2)`` for
+    ``k = 0..m-2`` with the 0/0 := 0 convention, and ``(h.x)``.  ``[x]_k``
+    and ``(h.x)_k`` are ``np.cumsum`` (strictly left to right, ``(h.x)``
+    from a leading ``0.0``) and ``x*_k`` is ``np.maximum.accumulate``, so
+    each value rounds as the running accumulator of a per-element loop
+    would.
     """
-    qv = x[0] * x[0]
-    xstar = abs(x[0])
-    hx = 0.0
-    for k in range(x.shape[0] - 1):
-        denom = np.sqrt(qv + xstar * xstar)
-        if denom == 0.0:
-            hk = 0.0
-        else:
-            hk = x[k] / denom
-        dx = x[k + 1] - x[k]
-        hx += hk * dx
-        qv += dx * dx
-        ax = abs(x[k + 1])
-        if ax > xstar:
-            xstar = ax
-    return xstar, qv, hx
+    dx = x[:, 1:] - x[:, :-1]
+    qv = np.cumsum(np.concatenate([x[:, :1] * x[:, :1], dx * dx], axis=1), axis=1)
+    xstar = np.maximum.accumulate(np.abs(x), axis=1)
+    denom = np.sqrt(qv[:, :-1] + xstar[:, :-1] * xstar[:, :-1])
+    h = np.divide(x[:, :-1], denom, out=np.zeros_like(denom), where=denom != 0.0)
+    hx = np.cumsum(np.concatenate([np.zeros((x.shape[0], 1)), h * dx], axis=1), axis=1)
+    return xstar[:, -1], qv[:, -1], h, hx[:, -1]
 
 
-def bdg_weights(x, out_h):
-    """Fill the transform weights h_k for k = 0..len(x)-2."""
-    qv = x[0] * x[0]
-    xstar = abs(x[0])
-    for k in range(x.shape[0] - 1):
-        denom = np.sqrt(qv + xstar * xstar)
-        if denom == 0.0:
-            out_h[k] = 0.0
-        else:
-            out_h[k] = x[k] / denom
-        dx = x[k + 1] - x[k]
-        qv += dx * dx
-        ax = abs(x[k + 1])
-        if ax > xstar:
-            xstar = ax
-    return x.shape[0] - 1
+def bdg_core(x):
+    """``(x*, [x], (h.x))`` of the full sequence ``x`` (see :func:`_bdg_rows`)."""
+    xstar, qv, _, hx = _bdg_rows(x[None, :])
+    return xstar[0], qv[0], hx[0]
+
+
+def bdg_weights(x):
+    """The transform weights ``h_k`` for ``k = 0..len(x)-2`` (see :func:`_bdg_rows`)."""
+    return _bdg_rows(x[None, :])[2][0]
 
 
 def bdg_batch(flat, offsets):
     """(lhs, rhs) of the pathwise BDG inequality for concatenated sequences.
 
-    Sequences of equal length are stacked into one matrix, and each running
-    quantity of :func:`bdg_core` becomes a row-wise accumulation: ``[x]_k``
-    and ``(h.x)_k`` by ``np.cumsum`` (strictly left to right, ``(h.x)`` from a
-    leading ``0.0``), ``x*_k`` by ``np.maximum.accumulate``.  The result is
-    bit-identical to :func:`bdg_core` applied to each sequence.
+    Sequences of equal length are stacked into one matrix for
+    :func:`_bdg_rows`; the result is bit-identical to :func:`bdg_core`
+    applied to each sequence.
     """
     lengths = np.diff(offsets)
     lhs = np.empty(lengths.shape[0], np.float64)
     rhs = np.empty(lengths.shape[0], np.float64)
     for m in np.unique(lengths):
         rows = np.flatnonzero(lengths == m)
-        x = flat[offsets[rows][:, None] + np.arange(m)]
-        dx = x[:, 1:] - x[:, :-1]
-        qv = np.cumsum(np.concatenate([x[:, :1] * x[:, :1], dx * dx], axis=1), axis=1)
-        xstar = np.maximum.accumulate(np.abs(x), axis=1)
-        denom = np.sqrt(qv[:, :-1] + xstar[:, :-1] * xstar[:, :-1])
-        h = np.divide(x[:, :-1], denom, out=np.zeros_like(denom), where=denom != 0.0)
-        hx = np.cumsum(np.concatenate([np.zeros((rows.shape[0], 1)), h * dx], axis=1),
-                       axis=1)[:, -1]
-        lhs[rows] = xstar[:, -1]
-        rhs[rows] = 6.0 * np.sqrt(qv[:, -1]) + 2.0 * hx
+        xstar, qv, _, hx = _bdg_rows(flat[offsets[rows][:, None] + np.arange(m)])
+        lhs[rows] = xstar
+        rhs[rows] = 6.0 * np.sqrt(qv) + 2.0 * hx
     return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
-# psi evaluation and downward-jump clipping (simulator support)
+# Downward-jump clipping (simulator support)
 # ---------------------------------------------------------------------------
 
-PSI_CONSTANT = 0
-PSI_AFFINE = 1
-PSI_POWER = 2
-PSI_TABLE = 3
+_CLIP_BLOCK = 4096  # events held as Python floats at once
 
 
-def psi_eval(code, p0, p1, xs, ys, x):
-    if code == PSI_CONSTANT:
-        return p0
-    if code == PSI_AFFINE:
-        return p0 + p1 * x
-    if code == PSI_POWER:
-        if x <= 0.0:
-            return 0.0
-        return p0 * x ** p1
-    nt = xs.shape[0]
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[nt - 1]:
-        return ys[nt - 1]
-    lo = 0
-    hi = nt - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= x:
-            lo = mid
-        else:
-            hi = mid
-    w = (x - xs[lo]) / (xs[hi] - xs[lo])
-    return ys[lo] + w * (ys[hi] - ys[lo])
-
-
-def clip_jumps(values, code, p0, p1, xs, ys):
+def clip_jumps(values, psi):
     """Clip downward jumps in-place so every event obeys the psi bound.
 
-    ``values`` has shape (events, dim).  The running supremum is taken over
-    the l2 norms of the already-clipped prefix, matching the membership rule.
+    ``values`` has shape (events, dim) and ``psi`` is the jump bound, a
+    callable such as :class:`pathcalc.paths.PsiSpec`.  The running supremum
+    is taken over the l2 norms of the already-clipped prefix, matching the
+    membership rule; the bound at an event is ``psi`` of that supremum, so
+    ``psi`` is called again only when the supremum grows.  A clipped value
+    starts at ``prev - bound`` and moves up one ulp at a time until
+    ``prev - v <= bound``.  The loop runs on Python floats, whose
+    arithmetic, ``math.sqrt`` and ``math.nextafter`` round as NumPy's
+    float64 does, converting ``_CLIP_BLOCK`` events at a time.
     """
-    m = values.shape[0]
-    d = values.shape[1]
-    sq = 0.0
-    for i in range(d):
-        sq += values[0, i] * values[0, i]
-    runsup = np.sqrt(sq)
-    for e in range(1, m):
-        bound = psi_eval(code, p0, p1, xs, ys, runsup)
-        for i in range(d):
-            prev = values[e - 1, i]
-            if prev - values[e, i] > bound:
-                v = prev - bound
-                while prev - v > bound:
-                    v = np.nextafter(v, np.inf)
-                values[e, i] = v
-        sq = 0.0
-        for i in range(d):
-            sq += values[e, i] * values[e, i]
-        nv = np.sqrt(sq)
-        if nv > runsup:
-            runsup = nv
+    prev_row = values[0].tolist()
+    runsup = math.sqrt(_sum_squares(prev_row))
+    bound = psi(runsup)
+    for start in range(1, values.shape[0], _CLIP_BLOCK):
+        block = values[start:start + _CLIP_BLOCK].tolist()
+        for row in block:
+            for i, prev in enumerate(prev_row):
+                if prev - row[i] > bound:
+                    v = prev - bound
+                    while prev - v > bound:
+                        v = math.nextafter(v, math.inf)
+                    row[i] = v
+            nv = math.sqrt(_sum_squares(row))
+            if nv > runsup:
+                runsup = nv
+                bound = psi(runsup)
+            prev_row = row
+        values[start:start + _CLIP_BLOCK] = block
     return values
+
+
+def _sum_squares(row):
+    """``sum(v * v)`` added left to right from ``0.0``."""
+    sq = 0.0
+    for v in row:
+        sq += v * v
+    return sq

@@ -74,6 +74,35 @@ def _parse_psi(text: str | None) -> PsiSpec | None:
         raise ContractError(f"bad --psi {text!r}: {exc}") from exc
 
 
+def _positive(kind):
+    """An argparse type: ``kind(text)``, rejected unless finite and > 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < float("inf"):  # also rejects nan, and compares any int
+            raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > 0, "
+                                             f"got {text!r}")
+        return value
+    parse.__name__ = f"positive {kind.__name__}"  # argparse names it on a ValueError
+    return parse
+
+
+def _parse_rule(text: str):
+    """The integrand rule of ``--rule``: ``unit``, ``prev-price`` or ``const:VALUE``."""
+    if text == "unit":
+        return lambda p, t: np.ones(p.dim)
+    if text == "prev-price":
+        return lambda p, t: p.eval(t)
+    family, _, value = text.partition(":")
+    try:
+        c = float(value)
+    except ValueError:
+        c = np.nan
+    if family != "const" or not np.isfinite(c):
+        raise ContractError(f"unknown --rule {text!r}: use unit, prev-price or const:VALUE "
+                            "with a finite VALUE")
+    return lambda p, t: np.full(p.dim, c)
+
+
 def _outdir(args) -> FsPath:
     out = FsPath(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,16 +175,7 @@ def cmd_crossings(args) -> tuple[int, list, dict]:
 def cmd_integrate(args) -> tuple[int, list, dict]:
     path = read_path_csv(args.input)
     out = _outdir(args)
-    if args.rule == "unit":
-        rule = lambda p, t: np.ones(p.dim)  # noqa: E731
-    elif args.rule == "prev-price":
-        rule = lambda p, t: p.eval(t)  # noqa: E731
-    elif args.rule.startswith("const:"):
-        c = float(args.rule.split(":", 1)[1])
-        rule = lambda p, t, c=c: np.full(p.dim, c)  # noqa: E731
-    else:
-        raise ContractError(f"unknown --rule {args.rule!r}")
-    rep = ito_integral(rule, path, n_max=args.n_max, tol=args.tol)
+    rep = ito_integral(_parse_rule(args.rule), path, n_max=args.n_max, tol=args.tol)
     with (out / "integral.csv").open("w") as fh:
         fh.write("t,integral\n")
         for t, v in zip(rep.curve.times, rep.curve.values):
@@ -424,10 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="generate a path ensemble")
     common(sp)
     sp.add_argument("--kind", default="brownian")
-    sp.add_argument("--steps", type=int, default=256)
-    sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--dim", type=int, default=1)
+    sp.add_argument("--steps", type=_positive(int), default=256)
+    sp.add_argument("--count", type=_positive(int), default=1)
+    sp.add_argument("--horizon", type=_positive(float), default=1.0)
+    sp.add_argument("--dim", type=_positive(int), default=1)
     sp.add_argument("--drift", type=float, default=0.0)
     sp.add_argument("--volatility", type=float, default=1.0)
     sp.add_argument("--jump-intensity", type=float, default=0.0)
@@ -443,14 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("qv", help="quadratic variation report for a path file")
     common(sp)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--n-max", type=int, default=12)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--n-max", type=_positive(int), default=12)
+    sp.add_argument("--tol", type=_positive(float), default=1e-8)
     sp.set_defaults(fn=cmd_qv)
 
     sp = sub.add_parser("crossings", help="level-crossing report for a path file")
     common(sp)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--h", type=float, required=True)
+    sp.add_argument("--h", type=_positive(float), required=True)
     sp.add_argument("--t", type=float, default=None)
     sp.set_defaults(fn=cmd_crossings)
 
@@ -459,18 +479,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--rule", default="prev-price",
                     help="unit | prev-price | const:VALUE")
-    sp.add_argument("--n-max", type=int, default=10)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--n-max", type=_positive(int), default=10)
+    sp.add_argument("--tol", type=_positive(float), default=1e-6)
     sp.set_defaults(fn=cmd_integrate)
 
     sp = sub.add_parser("verify", help="run theorem and bound checks")
     common(sp)
     sp.add_argument("--check", default="all",
                     choices=["all"] + sorted(VERIFY_CHECKS))
-    sp.add_argument("--count", type=int, default=200)
-    sp.add_argument("--K", type=float, default=None,
+    sp.add_argument("--count", type=_positive(int), default=200)
+    sp.add_argument("--K", type=_positive(float), default=None,
                     help="fix the wealth bound K instead of the per-path default")
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    sp.add_argument("--lambda", dest="lam", type=_positive(float), default=0.5)
     sp.add_argument("--psi", help="family:p1,p2")
     sp.add_argument("--a", type=float, default=3.0,
                     help="deviation level for the bound checks")
@@ -480,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="integrand sup bound (transform check)")
     sp.add_argument("--M", type=float, default=1.0,
                     help="path sup bound (transform check)")
-    sp.add_argument("--n-max", type=int, default=6,
+    sp.add_argument("--n-max", type=_positive(int), default=6,
                     help="quadratic-variation generations for ensemble stats")
     sp.set_defaults(fn=cmd_verify)
 
@@ -488,9 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--ensemble", choices=["continuous", "cadlag"],
                     default="continuous")
-    sp.add_argument("--count", type=int, default=50)
+    sp.add_argument("--count", type=_positive(int), default=50)
     sp.add_argument("--epsilon", type=float, default=0.25)
-    sp.add_argument("--n-max", type=int, default=6)
+    sp.add_argument("--n-max", type=_positive(int), default=6)
     sp.add_argument("--psi", help="family:p1,p2 (cadlag ensemble)")
     sp.set_defaults(fn=cmd_continuity)
 
@@ -527,7 +547,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         else:
             try:
                 value = (action.type or str)(str(value))
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ContractError(f"config key {key!r}: {exc}") from exc
             if action.choices is not None and value not in action.choices:
                 raise ContractError(f"config key {key!r}: {value!r} is not one of "
@@ -537,7 +557,10 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a malformed flag exits 2, --help and --version 0
+        return exc.code
     try:
         _apply_config_file(args, parser)
         code, checks, config = args.fn(args)

@@ -135,9 +135,10 @@ def _union_grid(path: Path, F: StepIntegrand, part_times: np.ndarray) -> np.ndar
     return np.unique(np.concatenate([F.times, part_times, [path.horizon]]))
 
 
-def _compensator_terminal(F: StepIntegrand, path: Path, part_times: np.ndarray) -> float:
-    rho = _union_grid(path, F, part_times)
-    x = integral_curve(F, path).values_at(rho)
+def _compensator_terminal(F: StepIntegrand, curve: CapitalCurve, path: Path,
+                          part_times: np.ndarray) -> float:
+    """Squared increments of ``curve``, F's integral, summed along F's and the partition's times."""
+    x = curve.values_at(_union_grid(path, F, part_times))
     return float(np.sum(np.diff(x) ** 2))
 
 
@@ -163,10 +164,11 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
     parts, _, _ = partition_ladder(path, n_max)
     rho = _union_grid(path, F, parts[-1].times)
     grid = np.unique(np.concatenate([rho, path.times]))
-    x = np.ascontiguousarray(integral_curve(F, path).values_at(grid))
+    integral = integral_curve(F, path)
+    x = np.ascontiguousarray(integral.values_at(grid))
     curve = K.qv_on_grid(x, x, np.searchsorted(grid, rho))
-    terminals = np.array([_compensator_terminal(F, path, part.times) for part in parts[:-1]]
-                         + [curve[-1]])
+    terminals = np.array([_compensator_terminal(F, integral, path, part.times)
+                          for part in parts[:-1]] + [curve[-1]])
     gap = float(abs(terminals[-1] - terminals[-2])) if n_max >= 2 else float("nan")
     return CompensatorReport(times=grid, values=curve, terminal=float(terminals[-1]),
                              per_generation=terminals, cauchy_gap=gap,
@@ -309,7 +311,8 @@ def _qv_dist(F, G, st: PathStats) -> float:
     if not (isinstance(x, StepIntegrand) and isinstance(y, StepIntegrand)):
         raise ContractError("quadratic-compensator metrics need integrand factories")
     diff = difference_integrand(x, y)
-    return math.sqrt(_compensator_terminal(diff, st.path, st.partition_times))
+    return math.sqrt(_compensator_terminal(diff, integral_curve(diff, st.path), st.path,
+                                           st.partition_times))
 
 
 def metric(name: str, F, G, ensemble, *, n_max: int = 8, epsilon: float = 0.25,
@@ -410,7 +413,7 @@ def concentration_check_continuous(F, ensemble, a: float, b: float, *,
         Fi = F(st.path)
         curve = integral_curve(Fi, st.path)
         sup = float(np.max(np.abs(curve.values)))
-        comp = _compensator_terminal(Fi, st.path, st.partition_times)
+        comp = _compensator_terminal(Fi, curve, st.path, st.partition_times)
         if sup >= a * math.sqrt(b) and comp <= b:
             hits += 1
     if n == 0:
@@ -487,7 +490,7 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
         lhs = float(np.max(np.abs(curve.values)))
         rhs = 6.0 * math.sqrt(quad) + 2.0 * hx + f_sup * math.sqrt(d) * 2.0 ** (1 - n)
         worst_slack = min(worst_slack, rhs - lhs)
-        comp = _compensator_terminal(Fi, path, st.partition_times)
+        comp = _compensator_terminal(Fi, curve, path, st.partition_times)
         if lhs >= a and f_sup <= c and st.sup_norm <= M:
             if st.qv_frobenius <= b:
                 hits += 1

@@ -30,8 +30,6 @@ BASE_CADLAG = "all-cadlag"
 BASE_CONTINUOUS = "continuous"
 BASE_NONNEGATIVE = "nonnegative"
 
-_PSI_CODES = {"constant": 0, "affine": 1, "power": 2, "table": 3}
-
 
 @dataclass(frozen=True)
 class PsiSpec:
@@ -46,7 +44,7 @@ class PsiSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in _PSI_CODES:
+        if self.family not in ("constant", "affine", "power", "table"):
             raise ContractError(f"unknown psi family {self.family!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         p = self.params
@@ -71,26 +69,29 @@ class PsiSpec:
         return arr[0::2], arr[1::2]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.family == "constant":
-            return np.broadcast_to(np.float64(self.params[0]), x.shape).copy() if x.shape else np.float64(self.params[0])
-        if self.family == "affine":
-            return self.params[0] + self.params[1] * x
-        if self.family == "power":
-            return np.where(x > 0, self.params[0] * np.power(np.maximum(x, 0.0), self.params[1]), 0.0)
-        xs, ys = self.table_arrays()
-        return np.interp(x, xs, ys)
+        """``psi(x)`` for a float or, elementwise, an array.
 
-    def kernel_args(self):
-        """(code, p0, p1, xs, ys) for the jitted evaluator."""
-        code = _PSI_CODES[self.family]
-        if self.family == "table":
+        ``power`` takes the scalar ``**`` (the C library ``pow``), which
+        NumPy's vectorized ``power`` can miss by an ulp; ``table`` finds the
+        cell ``xs[lo] <= x < xs[lo + 1]`` and lerps with weight
+        ``w = (x - xs[lo]) / (xs[lo + 1] - xs[lo])``.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        p = self.params
+        if self.family == "constant":
+            out = np.full(x.shape, p[0])
+        elif self.family == "affine":
+            out = p[0] + p[1] * x
+        elif self.family == "power":
+            out = np.array([p[0] * v ** p[1] if v > 0.0 else 0.0
+                            for v in x.ravel()]).reshape(x.shape)
+        else:
             xs, ys = self.table_arrays()
-            return code, 0.0, 0.0, xs, ys
-        p0 = self.params[0]
-        p1 = self.params[1] if len(self.params) > 1 else 0.0
-        empty = np.empty(0, np.float64)
-        return code, p0, p1, empty, empty
+            lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.shape[0] - 2)
+            w = (x - xs[lo]) / (xs[lo + 1] - xs[lo])
+            out = np.where(x <= xs[0], ys[0],
+                           np.where(x >= xs[-1], ys[-1], ys[lo] + w * (ys[lo + 1] - ys[lo])))
+        return out[()]
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": list(self.params)}

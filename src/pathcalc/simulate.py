@@ -96,13 +96,6 @@ def _grid(spec: SimSpec) -> np.ndarray:
     return np.linspace(0.0, spec.horizon, spec.steps + 1)
 
 
-def _clip_for_psi(values: np.ndarray, psi: PsiSpec | None) -> np.ndarray:
-    if psi is None:
-        return values
-    code, p0, p1, xs, ys = psi.kernel_args()
-    return K.clip_jumps(values, code, p0, p1, xs, ys)
-
-
 def simulate(spec: SimSpec, stream: int = 0) -> Path:
     """Generate one path, a pure function of ``(spec, stream)``."""
     if spec.kind == "constant":
@@ -145,8 +138,8 @@ def simulate(spec: SimSpec, stream: int = 0) -> Path:
         values[1:] = spec.x0 + np.cumsum(incr, axis=0)
         mode = spec.mode or MODE_STEP
 
-    if mode == MODE_STEP:
-        values = _clip_for_psi(values, spec.psi)
+    if mode == MODE_STEP and spec.psi is not None:
+        K.clip_jumps(values, spec.psi)
     return Path(times=times, values=values, mode=mode, horizon=spec.horizon)
 
 

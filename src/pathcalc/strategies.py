@@ -289,39 +289,46 @@ def check_weak_admissibility(rule, paths, lam: float) -> list[AdmissibilityVerdi
 # ---------------------------------------------------------------------------
 
 def _interval_trades(path: Path, a: float, b: float, K_bound: float) -> list[tuple[float, float]]:
-    """(time, new_position) changes of the one-interval strategy on a 1-d path."""
+    """(time, new_position) changes of the one-interval strategy on a 1-d path.
+
+    Step mode: the strategy is long at an event before ``gamma_K`` when the
+    long track of :func:`pathcalc._kernels._interval_tracks` is 0 there.
+
+    Linear mode: a segment from ``(ta, va)`` to ``(tb, vb)`` moves one way,
+    so a falling segment can only buy, at the fraction
+    ``s = (a - va) / (vb - va)``, and a rising one only sell, at
+    ``s = (b - va) / (vb - va)``, each at time ``ta + s (tb - ta)`` if
+    ``0 <= s <= 1`` and that time is before ``gamma_K``.  After a trade the
+    strategy waits for the other level, which needs the opposite direction,
+    so a segment trades at most once.  Each segment therefore carries a
+    fixed label (buy, sell or none), the state after a segment is the last
+    label so far, and a segment trades when its label differs from the state
+    before it.  The labels use ``s`` as computed: when rounding makes
+    ``a - va`` equal to ``vb - va`` the segment buys at ``tb`` although
+    ``vb > a`` (``Path([0, 1, 2], [2.0, 1e16, 0.5], mode="linear")`` buys at
+    t = 2 for ``a = 0``, ``b = 1``).
+    """
     gamma = gamma_K(path, K_bound)
+    t, v = path.times, path.values[:, 0]
     if path.mode == MODE_STEP:
-        upto = int(np.searchsorted(path.times, gamma))  # events before gamma
-        held = K._interval_state(path.values[:upto, 0], a, b) == 1
-        trades = [(float(path.times[e]), float(held[e]))
+        upto = int(np.searchsorted(t, gamma))  # events before gamma
+        _, m = K._interval_tracks(v[:upto], np.array([a]), np.array([b]))
+        held = m == 0
+        trades = [(float(t[e]), float(held[e]))
                   for e in np.flatnonzero(np.diff(held, prepend=False))]
         long = bool(upto) and bool(held[-1])
     else:
-        trades: list[tuple[float, float]] = []
-        long = False
-        t_cursor = 0.0
-        v = float(path.values[0, 0])
-        if v <= a and 0.0 < gamma:
-            trades.append((0.0, 1.0))
-            long = True
-        for e in range(path.n_events - 1):
-            ta, tb = float(path.times[e]), float(path.times[e + 1])
-            va, vb = float(path.values[e, 0]), float(path.values[e + 1, 0])
-            while True:
-                target = a if not long else b
-                hit = None
-                if va != vb:
-                    s = (target - va) / (vb - va)
-                    lo = max(0.0, (t_cursor - ta) / (tb - ta))
-                    if lo <= s <= 1.0 and ((not long and vb <= va) or (long and vb >= va)):
-                        hit = ta + s * (tb - ta)
-                if hit is None or hit >= gamma:
-                    break
-                trades.append((hit, 0.0 if long else 1.0))
-                long = not long
-                t_cursor = hit
-            t_cursor = tb
+        falls = v[1:] < v[:-1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = (np.where(falls, a, b) - v[:-1]) / (v[1:] - v[:-1])
+            hit = t[:-1] + s * (t[1:] - t[:-1])
+        seg = np.flatnonzero((v[1:] != v[:-1]) & (s >= 0.0) & (s <= 1.0) & (hit < gamma))
+        start = float(v[0] <= a and 0.0 < gamma)
+        state = np.concatenate(([start], falls[seg].astype(np.float64)))
+        trades = [(0.0, 1.0)] if start else []
+        trades += [(float(hit[seg[i]]), float(state[i + 1]))
+                   for i in np.flatnonzero(state[1:] != state[:-1])]
+        long = bool(state[-1])
     if long and np.isfinite(gamma) and gamma <= path.horizon:
         trades.append((gamma, 0.0))
     return trades
@@ -653,10 +660,7 @@ def bdg_weights(x) -> np.ndarray:
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     if x.ndim != 1 or x.shape[0] == 0:
         raise ContractError("need a non-empty 1-d sequence")
-    out = np.empty(max(x.shape[0] - 1, 0))
-    if out.size:
-        K.bdg_weights(x, out)
-    return out
+    return K.bdg_weights(x)
 
 
 def bdg_check(x) -> BdgResult:

@@ -7,7 +7,12 @@ direct statements of the constructions, kept unvectorized on purpose.
 
 import numpy as np
 
-from pathcalc._kernels import PSI_AFFINE, PSI_CONSTANT, PSI_POWER
+PSI_CONSTANT = 0
+PSI_AFFINE = 1
+PSI_POWER = 2
+PSI_TABLE = 3
+_PSI_CODES = {"constant": PSI_CONSTANT, "affine": PSI_AFFINE, "power": PSI_POWER,
+              "table": PSI_TABLE}
 
 
 def play_scan_py(lo, hi):
@@ -291,7 +296,20 @@ def bdg_batch_py(flat, offsets):
     return lhs, rhs
 
 
+def psi_args(psi):
+    """``(code, p0, p1, xs, ys)`` of a :class:`pathcalc.paths.PsiSpec` for :func:`psi_eval_py`."""
+    code = _PSI_CODES[psi.family]
+    if psi.family == "table":
+        xs, ys = psi.table_arrays()
+        return code, 0.0, 0.0, xs, ys
+    p0 = psi.params[0]
+    p1 = psi.params[1] if len(psi.params) > 1 else 0.0
+    empty = np.empty(0, np.float64)
+    return code, p0, p1, empty, empty
+
+
 def psi_eval_py(code, p0, p1, xs, ys, x):
+    """The jump bound psi at the scalar ``x``, one branch per family code."""
     if code == PSI_CONSTANT:
         return p0
     if code == PSI_AFFINE:

@@ -213,6 +213,17 @@ EXIT_CODE_CASES = [
     ("linear partition too long",
      {"p.csv": "t,x1\n0.0,0.0\n1.0,1000000000.0\n", "p.json": '{"mode": "linear"}'},
      ["qv", "--input", "p.csv", "--n-max", "3"], None, EXIT_CONFIG),
+    ("qv tol nan", {"p.csv": GOOD_CSV}, ["qv", "--input", "p.csv", "--tol", "nan"],
+     None, EXIT_CONFIG),
+    ("verify count negative", {}, ["verify", "--check", "bdg", "--count", "-5"],
+     None, EXIT_CONFIG),
+    ("verify K negative", {}, ["verify", "--check", "doob", "--K", "-1"], None, EXIT_CONFIG),
+    ("integrate const rule not a number", {"p.csv": GOOD_CSV},
+     ["integrate", "--input", "p.csv", "--rule", "const:abc"], None, EXIT_CONFIG),
+    ("verify lambda negative", {}, ["verify", "--check", "lift", "--lambda", "-1"],
+     None, EXIT_CONFIG),
+    ("config value not positive", {"p.csv": GOOD_CSV, "c.json": '{"tol": -1}'},
+     ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_CONFIG),
     ("missing input", {}, ["qv", "--input", "absent.csv"], None, EXIT_IO),
     ("missing config", {"p.csv": GOOD_CSV},
      ["qv", "--input", "p.csv", "--config", "absent.json"], None, EXIT_IO),

@@ -1,11 +1,15 @@
 """Every kernel agrees bit-for-bit with its per-event reference loop.
 
 The loops live in ``reference_kernels``.  The property tests pin down the
-two equivalences the vectorized kernels rest on: the play-operator scan
-reproduces the partition, linear-crossing and accumulated-upcrossing loops,
-and the interval state reproduces the greedy-crossing and Doob-position
-loops.
+equivalences the vectorized kernels rest on: the play-operator scan
+reproduces the partition, linear-crossing and accumulated-upcrossing loops;
+its interval tracks reproduce the greedy-crossing and Doob-position loops;
+the BDG row body reproduces the transform loops; and ``PsiSpec`` is the
+jump bound of the clipping loop.
 """
+
+import importlib.util
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 
 from pathcalc import _kernels as K
 from pathcalc.errors import ContractError
+from pathcalc.paths import PsiSpec
 
 import reference_kernels as R
 
@@ -22,6 +27,9 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 # Accumulated upcrossings of 2**63 at spacing 2**-52, with every level index
 # below 2**62: the counts used to wrap to -2**63.
 COUNT_PAST_INT64 = np.array([0.0, 2.0, 0.0, 512.0, 0.0, 512.0, -510.0, 512.0])
+PSI_FAMILIES = (PsiSpec("constant", (0.3,)), PsiSpec("affine", (0.05, 0.1)),
+                PsiSpec("power", (0.2, 0.5)), PsiSpec("power", (0.1, 0.7)),
+                PsiSpec("table", (0.0, 0.1, 1.0, 0.2, 3.0, 0.6)))
 
 
 def _random_step(rng, m):
@@ -68,25 +76,17 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(5)
         for _ in range(30):
             x = rng.normal(size=int(rng.integers(1, 40)))
-            assert K.bdg_core(x) == R.bdg_core_py(x)
-            h_kernel = np.empty(x.shape[0] - 1)
-            h_ref = np.empty(x.shape[0] - 1)
-            assert K.bdg_weights(x, h_kernel) == R.bdg_weights_py(x, h_ref)
-            np.testing.assert_array_equal(h_kernel, h_ref)
+            _assert_bdg_matches(x)
         seqs = [rng.normal(size=int(rng.integers(1, 30))) for _ in range(20)]
         _assert_bdg_batch_matches(seqs)
 
     def test_clip_jumps(self):
         rng = np.random.default_rng(6)
         vals = np.cumsum(rng.normal(0, 0.5, (40, 2)), axis=0)
-        for code, p0, p1, xs, ys in (
-                (K.PSI_CONSTANT, 0.3, 0.0, np.empty(0), np.empty(0)),
-                (K.PSI_AFFINE, 0.05, 0.1, np.empty(0), np.empty(0)),
-                (K.PSI_POWER, 0.2, 0.5, np.empty(0), np.empty(0)),
-                (K.PSI_TABLE, 0.0, 0.0, np.array([0.0, 1.0, 3.0]), np.array([0.1, 0.2, 0.6]))):
-            a = K.clip_jumps(vals.copy(), code, p0, p1, xs, ys)
-            b = R.clip_jumps_py(vals.copy(), code, p0, p1, xs, ys)
-            np.testing.assert_array_equal(a, b)
+        for psi in PSI_FAMILIES:
+            a = K.clip_jumps(vals.copy(), psi)
+            b = R.clip_jumps_py(vals.copy(), *R.psi_args(psi))
+            assert a.tobytes() == b.tobytes()
 
     def test_doob_positions(self):
         rng = np.random.default_rng(7)
@@ -94,6 +94,13 @@ class TestBackendEquivalence:
         a = K.doob_positions(v, -8, 8, 0.25, 0.01, 50)
         b = R.doob_positions_py(v, -8, 8, 0.25, 0.01, 50)
         np.testing.assert_array_equal(a, b)
+
+
+def _assert_bdg_matches(x):
+    assert K.bdg_core(x) == R.bdg_core_py(x)
+    h_ref = np.empty(x.shape[0] - 1)
+    assert R.bdg_weights_py(x, h_ref) == x.shape[0] - 1
+    assert K.bdg_weights(x).tobytes() == h_ref.tobytes()
 
 
 def _assert_partition_matches(times, values, n):
@@ -472,3 +479,86 @@ class TestIntervalState:
         assert up.shape == down.shape == (2 ** 20,)
         np.testing.assert_array_equal(up, ref_up)
         np.testing.assert_array_equal(down, ref_down)
+
+
+@st.composite
+def bdg_sequences(draw):
+    """Sequences of any length >= 1, with zeros, repeats and mixed magnitudes."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    xs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-4.0, 4.0), st.integers(-3, 3)),
+                       min_size=1, max_size=40))
+    return np.array(xs, dtype=np.float64) * scale
+
+
+class TestBdg:
+    @PROPERTY
+    @given(bdg_sequences())
+    @example(np.array([0.0]))
+    @example(np.array([0.0, 0.0, 2.0, -2.0]))
+    def test_core_and_weights(self, x):
+        _assert_bdg_matches(x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(bdg_sequences(), min_size=1, max_size=12))
+    def test_batch(self, seqs):
+        _assert_bdg_batch_matches(seqs)
+
+
+@st.composite
+def psi_specs(draw):
+    """A jump bound of each family, the table often with knots on a lattice."""
+    family = draw(st.sampled_from(["constant", "affine", "power", "table"]))
+    coef = st.floats(0.0, 2.0)
+    if family == "constant":
+        return PsiSpec(family, (draw(coef),))
+    if family in ("affine", "power"):
+        return PsiSpec(family, (draw(coef), draw(st.floats(0.0, 3.0))))
+    knots = draw(st.lists(st.integers(0, 40), min_size=2, max_size=6, unique=True))
+    ys = np.cumsum(draw(st.lists(st.floats(0.0, 1.0), min_size=len(knots),
+                                 max_size=len(knots))))
+    xs = np.sort(knots) * 0.25
+    return PsiSpec(family, tuple(np.column_stack([xs, ys]).ravel()))
+
+
+# running sups and knots: zero, negative, on the lattice and anywhere
+PSI_ARGUMENTS = st.one_of(st.floats(-1.0, 12.0), st.integers(-2, 48).map(lambda k: k * 0.25))
+
+
+class TestPsi:
+    @PROPERTY
+    @given(psi_specs(), st.lists(PSI_ARGUMENTS, min_size=1, max_size=20))
+    @example(PsiSpec("power", (0.1, 0.3)), [1.8739842191826488])  # np.power is an ulp off
+    @example(PsiSpec("table", (0.0, 0.02, 1.0, 0.05, 5.0, 0.1)), [0.0, 1.0, 5.0, 0.3])
+    def test_matches_the_clipping_bound(self, psi, xs):
+        # scalars and arrays alike take the reference's bits
+        ref = np.array([R.psi_eval_py(*R.psi_args(psi), np.float64(x)) for x in xs])
+        scalars = np.array([psi(x) for x in xs])
+        assert scalars.tobytes() == ref.tobytes()
+        assert psi(np.array(xs)).tobytes() == ref.tobytes()
+        grid = np.array(xs).reshape(-1, 1)[:, [0, 0]]
+        assert psi(grid).tobytes() == np.repeat(ref, 2).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(psi_specs(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 2, 7, K._CLIP_BLOCK]))
+    def test_clip_jumps(self, psi, dim, seed, block):
+        # events are converted in blocks; small blocks put many clips on
+        # block boundaries
+        rng = np.random.default_rng(seed)
+        vals = np.cumsum(rng.normal(0, 0.5, (int(rng.integers(1, 60)), dim)), axis=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(K, "_CLIP_BLOCK", block)
+            a = K.clip_jumps(vals.copy(), psi)
+        b = R.clip_jumps_py(vals.copy(), *R.psi_args(psi))
+        assert a.tobytes() == b.tobytes()
+
+
+def test_traced_kernel_names_resolve():
+    """Every kernel the benchmark tracer wraps, and the backend flag, exists."""
+    file = FsPath(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace_names", file)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    missing = [name for name in bench_trace.KERNEL_LAYERS if not hasattr(K, name)]
+    assert missing == []
+    assert hasattr(K, "NUMBA_ENABLED")

@@ -119,9 +119,11 @@ class TestPartition1d:
 
     @pytest.mark.parametrize("mode", ["step", "linear"])
     def test_level_index_beyond_int64_rejected(self, mode):
-        # 1e6 * 2**52 is past 2**62: the level index would not be exact
+        # 1e6 * 2**52 is past 2**62: the level index would not be exact.  A
+        # linear root needs the level as an exact float64, so linear mode
+        # stops at 2**53 already.
         p = Path(times=[0.0, 1.0, 2.0], values=[1e6, 1e6 + 0.5, 1e6 - 0.25], mode=mode)
-        with pytest.raises(ContractError, match="2\\*\\*62"):
+        with pytest.raises(ContractError, match="2\\*\\*" + ("62" if mode == "step" else "53")):
             lebesgue_partition_1d(p, 52)
         assert lebesgue_partition_1d(p, 2).level_indices[0] == 4_000_000
 
@@ -271,21 +273,43 @@ class TestNestingLemma:
     @pytest.mark.parametrize("mode", ["step", "linear"])
     def test_level_indices_beyond_2_53(self, mode):
         # near 5 the generation-52 indices lie between 2**54 and 2**55, where
-        # float64 holds only multiples of 4.  A linear partition also crosses
-        # the levels 4k + 2 between the values, and halving those through
-        # float64 would skip the coarse level 2k + 1.
+        # float64 holds only multiples of 4, so halving them through float64
+        # would be inexact.  A linear partition would cross the levels
+        # 4k + 2 between the values, whose roots float64 cannot place, so
+        # linear mode rejects the path instead.
         ulp = 2.0 ** -50
         p = Path([0.0, 1.0, 2.0, 3.0], [5.0, 5.0 + 8 * ulp, 5.0 + ulp, 5.0 + 5 * ulp],
                  mode=mode)
+        if mode == "linear":
+            for build in (lebesgue_partition_1d, partition_ladder):
+                with pytest.raises(ContractError, match="2\\*\\*53"):
+                    build(p, 52)
+            return
         fine = lebesgue_partition_1d(p, 52)
         assert fine.level_indices.min() > 2 ** 54
-        assert np.any(fine.level_indices % 4 == 2) == (mode == "linear")
         parts, _, _ = partition_ladder(p, 52)
         for n in range(52, 0, -1):
             _assert_same_partition(fine, lebesgue_partition_1d(p, n))
             assert parts[n - 1].times.tobytes() == fine.times.tobytes()
             if n > 1:
                 fine, _ = _coarsen(fine)
+
+
+@st.composite
+def linear_paths_near_2_53(draw):
+    """``(path, n)``: a linear path at generation n >= 46 with few crossings.
+
+    The values step by a few levels from a base whose scaled magnitude lies
+    on either side of ``2**53``.
+    """
+    n = draw(st.integers(46, 52))
+    base = draw(st.sampled_from([0.5, 1.0, 1.9990234375, 2.0, 3.0, 100.0, 127.75]))
+    m = draw(st.integers(1, 20))
+    steps = draw(st.lists(st.integers(-16, 16), min_size=m, max_size=m))
+    values = draw(st.sampled_from([1.0, -1.0])) * base + np.array(steps) * 2.0 ** -n
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    return Path(times, values, mode="linear", horizon=times[-1] + 1.0), n
 
 
 class TestLinearCap:
@@ -302,11 +326,26 @@ class TestLinearCap:
             lebesgue_partition_1d(p, 40)
 
     def test_count_beyond_int64_rejected(self):
-        # sum |dj| at n = 52 is exactly 2**64, which used to wrap to a count
-        # of 1; the fill kernel then crashed the interpreter
-        p = Path([0.0, 1.0, 2.0, 3.0], [0.0, 1000.0, -1000.0, 96.0], mode="linear")
+        # at n = 52 each segment crosses about 2**54 levels, so sum |dj| over
+        # 599 of them passes 2**63; a wrapped count used to crash the fill
+        # kernel
+        values = np.where(np.arange(600) % 2 == 0, 1.9990234375, -1.9990234375)
+        p = Path(np.arange(600.0), values, mode="linear")
         with pytest.raises(ContractError, match="2\\*\\*63"):
             lebesgue_partition_1d(p, 52)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(linear_paths_near_2_53())
+    @example((Path([0.0, 1.0], [3.0, 3.0 + 8 * 2.0 ** -51], mode="linear"), 52))
+    def test_times_strictly_increase(self, case):
+        # above 2**53 two adjacent levels would round to one float64 level
+        # and share a root; there the build is rejected
+        path, n = case
+        if np.max(np.abs(path.values)) * 2.0 ** n >= 2.0 ** 53:
+            with pytest.raises(ContractError, match="2\\*\\*53"):
+                lebesgue_partition_1d(path, n)
+        else:
+            assert np.all(np.diff(lebesgue_partition_1d(path, n).times) > 0)
 
     def test_cap_is_inclusive(self, monkeypatch):
         p = Path(times=[0.0, 1.0], values=[0.0, 1.0], mode="linear")  # 1 + 2^n points

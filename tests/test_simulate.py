@@ -68,6 +68,7 @@ class TestMembershipInvariant:
         PsiSpec("constant", (0.05,)),
         PsiSpec("affine", (0.01, 0.1)),
         PsiSpec("power", (0.05, 0.5)),
+        PsiSpec("power", (0.1, 0.7)),
         PsiSpec("table", (0.0, 0.02, 1.0, 0.05, 5.0, 0.1)),
     ])
     def test_jump_paths_pass_their_psi(self, psi):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathcalc import ContractError, Path, PsiSpec
 from pathcalc.partitions import SENTINEL, crossings, crossings_accumulated
@@ -27,9 +29,11 @@ from pathcalc.strategies import (
     lift_budget,
     rho_lambda,
     admissibility_lift,
+    _interval_trades,
 )
 
 from conftest import random_step_path
+from reference_loops import interval_trades_py
 
 PSI0 = PsiSpec("constant", (0.0,))
 PSI1 = PsiSpec("constant", (1.0,))
@@ -128,7 +132,45 @@ class TestAdmissibility:
         assert v.ok and v.rho == 1.0
 
 
+@st.composite
+def interval_cases(draw):
+    """``(path, a, b, K)``: a step or linear path and one interval strategy.
+
+    Lattice values are multiples of 0.25 and so hit ``a``, ``b`` and ``K``
+    exactly; linear paths also get flat segments and segment ends on a level.
+    """
+    m = draw(st.integers(1, 25))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m))) * 0.25
+        a = draw(st.integers(-8, 8)) * 0.25
+        b = a + draw(st.integers(1, 4)) * 0.25
+    else:
+        values = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+        a = draw(st.floats(-3.0, 3.0))
+        b = a + draw(st.floats(1e-3, 3.0))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    mode = draw(st.sampled_from(["step", "linear"]))
+    K_bound = draw(st.sampled_from([0.5, 1.0, 2.25, 3.0, 100.0]))
+    return Path(times, values, mode=mode, horizon=times[-1] + 1.0), a, b, K_bound
+
+
 class TestDoobInterval:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(interval_cases())
+    @example((Path([0.0, 1.0, 2.0], [2.0, 1e16, 0.5], mode="linear"), 0.0, 1.0, 1e20))
+    @example((Path([0.0, 1.0, 2.0], [0.5, -0.5, 0.5], mode="linear"), 0.0, 0.25, 100.0))
+    def test_trades_match_the_state_machine(self, case):
+        path, a, b, K_bound = case
+        trades = _interval_trades(path, a, b, K_bound)
+        ref = interval_trades_py(path, a, b, K_bound)
+        assert np.array(trades).tobytes() == np.array(ref).tobytes()
+
+    def test_linear_rounding_decides_the_trade(self):
+        # 0.5 - 1e16 rounds to -1e16, so the fraction to a = 0 is exactly 1
+        p = Path([0.0, 1.0, 2.0], [2.0, 1e16, 0.5], mode="linear")
+        assert _interval_trades(p, 0.0, 1.0, 1e20) == [(2.0, 1.0)]
+
     def test_p1_round_trip(self, p1):
         rule = doob_interval_strategy(0.0, 0.5, 2.0, PSI0)
         realized = rule.realize(p1)
