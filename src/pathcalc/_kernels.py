@@ -44,8 +44,10 @@ path at n = 10 needs 3 of the 17); only a path that stays inside one cell
 ``(k, k + 1)`` keeps every prefix open and pays the full ``ceil(log2(m))``
 passes, O(m log m).
 
-``qv_on_grid`` finds each grid point's last partition point as a running
-count of ``np.bincount`` of the partition positions, in one O(grid) pass.
+``qv_on_grid`` finds each grid point's last partition point once per
+generation, in one O(grid) ``np.repeat`` of the partition indices, and takes
+each coordinate's tail from that point once; a pair's curve is then one
+cumulative sum and one product of two tails.
 The pathwise BDG kernels share one row body, :func:`_bdg_rows`.
 
 Each vectorized kernel returns exactly the bits of the per-event loop it
@@ -151,17 +153,17 @@ def _accumulate(steps):
     return total
 
 
-def partition_step(times, values, scale):
-    """Dyadic-crossing times of a 1-d step path.
+def partition_step(values, scale):
+    """Dyadic-crossing events of a 1-d step path.
 
-    ``scale = 2.0**n``.  Returns ``(tau, level_idx, count)``: the events
-    where the tracked level index changes, with ``tau[0] = times[0]`` and
-    ``level_idx[0]`` the largest index with ``j * 2**-n <= values[0]``.  The
-    arrays have exactly ``count`` entries.
+    ``scale = 2.0**n``.  Returns ``(idx, level_idx)``: the indices of the
+    events where the tracked level index changes, ``idx[0] = 0``, and the
+    index there, ``level_idx[0]`` the largest index with
+    ``j * 2**-n <= values[0]``.  The partition times are ``times[idx]``.
     """
     j, _ = _play_tracks(values * scale)
     idx = _switches(j)
-    return times[idx], j[idx], idx.shape[0]
+    return idx, j[idx]
 
 
 def partition_coarsen(level_idx):
@@ -224,24 +226,53 @@ def partition_linear_fill(times, values, scale, out_t, out_j):
 # Discrete quadratic variation along a partition, evaluated on a grid
 # ---------------------------------------------------------------------------
 
-def qv_on_grid(si, sj, part_pos):
-    """``Q_t = sum_k (S^i increments)(S^j increments)`` with partial tail.
+def qv_on_grid(x, part_pos):
+    """``Q_t = sum_k (S^a increments)(S^b increments)`` with partial tail, every pair.
 
-    ``si``/``sj`` are coordinate values on a sorted evaluation grid that
-    contains every partition time; ``part_pos`` are the grid positions of the
-    partition times (``part_pos[0] == 0``).  ``np.cumsum`` adds strictly left
-    to right from the leading ``0.0``, so every partial sum rounds as a
-    running accumulator would; a repeated position contributes ``+0.0``.
-    Grid point ``g`` takes the sum up to the last partition point at or
-    before it plus the partial tail.  That point's rank is the number of
-    partition positions ``<= g`` minus one, a running count of
-    ``np.bincount(part_pos)``, in one O(grid) pass.
+    ``x`` holds the ``d`` coordinates, shape ``(G, d)``, on a sorted
+    evaluation grid that contains every partition time; ``part_pos`` are the
+    sorted grid positions of the partition times (``part_pos[0] == 0``).
+    Returns shape ``(d (d + 1) / 2, G)``: row ``r`` is the curve of the
+    ``r``-th pair ``(a, b)``, ``a <= b``, in the order ``(0, 0), (0, 1), ..,
+    (d - 1, d - 1)``.  ``np.cumsum`` adds strictly left to right from the
+    leading ``0.0``, so every partial sum rounds as a running accumulator
+    would; a repeated position contributes ``+0.0``.  Grid point ``g`` takes
+    the sum up to the last partition point at or before it plus the partial
+    tail.  That point's rank ``kp`` repeats partition index ``k`` over the
+    grid points from ``part_pos[k]`` up to the next position (none for a
+    repeated one).  It depends on the partition only, so it is formed once
+    per call, as is each coordinate's tail ``S^a - S^a[part_pos[kp]]``; a
+    pair then costs one cumulative sum, one gather and one product of two
+    tails.  The gathers write into preallocated rows; their indices are in
+    range, so ``mode="clip"`` never clips and only keeps ``take`` from
+    buffering its output.
     """
-    ai = si[part_pos]
-    aj = sj[part_pos]
-    acc = np.cumsum(np.concatenate(([0.0], (ai[1:] - ai[:-1]) * (aj[1:] - aj[:-1]))))
-    kp = np.cumsum(np.bincount(part_pos, minlength=si.shape[0])) - 1
-    return acc[kp] + (si - ai[kp]) * (sj - aj[kp])
+    grid_size, d = x.shape
+    npart = part_pos.shape[0]
+    gaps = np.empty(npart, np.int64)  # grid points from each partition point to the next
+    np.subtract(part_pos[1:], part_pos[:-1], out=gaps[:-1])
+    gaps[-1] = grid_size - part_pos[-1]
+    kp = np.arange(npart).repeat(gaps)
+    tails = np.empty((d, grid_size))
+    incr = []
+    for a in range(d):
+        col = x[:, a]
+        at = col[part_pos]
+        incr.append(at[1:] - at[:-1])
+        np.subtract(col, at.take(kp, out=tails[a], mode="clip"), out=tails[a])
+    out = np.empty((d * (d + 1) // 2, grid_size))
+    prod = np.empty(grid_size)
+    acc = np.empty(npart)
+    r = 0
+    for a in range(d):
+        for b in range(a, d):
+            acc[0] = 0.0
+            np.multiply(incr[a], incr[b], out=acc[1:])
+            acc.cumsum(out=acc)
+            acc.take(kp, out=out[r], mode="clip")
+            out[r] += np.multiply(tails[a], tails[b], out=prod)
+            r += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

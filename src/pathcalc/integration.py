@@ -166,7 +166,7 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
     grid = np.unique(np.concatenate([rho, path.times]))
     integral = integral_curve(F, path)
     x = np.ascontiguousarray(integral.values_at(grid))
-    curve = K.qv_on_grid(x, x, np.searchsorted(grid, rho))
+    curve = K.qv_on_grid(x[:, None], np.searchsorted(grid, rho))[0]
     terminals = np.array([_compensator_terminal(F, integral, path, part.times)
                           for part in parts[:-1]] + [curve[-1]])
     gap = float(abs(terminals[-1] - terminals[-2])) if n_max >= 2 else float("nan")

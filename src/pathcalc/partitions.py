@@ -81,21 +81,26 @@ class LebesguePartition:
     ``j * 2**-generation``); it is ``None`` for multi-dimensional partitions,
     which only carry times.  ``finite`` records that the recursion exhausted
     the path before the horizon, which always holds for finite event tables.
+    ``event_indices`` locates the points in the path's event table: a 1-d
+    step partition switches only at events, so it carries them; other
+    partitions hold ``None``.
     """
 
     generation: int
     times: np.ndarray
     level_indices: np.ndarray | None = None
     finite: bool = True
+    event_indices: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        if self.level_indices is not None:
-            idx = np.ascontiguousarray(np.asarray(self.level_indices, dtype=np.int64))
-            idx.flags.writeable = False
-            object.__setattr__(self, "level_indices", idx)
+        for name in ("level_indices", "event_indices"):
+            if getattr(self, name) is not None:
+                idx = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.int64))
+                idx.flags.writeable = False
+                object.__setattr__(self, name, idx)
 
     @property
     def levels(self) -> np.ndarray | None:
@@ -117,11 +122,11 @@ def lebesgue_partition_1d(path: Path, n: int) -> LebesguePartition:
     _check_generation(n)
     if path.dim != 1:
         raise ContractError("lebesgue_partition_1d needs a 1-dimensional path")
+    if path.mode == MODE_STEP:
+        idx, level_idx = K.partition_step(path.values[:, 0], 2.0 ** int(n))
+        return LebesguePartition(int(n), path.times[idx], level_idx, event_indices=idx)
     scale = 2.0 ** int(n)
     values = path.values[:, 0]
-    if path.mode == MODE_STEP:
-        out_t, out_j, cnt = K.partition_step(path.times, values, scale)
-        return LebesguePartition(int(n), out_t[:cnt].copy(), out_j[:cnt].copy())
     cnt = K.partition_linear_count(path.times, values, scale)
     if cnt > MAX_LINEAR_POINTS:
         raise ContractError(f"generation {n} crosses {cnt} levels, more than "
@@ -153,7 +158,8 @@ def _coarsen(part: LebesguePartition) -> tuple[LebesguePartition, np.ndarray]:
     either mode (see the nesting lemma in the module docstring).
     """
     sel, idx = K.partition_coarsen(part.level_indices)
-    return LebesguePartition(part.generation - 1, part.times[sel], idx), sel
+    events = None if part.event_indices is None else part.event_indices[sel]
+    return LebesguePartition(part.generation - 1, part.times[sel], idx, event_indices=events), sel
 
 
 def lebesgue_partition_nd(path: Path, n: int) -> LebesguePartition:
@@ -183,15 +189,23 @@ def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], n
     :func:`_coarsen`, and its positions are the fine ones at the points it
     keeps.  A d-dimensional generation holds the grid points at which any
     of its components has a point.  By nesting, the grid is the union of the
-    event times and generation ``n_max``.
+    event times and generation ``n_max``.  In step mode every partition time
+    is an event time, so the grid is the event table ``path.times`` itself
+    and the finest positions are the event indices at which the scan's
+    track switches (``event_indices``): no union and no search is made.
     """
     if not 1 <= int(n_max) <= MAX_GENERATION:
         raise ContractError(f"n_max must be in 1..{MAX_GENERATION}, got {n_max}")
+    n_max = int(n_max)
     pieces = [lebesgue_partition_1d(c, n_max) for c in _components(path)]
-    grid = np.unique(np.concatenate([path.times] + [p.times for p in pieces]))
-    pos = [np.searchsorted(grid, p.times) for p in pieces]
+    if path.mode == MODE_STEP:
+        grid = path.times
+        pos = [p.event_indices for p in pieces]
+    else:
+        grid = np.unique(np.concatenate([path.times] + [p.times for p in pieces]))
+        pos = [np.searchsorted(grid, p.times) for p in pieces]
     parts, positions = [], []
-    for n in range(int(n_max), 0, -1):
+    for n in range(n_max, 0, -1):
         if n < n_max:
             derived = [_coarsen(p) for p in pieces]
             pieces = [coarse for coarse, _ in derived]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -276,6 +277,16 @@ def write_path_csv(path: Path, csv_file, sidecar: dict | None = None):
         fh.write("\n")
 
 
+def _finite_number(x) -> bool:
+    """Whether a JSON value is a number (not a boolean) with a finite float64 value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond float64
+        return False
+
+
 def read_path_csv(csv_file) -> Path:
     """Read a path written by :func:`write_path_csv` (sidecar optional)."""
     csv_file = FsPath(csv_file)
@@ -287,6 +298,8 @@ def read_path_csv(csv_file) -> Path:
     if not rows or rows[0][:1] != ["t"]:
         raise ContractError(f"{csv_file}: expected header t,x1,...,xd")
     width = len(rows[0])
+    if width < 2:
+        raise ContractError(f"{csv_file}: no value column after t")
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise ContractError(f"{csv_file}:{line}: {len(row)} cells, the header has {width}")
@@ -309,4 +322,8 @@ def read_path_csv(csv_file) -> Path:
             raise ContractError(f"{sidecar}: expected a JSON object")
         mode = meta.get("mode", MODE_STEP)
         horizon = meta.get("horizon")
+        if not isinstance(mode, str):
+            raise ContractError(f"{sidecar}: mode must be a string, got {mode!r}")
+        if horizon is not None and not _finite_number(horizon):
+            raise ContractError(f"{sidecar}: horizon must be a finite number, got {horizon!r}")
     return Path(times=data[:, 0], values=data[:, 1:], mode=mode, horizon=horizon)

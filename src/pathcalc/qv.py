@@ -27,6 +27,11 @@ from .paths import MODE_STEP, Path, PsiSpec
 Q0_CONVENTION = "Q^0 := 0, so Z^1 = Q^1"
 
 
+def _pairs(d: int) -> list[tuple[int, int]]:
+    """Coordinate pairs ``(a, b)``, ``a <= b``, in the row order of ``qv_on_grid``."""
+    return [(a, b) for a in range(d) for b in range(a, d)]
+
+
 def _positions(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(grid, times)
     return np.ascontiguousarray(pos.astype(np.int64))
@@ -95,32 +100,32 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
     The grid is the union of event times and every generation's partition
     times, which makes the sup-norms ``z_sup`` exact for step paths (and for
     linear paths too: ``Z^n`` is affine between consecutive grid points).
+    In step mode it is the event table, so the values on it are
+    ``path.values``.
     """
     if tol <= 0:
         raise ContractError("tol must be > 0")
     partitions, grid, positions = partition_ladder(path, n_max)
     d = path.dim
-    vals = path.eval(grid)
+    vals = path.values if path.mode == MODE_STEP else path.eval(grid)
 
-    cols = [np.ascontiguousarray(vals[:, a]) for a in range(d)]
-    pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    prev = {pair: np.zeros(len(grid)) for pair in pairs}
+    pairs = _pairs(d)
+    prev = np.zeros((len(pairs), len(grid)))  # Q^0; spent, it holds |Q^n - Q^{n-1}|
     z_sup = np.empty(n_max)
     qv_terminal = np.empty((n_max, d, d))
     qv_paths: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     for n, (part, pos) in enumerate(zip(partitions, positions), start=1):
-        cur = {}
+        cur = K.qv_on_grid(vals, pos)
         worst = 0.0
-        for (a, b) in pairs:
-            q = K.qv_on_grid(cols[a], cols[b], pos)
-            cur[(a, b)] = q
-            worst = max(worst, float(np.max(np.abs(q - prev[(a, b)]))))
+        for q, p, (a, b) in zip(cur, prev, pairs):
+            np.abs(np.subtract(q, p, out=p), out=p)
+            worst = max(worst, float(p.max()))
             qv_terminal[n - 1, a, b] = qv_terminal[n - 1, b, a] = q[-1]
         z_sup[n - 1] = worst
         if keep_generations or n == n_max:
             qp = np.empty((len(pos), d, d))
-            for (a, b), q in cur.items():
+            for q, (a, b) in zip(cur, pairs):
                 qp[:, a, b] = qp[:, b, a] = q[pos]
             qv_paths[n] = (part.times, qp)
         prev = cur
@@ -160,8 +165,8 @@ def _z_data(path: Path, n: int, extra_times=()):
     grid = np.unique(np.concatenate([path.times, pn.times,
                                      np.asarray(extra_times, dtype=np.float64)]))
     v = np.ascontiguousarray(path.eval(grid)[:, 0])
-    qn = K.qv_on_grid(v, v, _positions(grid, pn.times))
-    qn1 = K.qv_on_grid(v, v, _positions(grid, pn1.times)) if pn1 is not None else 0.0
+    qn = K.qv_on_grid(v[:, None], _positions(grid, pn.times))[0]
+    qn1 = K.qv_on_grid(v[:, None], _positions(grid, pn1.times))[0] if pn1 is not None else 0.0
     return grid, v, qn - qn1, pn, pn1
 
 
@@ -185,7 +190,7 @@ def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float
     if K_bound < 1:
         raise ContractError("K must be a positive integer")
     grid, _, z, pn, _ = _z_data(path, n, extra_times=[t])
-    sumsq = K.qv_on_grid(z, z, _positions(grid, pn.times))
+    sumsq = K.qv_on_grid(z[:, None], _positions(grid, pn.times))[0]
     it = int(np.searchsorted(grid, t))
     return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(sumsq[it])
 
@@ -237,18 +242,16 @@ def jump_identity_check(path: Path, report: QVReport, tolerance: float = 1e-9) -
     """
     if path.mode != MODE_STEP:
         return JumpIdentityReport(ok=True, max_discrepancy=0.0, tolerance=tolerance)
-    grid = np.unique(np.concatenate([path.times, report.limit_times]))
-    vals = path.eval(grid)
-    pos = _positions(grid, report.limit_times)
-    g = np.searchsorted(grid, path.times[1:])
+    # every limit time is an event time, so the grid is the event table
+    pos = _positions(path.times, report.limit_times)
+    if not np.array_equal(path.times[np.minimum(pos, path.n_events - 1)], report.limit_times):
+        raise ContractError("the report's limit times are not this path's event times")
+    q = K.qv_on_grid(path.values, pos)
     dv = np.diff(path.values, axis=0)
     worst = 0.0
-    for a in range(path.dim):
-        for b in range(a, path.dim):
-            q = K.qv_on_grid(np.ascontiguousarray(vals[:, a]),
-                             np.ascontiguousarray(vals[:, b]), pos)
-            worst = max(worst, float(np.max(np.abs(q[g] - q[g - 1] - dv[:, a] * dv[:, b]),
-                                            initial=0.0)))
+    for curve, (a, b) in zip(q, _pairs(path.dim)):
+        worst = max(worst, float(np.max(np.abs(np.diff(curve) - dv[:, a] * dv[:, b]),
+                                        initial=0.0)))
     return JumpIdentityReport(ok=worst <= tolerance, max_discrepancy=worst, tolerance=tolerance)
 
 

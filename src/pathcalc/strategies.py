@@ -288,8 +288,11 @@ def check_weak_admissibility(rule, paths, lam: float) -> list[AdmissibilityVerdi
 # Buy-low / sell-high interval strategies and the dyadic aggregate
 # ---------------------------------------------------------------------------
 
-def _interval_trades(path: Path, a: float, b: float, K_bound: float) -> list[tuple[float, float]]:
+def _interval_trades(path: Path, a: float, b: float, gamma: float) -> list[tuple[float, float]]:
     """(time, new_position) changes of the one-interval strategy on a 1-d path.
+
+    ``gamma`` is the path's ``gamma_K``, which the caller computes once for
+    every interval it trades.
 
     Step mode: the strategy is long at an event before ``gamma_K`` when the
     long track of :func:`pathcalc._kernels._interval_tracks` is 0 there.
@@ -308,7 +311,6 @@ def _interval_trades(path: Path, a: float, b: float, K_bound: float) -> list[tup
     ``vb > a`` (``Path([0, 1, 2], [2.0, 1e16, 0.5], mode="linear")`` buys at
     t = 2 for ``a = 0``, ``b = 1``).
     """
-    gamma = gamma_K(path, K_bound)
     t, v = path.times, path.values[:, 0]
     if path.mode == MODE_STEP:
         upto = int(np.searchsorted(t, gamma))  # events before gamma
@@ -363,7 +365,8 @@ def doob_interval_strategy(a: float, b: float, K_bound: float, psi: PsiSpec) -> 
     def evaluate(path: Path) -> RealizedStrategy:
         if path.dim != 1:
             raise ContractError("interval strategies act on 1-d paths")
-        return _strategy_from_trades(_interval_trades(path, a, b, K_bound), path.horizon)
+        return _strategy_from_trades(_interval_trades(path, a, b, gamma_K(path, K_bound)),
+                                     path.horizon)
 
     return StrategyRule(kind="doob-interval",
                         params={"a": a, "b": b, "K": K_bound, "psi": psi.to_json()},
@@ -407,11 +410,11 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
                                    klo, khi, spacing, weight, gidx)
             times = np.append(path.times, np.inf)
             return RealizedStrategy(times=times, positions=pos)
-        total: dict[float, float] = {}
+        gamma = gamma_K(path, K_bound)
         change_times: set[float] = set()
         per_interval = []
         for k in range(klo, khi + 1):
-            trades = _interval_trades(path, k * spacing, (k + 1) * spacing, K_bound)
+            trades = _interval_trades(path, k * spacing, (k + 1) * spacing, gamma)
             per_interval.append(trades)
             change_times.update(t for t, _ in trades)
         times = np.array(sorted({0.0} | change_times))
@@ -515,7 +518,7 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     cut = min(gamma, sigma)
 
     fine_pos = np.searchsorted(grid, fine.times)
-    sumsq = K.qv_on_grid(z, z, fine_pos)
+    sumsq = K.qv_on_grid(z[:, None], fine_pos)[0]
 
     # realized positions on (tau_k, tau_{k+1} ^ cut]
     s_tau = v[fine_pos]

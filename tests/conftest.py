@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pathcalc import Path
 
@@ -26,3 +27,28 @@ def random_step_path(rng: np.random.Generator, n_events=12, dim=1, min_jump=0.05
     values[0] = rng.uniform(-0.5, 0.5, dim)
     values[1:] = values[0] + np.cumsum(jumps[1:], axis=0)
     return Path(times=times, values=values, mode="step", horizon=horizon)
+
+
+@st.composite
+def ladder_paths(draw):
+    """``(path, n_max)``: step or linear, d = 1..3, values often on dyadic levels.
+
+    Level values are multiples of ``2**-k`` for some ``k <= n_max``, so they
+    sit on the levels of generation k and of every finer one.  Linear
+    partitions hold one point per level crossed, so their values stay small.
+    """
+    mode = draw(st.sampled_from(["step", "linear"]))
+    n_max = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        k = draw(st.integers(max(0, n_max - 4) if mode == "linear" else 0, n_max))
+        ints = draw(st.lists(st.integers(-64, 64), min_size=m * d, max_size=m * d))
+        values = np.array(ints, dtype=np.float64) * 2.0 ** -k
+    else:
+        bound = min(2.0, 2.0 ** (8 - n_max)) if mode == "linear" else 512.0
+        values = np.array(draw(st.lists(st.floats(-bound, bound), min_size=m * d,
+                                        max_size=m * d)))
+    gaps = draw(st.lists(st.floats(0.001, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    return Path(times, values.reshape(m, d), mode=mode, horizon=times[-1] + 1.0), n_max

@@ -2,6 +2,9 @@
 
 ``approximate_caglad_py`` calls the rule once per partition time, with the
 time as a Python float; ``ito_integral_py`` integrates each generation of it.
+``qv_limit_py`` builds every generation directly, takes the grid as the
+union of the events and every generation, locates each generation on it by
+search and runs ``qv_on_grid_py`` once per coordinate pair and generation.
 ``jump_identity_worst_py`` is the event-by-event discrepancy of
 ``qv.jump_identity_check``.  ``interval_trades_py`` runs the buy-low/sell-high
 state machine of ``strategies._interval_trades`` event by event, and in
@@ -11,12 +14,13 @@ them on whole arrays and must return exactly these bits.
 
 import numpy as np
 
-from pathcalc import _kernels as K
 from pathcalc.integration import ItoIntegralReport, StepIntegrand, integral_curve
 from pathcalc.partitions import lebesgue_partition_nd
 from pathcalc.paths import MODE_STEP
 from pathcalc.qv import QVReport
 from pathcalc.strategies import CapitalCurve, gamma_K
+
+from reference_kernels import qv_on_grid_py
 
 
 def approximate_caglad_py(rule, path, n):
@@ -48,6 +52,54 @@ def ito_integral_py(rule, path, n_max, tol=1e-6):
                              generation_gaps=gaps, converged=converged, tol=tol)
 
 
+def qv_limit_py(path, n_max, tol=1e-8, keep_generations=True):
+    """``qv.qv_limit`` with one reference curve per coordinate pair and generation."""
+    partitions = [lebesgue_partition_nd(path, n) for n in range(1, n_max + 1)]
+    grid = np.unique(np.concatenate([path.times] + [part.times for part in partitions]))
+    positions = [np.searchsorted(grid, part.times) for part in partitions]
+    d = path.dim
+    vals = path.eval(grid)
+
+    cols = [np.ascontiguousarray(vals[:, a]) for a in range(d)]
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    prev = {pair: np.zeros(len(grid)) for pair in pairs}
+    z_sup = np.empty(n_max)
+    qv_terminal = np.empty((n_max, d, d))
+    qv_paths = {}
+
+    for n, (part, pos) in enumerate(zip(partitions, positions), start=1):
+        cur = {}
+        worst = 0.0
+        for (a, b) in pairs:
+            q = qv_on_grid_py(cols[a], cols[b], pos)
+            cur[(a, b)] = q
+            worst = max(worst, float(np.max(np.abs(q - prev[(a, b)]))))
+            qv_terminal[n - 1, a, b] = qv_terminal[n - 1, b, a] = q[-1]
+        z_sup[n - 1] = worst
+        if keep_generations or n == n_max:
+            qp = np.empty((len(pos), d, d))
+            for (a, b), q in cur.items():
+                qp[:, a, b] = qp[:, b, a] = q[pos]
+            qv_paths[n] = (part.times, qp)
+        prev = cur
+    limit_times, limit_values = qv_paths[n_max]
+
+    hits = np.flatnonzero(z_sup[1:] < tol)
+    converged_at = int(hits[0]) + 2 if hits.size else None
+
+    return QVReport(
+        dim=d, n_max=n_max, tol=tol,
+        generations=list(range(1, n_max + 1)),
+        z_sup=z_sup, qv_terminal=qv_terminal,
+        limit_times=limit_times, limit_values=limit_values,
+        terminal=qv_terminal[n_max - 1].copy(),
+        cauchy_tol_met=bool(z_sup[n_max - 1] < tol),
+        converged_at=converged_at,
+        qv_paths=qv_paths,
+        partition=partitions[-1],
+    )
+
+
 def jump_identity_worst_py(path, report: QVReport):
     """``max |jump of Q^{a,b} - (jump of S^a)(jump of S^b)|`` over events and pairs."""
     grid = np.unique(np.concatenate([path.times, report.limit_times]))
@@ -60,7 +112,7 @@ def jump_identity_worst_py(path, report: QVReport):
         for b in range(a, d):
             va = np.ascontiguousarray(vals[:, a])
             vb = np.ascontiguousarray(vals[:, b])
-            curves[(a, b)] = K.qv_on_grid(va, vb, pos)
+            curves[(a, b)] = qv_on_grid_py(va, vb, pos)
     event_idx = np.searchsorted(grid, path.times[1:])
     dv = np.diff(path.values, axis=0)
     for e, g in enumerate(event_idx):

@@ -192,6 +192,14 @@ EXIT_CODE_CASES = [
     ("empty csv", {"p.csv": ""}, ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
     ("malformed sidecar json", {"p.csv": GOOD_CSV, "p.json": "{mode"},
      ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("csv without value column", {"p.csv": "t\n0.0\n1.0\n"},
+     ["integrate", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("sidecar horizon not a number", {"p.csv": GOOD_CSV, "p.json": '{"horizon": "soon"}'},
+     ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("sidecar horizon infinite", {"p.csv": GOOD_CSV, "p.json": '{"horizon": Infinity}'},
+     ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("sidecar mode not a string", {"p.csv": GOOD_CSV, "p.json": '{"mode": ["step"]}'},
+     ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
     ("malformed config json", {"p.csv": GOOD_CSV, "c.json": "{n-max"},
      ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_CONFIG),
     ("config not an object", {"c.json": "[1, 2]"},

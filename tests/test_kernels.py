@@ -58,8 +58,7 @@ class TestBackendEquivalence:
         v = np.cumsum(rng.normal(size=50))
         pos = np.unique(rng.integers(0, 50, 12)).astype(np.int64)
         pos[0] = 0
-        np.testing.assert_array_equal(K.qv_on_grid(v, v, pos),
-                                      R.qv_on_grid_py(v, v, pos))
+        _assert_qv_matches(v[:, None], pos)
 
     def test_crossings(self):
         rng = np.random.default_rng(4)
@@ -104,12 +103,22 @@ def _assert_bdg_matches(x):
 
 
 def _assert_partition_matches(times, values, n):
-    a = K.partition_step(times, values, 2.0 ** n)
-    b = R.partition_step_py(times, values, 2.0 ** n)
-    assert a[2] == b[2]
-    np.testing.assert_array_equal(a[0][:a[2]], b[0][:b[2]])
-    np.testing.assert_array_equal(a[1][:a[2]], b[1][:b[2]])
-    return a[2]
+    idx, j = K.partition_step(values, 2.0 ** n)
+    ref_t, ref_j, ref_cnt = R.partition_step_py(times, values, 2.0 ** n)
+    assert idx.shape[0] == j.shape[0] == ref_cnt
+    np.testing.assert_array_equal(times[idx], ref_t[:ref_cnt])
+    np.testing.assert_array_equal(j, ref_j[:ref_cnt])
+    return ref_cnt
+
+
+def _assert_qv_matches(x, pos):
+    """Every pair's curve of ``qv_on_grid`` is ``qv_on_grid_py`` of the pair, bit for bit."""
+    curves = K.qv_on_grid(x, pos)
+    pairs = [(a, b) for a in range(x.shape[1]) for b in range(a, x.shape[1])]
+    assert curves.shape == (len(pairs), x.shape[0])
+    for q, (a, b) in zip(curves, pairs):
+        ref = R.qv_on_grid_py(np.ascontiguousarray(x[:, a]), np.ascontiguousarray(x[:, b]), pos)
+        assert q.tobytes() == ref.tobytes()
 
 
 def _assert_linear_matches(times, values, n):
@@ -210,9 +219,7 @@ class TestVectorizedEdgeCases:
             sj = np.cumsum(rng.normal(size=g))
             pos = np.sort(rng.integers(0, g, int(rng.integers(1, 2 * g + 2))))
             pos[0] = 0
-            for a, b in ((si, sj), (sj, si), (si, si)):
-                np.testing.assert_array_equal(K.qv_on_grid(a, b, pos),
-                                              R.qv_on_grid_py(a, b, pos))
+            _assert_qv_matches(np.column_stack([si, sj, si]), pos)
 
     def test_bdg_batch_length_one_and_all_zero(self):
         rng = np.random.default_rng(15)
@@ -317,11 +324,11 @@ class TestPlayOperatorScan:
     def test_partition_coarsen_step(self, inputs):
         # generation n - 1 from generation n; n = 1 gives generation 0 (scale 1)
         times, values, n = inputs
-        fine_t, fine_j, _ = K.partition_step(times, values, 2.0 ** n)
+        fine_idx, fine_j = K.partition_step(values, 2.0 ** n)
         sel, j = K.partition_coarsen(fine_j)
         ref_t, ref_j, ref_cnt = R.partition_step_py(times, values, 2.0 ** (n - 1))
         assert ref_cnt == sel.shape[0] == j.shape[0]
-        assert fine_t[sel].tobytes() == ref_t[:ref_cnt].tobytes()
+        assert times[fine_idx[sel]].tobytes() == ref_t[:ref_cnt].tobytes()
         assert j.tobytes() == ref_j[:ref_cnt].tobytes()
 
     @PROPERTY
@@ -363,13 +370,13 @@ class TestPlayOperatorScan:
     def test_scaled_values_beyond_2_62_are_rejected(self):
         times = np.array([0.0, 1.0])
         with pytest.raises(ContractError):
-            K.partition_step(times, np.array([0.0, 1e6]), 2.0 ** 52)
+            K.partition_step(np.array([0.0, 1e6]), 2.0 ** 52)
         with pytest.raises(ContractError):
             K.partition_linear_count(times, np.array([0.0, 2.0 ** 10]), 2.0 ** 52)
         with pytest.raises(ContractError):
             K.crossings_total_up(np.array([0.0, 10.0]), 1e-18)
         # just below the guard the scan still runs
-        assert K.partition_step(times, np.array([0.0, 1023.0]), 2.0 ** 52)[2] == 2
+        assert K.partition_step(np.array([0.0, 1023.0]), 2.0 ** 52)[0].shape[0] == 2
 
 
 @st.composite
@@ -408,8 +415,7 @@ class TestQvOnGrid:
               np.array([0, 0, 2, 2, 2], dtype=np.int64)))
     def test_matches_reference(self, inputs):
         si, sj, pos = inputs
-        for a, b in ((si, sj), (si, si)):
-            assert K.qv_on_grid(a, b, pos).tobytes() == R.qv_on_grid_py(a, b, pos).tobytes()
+        _assert_qv_matches(np.column_stack([si, sj]), pos)
 
 
 @st.composite

@@ -1,13 +1,13 @@
 """How many 1-d partitions each operation scans from the events.
 
 A path's ladder of generations is built once and shared: ``ito_integral``
-and ``qv_limit`` scan only the finest generation and derive each coarser
-one from the next finer one, ``prepare_ensemble`` takes the finest
-generation from its QV report, ``l_strategy`` scans its fine generation and
-derives the coarse one, and the ``qv`` and ``integrate`` commands take the
-finest generation they write or check from the ladder they built.  Every
-scan from the events runs exactly one of ``partition_step`` and
-``partition_linear_count``; every derivation runs ``partition_coarsen``.
+and ``qv_limit`` scan only the finest generation of each component and
+derive each coarser one from the next finer one, ``prepare_ensemble`` takes
+the finest generation from its QV report, ``l_strategy`` scans its fine
+generation and derives the coarse one, and the ``qv`` and ``integrate``
+commands take the finest generation they write or check from the ladder they
+built.  Every scan from the events runs exactly one of ``partition_step``
+and ``partition_linear_count``; every derivation runs ``partition_coarsen``.
 """
 
 import json
@@ -22,7 +22,10 @@ from pathcalc.integration import ito_integral, prepare_ensemble
 from pathcalc.partitions import (lebesgue_partition_1d, lebesgue_partition_nd,
                                  write_partition_csv)
 from pathcalc.paths import write_path_csv
+from pathcalc.qv import qv_limit
 from pathcalc.strategies import l_strategy
+
+from conftest import random_step_path
 
 KERNELS = {"partition_step": "n", "partition_linear_count": "n", "partition_coarsen": "coarsen"}
 
@@ -52,6 +55,14 @@ def test_ito_integral_builds_each_generation_once(request, builds, path_name):
     path = request.getfixturevalue(path_name)
     ito_integral(lambda p, t: p.eval(t), path, n_max=6)
     assert builds == {"n": 1, "coarsen": 5}
+
+
+@pytest.mark.parametrize("dim, scans", [(1, 1), (2, 3)])
+def test_qv_limit_scans_each_component_once(builds, dim, scans):
+    # a 2-d path has three components: both coordinates and their sum
+    path = random_step_path(np.random.default_rng(5), n_events=40, dim=dim)
+    qv_limit(path, n_max=6)
+    assert builds == {"n": scans, "coarsen": 5 * scans}
 
 
 def test_prepare_ensemble_reuses_the_qv_ladder(builds, p1):

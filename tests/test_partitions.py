@@ -23,7 +23,7 @@ from pathcalc.partitions import (
 from pathcalc.integration import constant_integrand, integrate_f2_dqv, ito_integral
 from pathcalc.qv import qv_limit
 
-from conftest import random_step_path
+from conftest import ladder_paths, random_step_path
 
 
 def brute_force_upcrossings(values, a, b):
@@ -193,6 +193,12 @@ class TestLadder:
             np.testing.assert_array_equal(part.times, lebesgue_partition_nd(p, n).times)
         expected = np.unique(np.concatenate([p.times] + [part.times for part in parts]))
         np.testing.assert_array_equal(grid, expected)
+        if mode == "step":
+            # every partition time is an event time
+            assert grid.tobytes() == p.times.tobytes()
+            if dim == 1:
+                for part in parts:
+                    assert p.times[part.event_indices].tobytes() == part.times.tobytes()
 
     @pytest.mark.parametrize("n_max", [0, -1, 53])
     @pytest.mark.parametrize("caller", sorted(LADDER_CALLERS))
@@ -201,38 +207,14 @@ class TestLadder:
             LADDER_CALLERS[caller](p1, n_max)
 
 
-@st.composite
-def ladder_paths(draw):
-    """``(path, n_max)``: step or linear, d = 1..3, values often on dyadic levels.
-
-    Level values are multiples of ``2**-k`` for some ``k <= n_max``, so they
-    sit on the levels of generation k and of every finer one.  Linear
-    partitions hold one point per level crossed, so their values stay small.
-    """
-    mode = draw(st.sampled_from(["step", "linear"]))
-    n_max = draw(st.integers(1, 12))
-    d = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 30))
-    if draw(st.booleans()):
-        k = draw(st.integers(max(0, n_max - 4) if mode == "linear" else 0, n_max))
-        ints = draw(st.lists(st.integers(-64, 64), min_size=m * d, max_size=m * d))
-        values = np.array(ints, dtype=np.float64) * 2.0 ** -k
-    else:
-        bound = min(2.0, 2.0 ** (8 - n_max)) if mode == "linear" else 512.0
-        values = np.array(draw(st.lists(st.floats(-bound, bound), min_size=m * d,
-                                        max_size=m * d)))
-    gaps = draw(st.lists(st.floats(0.001, 1.0), min_size=m - 1, max_size=m - 1))
-    times = np.concatenate([[0.0], np.cumsum(gaps)])
-    return Path(times, values.reshape(m, d), mode=mode, horizon=times[-1] + 1.0), n_max
-
-
 def _assert_same_partition(a, b):
     assert a.generation == b.generation
     assert a.times.tobytes() == b.times.tobytes()
-    if b.level_indices is None:
-        assert a.level_indices is None
-    else:
-        assert a.level_indices.tobytes() == b.level_indices.tobytes()
+    for name in ("level_indices", "event_indices"):
+        if getattr(b, name) is None:
+            assert getattr(a, name) is None
+        else:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestNestingLemma:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pathcalc import Path, PsiSpec
+from pathcalc import ContractError, Path, PsiSpec
 from pathcalc.partitions import SENTINEL, lebesgue_partition_1d, lebesgue_partition_nd
 from pathcalc.qv import (
     QVReport,
@@ -16,7 +18,7 @@ from pathcalc.qv import (
 )
 
 import reference_loops as R
-from conftest import random_step_path
+from conftest import ladder_paths, random_step_path
 
 PSI0 = PsiSpec("constant", (0.0,))
 
@@ -150,6 +152,29 @@ class TestQVLimit:
         # generations 5..8 all isolate the three jumps, so Z = 0 exactly
         assert report.z_sup[-1] == 0.0
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ladder_paths(), st.booleans())
+    @example((Path([0.0, 1.0, 2.0], [[0.5, -0.5], [-0.5, 0.5], [0.25, 0.25]]), 12), False)
+    @example((Path([0.0], [[0.3, 0.1, -0.2]], horizon=1.0), 2), True)
+    def test_matches_the_reference_loops(self, case, keep):
+        path, n_max = case
+        got = qv_limit(path, n_max, keep_generations=keep)
+        ref = R.qv_limit_py(path, n_max, keep_generations=keep)
+        for name in ("z_sup", "qv_terminal", "limit_times", "limit_values", "terminal"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert (got.converged_at, got.cauchy_tol_met) == (ref.converged_at, ref.cauchy_tol_met)
+        assert sorted(got.qv_paths) == sorted(ref.qv_paths)
+        for n, (times, qp) in ref.qv_paths.items():
+            assert got.qv_paths[n][0].tobytes() == times.tobytes()
+            assert got.qv_paths[n][1].tobytes() == qp.tobytes()
+        assert got.partition.times.tobytes() == ref.partition.times.tobytes()
+        for name in ("level_indices", "event_indices"):
+            if getattr(ref.partition, name) is None:
+                assert getattr(got.partition, name) is None
+            else:
+                assert getattr(got.partition, name).tobytes() == getattr(ref.partition,
+                                                                          name).tobytes()
+
 
 class TestZProcess:
     def test_constant_zero(self):
@@ -222,6 +247,11 @@ class TestJumpIdentity:
                 assert got == R.jump_identity_worst_py(p, report)
         single = Path(times=[0.0], values=[[0.3, 0.1]], horizon=1.0)
         assert jump_identity_check(single, qv_limit(single, n_max=2)).max_discrepancy == 0.0
+
+    def test_report_of_another_path_is_rejected(self, p1):
+        other = Path([0.0, 1.5, 2.5, 3.5], p1.values)
+        with pytest.raises(ContractError, match="event times"):
+            jump_identity_check(p1, qv_limit(other, n_max=3))
 
     def test_2d_polarized_jumps(self):
         rng = np.random.default_rng(26)

@@ -162,14 +162,14 @@ class TestDoobInterval:
     @example((Path([0.0, 1.0, 2.0], [0.5, -0.5, 0.5], mode="linear"), 0.0, 0.25, 100.0))
     def test_trades_match_the_state_machine(self, case):
         path, a, b, K_bound = case
-        trades = _interval_trades(path, a, b, K_bound)
+        trades = _interval_trades(path, a, b, gamma_K(path, K_bound))
         ref = interval_trades_py(path, a, b, K_bound)
         assert np.array(trades).tobytes() == np.array(ref).tobytes()
 
     def test_linear_rounding_decides_the_trade(self):
         # 0.5 - 1e16 rounds to -1e16, so the fraction to a = 0 is exactly 1
         p = Path([0.0, 1.0, 2.0], [2.0, 1e16, 0.5], mode="linear")
-        assert _interval_trades(p, 0.0, 1.0, 1e20) == [(2.0, 1.0)]
+        assert _interval_trades(p, 0.0, 1.0, gamma_K(p, 1e20)) == [(2.0, 1.0)]
 
     def test_p1_round_trip(self, p1):
         rule = doob_interval_strategy(0.0, 0.5, 2.0, PSI0)
@@ -258,6 +258,20 @@ class TestDoobAggregate:
                 total[e] += weight * sub.position_at(np.nextafter(t, np.inf))[0]
         got = np.array([realized.position_at(np.nextafter(t, np.inf))[0] for t in p.times])
         np.testing.assert_allclose(got, total, atol=1e-15)
+
+    def test_linear_aggregate_is_the_interval_sum(self):
+        # gamma_K fires at t = 2.86 on the last segment while (-0.5, -0.25) is long
+        p = Path([0.0, 1.0, 2.0, 3.0], [0.0, -0.3, 0.2, -0.9], mode="linear")
+        K = 0.75
+        realized = doob_aggregate(2, K, PSI0).realize(p)
+        assert realized.positions[-1, 0] == 0.0
+        spacing, weight = 0.25, 1.0 / (K * 2 ** 3 * (2 * K))
+        for t in realized.times[:-1]:
+            total = sum(weight * doob_interval_strategy(k * spacing, (k + 1) * spacing, K, PSI0)
+                        .realize(p).position_at(np.nextafter(t, np.inf))[0]
+                        for k in range(-2, 2))
+            assert realized.position_at(np.nextafter(t, np.inf))[0] == pytest.approx(total,
+                                                                                      abs=1e-15)
 
 
 class TestAdmissibilityLift:
