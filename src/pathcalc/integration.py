@@ -404,7 +404,7 @@ def concentration_check_continuous(F, ensemble, a: float, b: float, *,
     Event per path: ``sup |(F.S)| >= a sqrt(b)`` and compensator ``<= b``;
     the bound is ``2 exp(-a^2 / 2)`` plus three binomial standard errors.
     """
-    if a < 0 or b <= 0:
+    if not (a >= 0 and b > 0):
         raise ContractError("need a >= 0 and b > 0")
     hits = 0
     n = 0
@@ -464,6 +464,8 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
     event already confines the path below M).  Both allow three binomial
     standard errors.
     """
+    if not (a > 0 and b >= 0):
+        raise ContractError("need a > 0 and b >= 0")
     worst_slack = math.inf
     mismatch = 0.0
     hits = 0

@@ -175,6 +175,26 @@ def lebesgue_partition_nd(path: Path, n: int) -> LebesguePartition:
     return LebesguePartition(int(n), np.unique(np.concatenate([p.times for p in pieces])))
 
 
+def _on_grid(path: Path, pieces: list[LebesguePartition],
+             extra_times=()) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The grid holding the events, ``pieces`` and ``extra_times``, and each piece's positions.
+
+    ``pieces`` are 1-d partitions of ``path``'s components.  In step mode
+    every partition time is an event time, and values are constant between
+    events, so the grid is the event table ``path.times`` itself and the
+    positions are the pieces' ``event_indices``: no union and no search is
+    made, and ``extra_times`` are not added (a time between events reads the
+    last event at or before it).  In linear mode the grid is
+    ``unique(events, pieces, extra_times)`` and the positions are found on
+    it by search.
+    """
+    if path.mode == MODE_STEP:
+        return path.times, [p.event_indices for p in pieces]
+    grid = np.unique(np.concatenate([path.times] + [p.times for p in pieces]
+                                    + [np.asarray(extra_times, dtype=np.float64)]))
+    return grid, [np.searchsorted(grid, p.times) for p in pieces]
+
+
 def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], np.ndarray,
                                                       list[np.ndarray]]:
     """Generations 1..n_max of :func:`lebesgue_partition_nd`, their grid and positions.
@@ -185,25 +205,17 @@ def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], n
     are taken, and ``positions[n - 1]`` the grid positions of
     ``parts[n - 1].times`` (``searchsorted(grid, times)``).  Each component
     is scanned once, at ``n_max``, and its points are located on the grid
-    once; every coarser generation is derived from the next finer one by
-    :func:`_coarsen`, and its positions are the fine ones at the points it
-    keeps.  A d-dimensional generation holds the grid points at which any
-    of its components has a point.  By nesting, the grid is the union of the
-    event times and generation ``n_max``.  In step mode every partition time
-    is an event time, so the grid is the event table ``path.times`` itself
-    and the finest positions are the event indices at which the scan's
-    track switches (``event_indices``): no union and no search is made.
+    once, by :func:`_on_grid`; every coarser generation is derived from the
+    next finer one by :func:`_coarsen`, and its positions are the fine ones
+    at the points it keeps.  A d-dimensional generation holds the grid
+    points at which any of its components has a point.  By nesting, the
+    grid is the union of the event times and generation ``n_max``.
     """
     if not 1 <= int(n_max) <= MAX_GENERATION:
         raise ContractError(f"n_max must be in 1..{MAX_GENERATION}, got {n_max}")
     n_max = int(n_max)
     pieces = [lebesgue_partition_1d(c, n_max) for c in _components(path)]
-    if path.mode == MODE_STEP:
-        grid = path.times
-        pos = [p.event_indices for p in pieces]
-    else:
-        grid = np.unique(np.concatenate([path.times] + [p.times for p in pieces]))
-        pos = [np.searchsorted(grid, p.times) for p in pieces]
+    grid, pos = _on_grid(path, pieces)
     parts, positions = [], []
     for n in range(n_max, 0, -1):
         if n < n_max:

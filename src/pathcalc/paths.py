@@ -146,10 +146,6 @@ class Path:
     def n_events(self) -> int:
         return self.times.shape[0]
 
-    def _check_time(self, t: float, low: float = 0.0):
-        if not (low <= t <= self.horizon):
-            raise ContractError(f"time {t} outside [{low}, {self.horizon}]")
-
     def eval(self, t):
         """Cadlag value at time(s) t, shape (d,) for a scalar t."""
         t_arr = np.asarray(t, dtype=np.float64)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .partitions import (SENTINEL, LebesguePartition, _coarsen, lebesgue_partition_1d,
-                         lebesgue_partition_nd, partition_ladder)
+from .partitions import (SENTINEL, LebesguePartition, _coarsen, _on_grid,
+                         lebesgue_partition_1d, lebesgue_partition_nd, partition_ladder)
 from .paths import MODE_STEP, Path, PsiSpec
 
 Q0_CONVENTION = "Q^0 := 0, so Z^1 = Q^1"
@@ -30,11 +30,6 @@ Q0_CONVENTION = "Q^0 := 0, so Z^1 = Q^1"
 def _pairs(d: int) -> list[tuple[int, int]]:
     """Coordinate pairs ``(a, b)``, ``a <= b``, in the row order of ``qv_on_grid``."""
     return [(a, b) for a in range(d) for b in range(a, d)]
-
-
-def _positions(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(grid, times)
-    return np.ascontiguousarray(pos.astype(np.int64))
 
 
 def discrete_qv(path: Path, partition: LebesguePartition, t: float) -> float:
@@ -86,11 +81,6 @@ class QVReport:
     def frobenius_terminal(self) -> float:
         """``|[S]_T|``: Frobenius norm of the terminal matrix estimate."""
         return float(np.sqrt(np.sum(self.terminal ** 2)))
-
-    def limit_at(self, t: float, side: str = "right") -> np.ndarray:
-        """Limit-estimate matrix at time t (step semantics on the stored grid)."""
-        idx = int(np.searchsorted(self.limit_times, t, side=side)) - 1
-        return self.limit_values[max(idx, 0)]
 
 
 def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
@@ -152,28 +142,42 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 def _z_data(path: Path, n: int, extra_times=()):
-    """Grid, path values and Z on it, and the generation-n and n-1 partitions.
+    """Grid, path values and Z on it, the generation-n partition and both generations' positions.
 
-    The grid holds the event times, the generation-n times (which contain
-    the coarse ones) and ``extra_times``; the coarse partition is derived
-    from the fine one and is ``None`` at n = 1.
+    The grid is :func:`pathcalc.partitions._on_grid`'s for the generation-n
+    partition (which contains the coarse one) and ``extra_times``.  The
+    coarse partition is derived from the fine one, and its grid positions
+    are the fine ones at the points it keeps; they are ``None`` at n = 1.
     """
     if path.dim != 1:
         raise ContractError("Z/K processes are defined for 1-d paths")
     pn = lebesgue_partition_1d(path, n)
-    pn1 = _coarsen(pn)[0] if n >= 2 else None
-    grid = np.unique(np.concatenate([path.times, pn.times,
-                                     np.asarray(extra_times, dtype=np.float64)]))
-    v = np.ascontiguousarray(path.eval(grid)[:, 0])
-    qn = K.qv_on_grid(v[:, None], _positions(grid, pn.times))[0]
-    qn1 = K.qv_on_grid(v[:, None], _positions(grid, pn1.times))[0] if pn1 is not None else 0.0
-    return grid, v, qn - qn1, pn, pn1
+    grid, (pos,) = _on_grid(path, [pn], extra_times)
+    vals = path.values if path.mode == MODE_STEP else path.eval(grid)
+    qn = K.qv_on_grid(vals, pos)[0]
+    coarse_pos, qn1 = None, 0.0
+    if n >= 2:
+        coarse_pos = pos[_coarsen(pn)[1]]
+        qn1 = K.qv_on_grid(vals, coarse_pos)[0]
+    return grid, vals[:, 0], qn - qn1, pn, pos, coarse_pos
+
+
+def _z_at(path: Path, n: int, t: float):
+    """Z^n on the grid of :func:`_z_data` with ``t``, the fine positions and the index of ``t``.
+
+    In linear mode ``t`` is on the grid; in step mode Z is constant between
+    events, so ``t`` reads the last event at or before it.
+    """
+    if not 0.0 <= t <= path.horizon:
+        raise ContractError("t outside [0, horizon]")
+    grid, _, z, _, pos, _ = _z_data(path, n, extra_times=[t])
+    return z, pos, int(np.searchsorted(grid, t, side="right")) - 1
 
 
 def z_process(path: Path, n: int, t: float) -> float:
     """``Z^n_t = Q^n_t - Q^{n-1}_t`` (with ``Q^0 := 0``)."""
-    grid, _, z, _, _ = _z_data(path, n, extra_times=[t])
-    return float(z[np.searchsorted(grid, t)])
+    z, _, it = _z_at(path, n, t)
+    return float(z[it])
 
 
 def k_constant(n: int, K_bound: int, psi: PsiSpec) -> float:
@@ -189,20 +193,19 @@ def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float
     """
     if K_bound < 1:
         raise ContractError("K must be a positive integer")
-    grid, _, z, pn, _ = _z_data(path, n, extra_times=[t])
-    sumsq = K.qv_on_grid(z[:, None], _positions(grid, pn.times))[0]
-    it = int(np.searchsorted(grid, t))
+    z, pos, it = _z_at(path, n, t)
+    sumsq = K.qv_on_grid(z[:, None], pos)[0]
     return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(sumsq[it])
 
 
-def _sigma_from_z(grid: np.ndarray, z: np.ndarray, pn: LebesguePartition,
+def _sigma_from_z(z: np.ndarray, pn: LebesguePartition, pos: np.ndarray,
                   n: int, K_bound: int) -> float:
-    """:func:`sigma_n_K` from Z on a grid that holds the partition ``pn``."""
+    """:func:`sigma_n_K` from Z on a grid that holds the partition ``pn`` at ``pos``."""
     if K_bound < 1:
         raise ContractError("K must be a positive integer")
     if len(pn.times) < 2:
         return SENTINEL
-    z_at_tau = z[_positions(grid, pn.times)]
+    z_at_tau = z[pos]
     acc = np.cumsum(np.diff(z_at_tau) ** 2)
     threshold = float(n) ** 4 * 2.0 ** (-2 * n)
     hit_acc = np.flatnonzero(acc > threshold)
@@ -219,8 +222,8 @@ def sigma_n_K(path: Path, n: int, K_bound: int) -> float:
     accumulated squared Z-increments above ``n^4 2^{-2n}`` and the first one
     with ``Z^n > K``; ``inf`` if neither occurs.
     """
-    grid, _, z, pn, _ = _z_data(path, n)
-    return _sigma_from_z(grid, z, pn, n, K_bound)
+    _, _, z, pn, pos, _ = _z_data(path, n)
+    return _sigma_from_z(z, pn, pos, n, K_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def jump_identity_check(path: Path, report: QVReport, tolerance: float = 1e-9) -
     if path.mode != MODE_STEP:
         return JumpIdentityReport(ok=True, max_discrepancy=0.0, tolerance=tolerance)
     # every limit time is an event time, so the grid is the event table
-    pos = _positions(path.times, report.limit_times)
+    pos = np.searchsorted(path.times, report.limit_times)
     if not np.array_equal(path.times[np.minimum(pos, path.n_events - 1)], report.limit_times):
         raise ContractError("the report's limit times are not this path's event times")
     q = K.qv_on_grid(path.values, pos)

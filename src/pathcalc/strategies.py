@@ -73,14 +73,17 @@ class RealizedStrategy:
     def dim(self) -> int:
         return self.positions.shape[1] if self.positions.size else 1
 
-    def position_at(self, t: float) -> np.ndarray:
-        """Position held at time t (on the gap whose left end is < t <= right end)."""
-        if t <= 0:
-            return np.zeros(self.dim)
-        k = int(np.searchsorted(self.times, t, side="left")) - 1
-        if 0 <= k < self.positions.shape[0]:
-            return self.positions[k]
-        return np.zeros(self.dim)
+    def position_after(self, ts) -> np.ndarray:
+        """Positions held on ``(t, next decision time]`` for each t of the 1-d ``ts``.
+
+        Shape ``(len(ts), dim)``; zero before time 0 and after the last
+        decision time.
+        """
+        k = np.searchsorted(self.times, ts, side="right") - 1
+        held = np.zeros((k.shape[0], self.dim))
+        live = (k >= 0) & (k < self.positions.shape[0])
+        held[live] = self.positions[k[live]]
+        return held
 
 
 @dataclass(frozen=True)
@@ -146,16 +149,12 @@ def capital(realized: RealizedStrategy, path: Path, t: float) -> float:
 
 def capital_curve(realized: RealizedStrategy, path: Path) -> CapitalCurve:
     """Capital evaluated on the merged grid of decision times and events."""
-    pos = _as_matrix_positions(realized, path.dim)
+    _as_matrix_positions(realized, path.dim)  # rejects a strategy of another dimension
     finite = realized.times[np.isfinite(realized.times)]
     finite = finite[finite <= path.horizon]
     grid = np.unique(np.concatenate([path.times, finite, [path.horizon]]))
     svals = path.eval(grid)
-    gap = np.searchsorted(realized.times, grid[:-1], side="right") - 1
-    held = np.zeros((len(grid) - 1, path.dim))
-    valid = (gap >= 0) & (gap < pos.shape[0])
-    if pos.shape[0]:
-        held[valid] = pos[gap[valid]]
+    held = realized.position_after(grid[:-1])
     incr = np.diff(svals, axis=0)
     values = np.concatenate([[0.0], np.cumsum(np.sum(held * incr, axis=1))])
     return CapitalCurve(times=grid, values=values, mode=path.mode)
@@ -336,7 +335,7 @@ def _interval_trades(path: Path, a: float, b: float, gamma: float) -> list[tuple
     return trades
 
 
-def _strategy_from_trades(trades, horizon: float) -> RealizedStrategy:
+def _strategy_from_trades(trades) -> RealizedStrategy:
     times = [0.0]
     positions = []
     current = 0.0
@@ -365,8 +364,7 @@ def doob_interval_strategy(a: float, b: float, K_bound: float, psi: PsiSpec) -> 
     def evaluate(path: Path) -> RealizedStrategy:
         if path.dim != 1:
             raise ContractError("interval strategies act on 1-d paths")
-        return _strategy_from_trades(_interval_trades(path, a, b, gamma_K(path, K_bound)),
-                                     path.horizon)
+        return _strategy_from_trades(_interval_trades(path, a, b, gamma_K(path, K_bound)))
 
     return StrategyRule(kind="doob-interval",
                         params={"a": a, "b": b, "K": K_bound, "psi": psi.to_json()},
@@ -411,22 +409,13 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
             times = np.append(path.times, np.inf)
             return RealizedStrategy(times=times, positions=pos)
         gamma = gamma_K(path, K_bound)
-        change_times: set[float] = set()
-        per_interval = []
-        for k in range(klo, khi + 1):
-            trades = _interval_trades(path, k * spacing, (k + 1) * spacing, gamma)
-            per_interval.append(trades)
-            change_times.update(t for t, _ in trades)
-        times = np.array(sorted({0.0} | change_times))
-        pos = np.zeros(len(times))
-        for trades in per_interval:
-            cur = 0.0
-            ptr = 0
-            for gi, t in enumerate(times):
-                while ptr < len(trades) and trades[ptr][0] <= t:
-                    cur = trades[ptr][1]
-                    ptr += 1
-                pos[gi] += cur * weight
+        trades = (_interval_trades(path, k * spacing, (k + 1) * spacing, gamma)
+                  for k in range(klo, khi + 1))
+        subs = [_strategy_from_trades(t) for t in trades]
+        times = np.unique(np.concatenate([sub.times[:-1] for sub in subs]))
+        pos = np.zeros((len(times), 1))
+        for sub in subs:
+            pos += sub.position_after(times) * weight
         return RealizedStrategy(times=np.append(times, np.inf), positions=pos)
 
     return StrategyRule(kind="doob-aggregate",
@@ -458,24 +447,14 @@ def admissibility_lift(G: StrategyRule, lam: float, K_bound: float, psi: PsiSpec
         rho = rho_lambda(g_real, path, lam)
         gamma = gamma_K(path, K_bound)
         cut = min(rho, gamma)
-        breaks = {0.0}
-        for t in g_real.times:
-            if np.isfinite(t) and t <= path.horizon:
-                breaks.add(float(t))
-        for t in (cut, gamma):
-            if np.isfinite(t) and t <= path.horizon:
-                breaks.add(float(t))
-        times = np.array(sorted(breaks))
+        times = np.concatenate([[0.0], g_real.times, [cut, gamma]])
+        times = np.unique(times[times <= path.horizon])
+        # position on (t, next]: both indicators are decided by t itself
+        # because gamma and cut are breakpoints of the merged grid
         pos = np.zeros((len(times), d))
-        for gi, t in enumerate(times):
-            # position on (t, next]: both indicators are decided by t itself
-            # because gamma and cut are breakpoints of the merged grid
-            p = np.zeros(d)
-            if t < gamma:
-                p = p + g_real.position_at(np.nextafter(t, np.inf))
-            if t < cut:
-                p = p + lam
-            pos[gi] = p
+        before_gamma = times < gamma
+        pos[before_gamma] += g_real.position_after(times[before_gamma])
+        pos[times < cut] += lam
         return RealizedStrategy(times=np.append(times, np.inf), positions=pos)
 
     return StrategyRule(kind="lift",
@@ -513,19 +492,17 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
         raise ContractError("needs n >= 2 (a coarser generation must exist)")
     gamma = gamma_K(path, float(K_bound))
     # a finite sigma is a fine partition time, so the grid already holds it
-    grid, v, z, fine, coarse = _z_data(path, n, [gamma] if np.isfinite(gamma) else [])
-    sigma = _sigma_from_z(grid, z, fine, n, K_bound)
+    grid, v, z, fine, fine_pos, coarse_pos = _z_data(path, n,
+                                                     [gamma] if np.isfinite(gamma) else [])
+    sigma = _sigma_from_z(z, fine, fine_pos, n, K_bound)
     cut = min(gamma, sigma)
 
-    fine_pos = np.searchsorted(grid, fine.times)
     sumsq = K.qv_on_grid(z[:, None], fine_pos)[0]
 
-    # realized positions on (tau_k, tau_{k+1} ^ cut]
-    s_tau = v[fine_pos]
-    z_tau = z[fine_pos]
-    chi_idx = np.searchsorted(coarse.times, fine.times, side="right") - 1
-    s_chi = path.eval(coarse.times[np.maximum(chi_idx, 0)])[:, 0]
-    h = -4.0 * z_tau * (s_tau - s_chi)
+    # realized positions on (tau_k, tau_{k+1} ^ cut]; both generations start
+    # at grid position 0, so every fine point has a coarse projection chi
+    chi_pos = coarse_pos[np.searchsorted(coarse_pos, fine_pos, side="right") - 1]
+    h = -4.0 * z[fine_pos] * (v[fine_pos] - v[chi_pos])
 
     live = np.flatnonzero(fine.times < cut)  # a prefix of the partition indices
     if live.size == 0:
@@ -588,19 +565,14 @@ def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
     c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), dt.shape).copy()
     if np.any(c_arr < 0):
         raise ContractError("step bounds must be >= 0")
+    betas = np.array([hoeffding_beta(lam, ck) for ck in c_arr])
 
     def evaluate(path: Path) -> RealizedStrategy:
         if path.dim != 1:
             raise ContractError("the supermartingale strategy acts on 1-d paths")
         s = path.eval(np.minimum(dt, path.horizon))[:, 0]
-        betas = np.array([hoeffding_beta(lam, ck) for ck in c_arr])
-        v = 1.0
-        positions = np.empty(len(dt))
-        for k in range(len(dt)):
-            positions[k] = v * betas[k]
-            if k + 1 < len(dt):
-                v = v * (1.0 + betas[k] * (s[k + 1] - s[k]))
-        return RealizedStrategy(times=np.append(dt, np.inf), positions=positions)
+        wealth = np.cumprod(np.concatenate([[1.0], 1.0 + betas[:-1] * np.diff(s)]))
+        return RealizedStrategy(times=np.append(dt, np.inf), positions=wealth * betas)
 
     return StrategyRule(kind="hoeffding",
                         params={"lambda": lam, "steps": len(dt)},

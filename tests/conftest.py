@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from pathcalc import Path
+
+# property tests replay the same examples on every run, however long each takes
+settings.register_profile("pathcalc", deadline=None, derandomize=True)
+settings.load_profile("pathcalc")
 
 
 @pytest.fixture

@@ -8,17 +8,25 @@ search and runs ``qv_on_grid_py`` once per coordinate pair and generation.
 ``jump_identity_worst_py`` is the event-by-event discrepancy of
 ``qv.jump_identity_check``.  ``interval_trades_py`` runs the buy-low/sell-high
 state machine of ``strategies._interval_trades`` event by event, and in
-linear mode root by root along each segment.  The library computes each of
-them on whole arrays and must return exactly these bits.
+linear mode root by root along each segment.  ``z_data_py`` builds Z on the
+union of the events, generation n and the extra times, by ``path.eval`` and
+searches, in either mode; ``z_process_py``, ``k_process_py``, ``sigma_py``
+and ``l_strategy_py`` read Z, K, sigma and the compensated-Z strategy from
+it time by time.  ``doob_aggregate_linear_py`` merges the interval trades
+of the linear Doob aggregate time by time, ``admissibility_lift_py`` sets
+the lifted position time by time, and ``hoeffding_positions_py`` carries
+the wealth of the supermartingale strategy step by step.  The library
+computes each of them on whole arrays and must return exactly these bits.
 """
 
 import numpy as np
 
 from pathcalc.integration import ItoIntegralReport, StepIntegrand, integral_curve
-from pathcalc.partitions import lebesgue_partition_nd
+from pathcalc.partitions import SENTINEL, lebesgue_partition_1d, lebesgue_partition_nd
 from pathcalc.paths import MODE_STEP
-from pathcalc.qv import QVReport
-from pathcalc.strategies import CapitalCurve, gamma_K
+from pathcalc.qv import QVReport, k_constant
+from pathcalc.strategies import (CapitalCurve, _interval_trades, gamma_K, hoeffding_beta,
+                                 rho_lambda)
 
 from reference_kernels import qv_on_grid_py
 
@@ -166,3 +174,131 @@ def interval_trades_py(path, a, b, K_bound):
     if long and np.isfinite(gamma) and gamma <= path.horizon:
         trades.append((gamma, 0.0))
     return trades
+
+
+def z_data_py(path, n, extra_times=()):
+    """Grid, path values, Z on the grid and generations n and n - 1 (``None`` at n = 1)."""
+    pn = lebesgue_partition_1d(path, n)
+    pn1 = lebesgue_partition_1d(path, n - 1) if n >= 2 else None
+    grid = np.unique(np.concatenate([path.times, pn.times,
+                                     np.asarray(extra_times, dtype=np.float64)]))
+    v = np.ascontiguousarray(path.eval(grid)[:, 0])
+    qn = qv_on_grid_py(v, v, np.searchsorted(grid, pn.times))
+    qn1 = qv_on_grid_py(v, v, np.searchsorted(grid, pn1.times)) if pn1 is not None else 0.0
+    return grid, v, qn - qn1, pn, pn1
+
+
+def z_process_py(path, n, t):
+    grid, _, z, _, _ = z_data_py(path, n, [t])
+    return float(z[np.searchsorted(grid, t)])
+
+
+def k_process_py(path, n, K_bound, psi, t):
+    grid, _, z, pn, _ = z_data_py(path, n, [t])
+    sumsq = qv_on_grid_py(z, z, np.searchsorted(grid, pn.times))
+    it = np.searchsorted(grid, t)
+    return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(sumsq[it])
+
+
+def sigma_py(z_tau, times, n, K_bound):
+    """First partition time past the Z-increment budget or with Z above K."""
+    acc = 0.0
+    for k in range(1, len(times)):
+        step = z_tau[k] - z_tau[k - 1]
+        acc += step * step
+        if acc > float(n) ** 4 * 2.0 ** (-2 * n) or z_tau[k] > K_bound:
+            return float(times[k])
+    return SENTINEL
+
+
+def l_strategy_py(path, n, K_bound):
+    """``(times, positions, sigma)`` of ``strategies.l_strategy``, one partition time at a time."""
+    gamma = gamma_K(path, float(K_bound))
+    grid, _, z, fine, coarse = z_data_py(path, n, [gamma] if np.isfinite(gamma) else [])
+    z_tau = z[np.searchsorted(grid, fine.times)]
+    sigma = sigma_py(z_tau, fine.times, n, K_bound)
+    cut = min(gamma, sigma)
+    times, positions = [], []
+    for k, t in enumerate(fine.times):
+        if t >= cut:
+            break
+        chi = coarse.times[np.searchsorted(coarse.times, t, side="right") - 1]
+        times.append(t)
+        positions.append(-4.0 * z_tau[k] * (path.eval(t)[0] - path.eval(chi)[0]))
+    if not times:
+        return np.array([0.0]), np.zeros(0), sigma
+    if np.isfinite(cut):
+        times.append(cut)
+        positions.append(0.0)
+    return np.array(times + [np.inf]), np.array(positions), sigma
+
+
+def doob_aggregate_linear_py(path, n, K_bound, psi):
+    """``(times, positions)`` of ``strategies.doob_aggregate`` on a linear path.
+
+    Each interval's trades are replayed at every merged time, and the
+    weighted positions are added interval by interval.
+    """
+    spacing = 2.0 ** (-n)
+    weight = 1.0 / (K_bound * 2.0 ** (n + 1) * (2.0 * K_bound + float(psi(float(K_bound)))))
+    klo = int(np.floor(-K_bound / spacing)) + 1
+    khi = int(np.ceil(K_bound / spacing)) - 2
+    if khi < klo:
+        return np.array([0.0]), np.zeros(0)
+    gamma = gamma_K(path, K_bound)
+    per_interval = [_interval_trades(path, k * spacing, (k + 1) * spacing, gamma)
+                    for k in range(klo, khi + 1)]
+    times = sorted({0.0} | {t for trades in per_interval for t, _ in trades})
+    pos = np.zeros(len(times))
+    for trades in per_interval:
+        cur = 0.0
+        ptr = 0
+        for gi, t in enumerate(times):
+            while ptr < len(trades) and trades[ptr][0] <= t:
+                cur = trades[ptr][1]
+                ptr += 1
+            pos[gi] += cur * weight
+    return np.append(times, np.inf), pos
+
+
+def position_at_py(realized, t):
+    """Position held at t, on the gap whose left end is < t <= right end."""
+    k = int(np.searchsorted(realized.times, t, side="left")) - 1
+    if t <= 0 or not 0 <= k < realized.positions.shape[0]:
+        return np.zeros(realized.dim)
+    return realized.positions[k]
+
+
+def admissibility_lift_py(g_real, path, lam, K_bound):
+    """``(times, positions)`` of ``strategies.admissibility_lift`` applied to ``g_real``."""
+    gamma = gamma_K(path, K_bound)
+    cut = min(rho_lambda(g_real, path, lam), gamma)
+    breaks = {0.0}
+    for t in list(g_real.times) + [cut, gamma]:
+        if np.isfinite(t) and t <= path.horizon:
+            breaks.add(float(t))
+    times = np.array(sorted(breaks))
+    pos = np.zeros((len(times), path.dim))
+    for gi, t in enumerate(times):
+        p = np.zeros(path.dim)
+        if t < gamma:
+            p = p + position_at_py(g_real, np.nextafter(t, np.inf))
+        if t < cut:
+            p = p + lam
+        pos[gi] = p
+    return np.append(times, np.inf), pos
+
+
+def hoeffding_positions_py(path, decision_times, c, lam):
+    """Positions of ``strategies.hoeffding_strategy``: capital times beta, step by step."""
+    dt = np.asarray(decision_times, dtype=np.float64)
+    c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), dt.shape)
+    s = path.eval(np.minimum(dt, path.horizon))[:, 0]
+    v = 1.0
+    positions = np.empty(len(dt))
+    for k in range(len(dt)):
+        beta = hoeffding_beta(lam, float(c_arr[k]))
+        positions[k] = v * beta
+        if k + 1 < len(dt):
+            v = v * (1.0 + beta * (s[k + 1] - s[k]))
+    return positions

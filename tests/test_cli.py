@@ -230,6 +230,11 @@ EXIT_CODE_CASES = [
      ["integrate", "--input", "p.csv", "--rule", "const:abc"], None, EXIT_CONFIG),
     ("verify lambda negative", {}, ["verify", "--check", "lift", "--lambda", "-1"],
      None, EXIT_CONFIG),
+    ("bdg-bound a zero", {}, ["verify", "--check", "bdg-bound", "--a", "0"], None, EXIT_CONFIG),
+    ("bdg-bound b negative", {}, ["verify", "--check", "bdg-bound", "--b", "-1"],
+     None, EXIT_CONFIG),
+    ("concentration a nan", {}, ["verify", "--check", "concentration", "--a", "nan"],
+     None, EXIT_CONFIG),
     ("config value not positive", {"p.csv": GOOD_CSV, "c.json": '{"tol": -1}'},
      ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_CONFIG),
     ("missing input", {}, ["qv", "--input", "absent.csv"], None, EXIT_IO),

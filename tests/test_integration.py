@@ -169,7 +169,7 @@ SAMPLING_RULES = {
 
 
 class TestSamplerReference:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(path=sampling_paths(), n=st.integers(1, 8),
            rule=st.sampled_from(sorted(SAMPLING_RULES)))
     def test_bit_identical_to_per_time_loop(self, path, n, rule):

@@ -22,7 +22,7 @@ from pathcalc.paths import PsiSpec
 
 import reference_kernels as R
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=300)
 INT64_MAX = int(np.iinfo(np.int64).max)
 # Accumulated upcrossings of 2**63 at spacing 2**-52, with every level index
 # below 2**62: the counts used to wrap to -2**63.
@@ -356,7 +356,7 @@ class TestPlayOperatorScan:
         else:
             assert K.crossings_up_prefix(values, h).tolist() == ref
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(clamp_sequences())
     @example((np.array([3]), np.array([5])))
     @example((np.full(4096, 7), np.full(4096, 8)))
@@ -504,7 +504,7 @@ class TestBdg:
     def test_core_and_weights(self, x):
         _assert_bdg_matches(x)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(st.lists(bdg_sequences(), min_size=1, max_size=12))
     def test_batch(self, seqs):
         _assert_bdg_batch_matches(seqs)
@@ -544,7 +544,7 @@ class TestPsi:
         grid = np.array(xs).reshape(-1, 1)[:, [0, 0]]
         assert psi(grid).tobytes() == np.repeat(ref, 2).tobytes()
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(psi_specs(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([1, 2, 7, K._CLIP_BLOCK]))
     def test_clip_jumps(self, psi, dim, seed, block):

@@ -220,7 +220,7 @@ def _assert_same_partition(a, b):
 class TestNestingLemma:
     """Coarse generations derived from fine ones equal the direct builds, bit for bit."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(ladder_paths())
     @example((Path([0.0, 1.0], [0.0, 0.75], mode="linear"), 3))
     @example((Path([0.0, 1.0, 2.0], [[0.5, -0.5], [-0.5, 0.5], [0.25, 0.25]]), 12))
@@ -240,7 +240,7 @@ class TestNestingLemma:
                 assert set(coarse.times.tolist()) <= set(fine.times.tolist())
                 fine = coarse
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(ladder_paths())
     @example((Path([0.0, 1.0, 2.0], [[0.5, -0.5], [-0.5, 0.5], [0.25, 0.25]]), 12))
     def test_ladder_positions(self, case):
@@ -316,7 +316,7 @@ class TestLinearCap:
         with pytest.raises(ContractError, match="2\\*\\*63"):
             lebesgue_partition_1d(p, 52)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(linear_paths_near_2_53())
     @example((Path([0.0, 1.0], [3.0, 3.0 + 8 * 2.0 ** -51], mode="linear"), 52))
     def test_times_strictly_increase(self, case):

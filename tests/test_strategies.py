@@ -28,12 +28,13 @@ from pathcalc.strategies import (
     l_strategy,
     lift_budget,
     rho_lambda,
+    StrategyRule,
     admissibility_lift,
     _interval_trades,
 )
 
-from conftest import random_step_path
-from reference_loops import interval_trades_py
+import reference_loops as R
+from conftest import ladder_paths, random_step_path
 
 PSI0 = PsiSpec("constant", (0.0,))
 PSI1 = PsiSpec("constant", (1.0,))
@@ -156,14 +157,14 @@ def interval_cases(draw):
 
 
 class TestDoobInterval:
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400)
     @given(interval_cases())
     @example((Path([0.0, 1.0, 2.0], [2.0, 1e16, 0.5], mode="linear"), 0.0, 1.0, 1e20))
     @example((Path([0.0, 1.0, 2.0], [0.5, -0.5, 0.5], mode="linear"), 0.0, 0.25, 100.0))
     def test_trades_match_the_state_machine(self, case):
         path, a, b, K_bound = case
         trades = _interval_trades(path, a, b, gamma_K(path, K_bound))
-        ref = interval_trades_py(path, a, b, K_bound)
+        ref = R.interval_trades_py(path, a, b, K_bound)
         assert np.array(trades).tobytes() == np.array(ref).tobytes()
 
     def test_linear_rounding_decides_the_trade(self):
@@ -248,16 +249,14 @@ class TestDoobAggregate:
         K = float(np.ceil(p.sup_norm())) + 1.0
         rule = doob_aggregate(2, K, PSI0)
         realized = rule.realize(p)
-        total = np.zeros(p.n_events)
+        total = np.zeros((p.n_events, 1))
         spacing, weight = 0.25, 1.0 / (K * 2 ** 3 * (2 * K))
         klo = int(np.floor(-K / spacing)) + 1
         khi = int(np.ceil(K / spacing)) - 2
         for k in range(klo, khi + 1):
             sub = doob_interval_strategy(k * spacing, (k + 1) * spacing, K, PSI0).realize(p)
-            for e, t in enumerate(p.times):
-                total[e] += weight * sub.position_at(np.nextafter(t, np.inf))[0]
-        got = np.array([realized.position_at(np.nextafter(t, np.inf))[0] for t in p.times])
-        np.testing.assert_allclose(got, total, atol=1e-15)
+            total += sub.position_after(p.times) * weight
+        assert realized.position_after(p.times).tobytes() == total.tobytes()
 
     def test_linear_aggregate_is_the_interval_sum(self):
         # gamma_K fires at t = 2.86 on the last segment while (-0.5, -0.25) is long
@@ -266,12 +265,22 @@ class TestDoobAggregate:
         realized = doob_aggregate(2, K, PSI0).realize(p)
         assert realized.positions[-1, 0] == 0.0
         spacing, weight = 0.25, 1.0 / (K * 2 ** 3 * (2 * K))
-        for t in realized.times[:-1]:
-            total = sum(weight * doob_interval_strategy(k * spacing, (k + 1) * spacing, K, PSI0)
-                        .realize(p).position_at(np.nextafter(t, np.inf))[0]
-                        for k in range(-2, 2))
-            assert realized.position_at(np.nextafter(t, np.inf))[0] == pytest.approx(total,
-                                                                                      abs=1e-15)
+        times = realized.times[:-1]
+        total = np.zeros((len(times), 1))
+        for k in range(-2, 2):
+            total += doob_interval_strategy(k * spacing, (k + 1) * spacing, K, PSI0) \
+                .realize(p).position_after(times) * weight
+        assert realized.position_after(times).tobytes() == total.tobytes()
+
+    @settings(max_examples=150)
+    @given(interval_cases(), st.integers(0, 3))
+    def test_linear_merge_matches_the_reference_loop(self, case, n):
+        path, _, _, K_bound = case
+        p = Path(path.times, path.values, mode="linear", horizon=path.horizon)
+        realized = doob_aggregate(n, K_bound, PSI1).realize(p)
+        times, pos = R.doob_aggregate_linear_py(p, n, K_bound, PSI1)
+        assert realized.times.tobytes() == times.tobytes()
+        assert realized.positions[:, 0].tobytes() == pos.tobytes()
 
 
 class TestAdmissibilityLift:
@@ -343,6 +352,24 @@ class TestAdmissibilityLift:
             assert check_strong_admissibility(lifted, [p], budget)[0].ok
         assert checked >= 15
 
+    @settings(max_examples=150)
+    @given(ladder_paths(), st.data())
+    def test_matches_the_reference_loop(self, case, data):
+        path, _ = case
+        d = path.dim
+        gaps = data.draw(st.lists(st.floats(0.01, 1.0), max_size=8))
+        times = np.concatenate([[0.0], np.cumsum(gaps), [np.inf]])
+        pos = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(gaps) + 1,
+                                 max_size=len(gaps) + 1))
+        G = RealizedStrategy(times=times, positions=np.repeat(np.array(pos)[:, None], d, axis=1))
+        lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        K_bound = data.draw(st.sampled_from([0.5, 2.25, 100.0, 1e4]))
+        rule = StrategyRule(kind="fixed", params={}, _evaluate=lambda _p: G)
+        realized = admissibility_lift(rule, lam, K_bound, PSI0).realize(path)
+        ref_times, ref_pos = R.admissibility_lift_py(G, path, lam, K_bound)
+        assert realized.times.tobytes() == ref_times.tobytes()
+        assert realized.positions.tobytes() == ref_pos.tobytes()
+
 
 class TestLStrategy:
     def test_constant_path(self):
@@ -378,6 +405,19 @@ class TestLStrategy:
                     assert sigma == sigma_n_K(p, n, K)
                     finite += bool(np.isfinite(sigma))
         assert finite > 0
+
+    @settings(max_examples=100)
+    @given(ladder_paths(), st.sampled_from([1, 2, 4]))
+    @example((Path([0.0, 1.0, 2.0], [0.5, -0.25, 0.75], mode="linear"), 1), 1)
+    def test_matches_the_reference_loop(self, case, K_bound):
+        path, n_max = case
+        p = path.coordinate(1)
+        for n in sorted({2, max(2, n_max)}):
+            realized, report = l_strategy(p, n, K_bound, PSI0, tolerance=np.inf)
+            times, positions, sigma = R.l_strategy_py(p, n, K_bound)
+            assert realized.times.tobytes() == times.tobytes()
+            assert realized.positions[:, 0].tobytes() == positions.tobytes()
+            assert report.sigma == sigma
 
     def test_weak_admissibility_on_member_paths(self):
         psi = PsiSpec("constant", (0.3,))
@@ -420,6 +460,20 @@ class TestHoeffding:
                 report = hoeffding_check(p, times, c, lam)
                 assert report.bound_respected
                 assert report.ok, (lam, report)
+
+    @settings(max_examples=200)
+    @given(interval_cases(), st.data())
+    def test_wealth_matches_the_step_loop(self, case, data):
+        p = case[0]
+        gaps = data.draw(st.lists(st.floats(1e-3, 1.0), max_size=30))
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        c = data.draw(st.one_of(st.floats(0.0, 4.0),
+                                st.lists(st.floats(0.0, 4.0), min_size=len(times),
+                                         max_size=len(times))))
+        lam = data.draw(st.floats(-3.0, 3.0))
+        realized = hoeffding_strategy(times, c, lam).realize(p)
+        assert realized.positions[:, 0].tobytes() == \
+            R.hoeffding_positions_py(p, times, c, lam).tobytes()
 
     def test_violated_step_bound_reported(self):
         p = Path(times=[0.0, 1.0], values=[0.0, 5.0], mode="step")
