@@ -12,9 +12,9 @@ the prefix scan :func:`_play_scan`, written once here.  It has two entries:
   (``partition_step``), its unit steps are the linear-mode crossings
   (``partition_linear_count``/``partition_linear_fill``), and the positive
   steps of the track from ``j_0 = ceil(x_0)`` of ``values / h`` are the
-  accumulated upcrossings of the grid of spacing ``h``
-  (``crossings_up_prefix``), while the falls of the other track are the
-  accumulated downcrossings (``crossings_total_up``).  On the halved fine
+  accumulated upcrossings of the grid of spacing ``h``, while the falls of
+  the other track are the accumulated downcrossings (``crossings_prefix``,
+  every prefix from one scan).  On the halved fine
   indices, clamps ``[floor(J/2), ceil(J/2)]``, the scan derives generation
   ``n - 1`` from generation ``n`` (``partition_coarsen``; the nesting lemma
   is in :mod:`pathcalc.partitions`).
@@ -34,8 +34,8 @@ roots take the level ``j * 2**-n`` as a float64, which is exact only below
 ``2**53``, so the linear kernels raise from there on.  Indices are halved by
 integer shifts, never through float64.  Counts summed from index differences
 (accumulated crossings, linear partition sizes) go through
-:func:`_accumulate`, which raises :class:`ContractError` once a total passes
-``2**63 - 1`` instead of wrapping.
+:func:`_running_total`, which finds where a total passes ``2**63 - 1``, and
+the count raises :class:`ContractError` there instead of wrapping.
 
 The scan resolves a prefix as soon as its composed clamp is a single
 integer and stops once every prefix is resolved.  On a path that moves
@@ -58,6 +58,7 @@ stays a loop: the bound at each event depends on the already-clipped prefix.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,9 +130,18 @@ def _play_tracks(x, bits=62):
     which take the level ``j * 2**-n`` as a float64, need 53.
     """
     if not np.all(np.abs(x) < 2.0 ** bits):
-        raise ContractError(f"a scaled value reaches 2**{bits} in magnitude, beyond exact "
-                            "level indices: use a coarser generation or spacing")
+        raise _scaled_value_error(bits)
     return _play_scan(np.floor(x).astype(np.int64), np.ceil(x).astype(np.int64))
+
+
+def _scaled_value_error(bits):
+    return ContractError(f"a scaled value reaches 2**{bits} in magnitude, beyond exact "
+                         "level indices: use a coarser generation or spacing")
+
+
+def _count_error():
+    return ContractError("a count exceeds 2**63 - 1, beyond int64: use a coarser "
+                         "generation or spacing")
 
 
 def _switches(j):
@@ -139,18 +149,27 @@ def _switches(j):
     return np.concatenate(([0], np.flatnonzero(j[1:] != j[:-1]) + 1))
 
 
-def _accumulate(steps):
-    """Running total of the positive ``steps`` from a leading 0, exact in int64.
+def _running_total(steps):
+    """Running total of the positive ``steps``, and how many of its entries are exact.
 
-    Raises :class:`ContractError` once the total passes ``2**63 - 1``: each
-    step is below ``2**63`` and the total never decreases, so the first sum
-    past the range wraps to a negative value.
+    Each step is below ``2**63`` and the total never decreases, so the first
+    sum past ``2**63 - 1`` wraps to a negative value; the entries before it
+    are the exact totals.
     """
-    total = np.cumsum(np.concatenate(([0], np.maximum(steps, 0))))
-    if total.min() < 0:
-        raise ContractError("a count exceeds 2**63 - 1, beyond int64: use a coarser "
-                            "generation or spacing")
-    return total
+    total = np.cumsum(np.maximum(steps, 0))
+    wrapped = np.flatnonzero(total < 0)
+    return total, int(wrapped[0]) if wrapped.size else total.shape[0]
+
+
+def _accumulate(steps):
+    """Sum of the positive ``steps``, exact in int64.
+
+    Raises :class:`ContractError` once the sum passes ``2**63 - 1``.
+    """
+    total, exact = _running_total(steps)
+    if exact < total.shape[0]:
+        raise _count_error()
+    return int(total[-1]) if total.shape[0] else 0
 
 
 def partition_step(values, scale):
@@ -185,7 +204,7 @@ def partition_coarsen(level_idx):
 def partition_linear_count(times, values, scale):
     """Number of crossing times of a 1-d linear-mode path: ``1 + sum |dj|``."""
     j, _ = _play_tracks(values * scale, 53)
-    return 1 + int(_accumulate(np.abs(np.diff(j)))[-1])
+    return 1 + _accumulate(np.abs(np.diff(j)))
 
 
 def partition_linear_fill(times, values, scale, out_t, out_j):
@@ -307,30 +326,94 @@ def crossings_greedy(values, a, b):
     return int(np.count_nonzero(m[1:] > m[:-1])), int(np.count_nonzero(f[1:] < f[:-1]))
 
 
-def crossings_up_prefix(values, h):
-    """Accumulated upcrossings over the full grid of intervals (kh, (k+1)h).
+@dataclass(frozen=True)
+class CrossingPrefixes:
+    """Accumulated crossings of every prefix of a value sequence, from one scan.
 
-    Entry ``e`` counts the upcrossings completed by ``values[:e + 1]``.  The
-    intervals armed for an upcrossing are always the up-set ``{k >= m_e}``,
-    where ``m`` is the play-operator track of ``values / h`` from
-    ``ceil(values[0] / h)``; each upward step of ``m`` completes one
-    upcrossing per level passed.
+    Made by :func:`crossings_prefix` for the grid of spacing ``h``.  The
+    arrays cover the leading values whose scaled value ``values / h`` is
+    below ``2**62`` in magnitude.  At entry ``e``, ``up[e]`` and ``down[e]``
+    are the accumulated up- and downcrossings of ``values[:e + 1]``, and
+    ``f[e]``/``m[e]`` are the play-operator tracks of :func:`_play_tracks`;
+    ``up_exact``/``down_exact`` count the leading entries that are exact in
+    int64.  ``size`` is the length of the whole sequence.  The scan is
+    causal, so every prefix reads its counts from the arrays, and the tracks
+    extend a prefix by one more value with one clamp.  The arrays are
+    read-only.
     """
-    _, m = _play_tracks(values / h)
-    return _accumulate(np.diff(m))
+
+    h: float
+    size: int
+    f: np.ndarray
+    m: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    up_exact: int
+    down_exact: int
+
+    def at(self, upto, tail=None):
+        """``crossings_total_up`` of the first ``upto >= 1`` values, then ``tail`` if given.
+
+        Raises the :class:`ContractError` that the direct scan of that
+        sequence raises: when a scaled value in it reaches ``2**62`` in
+        magnitude, else when one of its counts passes ``2**63 - 1``.
+        """
+        if tail is not None:
+            with np.errstate(over="ignore"):
+                tail = np.float64(tail) / self.h
+        if upto > self.up.shape[0] or not (tail is None or abs(tail) < 2.0 ** 62):
+            raise _scaled_value_error(62)
+        if upto > min(self.up_exact, self.down_exact):
+            raise _count_error()
+        up, down = int(self.up[upto - 1]), int(self.down[upto - 1])
+        if tail is not None:
+            up += max(math.floor(tail) - int(self.m[upto - 1]), 0)
+            down += max(int(self.f[upto - 1]) - math.ceil(tail), 0)
+            if max(up, down) > np.iinfo(np.int64).max:
+                raise _count_error()
+        return up, down
+
+    def ups(self):
+        """Accumulated upcrossings of every prefix of the whole sequence, read-only.
+
+        Raises :class:`ContractError` when a scaled value reaches ``2**62``
+        in magnitude, else when an upcrossing count passes ``2**63 - 1``.
+        """
+        if self.up.shape[0] < self.size:
+            raise _scaled_value_error(62)
+        if self.up_exact < self.size:
+            raise _count_error()
+        return self.up.view()
+
+
+def crossings_prefix(values, h):
+    """Accumulated crossings of every prefix of ``values`` on the grid of spacing ``h``.
+
+    The intervals ``(kh, (k+1)h)`` armed for an upcrossing are always the
+    up-set ``{k >= m_e}``, where ``m`` is the play-operator track of
+    ``values / h`` from ``ceil(values[0] / h)``; each upward step of ``m``
+    completes one upcrossing per level passed.  The downcrossings are the
+    upcrossings of ``-values``.  As ``floor(-x) = -ceil(x)``, the track of
+    ``-values / h`` from ``ceil(-values[0] / h)`` is minus the track ``f``
+    of ``values / h`` from ``floor(values[0] / h)``, so the downcrossings
+    are the falls of ``f``.  One scan of the values in range gives both
+    tracks; see :class:`CrossingPrefixes`.  A quotient that overflows is
+    out of range, not a warning.
+    """
+    with np.errstate(over="ignore"):
+        x = values / h
+    out = np.flatnonzero(~(np.abs(x) < 2.0 ** 62))
+    f, m = _play_tracks(x[:out[0]] if out.size else x)
+    up, up_exact = _running_total(np.diff(m, prepend=m[:1]))
+    down, down_exact = _running_total(-np.diff(f, prepend=f[:1]))
+    for arr in (f, m, up, down):
+        arr.flags.writeable = False
+    return CrossingPrefixes(float(h), values.shape[0], f, m, up, down, up_exact, down_exact)
 
 
 def crossings_total_up(values, h):
-    """Accumulated upcrossings of ``values`` and of ``-values``, from one scan.
-
-    The second count is the accumulated downcrossings of ``values``.  As
-    ``floor(-x) = -ceil(x)``, the track of ``-values / h`` from
-    ``ceil(-values[0] / h)`` is minus the track of ``values / h`` from
-    ``floor(values[0] / h)``, so the downcrossings are the falls of that
-    track, as the upcrossings are the rises of the one from the ceiling.
-    """
-    f, m = _play_tracks(values / h)
-    return int(_accumulate(np.diff(m))[-1]), int(_accumulate(-np.diff(f))[-1])
+    """Accumulated upcrossings of ``values`` and of ``-values`` (its downcrossings)."""
+    return crossings_prefix(values, h).at(values.shape[0])
 
 
 def _range_counts(start, stop, size):

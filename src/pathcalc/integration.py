@@ -464,8 +464,8 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
     event already confines the path below M).  Both allow three binomial
     standard errors.
     """
-    if not (a > 0 and b >= 0):
-        raise ContractError("need a > 0 and b >= 0")
+    if not (a > 0 and b >= 0 and c >= 0 and M >= 0):
+        raise ContractError("need a > 0, b >= 0, c >= 0 and M >= 0")
     worst_slack = math.inf
     mismatch = 0.0
     hits = 0

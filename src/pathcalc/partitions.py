@@ -245,12 +245,13 @@ def chi(partition: LebesguePartition, t: float) -> float:
     return float(partition.times[max(idx, 0)])
 
 
-def _sample_values(path: Path, t: float | None) -> np.ndarray:
-    """Value sequence that witnesses every crossing up to time t.
+def _prefix_end(path: Path, t: float | None) -> tuple[int, float | None]:
+    """``(upto, tail)``: the events up to time t are ``values[:upto]``.
 
-    Event values up to t; in linear mode the value at t itself is appended
-    (monotone segments attain their extrema at endpoints, so this sequence
-    is exact for crossing counts in both modes).
+    ``tail`` is the value at t in linear mode when t falls strictly between
+    events, else ``None``; monotone segments attain their extrema at
+    endpoints, so the events up to t, then ``tail``, witness every crossing
+    up to t in both modes.
     """
     if path.dim != 1:
         raise ContractError("crossing counters work on 1-dimensional paths")
@@ -258,9 +259,17 @@ def _sample_values(path: Path, t: float | None) -> np.ndarray:
     if not 0.0 <= t <= path.horizon:
         raise ContractError("t outside [0, horizon]")
     upto = int(np.searchsorted(path.times, t, side="right"))
-    vals = path.values[:upto, 0]
     if path.mode == MODE_LINEAR and t > path.times[upto - 1]:
-        vals = np.append(vals, path.eval(t)[0])
+        return upto, path.eval(t)[0]
+    return upto, None
+
+
+def _sample_values(path: Path, t: float | None) -> np.ndarray:
+    """Value sequence that witnesses every crossing up to time t (see :func:`_prefix_end`)."""
+    upto, tail = _prefix_end(path, t)
+    vals = path.values[:upto, 0]
+    if tail is not None:
+        vals = np.append(vals, tail)
     return np.ascontiguousarray(vals)
 
 
@@ -273,20 +282,44 @@ def crossings(path: Path, a: float, b: float, t: float | None = None) -> tuple[i
     return int(up), int(down)
 
 
-def crossings_accumulated(path: Path, h: float, t: float | None = None) -> tuple[int, int]:
-    """Accumulated crossing counts over the full level grid of spacing h."""
-    if h <= 0:
-        raise ContractError("need h > 0")
-    return K.crossings_total_up(_sample_values(path, t), float(h))
+def _crossing_scan(path: Path, h: float) -> K.CrossingPrefixes:
+    """The path's accumulated crossings at spacing h, scanned on first use.
 
-
-def upcrossings_at_events(path: Path, h: float) -> np.ndarray:
-    """``crossings_accumulated(path, h, t)[0]`` at every event time t, in one scan."""
-    if h <= 0:
+    The scan covers the whole event table and is kept in the path's memo,
+    keyed by ``float(h)``, so every later query at h reads it.
+    """
+    if not h > 0:
         raise ContractError("need h > 0")
     if path.dim != 1:
         raise ContractError("crossing counters work on 1-dimensional paths")
-    return K.crossings_up_prefix(np.ascontiguousarray(path.values[:, 0]), float(h))
+    h = float(h)
+    scan = path._crossing_scans.get(h)
+    if scan is None:
+        scan = path._crossing_scans[h] = K.crossings_prefix(path.values[:, 0], h)
+    return scan
+
+
+def crossings_accumulated(path: Path, h: float, t: float | None = None) -> tuple[int, int]:
+    """Accumulated up/down crossing counts over the full level grid of spacing h, by time t.
+
+    The counts at every event come from one scan of the path per spacing,
+    kept on the path (:func:`_crossing_scan`): a query reads the prefix
+    ending at the last event at or before t and, in linear mode with t
+    strictly between events, extends it by the value at t.  A query raises
+    :class:`ContractError` exactly when its own prefix holds a scaled value
+    ``x / h`` of ``2**62`` or more in magnitude or a count beyond
+    ``2**63 - 1``, whatever the rest of the path holds.
+    """
+    scan = _crossing_scan(path, h)
+    return scan.at(*_prefix_end(path, t))
+
+
+def upcrossings_at_events(path: Path, h: float) -> np.ndarray:
+    """``crossings_accumulated(path, h, t)[0]`` at every event time t, read-only.
+
+    Reads the same scan as :func:`crossings_accumulated`.
+    """
+    return _crossing_scan(path, h).ups()
 
 
 def crossing_report(path: Path, h: float, t: float | None = None) -> dict:

@@ -104,12 +104,19 @@ class PsiSpec:
 
 @dataclass(frozen=True)
 class Path:
-    """Finite-event trajectory in d dimensions."""
+    """Finite-event trajectory in d dimensions.
+
+    ``times`` and ``values`` are read-only arrays, so anything computed from
+    them stays valid for the life of the path.  The crossing counters of
+    :mod:`pathcalc.partitions` keep one scan per spacing in the private
+    ``_crossing_scans`` memo, which is left out of ``==`` and ``repr``.
+    """
 
     times: np.ndarray
     values: np.ndarray
     mode: str = MODE_STEP
     horizon: float | None = None
+    _crossing_scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))

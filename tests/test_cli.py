@@ -233,6 +233,14 @@ EXIT_CODE_CASES = [
     ("bdg-bound a zero", {}, ["verify", "--check", "bdg-bound", "--a", "0"], None, EXIT_CONFIG),
     ("bdg-bound b negative", {}, ["verify", "--check", "bdg-bound", "--b", "-1"],
      None, EXIT_CONFIG),
+    ("bdg-bound c nan", {}, ["verify", "--check", "bdg-bound", "--count", "3", "--c", "nan"],
+     None, EXIT_CONFIG),
+    ("bdg-bound c negative", {}, ["verify", "--check", "bdg-bound", "--count", "3", "--c", "-1"],
+     None, EXIT_CONFIG),
+    ("bdg-bound M nan", {}, ["verify", "--check", "bdg-bound", "--count", "3", "--M", "nan"],
+     None, EXIT_CONFIG),
+    ("bdg-bound M negative", {}, ["verify", "--check", "bdg-bound", "--count", "3", "--M", "-1"],
+     None, EXIT_CONFIG),
     ("concentration a nan", {}, ["verify", "--check", "concentration", "--a", "nan"],
      None, EXIT_CONFIG),
     ("config value not positive", {"p.csv": GOOD_CSV, "c.json": '{"tol": -1}'},

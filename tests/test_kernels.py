@@ -346,15 +346,25 @@ class TestPlayOperatorScan:
     @PROPERTY
     @given(STEP_INPUTS, st.sampled_from([1.0, 3.0]))
     @example((np.arange(8.0), COUNT_PAST_INT64, 52), 1.0)
-    def test_crossings_up_prefix(self, inputs, stretch):
+    @example((np.arange(8.0), -COUNT_PAST_INT64, 52), 1.0)
+    def test_crossings_prefix(self, inputs, stretch):
+        # every prefix of one scan against the reference loop on that prefix
         _, values, n = inputs
         h = stretch * 2.0 ** -n
-        ref = [R.crossings_total_up_py(values[:e + 1], h) for e in range(values.shape[0])]
-        if ref[-1] > INT64_MAX:
+        scan = K.crossings_prefix(values, h)
+        ups = [R.crossings_total_up_py(values[:e + 1], h) for e in range(values.shape[0])]
+        downs = [R.crossings_total_up_py(-values[:e + 1], h) for e in range(values.shape[0])]
+        for e, ref in enumerate(zip(ups, downs)):
+            if max(ref) > INT64_MAX:
+                with pytest.raises(ContractError, match="2\\*\\*63"):
+                    scan.at(e + 1)
+            else:
+                assert scan.at(e + 1) == ref
+        if ups[-1] > INT64_MAX:
             with pytest.raises(ContractError, match="2\\*\\*63"):
-                K.crossings_up_prefix(values, h)
+                scan.ups()
         else:
-            assert K.crossings_up_prefix(values, h).tolist() == ref
+            assert scan.ups().tolist() == ups
 
     @settings(max_examples=200)
     @given(clamp_sequences())

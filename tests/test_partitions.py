@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import ContractError, Path, partitions
+from pathcalc import _kernels as K
 from pathcalc.partitions import (
     SENTINEL,
     LebesguePartition,
     _coarsen,
     _components,
+    _sample_values,
     chi,
     crossing_report,
     crossings,
@@ -23,6 +25,7 @@ from pathcalc.partitions import (
 from pathcalc.integration import constant_integrand, integrate_f2_dqv, ito_integral
 from pathcalc.qv import qv_limit
 
+import reference_kernels as R
 from conftest import ladder_paths, random_step_path
 
 
@@ -391,7 +394,88 @@ class TestCrossings:
             assert abs(up - down) <= 1
 
 
+# spacings from coarse to the finest in range: at 2**-52 values near 512
+# give counts past 2**63 - 1, and at 2**-61 values of 2 or more are out of range
+SPACINGS = (1.0, 0.3, 0.25, 2.0 ** -20, 2.0 ** -52, 2.0 ** -61)
+# upcrossings of 2**63 at spacing 2**-52, every scaled value below 2**62
+COUNT_PAST_INT64 = [0.0, 2.0, 0.0, 512.0, 0.0, 512.0, -510.0, 512.0]
+
+
+@st.composite
+def crossing_queries(draw):
+    """``(path, queries)``: a 1-d step or linear path and ``(h, t)`` in random order.
+
+    ``t`` is 0, an event, a time between events (or after the last one),
+    the horizon or ``None``, at a few spacings.
+    """
+    mode = draw(st.sampled_from(["step", "linear"]))
+    m = draw(st.integers(1, 20))
+    bound = draw(st.sampled_from([4.0, 512.0]))
+    values = np.array(draw(st.lists(st.floats(-bound, bound), min_size=m, max_size=m)))
+    gaps = draw(st.lists(st.floats(0.001, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    horizon = float(times[-1]) + (draw(st.sampled_from([0.0, 0.5])) if m > 1 else 0.5)
+    ends = np.append(times, horizon)
+    hs = draw(st.lists(st.sampled_from(SPACINGS), min_size=1, max_size=3, unique=True))
+    queries = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["zero", "event", "between", "horizon", "none"]))
+        if kind == "event":
+            t = float(times[draw(st.integers(0, m - 1))])
+        elif kind == "between":
+            k = draw(st.integers(0, m - 1))
+            t = float(ends[k] + draw(st.floats(0.0, 1.0)) * (ends[k + 1] - ends[k]))
+        else:
+            t = {"zero": 0.0, "horizon": horizon, "none": None}[kind]
+        queries.append((draw(st.sampled_from(hs)), t))
+    return Path(times, values, mode=mode, horizon=horizon), queries
+
+
+def _outcome(count, *args):
+    try:
+        return count(*args)
+    except ContractError as exc:
+        return f"ContractError: {exc}"
+
+
+def _loop_outcome(values, h):
+    """The reference loop's counts of ``values``, or the bound that they break."""
+    with np.errstate(over="ignore"):
+        if not np.all(np.abs(values / h) < 2.0 ** 62):
+            return "2**62"
+    counts = (R.crossings_total_up_py(values, h), R.crossings_total_up_py(-values, h))
+    return "2**63" if max(counts) > np.iinfo(np.int64).max else counts
+
+
 class TestCrossingsAccumulated:
+    @settings(max_examples=300)
+    @given(crossing_queries())
+    # the whole path is out of range, its prefix is not; both query orders
+    @example((Path([0.0, 1.0, 2.0], [0.0, 1.0, 1e6]), [(2.0 ** -52, None), (2.0 ** -52, 1.0)]))
+    @example((Path([0.0, 1.0, 2.0], [0.0, 1.0, 1e6]), [(2.0 ** -52, 1.0), (2.0 ** -52, None)]))
+    # the whole path's up (then down) counts pass 2**63 - 1, its prefix's do
+    # not; both orders
+    @example((Path(np.arange(8.0), COUNT_PAST_INT64), [(2.0 ** -52, None), (2.0 ** -52, 5.0)]))
+    @example((Path(np.arange(8.0), COUNT_PAST_INT64), [(2.0 ** -52, 5.0), (2.0 ** -52, None)]))
+    @example((Path(np.arange(8.0), np.negative(COUNT_PAST_INT64)),
+              [(2.0 ** -52, None), (2.0 ** -52, 5.0)]))
+    # in linear mode the value at t can leave the range or pass the count
+    @example((Path([0.0, 1.0], [0.0, 1e6], mode="linear"),
+              [(2.0 ** -52, 0.5), (2.0 ** -52, 1e-13), (2.0 ** -52, 0.0)]))
+    @example((Path(np.arange(8.0), COUNT_PAST_INT64[:-1] + [1000.0], mode="linear"),
+              [(2.0 ** -52, 6.0), (2.0 ** -52, 6.9), (2.0 ** -52, 6.0001), (2.0 ** -52, 7.0)]))
+    def test_memo_matches_a_fresh_scan(self, case):
+        # every answer, and every ContractError, is the direct scan's of its
+        # own prefix, and the reference loop's
+        path, queries = case
+        for h, t in queries:
+            fresh = Path(path.times, path.values, mode=path.mode, horizon=path.horizon)
+            values = _sample_values(fresh, t)
+            got = _outcome(crossings_accumulated, path, h, t)
+            assert got == _outcome(lambda: K.crossings_total_up(values, h))
+            loop = _loop_outcome(values, h)
+            assert got == loop if isinstance(loop, tuple) else loop in got
+
     def test_oscillator_h1(self, p2):
         assert crossings_accumulated(p2, 1.0, 4.0) == (2, 2)
 
