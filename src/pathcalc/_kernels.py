@@ -326,7 +326,7 @@ def crossings_greedy(values, a, b):
     return int(np.count_nonzero(m[1:] > m[:-1])), int(np.count_nonzero(f[1:] < f[:-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossingPrefixes:
     """Accumulated crossings of every prefix of a value sequence, from one scan.
 

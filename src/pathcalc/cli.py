@@ -37,7 +37,8 @@ from .partitions import (
     upcrossings_at_events,
     write_partition_csv,
 )
-from .paths import Path, PsiSpec, read_path_csv, write_path_csv
+from .paths import (Path, PsiSpec, _read_json_object, _write_json, _write_table, read_path_csv,
+                    write_path_csv)
 from .qv import discrete_qv, qv_limit, write_qv_report
 from .simulate import SimSpec, ensemble, write_simspec
 from .strategies import (
@@ -120,9 +121,7 @@ def _write_manifest(out: FsPath, command: str, config: dict, checks: list, exit_
         "checks": checks,
         "exit_code": exit_code,
     }
-    with (out / "manifest.json").open("w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 def _simspec_from_args(args) -> SimSpec:
@@ -164,9 +163,7 @@ def cmd_crossings(args) -> tuple[int, list, dict]:
     path = read_path_csv(args.input)
     out = _outdir(args)
     rep = crossing_report(path, h=args.h, t=args.t)
-    with (out / "crossings.json").open("w") as fh:
-        json.dump(rep, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "crossings.json", rep)
     config = {"input": str(args.input), "h": args.h, "t": args.t}
     return EXIT_OK, [{"name": "crossings", "passed": True,
                       "detail": f"U={rep['U']} D={rep['D']}"}], config
@@ -177,9 +174,7 @@ def cmd_integrate(args) -> tuple[int, list, dict]:
     out = _outdir(args)
     rep = ito_integral(_parse_rule(args.rule), path, n_max=args.n_max, tol=args.tol)
     with (out / "integral.csv").open("w") as fh:
-        fh.write("t,integral\n")
-        for t, v in zip(rep.curve.times, rep.curve.values):
-            fh.write(f"{repr(float(t))},{repr(float(v))}\n")
+        _write_table(fh, ["t", "integral"], [rep.curve.times, rep.curve.values])
     checks = [{"name": "ito-cauchy", "passed": bool(rep.converged),
                "detail": f"last gap {rep.generation_gaps[-1]:.3e}" if rep.generation_gaps.size else "single generation"}]
     code = EXIT_OK
@@ -195,9 +190,7 @@ def cmd_integrate(args) -> tuple[int, list, dict]:
             code = EXIT_INTERNAL
     summary = {"terminal": rep.terminal, "converged": rep.converged,
                "generation_gaps": rep.generation_gaps.tolist(), "note": rep.note}
-    with (out / "integral_report.json").open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "integral_report.json", summary)
     config = {"input": str(args.input), "rule": args.rule,
               "n_max": args.n_max, "tol": args.tol}
     return code, checks, config
@@ -383,9 +376,7 @@ def cmd_verify(args) -> tuple[int, list, dict]:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
             code = EXIT_CHECK_FAILED if code == EXIT_OK else code
     out = _outdir(args)
-    with (out / "verification_report.json").open("w") as fh:
-        json.dump({"checks": checks}, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(out / "verification_report.json", {"checks": checks})
     checks = [{k: v for k, v in chk.items() if k != "per_path"} for chk in checks]
     config = {"check": args.check, "count": args.count, "seed": args.seed,
               "K": args.K, "lambda": args.lam, "psi": args.psi,
@@ -413,9 +404,9 @@ def cmd_continuity(args) -> tuple[int, list, dict]:
     pairs = [(k, factory(1.0 + 2.0 ** -k), factory(1.0)) for k in range(1, 9)]
     rep = continuity_experiment(pairs, stats, epsilon=args.epsilon, kind=kind, psi=psi)
     with (out / "continuity.csv").open("w") as fh:
-        fh.write("scale,integrand_distance,integral_distance\n")
-        for label, x, y in rep.rows:
-            fh.write(f"{label},{repr(float(x))},{repr(float(y))}\n")
+        _write_table(fh, ["scale", "integrand_distance", "integral_distance"],
+                     [np.asarray(col) for col in zip(*rep.rows)])
+    # the one JSON artifact in insertion order: sorting its keys would change its bytes
     with (out / "continuity_summary.json").open("w") as fh:
         json.dump({"slope": rep.slope, "floor": rep.floor, "ok": rep.ok,
                    "kind": rep.kind, "epsilon": rep.epsilon}, fh, indent=2)
@@ -526,13 +517,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     """
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        try:
-            overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ContractError(f"{args.config}: malformed JSON: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ContractError(f"{args.config}: expected a JSON object")
+    overrides = _read_json_object(args.config)
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in commands.choices[args.command]._actions}
     for key, value in overrides.items():

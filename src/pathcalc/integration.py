@@ -142,7 +142,7 @@ def _compensator_terminal(F: StepIntegrand, curve: CapitalCurve, path: Path,
     return float(np.sum(np.diff(x) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompensatorReport:
     times: np.ndarray
     values: np.ndarray
@@ -203,7 +203,7 @@ def approximate_caglad(rule: Callable[[Path, np.ndarray], np.ndarray], path: Pat
     return _sample(rule, path, lebesgue_partition_nd(path, n).times)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ItoIntegralReport:
     curve: CapitalCurve
     generation_gaps: np.ndarray      # sup |I^n - I^{n-1}| for n = 2..n_max
@@ -245,7 +245,7 @@ def ito_integral(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
 # Metrics (empirical lower-bound estimates of the hedging expectations)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathStats:
     """Per-path quantities the localized metrics condition on."""
 
@@ -292,14 +292,7 @@ def _sup_diff(F, G, st: PathStats) -> float:
     """Sup-norm distance of the realized objects of F and G on one path."""
     x, y = F(st.path), G(st.path)
     if isinstance(x, StepIntegrand) and isinstance(y, StepIntegrand):
-        times = np.unique(np.concatenate([x.times, y.times]))
-        diff = x.value_after(times) - y.value_after(times)
-        sup = float(np.max(np.linalg.norm(diff, axis=1)))
-        if x.value_at_zero is not None or y.value_at_zero is not None:
-            zx = x.value_at_zero if x.value_at_zero is not None else np.zeros(x.dim)
-            zy = y.value_at_zero if y.value_at_zero is not None else np.zeros(y.dim)
-            sup = max(sup, float(np.linalg.norm(zx - zy)))
-        return sup
+        return difference_integrand(x, y).sup_norm()
     if isinstance(x, CapitalCurve) and isinstance(y, CapitalCurve):
         times = np.unique(np.concatenate([x.times, y.times]))
         return float(np.max(np.abs(x.values_at(times) - y.values_at(times))))

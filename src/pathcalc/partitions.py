@@ -59,7 +59,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .paths import MODE_LINEAR, MODE_STEP, Path
+from .paths import MODE_LINEAR, MODE_STEP, Path, _value_eq, _write_table
 
 MAX_GENERATION = 52
 
@@ -73,7 +73,7 @@ SENTINEL = np.inf
 """Stopping-time value meaning "never happens" (beyond any horizon)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LebesguePartition:
     """Realized crossing times of one generation.
 
@@ -91,6 +91,9 @@ class LebesguePartition:
     level_indices: np.ndarray | None = None
     finite: bool = True
     event_indices: np.ndarray | None = None
+
+    __eq__ = _value_eq
+    __hash__ = None
 
     def __post_init__(self):
         times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
@@ -364,7 +367,6 @@ def write_partition_csv(partition: LebesguePartition, file):
     """Export as ``k,tau,level`` (level blank for multi-dimensional)."""
     levels = partition.levels
     with open(file, "w") as fh:
-        fh.write("k,tau,level\n")
-        for k in range(len(partition)):
-            lev = repr(float(levels[k])) if levels is not None else ""
-            fh.write(f"{k},{repr(float(partition.times[k]))},{lev}\n")
+        _write_table(fh, ["k", "tau", "level"],
+                     [np.arange(len(partition)), partition.times,
+                      levels if levels is not None else np.full(len(partition), "")])

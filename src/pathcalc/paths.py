@@ -10,6 +10,10 @@ horizon in both modes.
 Sample-space membership restricts downward jumps: for every coordinate and
 every time, ``x_i(t-) - x_i(t) <= psi(sup_{s<t} |x(s)|)`` with a fixed
 non-decreasing ``psi``.  Upward jumps are unrestricted.
+
+It also owns the file formats pathcalc writes and reads: CSV tables of
+``repr`` floats, sorted-key JSON, and JSON objects read back (section "File
+round trip").
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -102,14 +106,24 @@ class PsiSpec:
         return cls(obj["family"], tuple(obj["params"]))
 
 
-@dataclass(frozen=True)
+def _value_eq(a, b):
+    """``__eq__`` of dataclasses holding arrays: :func:`np.array_equal` on each
+    field except ``compare=False`` ones (a generated ``__eq__`` would raise)."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a) if f.compare)
+
+
+@dataclass(frozen=True, eq=False)
 class Path:
     """Finite-event trajectory in d dimensions.
 
     ``times`` and ``values`` are read-only arrays, so anything computed from
     them stays valid for the life of the path.  The crossing counters of
     :mod:`pathcalc.partitions` keep one scan per spacing in the private
-    ``_crossing_scans`` memo, which is left out of ``==`` and ``repr``.
+    ``_crossing_scans`` memo; ``==`` compares the other fields by value, and
+    neither it nor ``repr`` sees the memo.
     """
 
     times: np.ndarray
@@ -117,6 +131,9 @@ class Path:
     mode: str = MODE_STEP
     horizon: float | None = None
     _crossing_scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    __eq__ = _value_eq
+    __hash__ = None
 
     def __post_init__(self):
         times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
@@ -256,28 +273,53 @@ def check_membership(path: Path, spec: SampleSpaceSpec) -> MembershipReport:
 
 
 # ---------------------------------------------------------------------------
-# File round trip: CSV event table + JSON sidecar
+# File round trip: every artifact format pathcalc writes or reads
 # ---------------------------------------------------------------------------
 
-def write_path_csv(path: Path, csv_file, sidecar: dict | None = None):
-    """Write the event table as ``t,x1,...,xd``; floats use shortest repr.
+_TABLE_BLOCK = 4096  # rows formatted at once: a long table never holds all its strings
 
-    ``repr`` of a Python float round-trips bit-exactly, which makes reruns
-    byte-identical and readers exact inverses of writers.
+
+def _write_table(fh, header, columns):
+    """Write ``header`` and a row per index of the equal-length 1-d arrays ``columns``.
+
+    A cell is ``str`` of its value, for a float its shortest round-trip
+    ``repr``, so readers invert writers exactly.  Lines end with ``"\\n"``.
     """
+    fh.write(",".join(header) + "\n")
+    for lo in range(0, len(columns[0]), _TABLE_BLOCK):
+        cells = [map(str, col[lo:lo + _TABLE_BLOCK].tolist()) for col in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_json(file, obj):
+    """``obj`` as JSON: two-space indents, sorted keys, ``str`` of other types, final newline."""
+    with open(file, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
+def _read_json_object(file) -> dict:
+    """The JSON object in ``file``; anything else raises :class:`ContractError`."""
+    with open(file) as fh:
+        try:
+            obj = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContractError(f"{file}: malformed JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ContractError(f"{file}: expected a JSON object")
+    return obj
+
+
+def write_path_csv(path: Path, csv_file, sidecar: dict | None = None):
+    """Write the event table as ``t,x1,...,xd`` with CRLF line ends, plus the JSON sidecar."""
     csv_file = FsPath(csv_file)
-    with csv_file.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(path.dim)])
-        for k in range(path.n_events):
-            writer.writerow([repr(float(path.times[k]))]
-                            + [repr(float(v)) for v in path.values[k]])
+    with csv_file.open("w", newline="\r\n") as fh:
+        _write_table(fh, ["t"] + [f"x{i + 1}" for i in range(path.dim)],
+                     [path.times] + list(path.values.T))
     meta = {"dim": path.dim, "horizon": path.horizon, "mode": path.mode}
     if sidecar:
         meta.update(sidecar)
-    with csv_file.with_suffix(".json").open("w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(csv_file.with_suffix(".json"), meta)
 
 
 def _finite_number(x) -> bool:
@@ -316,13 +358,7 @@ def read_path_csv(csv_file) -> Path:
     horizon = None
     sidecar = csv_file.with_suffix(".json")
     if sidecar.exists():
-        with sidecar.open() as fh:
-            try:
-                meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"{sidecar}: malformed JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise ContractError(f"{sidecar}: expected a JSON object")
+        meta = _read_json_object(sidecar)
         mode = meta.get("mode", MODE_STEP)
         horizon = meta.get("horizon")
         if not isinstance(mode, str):

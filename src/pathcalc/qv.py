@@ -13,7 +13,6 @@ reported data, never an error.  Convention: ``Q^0 := 0`` so ``Z^1 = Q^1``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import _kernels as K
 from .errors import ContractError
 from .partitions import (SENTINEL, LebesguePartition, _coarsen, _on_grid,
                          lebesgue_partition_1d, lebesgue_partition_nd, partition_ladder)
-from .paths import MODE_STEP, Path, PsiSpec
+from .paths import MODE_STEP, Path, PsiSpec, _write_json, _write_table
 
 Q0_CONVENTION = "Q^0 := 0, so Z^1 = Q^1"
 
@@ -58,7 +57,7 @@ def discrete_cross_qv(path: Path, n: int, i: int, j: int, t: float,
     return float(np.sum(di * dj))
 
 
-@dataclass
+@dataclass(eq=False)
 class QVReport:
     """Per-generation quadratic variation paths and convergence diagnostics."""
 
@@ -278,16 +277,9 @@ def write_qv_report(report: QVReport, json_file, csv_file=None):
             for n in report.generations
         ],
     }
-    with open(json_file, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_file, obj)
     if csv_file is not None:
-        d = report.dim
-        header = "t," + ",".join(f"qv_{a + 1}{b + 1}" for a in range(d) for b in range(d))
+        pairs = [(a, b) for a in range(report.dim) for b in range(report.dim)]
         with open(csv_file, "w") as fh:
-            fh.write(header + "\n")
-            for k in range(len(report.limit_times)):
-                row = [repr(float(report.limit_times[k]))]
-                row += [repr(float(report.limit_values[k, a, b]))
-                        for a in range(d) for b in range(d)]
-                fh.write(",".join(row) + "\n")
+            _write_table(fh, ["t"] + [f"qv_{a + 1}{b + 1}" for a, b in pairs],
+                         [report.limit_times] + [report.limit_values[:, a, b] for a, b in pairs])

@@ -11,14 +11,13 @@ bound (never resampled), which keeps generation total and deterministic.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec
+from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _read_json_object, _write_json
 
 RNG_ALGORITHM = "philox4x64 keyed by (seed << 64) | stream"
 
@@ -68,16 +67,8 @@ class SimSpec:
             raise ContractError(f"unknown mode {self.mode!r}")
 
     def to_json(self) -> dict:
-        obj = {
-            "kind": self.kind, "steps": self.steps, "horizon": self.horizon,
-            "dim": self.dim, "drift": self.drift, "volatility": self.volatility,
-            "jump_intensity": self.jump_intensity, "jump_mean": self.jump_mean,
-            "jump_std": self.jump_std, "x0": self.x0, "amplitude": self.amplitude,
-            "value": self.value, "seed": self.seed,
-            "psi": self.psi.to_json() if self.psi else None,
-            "mode": self.mode, "rng": RNG_ALGORITHM,
-        }
-        return obj
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        return obj | {"psi": self.psi.to_json() if self.psi else None, "rng": RNG_ALGORITHM}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimSpec":
@@ -151,11 +142,8 @@ def ensemble(spec: SimSpec, count: int) -> list[Path]:
 
 
 def write_simspec(spec: SimSpec, file):
-    with open(file, "w") as fh:
-        json.dump(spec.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(file, spec.to_json())
 
 
 def read_simspec(file) -> SimSpec:
-    with open(file) as fh:
-        return SimSpec.from_json(json.load(fh))
+    return SimSpec.from_json(_read_json_object(file))

@@ -17,7 +17,15 @@ of the linear Doob aggregate time by time, ``admissibility_lift_py`` sets
 the lifted position time by time, and ``hoeffding_positions_py`` carries
 the wealth of the supermartingale strategy step by step.  The library
 computes each of them on whole arrays and must return exactly these bits.
+
+The ``*_csv_py`` writers format every file cell by cell with
+``repr(float(x))``, as the writers of ``pathcalc.paths``, ``partitions``,
+``qv`` and the ``integrate`` and ``continuity`` commands did before they
+shared one table writer; each new writer must produce exactly these bytes.
 """
+
+import csv
+import json
 
 import numpy as np
 
@@ -302,3 +310,58 @@ def hoeffding_positions_py(path, decision_times, c, lam):
         if k + 1 < len(dt):
             v = v * (1.0 + beta * (s[k + 1] - s[k]))
     return positions
+
+
+def write_path_csv_py(path, csv_file, sidecar=None):
+    """``paths.write_path_csv`` through ``csv.writer``, row by row, and its JSON sidecar."""
+    with open(csv_file, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x{i + 1}" for i in range(path.dim)])
+        for k in range(path.n_events):
+            writer.writerow([repr(float(path.times[k]))]
+                            + [repr(float(v)) for v in path.values[k]])
+    meta = {"dim": path.dim, "horizon": path.horizon, "mode": path.mode}
+    if sidecar:
+        meta.update(sidecar)
+    with open(str(csv_file)[:-len(".csv")] + ".json", "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_partition_csv_py(partition, file):
+    """``partitions.write_partition_csv``, point by point."""
+    levels = partition.levels
+    with open(file, "w") as fh:
+        fh.write("k,tau,level\n")
+        for k in range(len(partition)):
+            lev = repr(float(levels[k])) if levels is not None else ""
+            fh.write(f"{k},{repr(float(partition.times[k]))},{lev}\n")
+
+
+def write_qv_csv_py(report, csv_file):
+    """The ``qv_limit.csv`` part of ``qv.write_qv_report``, time by time."""
+    d = report.dim
+    header = "t," + ",".join(f"qv_{a + 1}{b + 1}" for a in range(d) for b in range(d))
+    with open(csv_file, "w") as fh:
+        fh.write(header + "\n")
+        for k in range(len(report.limit_times)):
+            row = [repr(float(report.limit_times[k]))]
+            row += [repr(float(report.limit_values[k, a, b]))
+                    for a in range(d) for b in range(d)]
+            fh.write(",".join(row) + "\n")
+
+
+def write_integral_csv_py(times, values, file):
+    """``integral.csv`` of the ``integrate`` command, grid time by grid time."""
+    with open(file, "w") as fh:
+        fh.write("t,integral\n")
+        for t, v in zip(times, values):
+            fh.write(f"{repr(float(t))},{repr(float(v))}\n")
+
+
+def write_continuity_csv_py(rows, file):
+    """``continuity.csv`` of the ``continuity`` command, one integrand pair per line."""
+    with open(file, "w") as fh:
+        fh.write("scale,integrand_distance,integral_distance\n")
+        for label, x, y in rows:
+            fh.write(f"{label},{repr(float(x))},{repr(float(y))}\n")

@@ -202,6 +202,10 @@ EXIT_CODE_CASES = [
      ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
     ("malformed config json", {"p.csv": GOOD_CSV, "c.json": "{n-max"},
      ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_CONFIG),
+    ("sidecar not utf-8", {"p.csv": GOOD_CSV, "p.json": b"\xff\xfe{"},
+     ["qv", "--input", "p.csv"], None, EXIT_CONFIG),
+    ("config not utf-8", {"p.csv": GOOD_CSV, "c.json": b"\xff{"},
+     ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_CONFIG),
     ("config not an object", {"c.json": "[1, 2]"},
      ["simulate", "--config", "c.json"], None, EXIT_CONFIG),
     ("config value of wrong type", {"c.json": '{"count": "ten"}'},
@@ -260,7 +264,7 @@ EXIT_CODE_CASES = [
                          ids=[case[0] for case in EXIT_CODE_CASES])
 def test_exit_code_contract(tmp_path, monkeypatch, files, argv, failure, expected):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     if failure is not None:
         monkeypatch.setitem(cli.VERIFY_CHECKS, "bdg", _failing_check(failure))
     monkeypatch.chdir(tmp_path)

@@ -1,0 +1,164 @@
+"""Artifact bytes: the shared table and JSON writers against the cell-by-cell loops.
+
+Every writer must produce the bytes of its reference loop in
+``reference_loops``, for d = 1..3, ``-0.0``, subnormals, values on both
+sides of the switch to exponent form at 1e16, blank levels and tables longer
+than one formatting block; and every CLI artifact must come out the same on
+a rerun.
+"""
+
+from pathlib import PurePosixPath
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from pathcalc import cli
+from pathcalc.cli import EXIT_OK, main
+from pathcalc.partitions import LebesguePartition, write_partition_csv
+from pathcalc.paths import (_TABLE_BLOCK, Path, _write_json, _write_table, read_path_csv,
+                            write_path_csv)
+from pathcalc.qv import QVReport, write_qv_report
+
+from reference_loops import (write_continuity_csv_py, write_integral_csv_py,
+                             write_partition_csv_py, write_path_csv_py, write_qv_csv_py)
+
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 0.0001, 9999999999999998.0,
+               1e16, 1.2345678901234567e16, -1.7976931348623157e308]
+
+cells = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12)
+# short tables, and tables on both sides of one formatting block
+rows = st.one_of(st.integers(1, 20),
+                 st.sampled_from([_TABLE_BLOCK - 1, _TABLE_BLOCK, _TABLE_BLOCK + 1]))
+
+
+def _times(m, scale, fracs):
+    """``m`` strictly increasing times from 0: ``(k + frac_k) * scale`` with frac_k in [0, 1/4]."""
+    times = (np.arange(m) + np.resize(fracs, m)) * scale
+    times[0] = 0.0
+    return times
+
+
+def _assert_same_files(tmp_path, names):
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+
+@given(m=rows, d=st.integers(1, 3), values=cells,
+       scale=st.floats(5e-324, 1e300), fracs=st.lists(st.floats(0.0, 0.25), min_size=1, max_size=5),
+       mode=st.sampled_from(["step", "linear"]))
+@example(m=_TABLE_BLOCK + 1, d=3, values=EDGE_FLOATS, scale=1e15, fracs=[0.0, 0.25, 1 / 3 - 0.1],
+         mode="step")
+def test_path_csv_bytes(tmp_path_factory, m, d, values, scale, fracs, mode):
+    tmp_path = tmp_path_factory.mktemp("path")
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    path = Path(_times(m, scale, fracs), np.resize(values, (m, d)), mode=mode, horizon=m * scale)
+    sidecar = {"psi": {"family": "constant", "params": [0.5]}}
+    write_path_csv(path, tmp_path / "new" / "p.csv", sidecar=sidecar)
+    write_path_csv_py(path, tmp_path / "ref" / "p.csv", sidecar=sidecar)
+    _assert_same_files(tmp_path, ["p.csv", "p.json"])
+    assert read_path_csv(tmp_path / "new" / "p.csv") == path
+
+
+@given(m=rows, generation=st.integers(1, 52), leveled=st.booleans(), values=cells,
+       indices=st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=12))
+@example(m=2 * _TABLE_BLOCK + 3, generation=10, leveled=False, values=EDGE_FLOATS, indices=[0])
+@example(m=_TABLE_BLOCK, generation=1, leveled=True, values=EDGE_FLOATS, indices=[-1, 0, 2 ** 53])
+def test_partition_csv_bytes(tmp_path_factory, m, generation, leveled, values, indices):
+    tmp_path = tmp_path_factory.mktemp("partition")
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    part = LebesguePartition(generation, np.resize(values, m),
+                             np.resize(indices, m) if leveled else None)
+    write_partition_csv(part, tmp_path / "new" / "part.csv")
+    write_partition_csv_py(part, tmp_path / "ref" / "part.csv")
+    _assert_same_files(tmp_path, ["part.csv"])
+
+
+@given(m=rows, d=st.integers(1, 3), values=cells)
+@example(m=_TABLE_BLOCK + 1, d=2, values=EDGE_FLOATS)
+def test_qv_csv_bytes(tmp_path_factory, m, d, values):
+    tmp_path = tmp_path_factory.mktemp("qv")
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    limit_values = np.resize(values, (m, d, d))
+    report = QVReport(dim=d, n_max=1, tol=1e-8, generations=[1], z_sup=np.zeros(1),
+                      qv_terminal=np.zeros((1, d, d)), limit_times=np.resize(values[::-1], m),
+                      limit_values=limit_values, terminal=np.zeros((d, d)),
+                      cauchy_tol_met=False, converged_at=None)
+    write_qv_report(report, tmp_path / "new" / "qv.json", tmp_path / "new" / "qv.csv")
+    write_qv_csv_py(report, tmp_path / "ref" / "qv.csv")
+    _assert_same_files(tmp_path, ["qv.csv"])
+
+
+@given(m=rows, labels=st.lists(st.integers(-10, 10 ** 6), min_size=1, max_size=12),
+       xs=cells, ys=cells)
+@example(m=_TABLE_BLOCK + 1, labels=[1, 2, 3], xs=EDGE_FLOATS, ys=EDGE_FLOATS[::-1])
+def test_two_float_column_tables(tmp_path_factory, m, labels, xs, ys):
+    """The ``integral.csv`` and ``continuity.csv`` shapes: float columns, and int labels."""
+    tmp_path = tmp_path_factory.mktemp("tables")
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    times, values = np.resize(xs, m), np.resize(ys, m)
+    rows_ = list(zip(np.resize(labels, m).tolist(), times.tolist(), values.tolist()))
+    with open(tmp_path / "new" / "integral.csv", "w") as fh:
+        _write_table(fh, ["t", "integral"], [times, values])
+    with open(tmp_path / "new" / "continuity.csv", "w") as fh:
+        _write_table(fh, ["scale", "integrand_distance", "integral_distance"],
+                     [np.asarray(col) for col in zip(*rows_)])
+    write_integral_csv_py(times, values, tmp_path / "ref" / "integral.csv")
+    write_continuity_csv_py(rows_, tmp_path / "ref" / "continuity.csv")
+    _assert_same_files(tmp_path, ["integral.csv", "continuity.csv"])
+
+
+RERUN_COMMANDS = [
+    ["simulate", "--kind", "jump-diffusion", "--steps", "40", "--count", "2", "--dim", "2",
+     "--seed", "3", "--jump-intensity", "6", "--psi", "constant:0.4"],
+    ["simulate", "--kind", "brownian", "--steps", "64", "--seed", "4"],
+    ["qv", "--input", "out1/path_0000.csv", "--n-max", "6"],
+    ["crossings", "--input", "out1/path_0000.csv", "--h", "0.125"],
+    ["integrate", "--input", "out1/path_0000.csv", "--rule", "prev-price", "--n-max", "5"],
+    ["continuity", "--ensemble", "cadlag", "--count", "4", "--n-max", "3"],
+    ["continuity", "--ensemble", "continuous", "--count", "4", "--n-max", "3"],
+]
+
+
+def test_cli_artifacts_rerun_byte_identical(tmp_path, monkeypatch):
+    """Every artifact but ``manifest.json`` (timestamped) repeats byte for byte, and
+    the tables of ``integrate`` and ``continuity`` match the cell-by-cell loops."""
+    results = {}
+
+    def keep(fn):
+        def call(*args, **kwargs):
+            results.setdefault(fn.__name__, []).append(fn(*args, **kwargs))
+            return results[fn.__name__][-1]
+        return call
+
+    monkeypatch.setattr(cli, "ito_integral", keep(cli.ito_integral))
+    monkeypatch.setattr(cli, "continuity_experiment", keep(cli.continuity_experiment))
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        for i, argv in enumerate(RERUN_COMMANDS):
+            assert main(argv + ["--output-dir", f"out{i}"]) == EXIT_OK, argv
+    files = sorted(f.relative_to(tmp_path / "a") for f in (tmp_path / "a").rglob("*")
+                   if f.is_file() and f.name != "manifest.json")
+    assert {"partition_n6.csv", "crossings.json", "integral.csv", "integral_report.json",
+            "continuity.csv", "continuity_summary.json"} <= {f.name for f in files}
+    for rel in files:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+    curve = results["ito_integral"][0].curve
+    write_integral_csv_py(curve.times, curve.values, tmp_path / "integral.csv")
+    assert (tmp_path / "a/out4/integral.csv").read_bytes() == (tmp_path / "integral.csv").read_bytes()
+    for i, rep in zip((5, 6), results["continuity_experiment"]):
+        write_continuity_csv_py(rep.rows, tmp_path / "continuity.csv")
+        assert ((tmp_path / f"a/out{i}/continuity.csv").read_bytes()
+                == (tmp_path / "continuity.csv").read_bytes())
+
+
+def test_json_format(tmp_path):
+    """Two-space indents, sorted keys at every depth, ``str`` of other types, final newline."""
+    _write_json(tmp_path / "x.json", {"b": [1.5, -0.0], "a": {"d": None, "c": PurePosixPath("p/q")}})
+    assert (tmp_path / "x.json").read_text() == (
+        '{\n  "a": {\n    "c": "p/q",\n    "d": null\n  },\n  "b": [\n    1.5,\n    -0.0\n  ]\n}\n')

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathcalc import (
     ContractError,
@@ -10,8 +12,9 @@ from pathcalc import (
     read_path_csv,
     write_path_csv,
 )
+from pathcalc.partitions import LebesguePartition, lebesgue_partition_nd
 
-from conftest import random_step_path
+from conftest import ladder_paths, random_step_path
 
 
 class TestEval:
@@ -160,6 +163,25 @@ class TestConstruction:
     def test_immutable(self, p1):
         with pytest.raises(ValueError):
             p1.values[0, 0] = 5.0
+
+
+@given(case=ladder_paths(), data=st.data())
+def test_paths_and_partitions_compare_by_value(case, data):
+    path, n = case
+    twin = Path(path.times.copy(), path.values.copy(), mode=path.mode, horizon=path.horizon)
+    assert path == twin and not path != twin
+    values = path.values.copy()
+    i = data.draw(st.integers(0, values.size - 1))
+    values.flat[i] = np.nextafter(values.flat[i], 0.0) if values.flat[i] else 1.0
+    assert path != Path(path.times, values, mode=path.mode, horizon=path.horizon)
+    other_mode = "linear" if path.mode == "step" else "step"
+    assert path != Path(path.times, path.values, mode=other_mode, horizon=path.horizon)
+    part = lebesgue_partition_nd(path, n)
+    assert part == lebesgue_partition_nd(twin, n)
+    assert part != LebesguePartition(n + 1, part.times, part.level_indices, part.finite,
+                                     part.event_indices)
+    with pytest.raises(TypeError):
+        hash(path)
 
 
 class TestRoundTrip:
