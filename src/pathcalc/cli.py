@@ -1,10 +1,12 @@
 """Batch front end: simulate ensembles and run experiments from flags or JSON.
 
-Every run writes a ``manifest.json`` recording the resolved configuration,
-its sha256 hash, the tool version and one pass/fail entry per executed
-check; all other outputs are deterministic functions of (config, seed), so
-re-running a command reproduces them byte for byte (timestamps live only in
-the manifest).
+Every run writes a ``manifest.json``: its ``config`` is the parsed flags but
+``--config`` and ``--output-dir``, under the keys a ``--config`` file takes
+(``n_max``, ``lam`` for ``--lambda``), with their sha256, the tool version
+and one pass/fail entry per check.  All other outputs are deterministic
+functions of the config, so that object, passed back as ``--config``, reruns
+the command byte for byte.  Only ``simulate``, ``verify`` and ``continuity``
+draw random numbers, so only they take ``--seed``.
 
 Exit codes: 0 success; 2 configuration error; 3 I/O error; 4 an exact
 pathwise identity failed (implementation bug, never bad luck); 5 an
@@ -18,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -87,6 +90,13 @@ def _positive(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed, an integer in [0, 2**64) (simulate's key holds 64 bits)."""
+    if not 0 <= (value := int(text)) < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text!r}")
+    return value
+
+
 def _parse_rule(text: str):
     """The integrand rule of ``--rule``: ``unit``, ``prev-price`` or ``const:VALUE``."""
     if text == "unit":
@@ -111,42 +121,32 @@ def _outdir(args) -> FsPath:
 
 
 def _write_manifest(out: FsPath, command: str, config: dict, checks: list, exit_code: int):
-    blob = json.dumps(config, sort_keys=True, default=str)
     manifest = {
         "command": command,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": config,
-        "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "checks": checks,
         "exit_code": exit_code,
     }
     _write_json(out / "manifest.json", manifest)
 
 
-def _simspec_from_args(args) -> SimSpec:
-    return SimSpec(kind=args.kind, steps=args.steps, horizon=args.horizon,
-                   dim=args.dim, drift=args.drift, volatility=args.volatility,
-                   jump_intensity=args.jump_intensity, jump_mean=args.jump_mean,
-                   jump_std=args.jump_std, x0=args.x0, amplitude=args.amplitude,
-                   value=args.value, seed=args.seed, psi=_parse_psi(args.psi),
-                   mode=args.mode)
-
-
-def cmd_simulate(args) -> tuple[int, list, dict]:
-    spec = _simspec_from_args(args)
+def cmd_simulate(args) -> tuple[int, list]:
+    spec = SimSpec(**{f.name: getattr(args, f.name) for f in fields(SimSpec)}
+                   | {"psi": _parse_psi(args.psi)})
     out = _outdir(args)
-    paths = ensemble(spec, args.count)
-    for i, p in enumerate(paths):
+    for i, p in enumerate(ensemble(spec, args.count)):
         write_path_csv(p, out / f"path_{i:04d}.csv",
                        sidecar={"psi": spec.psi.to_json() if spec.psi else None})
     write_simspec(spec, out / "simspec.json")
     checks = [{"name": "simulate", "passed": True,
                "detail": f"{args.count} path(s), kind={spec.kind}"}]
-    return EXIT_OK, checks, spec.to_json()
+    return EXIT_OK, checks
 
 
-def cmd_qv(args) -> tuple[int, list, dict]:
+def cmd_qv(args) -> tuple[int, list]:
     path = read_path_csv(args.input)
     out = _outdir(args)
     report = qv_limit(path, n_max=args.n_max, tol=args.tol)
@@ -155,21 +155,19 @@ def cmd_qv(args) -> tuple[int, list, dict]:
         write_partition_csv(report.partition, out / f"partition_n{args.n_max}.csv")
     checks = [{"name": "qv-cauchy", "passed": bool(report.cauchy_tol_met),
                "detail": f"z_sup[{args.n_max}]={report.z_sup[-1]:.3e} tol={args.tol}"}]
-    config = {"input": str(args.input), "n_max": args.n_max, "tol": args.tol}
-    return EXIT_OK, checks, config  # non-convergence is reported data
+    return EXIT_OK, checks  # non-convergence is reported data
 
 
-def cmd_crossings(args) -> tuple[int, list, dict]:
+def cmd_crossings(args) -> tuple[int, list]:
     path = read_path_csv(args.input)
     out = _outdir(args)
     rep = crossing_report(path, h=args.h, t=args.t)
     _write_json(out / "crossings.json", rep)
-    config = {"input": str(args.input), "h": args.h, "t": args.t}
     return EXIT_OK, [{"name": "crossings", "passed": True,
-                      "detail": f"U={rep['U']} D={rep['D']}"}], config
+                      "detail": f"U={rep['U']} D={rep['D']}"}]
 
 
-def cmd_integrate(args) -> tuple[int, list, dict]:
+def cmd_integrate(args) -> tuple[int, list]:
     path = read_path_csv(args.input)
     out = _outdir(args)
     rep = ito_integral(_parse_rule(args.rule), path, n_max=args.n_max, tol=args.tol)
@@ -191,9 +189,7 @@ def cmd_integrate(args) -> tuple[int, list, dict]:
     summary = {"terminal": rep.terminal, "converged": rep.converged,
                "generation_gaps": rep.generation_gaps.tolist(), "note": rep.note}
     _write_json(out / "integral_report.json", summary)
-    config = {"input": str(args.input), "rule": args.rule,
-              "n_max": args.n_max, "tol": args.tol}
-    return code, checks, config
+    return code, checks
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +318,8 @@ def _verify_lift(args) -> dict:
 
 def _verify_concentration(args) -> dict:
     spec = SimSpec(kind="brownian", steps=2 ** 12, seed=args.seed, mode="step")
-    paths = (ensemble(spec, args.count))
     rep = concentration_check_continuous(lambda p: constant_integrand(1.0, p.dim),
-                                         paths, a=args.a, b=args.b,
+                                         ensemble(spec, args.count), a=args.a, b=args.b,
                                          n_max=args.n_max)
     if not rep.ok:
         raise CheckFailedError(
@@ -362,7 +357,7 @@ VERIFY_CHECKS = {
 }
 
 
-def cmd_verify(args) -> tuple[int, list, dict]:
+def cmd_verify(args) -> tuple[int, list]:
     names = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
     checks = []
     code = EXIT_OK
@@ -375,34 +370,27 @@ def cmd_verify(args) -> tuple[int, list, dict]:
         except CheckFailedError as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
             code = EXIT_CHECK_FAILED if code == EXIT_OK else code
-    out = _outdir(args)
-    _write_json(out / "verification_report.json", {"checks": checks})
+    _write_json(_outdir(args) / "verification_report.json", {"checks": checks})
     checks = [{k: v for k, v in chk.items() if k != "per_path"} for chk in checks]
-    config = {"check": args.check, "count": args.count, "seed": args.seed,
-              "K": args.K, "lambda": args.lam, "psi": args.psi,
-              "a": args.a, "b": args.b, "c": args.c, "M": args.M,
-              "n_max": args.n_max}
-    return code, checks, config
+    return code, checks
 
 
-def cmd_continuity(args) -> tuple[int, list, dict]:
+def cmd_continuity(args) -> tuple[int, list]:
     out = _outdir(args)
     if args.ensemble == "continuous":
         spec = SimSpec(kind="brownian", steps=256, seed=args.seed, mode="step")
-        kind = "continuous"
         psi = None
     else:
         psi = _parse_psi(args.psi) or PsiSpec("affine", (0.1, 0.1))
         spec = SimSpec(kind="jump-diffusion", steps=128, seed=args.seed,
                        volatility=0.3, jump_intensity=5.0, jump_std=0.15, psi=psi)
-        kind = "cadlag"
     stats = prepare_ensemble(ensemble(spec, args.count), n_max=args.n_max)
 
     def factory(c):
         return lambda p: constant_integrand(c, p.dim)
 
     pairs = [(k, factory(1.0 + 2.0 ** -k), factory(1.0)) for k in range(1, 9)]
-    rep = continuity_experiment(pairs, stats, epsilon=args.epsilon, kind=kind, psi=psi)
+    rep = continuity_experiment(pairs, stats, epsilon=args.epsilon, kind=args.ensemble, psi=psi)
     with (out / "continuity.csv").open("w") as fh:
         _write_table(fh, ["scale", "integrand_distance", "integral_distance"],
                      [np.asarray(col) for col in zip(*rep.rows)])
@@ -413,9 +401,7 @@ def cmd_continuity(args) -> tuple[int, list, dict]:
         fh.write("\n")
     checks = [{"name": "continuity-slope", "passed": rep.ok,
                "detail": f"slope {rep.slope:.3f} floor {rep.floor:.3f}"}]
-    config = {"ensemble": args.ensemble, "count": args.count, "seed": args.seed,
-              "epsilon": args.epsilon, "n_max": args.n_max}
-    return (EXIT_OK if rep.ok else EXIT_CHECK_FAILED), checks, config
+    return (EXIT_OK if rep.ok else EXIT_CHECK_FAILED), checks
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, output=True):
+    def common(sp):
         sp.add_argument("--config", help="JSON file of defaults for this command")
-        sp.add_argument("--seed", type=int, default=0)
-        if output:
-            sp.add_argument("--output-dir", default="out")
+        sp.add_argument("--output-dir", default="out")
 
     sp = sub.add_parser("simulate", help="generate a path ensemble")
     common(sp)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--kind", default="brownian")
     sp.add_argument("--steps", type=_positive(int), default=256)
     sp.add_argument("--count", type=_positive(int), default=1)
@@ -476,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run theorem and bound checks")
     common(sp)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--check", default="all",
                     choices=["all"] + sorted(VERIFY_CHECKS))
     sp.add_argument("--count", type=_positive(int), default=200)
@@ -497,6 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("continuity", help="integrand-vs-integral distance table")
     common(sp)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--ensemble", choices=["continuous", "cadlag"],
                     default="continuous")
     sp.add_argument("--count", type=_positive(int), default=50)
@@ -513,7 +500,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 
     Each value is read as if it had been given on the command line: through
     its flag's argparse ``type`` and ``choices``.  ``null`` is accepted for
-    flags whose default is ``None``.
+    optional flags whose default is ``None``.
     """
     if not getattr(args, "config", None):
         return
@@ -525,7 +512,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         if action is None or action.dest == "help":
             raise ContractError(f"unknown config key {key!r}")
         if value is None:
-            if action.default is not None:
+            if action.default is not None or action.required:
                 raise ContractError(f"config key {key!r} cannot be null")
         elif isinstance(value, (bool, list, dict)):
             raise ContractError(f"config key {key!r}: expected a number or a string")
@@ -548,7 +535,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         _apply_config_file(args, parser)
-        code, checks, config = args.fn(args)
+        code, checks = args.fn(args)
     except ContractError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -558,14 +545,15 @@ def main(argv=None) -> int:
     except CheckFailedError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     for chk in checks:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[{status}] {chk['name']}: {chk.get('detail', '')}")
-    if hasattr(args, "output_dir"):
-        _write_manifest(_outdir(args), args.command, config, checks, code)
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "fn", "config", "output_dir")}
+    _write_manifest(_outdir(args), args.command, config, checks, code)
     return code
 
 

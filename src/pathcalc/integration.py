@@ -545,6 +545,8 @@ def continuity_experiment(pairs, ensemble, epsilon: float = 0.25, *,
         raise ContractError("kind must be continuous or cadlag")
     if kind == "cadlag" and psi is None:
         raise ContractError("the cadlag experiment needs the sample-space psi")
+    if not 0.0 < epsilon < 1.0:  # also rejects nan, which would reach the floor
+        raise ContractError("epsilon must lie in (0, 1)")
     stats = list(_iter_stats(ensemble, n_max))  # reused across every pair
     rows = []
     for label, Ff, Gf in pairs:

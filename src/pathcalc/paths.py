@@ -103,6 +103,8 @@ class PsiSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PsiSpec":
+        if missing := sorted({"family", "params"} - set(obj)):
+            raise ContractError(f"psi: missing key {missing[0]!r}")
         return cls(obj["family"], tuple(obj["params"]))
 
 

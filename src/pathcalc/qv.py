@@ -141,10 +141,11 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 def _z_data(path: Path, n: int, extra_times=()):
-    """Grid, path values and Z on it, the generation-n partition and both generations' positions.
+    """Grid, path values, Z and its compensator, the generation-n partition and the positions.
 
     The grid is :func:`pathcalc.partitions._on_grid`'s for the generation-n
     partition (which contains the coarse one) and ``extra_times``.  The
+    compensator is ``sum_k (dZ along pi_n)^2``, with the partial tail.  The
     coarse partition is derived from the fine one, and its grid positions
     are the fine ones at the points it keeps; they are ``None`` at n = 1.
     """
@@ -158,19 +159,20 @@ def _z_data(path: Path, n: int, extra_times=()):
     if n >= 2:
         coarse_pos = pos[_coarsen(pn)[1]]
         qn1 = K.qv_on_grid(vals, coarse_pos)[0]
-    return grid, vals[:, 0], qn - qn1, pn, pos, coarse_pos
+    z = qn - qn1
+    return grid, vals[:, 0], z, K.qv_on_grid(z[:, None], pos)[0], pn, pos, coarse_pos
 
 
 def _z_at(path: Path, n: int, t: float):
-    """Z^n on the grid of :func:`_z_data` with ``t``, the fine positions and the index of ``t``.
+    """Z^n and its compensator on the grid of :func:`_z_data` with ``t``, and the index of ``t``.
 
     In linear mode ``t`` is on the grid; in step mode Z is constant between
     events, so ``t`` reads the last event at or before it.
     """
     if not 0.0 <= t <= path.horizon:
         raise ContractError("t outside [0, horizon]")
-    grid, _, z, _, pos, _ = _z_data(path, n, extra_times=[t])
-    return z, pos, int(np.searchsorted(grid, t, side="right")) - 1
+    grid, _, z, comp, _, _, _ = _z_data(path, n, extra_times=[t])
+    return z, comp, int(np.searchsorted(grid, t, side="right")) - 1
 
 
 def z_process(path: Path, n: int, t: float) -> float:
@@ -181,8 +183,11 @@ def z_process(path: Path, n: int, t: float) -> float:
 
 def k_constant(n: int, K_bound: int, psi: PsiSpec) -> float:
     """``n^4 2^{-2n} + 2^{-n+5} (K + psi(K))^2``."""
-    return float(n) ** 4 * 2.0 ** (-2 * n) \
-        + 2.0 ** (-n + 5) * (K_bound + float(psi(float(K_bound)))) ** 2
+    try:
+        return float(n) ** 4 * 2.0 ** (-2 * n) \
+            + 2.0 ** (-n + 5) * (K_bound + float(psi(float(K_bound)))) ** 2
+    except OverflowError as exc:
+        raise ContractError(f"K = {K_bound} overflows the K-process budget") from exc
 
 
 def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float:
@@ -192,23 +197,21 @@ def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float
     """
     if K_bound < 1:
         raise ContractError("K must be a positive integer")
-    z, pos, it = _z_at(path, n, t)
-    sumsq = K.qv_on_grid(z[:, None], pos)[0]
-    return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(sumsq[it])
+    z, comp, it = _z_at(path, n, t)
+    return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(comp[it])
 
 
-def _sigma_from_z(z: np.ndarray, pn: LebesguePartition, pos: np.ndarray,
+def _sigma_from_z(z: np.ndarray, comp: np.ndarray, pn: LebesguePartition, pos: np.ndarray,
                   n: int, K_bound: int) -> float:
-    """:func:`sigma_n_K` from Z on a grid that holds the partition ``pn`` at ``pos``."""
+    """:func:`sigma_n_K` from Z and its compensator on a grid that holds ``pn`` at ``pos``."""
     if K_bound < 1:
         raise ContractError("K must be a positive integer")
     if len(pn.times) < 2:
         return SENTINEL
-    z_at_tau = z[pos]
-    acc = np.cumsum(np.diff(z_at_tau) ** 2)
+    acc = comp[pos[1:]]
     threshold = float(n) ** 4 * 2.0 ** (-2 * n)
     hit_acc = np.flatnonzero(acc > threshold)
-    hit_z = np.flatnonzero(z_at_tau[1:] > K_bound)
+    hit_z = np.flatnonzero(z[pos[1:]] > K_bound)
     t_acc = pn.times[hit_acc[0] + 1] if hit_acc.size else SENTINEL
     t_z = pn.times[hit_z[0] + 1] if hit_z.size else SENTINEL
     return float(min(t_acc, t_z))
@@ -221,8 +224,8 @@ def sigma_n_K(path: Path, n: int, K_bound: int) -> float:
     accumulated squared Z-increments above ``n^4 2^{-2n}`` and the first one
     with ``Z^n > K``; ``inf`` if neither occurs.
     """
-    _, _, z, pn, pos, _ = _z_data(path, n)
-    return _sigma_from_z(z, pn, pos, n, K_bound)
+    _, _, z, comp, pn, pos, _ = _z_data(path, n)
+    return _sigma_from_z(z, comp, pn, pos, n, K_bound)
 
 
 # ---------------------------------------------------------------------------

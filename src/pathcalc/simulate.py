@@ -53,12 +53,12 @@ class SimSpec:
             raise ContractError("steps must be >= 1")
         if self.volatility < 0:
             raise ContractError("volatility must be >= 0")
-        if self.jump_intensity < 0:
-            raise ContractError("jump intensity must be >= 0")
-        if self.jump_std < 0:
-            raise ContractError("jump std must be >= 0")
         if self.horizon <= 0:
             raise ContractError("horizon must be > 0")
+        if not 0 <= self.jump_intensity * (self.horizon / self.steps) <= 2.0 ** 62:  # or nan
+            raise ContractError("jump intensity must be >= 0, and per step <= 2**62")
+        if self.jump_std < 0:
+            raise ContractError("jump std must be >= 0")
         if self.dim < 1:
             raise ContractError("dim must be >= 1")
         if self.kind == "geometric-brownian" and self.x0 <= 0:
@@ -75,6 +75,8 @@ class SimSpec:
         obj = dict(obj)
         obj.pop("rng", None)
         psi = obj.pop("psi", None)
+        if bad := sorted(set(obj) - {f.name for f in fields(cls)}) or sorted({"kind"} - set(obj)):
+            raise ContractError(f"simspec: unknown or missing key {bad[0]!r}")
         return cls(psi=PsiSpec.from_json(psi) if psi else None, **obj)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
-from .partitions import SENTINEL
+from .partitions import MAX_CROSSING_INTERVALS, SENTINEL
 from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec
 from .qv import _sigma_from_z, _z_data, k_constant
 
@@ -389,6 +389,8 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
         raise ContractError("K must be > 0")
     if not 0 <= n <= 52:
         raise ContractError("n out of range")
+    if not 2.0 * K_bound * 2.0 ** n <= MAX_CROSSING_INTERVALS:  # also rejects nan and inf
+        raise ContractError(f"K = {K_bound} spans over {MAX_CROSSING_INTERVALS} intervals at n = {n}")
     spacing = 2.0 ** (-n)
     psi_k = float(psi(float(K_bound)))
     weight = 1.0 / (K_bound * 2.0 ** (n + 1) * (2.0 * K_bound + psi_k))
@@ -492,12 +494,10 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
         raise ContractError("needs n >= 2 (a coarser generation must exist)")
     gamma = gamma_K(path, float(K_bound))
     # a finite sigma is a fine partition time, so the grid already holds it
-    grid, v, z, fine, fine_pos, coarse_pos = _z_data(path, n,
-                                                     [gamma] if np.isfinite(gamma) else [])
-    sigma = _sigma_from_z(z, fine, fine_pos, n, K_bound)
+    grid, v, z, sumsq, fine, fine_pos, coarse_pos = _z_data(
+        path, n, [gamma] if np.isfinite(gamma) else [])
+    sigma = _sigma_from_z(z, sumsq, fine, fine_pos, n, K_bound)
     cut = min(gamma, sigma)
-
-    sumsq = K.qv_on_grid(z[:, None], fine_pos)[0]
 
     # realized positions on (tau_k, tau_{k+1} ^ cut]; both generations start
     # at grid position 0, so every fine point has a coarse projection chi

@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+from unittest.mock import ANY
 
 import pytest
 
@@ -159,7 +160,59 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
 
 
+# (first run's argv; the replay's argv, with placeholders for required flags)
+REPLAY_CASES = {
+    "simulate": (["simulate", "--kind", "jump-diffusion", "--steps", "32", "--count", "2",
+                  "--seed", "3", "--jump-intensity", "5", "--psi", "constant:0.4"],
+                 ["simulate"]),
+    "qv": (["qv", "--input", "{p1}", "--n-max", "6", "--tol", "1e-3"],
+           ["qv", "--input", "placeholder.csv"]),
+    "crossings": (["crossings", "--input", "{p1}", "--h", "0.25", "--t", "2.5"],
+                  ["crossings", "--input", "placeholder.csv", "--h", "1"]),
+    "integrate": (["integrate", "--input", "{p1}", "--rule", "const:2", "--n-max", "5"],
+                  ["integrate", "--input", "placeholder.csv"]),
+    "verify": (["verify", "--check", "l-identity", "--count", "2", "--seed", "4", "--K", "2",
+                "--psi", "constant:0.3"],
+               ["verify"]),
+    "continuity": (["continuity", "--ensemble", "cadlag", "--count", "5", "--n-max", "4",
+                    "--psi", "constant:0.3", "--epsilon", "0.3"],
+                   ["continuity"]),
+}
+
+
+def _run(argv, out, p1_file):
+    code = main([a.format(p1=p1_file) for a in argv] + ["--output-dir", str(out)])
+    return code, json.loads((out / "manifest.json").read_text())
+
+
 class TestManifest:
+    @pytest.mark.parametrize("command", sorted(REPLAY_CASES))
+    def test_manifest_config_replays_the_run(self, tmp_path, p1_file, command):
+        first, replay = REPLAY_CASES[command]
+        code, manifest = _run(first, tmp_path / "a", p1_file)
+        assert code == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(manifest["config"]))
+        assert _run(replay + ["--config", str(cfg)], tmp_path / "b", p1_file) \
+            == (code, manifest | {"timestamp": ANY})
+        files = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert files == sorted(f.name for f in (tmp_path / "b").iterdir())
+        for name in files:
+            if name != "manifest.json":
+                assert (tmp_path / "a" / name).read_bytes() \
+                    == (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv, flag, values", [
+        (["continuity", "--ensemble", "cadlag", "--count", "2", "--n-max", "2"],
+         "--psi", ["affine:0.1,0.1", "constant:0.3"]),
+        (["simulate", "--steps", "4"], "--count", ["1", "2"]),
+    ])
+    def test_runs_with_different_flags_have_different_records(self, tmp_path, p1_file,
+                                                               argv, flag, values):
+        hashes = {_run(argv + [flag, v], tmp_path / v, p1_file)[1]["config_sha256"]
+                  for v in values}
+        assert len(hashes) == len(values)
+
     def test_manifest_hash_stable(self, tmp_path, p1_file):
         outs = []
         for sub in ("m1", "m2"):
@@ -247,6 +300,30 @@ EXIT_CODE_CASES = [
      None, EXIT_CONFIG),
     ("concentration a nan", {}, ["verify", "--check", "concentration", "--a", "nan"],
      None, EXIT_CONFIG),
+    ("continuity epsilon nan", {}, ["continuity", "--count", "2", "--n-max", "2",
+                                    "--epsilon", "nan"], None, EXIT_CONFIG),
+    ("continuity epsilon 0", {}, ["continuity", "--count", "2", "--n-max", "2",
+                                  "--epsilon", "0"], None, EXIT_CONFIG),
+    ("continuity epsilon 1", {}, ["continuity", "--count", "2", "--n-max", "2",
+                                  "--epsilon", "1"], None, EXIT_CONFIG),
+    ("qv takes no seed", {"p.csv": GOOD_CSV}, ["qv", "--input", "p.csv", "--seed", "1"],
+     None, EXIT_CONFIG),
+    ("crossings takes no seed", {"p.csv": GOOD_CSV},
+     ["crossings", "--input", "p.csv", "--h", "1", "--seed", "1"], None, EXIT_CONFIG),
+    ("integrate takes no seed", {"p.csv": GOOD_CSV},
+     ["integrate", "--input", "p.csv", "--seed", "1"], None, EXIT_CONFIG),
+    ("verify seed negative", {}, ["verify", "--check", "bdg", "--seed", "-1"], None, EXIT_CONFIG),
+    ("simulate seed beyond 64 bits", {}, ["simulate", "--seed", str(2 ** 64)], None, EXIT_CONFIG),
+    ("config null for a required flag", {"p.csv": GOOD_CSV, "c.json": '{"h": null}'},
+     ["crossings", "--input", "p.csv", "--h", "1", "--config", "c.json"], None, EXIT_CONFIG),
+    ("simulate jump intensity nan", {},
+     ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "nan"], None, EXIT_CONFIG),
+    ("simulate jump intensity per step too large", {},
+     ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "1e300"], None, EXIT_CONFIG),
+    ("doob K spans too many intervals", {},
+     ["verify", "--check", "doob", "--count", "2", "--K", "1e300"], None, EXIT_CONFIG),
+    ("l-identity K overflows the budget", {},
+     ["verify", "--check", "l-identity", "--count", "2", "--K", "1e300"], None, EXIT_CONFIG),
     ("config value not positive", {"p.csv": GOOD_CSV, "c.json": '{"tol": -1}'},
      ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_CONFIG),
     ("missing input", {}, ["qv", "--input", "absent.csv"], None, EXIT_IO),

@@ -146,6 +146,12 @@ class TestPsiSpec:
         with pytest.raises(ContractError):
             PsiSpec("affine", (-0.1, 1.0))
 
+    @pytest.mark.parametrize("obj, key", [({"family": "constant"}, "'params'"),
+                                          ({"params": [0.5]}, "'family'")])
+    def test_from_json_missing_key_is_contract_error(self, obj, key):
+        with pytest.raises(ContractError, match=key):
+            PsiSpec.from_json(obj)
+
 
 class TestConstruction:
     def test_times_must_start_at_zero(self):

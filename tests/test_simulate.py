@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,11 @@ class TestSpecRoundTrip:
         f = tmp_path / "spec.json"
         write_simspec(spec, f)
         assert read_simspec(f) == spec
+
+    @pytest.mark.parametrize("obj, key", [({"kind": "brownian", "bogus": 1}, "'bogus'"),
+                                          ({"steps": 3}, "'kind'")])
+    def test_unknown_or_missing_key_is_contract_error(self, tmp_path, obj, key):
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(obj))
+        with pytest.raises(ContractError, match=key):
+            read_simspec(f)
