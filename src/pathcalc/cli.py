@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -88,6 +89,16 @@ def _positive(kind):
         return value
     parse.__name__ = f"positive {kind.__name__}"  # argparse names it on a ValueError
     return parse
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a float, rejected unless finite (the manifest records it as JSON)."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names it on a ValueError
 
 
 def _seed(text: str) -> int:
@@ -469,13 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fix the wealth bound K instead of the per-path default")
     sp.add_argument("--lambda", dest="lam", type=_positive(float), default=0.5)
     sp.add_argument("--psi", help="family:p1,p2")
-    sp.add_argument("--a", type=float, default=3.0,
+    sp.add_argument("--a", type=_finite, default=3.0,
                     help="deviation level for the bound checks")
-    sp.add_argument("--b", type=float, default=1.5,
+    sp.add_argument("--b", type=_finite, default=1.5,
                     help="quadratic-variation budget for the bound checks")
-    sp.add_argument("--c", type=float, default=1.0,
+    sp.add_argument("--c", type=_finite, default=1.0,
                     help="integrand sup bound (transform check)")
-    sp.add_argument("--M", type=float, default=1.0,
+    sp.add_argument("--M", type=_finite, default=1.0,
                     help="path sup bound (transform check)")
     sp.add_argument("--n-max", type=_positive(int), default=6,
                     help="quadratic-variation generations for ensemble stats")

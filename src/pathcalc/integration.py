@@ -158,17 +158,17 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
 
     The curve is the running sum of squared cell increments of ``(F.S)``
     along the union of F's jump times and the generation-``n_max`` crossing
-    times; per-generation terminals supply the Cauchy diagnostic.
+    times; per-generation terminals, the same running sum along each
+    generation's union (on the curve's grid by nesting), supply the Cauchy
+    diagnostic, so generations with the same cells have the same terminal.
     """
     from . import _kernels as K
     parts, _, _ = partition_ladder(path, n_max)
-    rho = _union_grid(path, F, parts[-1].times)
-    grid = np.unique(np.concatenate([rho, path.times]))
-    integral = integral_curve(F, path)
-    x = np.ascontiguousarray(integral.values_at(grid))
-    curve = K.qv_on_grid(x[:, None], np.searchsorted(grid, rho))[0]
-    terminals = np.array([_compensator_terminal(F, integral, path, part.times)
-                          for part in parts[:-1]] + [curve[-1]])
+    grid = np.unique(np.concatenate([_union_grid(path, F, parts[-1].times), path.times]))
+    x = np.ascontiguousarray(integral_curve(F, path).values_at(grid))
+    cells = [np.searchsorted(grid, _union_grid(path, F, part.times)) for part in parts]
+    terminals = np.array([np.cumsum(np.diff(x[pos]) ** 2)[-1] for pos in cells])
+    curve = K.qv_on_grid(x[:, None], cells[-1])[0]
     gap = float(abs(terminals[-1] - terminals[-2])) if n_max >= 2 else float("nan")
     return CompensatorReport(times=grid, values=curve, terminal=float(terminals[-1]),
                              per_generation=terminals, cauchy_gap=gap,
@@ -229,7 +229,10 @@ def ito_integral(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
     prev_vals = None
     gaps = []
     for part in parts:
-        vals = integral_curve(_sample(rule, path, part.times), path).values_at(grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            vals = integral_curve(_sample(rule, path, part.times), path).values_at(grid)
+        if not np.all(np.isfinite(vals)):
+            raise ContractError(f"the generation-{part.generation} integral is beyond float64")
         if prev_vals is not None:
             gaps.append(float(np.max(np.abs(vals - prev_vals))))
         prev_vals = vals
@@ -390,6 +393,24 @@ class ConcentrationReport:
     ok: bool
 
 
+def _integral_summary(F, st: PathStats):
+    """``F(path)``, its integral curve, ``sup |(F.S)|`` and its compensator terminal."""
+    Fi = F(st.path)
+    curve = integral_curve(Fi, st.path)
+    sup = float(np.max(np.abs(curve.values)))
+    return Fi, curve, sup, _compensator_terminal(Fi, curve, st.path, st.partition_times)
+
+
+def _frequency_test(hits: int, count: int, bound: float) -> tuple[float, float, bool]:
+    """``hits / count``, its binomial standard error and whether it is <= bound + 3 se."""
+    if count == 0:
+        raise ContractError("empty ensemble")
+    freq = hits / count
+    p0 = min(bound, 1.0)
+    se = math.sqrt(max(p0 * (1 - p0), freq * (1 - freq)) / count)
+    return freq, se, bool(freq <= bound + 3 * se)
+
+
 def concentration_check_continuous(F, ensemble, a: float, b: float, *,
                                    n_max: int = 8) -> ConcentrationReport:
     """Empirical frequency of the exponential concentration event vs its bound.
@@ -399,24 +420,14 @@ def concentration_check_continuous(F, ensemble, a: float, b: float, *,
     """
     if not (a >= 0 and b > 0):
         raise ContractError("need a >= 0 and b > 0")
-    hits = 0
-    n = 0
+    hits = n = 0
     for st in _iter_stats(ensemble, n_max):
+        _, _, sup, comp = _integral_summary(F, st)
+        hits += bool(sup >= a * math.sqrt(b) and comp <= b)
         n += 1
-        Fi = F(st.path)
-        curve = integral_curve(Fi, st.path)
-        sup = float(np.max(np.abs(curve.values)))
-        comp = _compensator_terminal(Fi, curve, st.path, st.partition_times)
-        if sup >= a * math.sqrt(b) and comp <= b:
-            hits += 1
-    if n == 0:
-        raise ContractError("empty ensemble")
-    freq = hits / n
     bound = 2.0 * math.exp(-0.5 * a * a)
-    p0 = min(bound, 1.0)
-    se = math.sqrt(max(p0 * (1 - p0), freq * (1 - freq)) / n)
-    return ConcentrationReport(frequency=freq, bound=bound, stderr=se, count=n,
-                               ok=bool(freq <= bound + 3 * se))
+    freq, se, ok = _frequency_test(hits, n, bound)
+    return ConcentrationReport(frequency=freq, bound=bound, stderr=se, count=n, ok=ok)
 
 
 @dataclass(frozen=True)
@@ -461,18 +472,14 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
         raise ContractError("need a > 0, b >= 0, c >= 0 and M >= 0")
     worst_slack = math.inf
     mismatch = 0.0
-    hits = 0
-    hits_comp = 0
-    count = 0
+    hits = hits_comp = count = 0
     d = 1
     for st in _iter_stats(ensemble, n_max):
         count += 1
         path = st.path
         d = path.dim
-        Fi = F(path)
-        part = lebesgue_partition_nd(path, n)
-        rho = _union_grid(path, Fi, part.times)
-        curve = integral_curve(Fi, path)
+        Fi, curve, lhs, comp = _integral_summary(F, st)
+        rho = _union_grid(path, Fi, lebesgue_partition_nd(path, n).times)
         x = curve.values_at(rho)
         quad = float(np.sum(np.diff(x) ** 2))
         h = bdg_weights(x)
@@ -482,37 +489,23 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
         phi_cap = capital_curve(phi_strategy, path).value_at(path.horizon)
         mismatch = max(mismatch, abs(phi_cap - hx))
         f_sup = Fi.sup_norm()
-        lhs = float(np.max(np.abs(curve.values)))
         rhs = 6.0 * math.sqrt(quad) + 2.0 * hx + f_sup * math.sqrt(d) * 2.0 ** (1 - n)
         worst_slack = min(worst_slack, rhs - lhs)
-        comp = _compensator_terminal(Fi, curve, path, st.partition_times)
-        if lhs >= a and f_sup <= c and st.sup_norm <= M:
-            if st.qv_frobenius <= b:
-                hits += 1
-            if comp <= b:
-                hits_comp += 1
-    if count == 0:
-        raise ContractError("empty ensemble")
+        within = bool(lhs >= a and f_sup <= c and st.sup_norm <= M)
+        hits += within and bool(st.qv_frobenius <= b)
+        hits_comp += within and bool(comp <= b)
     if worst_slack < 0:
         raise InternalConsistencyError(
             f"pathwise transform bound violated by {-worst_slack:.3e}")
     lift = 1.0 + 3.0 * d * M + 2.0 * d * float(psi(M))
-    freq = hits / count
     bound = lift * (6.0 * math.sqrt(b) + 2.0 + 2.0 * M) / a * c
-    p0 = min(bound, 1.0)
-    se = math.sqrt(max(p0 * (1 - p0), freq * (1 - freq)) / count)
-    freq_comp = hits_comp / count
+    freq, se, ok = _frequency_test(hits, count, bound)
     bound_comp = lift * (6.0 * math.sqrt(b) + 2.0 * c + 2.0 * c * M) / a
-    p1 = min(bound_comp, 1.0)
-    se_comp = math.sqrt(max(p1 * (1 - p1), freq_comp * (1 - freq_comp)) / count)
+    freq_comp, _, ok_comp = _frequency_test(hits_comp, count, bound_comp)
     return BdgBoundReport(worst_slack=worst_slack, frequency=freq, bound=bound,
-                          stderr=se, count=count, ok_pathwise=True,
-                          ok_frequency=bool(freq <= bound + 3 * se),
-                          transform_mismatch=mismatch,
-                          frequency_compensator=freq_comp,
-                          bound_compensator=bound_comp,
-                          ok_frequency_compensator=bool(
-                              freq_comp <= bound_comp + 3 * se_comp))
+                          stderr=se, count=count, ok_pathwise=True, ok_frequency=ok,
+                          transform_mismatch=mismatch, frequency_compensator=freq_comp,
+                          bound_compensator=bound_comp, ok_frequency_compensator=ok_comp)
 
 
 # ---------------------------------------------------------------------------

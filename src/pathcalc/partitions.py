@@ -328,6 +328,13 @@ def upcrossings_at_events(path: Path, h: float) -> np.ndarray:
 def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
     """Per-interval crossing counts plus totals, as a JSON-ready dict.
 
+    Interval ``k`` runs from ``k * h`` to ``(k + 1) * h``, both computed as
+    products.  For ``h = 2**-n`` they are exact, and ``U`` and ``D`` equal
+    :func:`crossings_accumulated`.  For other spacings the two can differ,
+    because :func:`crossings_accumulated` rounds ``values / h`` instead:
+    ``Path([0, 1, 2, 3], [0.0, 0.6, 0.0, 0.6])`` at ``h = 0.1`` gives
+    ``U, D = 12, 6`` here and ``10, 5`` there.
+
     When ``h`` is a dyadic spacing ``2**-n`` the report also carries the
     asymptotic crossing budget ``n^2 2^{2n}`` and the observed ratio as a
     diagnostic; the budget is asymptotic and never asserted.

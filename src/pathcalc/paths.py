@@ -53,6 +53,8 @@ class PsiSpec:
             raise ContractError(f"unknown psi family {self.family!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         p = self.params
+        if not all(map(math.isfinite, p)):
+            raise ContractError(f"psi parameters must be finite, got {p}")
         if self.family == "constant":
             if len(p) != 1 or p[0] < 0:
                 raise ContractError("constant psi needs one parameter c >= 0")

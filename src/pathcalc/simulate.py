@@ -49,13 +49,16 @@ class SimSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractError(f"unknown kind {self.kind!r}; choose one of {KINDS}")
+        if bad := [f.name for f in fields(self)
+                   if f.type == "float" and not np.isfinite(getattr(self, f.name))]:
+            raise ContractError(f"{bad[0]} must be finite, got {getattr(self, bad[0])}")
         if self.steps < 1:
             raise ContractError("steps must be >= 1")
         if self.volatility < 0:
             raise ContractError("volatility must be >= 0")
         if self.horizon <= 0:
             raise ContractError("horizon must be > 0")
-        if not 0 <= self.jump_intensity * (self.horizon / self.steps) <= 2.0 ** 62:  # or nan
+        if not 0 <= self.jump_intensity * (self.horizon / self.steps) <= 2.0 ** 62:
             raise ContractError("jump intensity must be >= 0, and per step <= 2**62")
         if self.jump_std < 0:
             raise ContractError("jump std must be >= 0")

@@ -19,7 +19,6 @@ transform behind the deterministic sequence inequality
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -88,7 +87,7 @@ class RealizedStrategy:
 
 @dataclass(frozen=True)
 class StrategyRule:
-    """Deterministic map from a path to a realized strategy, with a descriptor."""
+    """Deterministic map from a path to a realized strategy, with its kind and parameters."""
 
     kind: str
     params: dict
@@ -96,10 +95,6 @@ class StrategyRule:
 
     def realize(self, path: Path) -> RealizedStrategy:
         return self._evaluate(path)
-
-    def descriptor(self) -> str:
-        return json.dumps({"kind": self.kind, "params": self.params},
-                          sort_keys=True, default=str)
 
 
 @dataclass(frozen=True)
@@ -112,10 +107,7 @@ class CapitalCurve:
     mode: str = MODE_STEP
 
     def value_at(self, t: float) -> float:
-        if self.mode == MODE_LINEAR:
-            return float(np.interp(t, self.times, self.values))
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.values[max(idx, 0)])
+        return float(self.values_at(t))
 
     def values_at(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
@@ -198,16 +190,13 @@ def gamma_K(path: Path, K_bound: float) -> float:
     return SENTINEL
 
 
-def rho_lambda(realized: RealizedStrategy, path: Path, lam: float) -> float:
-    """First time the capital curve reaches ``-lam``; ``inf`` if never."""
-    if lam <= 0:
-        raise ContractError("lambda must be > 0")
-    curve = capital_curve(realized, path)
+def _first_hit(curve: CapitalCurve, lam: float) -> float:
+    """First time ``curve`` reaches ``-lam``; ``inf`` if never."""
     below = curve.values <= -lam
     if not np.any(below):
         return SENTINEL
     idx = int(np.argmax(below))
-    if path.mode == MODE_STEP or idx == 0:
+    if curve.mode == MODE_STEP or idx == 0:
         return float(curve.times[idx])
     c0, c1 = curve.values[idx - 1], curve.values[idx]
     t0, t1 = curve.times[idx - 1], curve.times[idx]
@@ -215,6 +204,13 @@ def rho_lambda(realized: RealizedStrategy, path: Path, lam: float) -> float:
         return float(t1)
     s = (-lam - c0) / (c1 - c0)
     return float(t0 + min(max(s, 0.0), 1.0) * (t1 - t0))
+
+
+def rho_lambda(realized: RealizedStrategy, path: Path, lam: float) -> float:
+    """First time the capital curve reaches ``-lam``; ``inf`` if never."""
+    if lam <= 0:
+        raise ContractError("lambda must be > 0")
+    return _first_hit(capital_curve(realized, path), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +258,17 @@ def check_weak_admissibility(rule, paths, lam: float) -> list[AdmissibilityVerdi
     for path in paths:
         realized = _realize(rule, path)
         curve = capital_curve(realized, path)
-        rho = rho_lambda(realized, path, lam)
+        rho = _first_hit(curve, lam)
+        before = curve.times < rho
+        ok_bound = bool(np.all(curve.values[before] >= -lam))
+        ok_stopping = True
         if np.isfinite(rho):
-            s_rho = float(np.linalg.norm(path.eval(rho)))
-            floor_after = -lam * (1.0 + s_rho)
-            before = curve.times < rho
-            ok_bound = bool(np.all(curve.values[before] >= -lam)
-                            and np.all(curve.values[~before] >= floor_after))
+            floor_after = -lam * (1.0 + float(np.linalg.norm(path.eval(rho))))
+            ok_bound = ok_bound and bool(np.all(curve.values[~before] >= floor_after))
             nonzero = np.any(realized.positions != 0.0, axis=1)
-            ends = realized.times[1:][nonzero]
-            ok_stopping = bool(np.all(ends <= rho))
-            worst = curve.minimum
-        else:
-            ok_bound = bool(np.all(curve.values >= -lam))
-            ok_stopping = True
-            worst = curve.minimum
+            ok_stopping = bool(np.all(realized.times[1:][nonzero] <= rho))
         verdicts.append(AdmissibilityVerdict(
-            ok=ok_bound and ok_stopping, worst_capital=worst, budget=lam,
+            ok=ok_bound and ok_stopping, worst_capital=curve.minimum, budget=lam,
             rho=rho, ok_bound=ok_bound, ok_stopping=ok_stopping))
     return verdicts
 

@@ -324,6 +324,28 @@ EXIT_CODE_CASES = [
      ["verify", "--check", "doob", "--count", "2", "--K", "1e300"], None, EXIT_CONFIG),
     ("l-identity K overflows the budget", {},
      ["verify", "--check", "l-identity", "--count", "2", "--K", "1e300"], None, EXIT_CONFIG),
+    ("verify a nan on a check that does not read it", {},
+     ["verify", "--check", "bdg", "--count", "3", "--a", "nan"], None, EXIT_CONFIG),
+    ("verify b inf on a check that does not read it", {},
+     ["verify", "--check", "bdg", "--count", "3", "--b", "inf"], None, EXIT_CONFIG),
+    ("verify c nan on a check that does not read it", {},
+     ["verify", "--check", "bdg", "--count", "3", "--c", "nan"], None, EXIT_CONFIG),
+    ("verify M -inf on a check that does not read it", {},
+     ["verify", "--check", "bdg", "--count", "3", "--M=-inf"], None, EXIT_CONFIG),
+    ("config a NaN", {"c.json": '{"a": NaN}'},
+     ["verify", "--check", "bdg", "--count", "3", "--config", "c.json"], None, EXIT_CONFIG),
+    ("simulate amplitude nan", {}, ["simulate", "--kind", "brownian", "--amplitude", "nan"],
+     None, EXIT_CONFIG),
+    ("simulate jump mean inf", {}, ["simulate", "--kind", "jump-diffusion", "--jump-intensity",
+                                    "5", "--jump-mean", "inf"], None, EXIT_CONFIG),
+    ("simulate psi nan", {}, ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "5",
+                              "--psi", "constant:nan"], None, EXIT_CONFIG),
+    ("simulate psi inf", {}, ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "5",
+                              "--psi", "affine:0.1,inf"], None, EXIT_CONFIG),
+    ("continuity psi nan", {}, ["continuity", "--ensemble", "cadlag", "--count", "2",
+                                "--n-max", "2", "--psi", "constant:nan"], None, EXIT_CONFIG),
+    ("integral beyond float64", {"p.csv": "t,x1\n0.0,0.0\n1.0,1.0\n2.0,3.0\n"},
+     ["integrate", "--input", "p.csv", "--rule", "const:1e308"], None, EXIT_CONFIG),
     ("config value not positive", {"p.csv": GOOD_CSV, "c.json": '{"tol": -1}'},
      ["qv", "--input", "p.csv", "--config", "c.json"], None, EXIT_CONFIG),
     ("missing input", {}, ["qv", "--input", "absent.csv"], None, EXIT_IO),

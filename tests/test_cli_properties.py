@@ -1,17 +1,18 @@
 """The exit-code contract of ``pathcalc.cli.main`` on generated input.
 
 Hypothesis writes path files, sidecars and ``--config`` files and draws
-command lines; every run must return 0, 2, 3, 4 or 5 and raise nothing.
-Every drawn integer is small and no drawn string is a large integer, so
-counts, steps and generations stay small and one example runs in
-milliseconds.
+command lines; every run must return 0, 2, 3, 4 or 5 and raise nothing, and
+every JSON file a successful run writes must be strict JSON, without ``NaN``
+or ``Infinity``.  Every drawn integer is small and no drawn string is a
+large integer, so counts, steps and generations stay small and one example
+runs in milliseconds.
 """
 
 import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import cli
@@ -86,6 +87,10 @@ def configs(draw, argv):
     return draw(st.dictionaries(st.sampled_from(keys), json_values, max_size=4))
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _run(tmp_path_factory, files, argv):
     run_dir = tmp_path_factory.mktemp("cli")
     for name, text in files.items():
@@ -97,6 +102,9 @@ def _run(tmp_path_factory, files, argv):
         code = cli.main(argv + ["--output-dir", str(run_dir / "out")])
     assert code in EXIT_CODES, (argv, code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    if code == cli.EXIT_OK:
+        for file in (run_dir / "out").glob("*.json"):
+            json.loads(file.read_text(), parse_constant=_not_json)
 
 
 # flags that change how a path file is read and partitioned
@@ -107,21 +115,40 @@ PATH_FLAGS = {
 }
 
 
+@st.composite
+def path_commands(draw):
+    """A command that reads a path file, and flags for it."""
+    command = draw(st.sampled_from(sorted(PATH_FLAGS)))
+    return command, draw(st.sampled_from(PATH_FLAGS[command]))
+
+
 @settings(max_examples=300)
-@given(data=st.data(), command=st.sampled_from(sorted(PATH_FLAGS)), csv=csv_texts(),
-       sidecar=sidecars)
-def test_path_files_keep_the_exit_code_contract(tmp_path_factory, data, command, csv, sidecar):
-    extra = data.draw(st.sampled_from(PATH_FLAGS[command]))
+@given(run=path_commands(), csv=csv_texts(), sidecar=sidecars)
+@example(run=("integrate", ["--rule", "const:1e308"]), csv="t,x1\n0,0\n1,1\n2,3\n",
+         sidecar=None)
+@example(run=("integrate", ["--rule", "const:1e308"]), csv="t,x1\n0,0\n1,1\n2,2\n",
+         sidecar='{"mode": "linear"}')
+def test_path_files_keep_the_exit_code_contract(tmp_path_factory, run, csv, sidecar):
+    command, extra = run
     _run(tmp_path_factory, {"p.csv": csv, "p.json": sidecar}, BASE_ARGV[command] + extra)
 
 
+@st.composite
+def config_commands(draw):
+    """A command and a ``--config`` object for it."""
+    command = draw(st.sampled_from(sorted(BASE_ARGV)))
+    return command, draw(configs(BASE_ARGV[command]))
+
+
 @settings(max_examples=400)
-@given(data=st.data(), command=st.sampled_from(sorted(BASE_ARGV)))
-def test_config_files_keep_the_exit_code_contract(tmp_path_factory, data, command):
-    argv = BASE_ARGV[command]
-    cfg = data.draw(configs(argv))
+@given(run=config_commands())
+@example(run=("verify", {"check": "bdg", "a": float("nan")}))
+@example(run=("simulate", {"amplitude": float("inf")}))
+@example(run=("simulate", {"psi": "constant:nan"}))
+def test_config_files_keep_the_exit_code_contract(tmp_path_factory, run):
+    command, cfg = run
     _run(tmp_path_factory, {"p.csv": GOOD_CSV, "c.json": json.dumps(cfg)},
-         argv + ["--config", "{dir}/c.json"])
+         BASE_ARGV[command] + ["--config", "{dir}/c.json"])
 
 
 @st.composite
@@ -136,8 +163,22 @@ def flag_tokens(draw, command):
     return [flag] if value is None else [flag, str(value)]
 
 
+@st.composite
+def command_lines(draw):
+    """A command and up to four of its flag tokens."""
+    command = draw(st.sampled_from(sorted(BASE_ARGV)))
+    return command, sum(draw(st.lists(flag_tokens(command), max_size=4)), [])
+
+
 @settings(max_examples=400)
-@given(data=st.data(), command=st.sampled_from(sorted(BASE_ARGV)))
-def test_command_lines_keep_the_exit_code_contract(tmp_path_factory, data, command):
-    tokens = data.draw(st.lists(flag_tokens(command), max_size=4))
-    _run(tmp_path_factory, {"p.csv": GOOD_CSV}, BASE_ARGV[command] + sum(tokens, []))
+@given(run=command_lines())
+@example(run=("verify", ["--check", "bdg", "--a", "nan"]))
+@example(run=("verify", ["--check", "hoeffding", "--M", "inf"]))
+@example(run=("simulate", ["--amplitude", "nan"]))
+@example(run=("simulate", ["--jump-intensity", "5", "--jump-mean", "inf"]))
+@example(run=("simulate", ["--psi", "constant:nan"]))
+@example(run=("simulate", ["--psi", "affine:0.1,inf"]))
+@example(run=("continuity", ["--ensemble", "cadlag", "--psi", "constant:nan"]))
+def test_command_lines_keep_the_exit_code_contract(tmp_path_factory, run):
+    command, tokens = run
+    _run(tmp_path_factory, {"p.csv": GOOD_CSV}, BASE_ARGV[command] + tokens)

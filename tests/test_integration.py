@@ -21,7 +21,7 @@ from pathcalc.integration import (
     prepare_ensemble,
     StepIntegrand,
 )
-from pathcalc.partitions import lebesgue_partition_nd
+from pathcalc.partitions import lebesgue_partition_nd, partition_ladder
 from pathcalc.qv import qv_limit
 from pathcalc.simulate import SimSpec, ensemble
 
@@ -86,6 +86,22 @@ class TestCompensator:
             rep = integrate_f2_dqv(constant_integrand(1.0), p, n_max=12)
             oracle = qv_limit(p, n_max=12, tol=1e-12).terminal[0, 0]
             assert rep.terminal == pytest.approx(oracle, abs=1e-12)
+
+
+    def test_coinciding_generations_have_zero_gap(self):
+        """Every generation sums its cells one way, so equal cells give equal terminals."""
+        rng = np.random.default_rng(0)
+        coincide = 0
+        for _ in range(20):
+            v = np.concatenate([[0.0], np.cumsum(rng.choice([-0.15, 0.15], 300))])
+            p = Path(np.arange(301.0), v, mode="step")
+            rep = integrate_f2_dqv(constant_integrand(1.0), p, n_max=6)
+            assert rep.per_generation[-1] == rep.terminal == rep.values[-1]
+            parts, _, _ = partition_ladder(p, 6)
+            if np.array_equal(parts[-1].times, parts[-2].times):
+                coincide += 1
+                assert rep.cauchy_gap == 0.0
+        assert coincide > 0
 
 
 class TestCaglad:

@@ -517,6 +517,16 @@ class TestCrossingsAccumulated:
             h = float(rng.choice([0.25, 0.5, 1.0]))
             rep = crossing_report(p, h)
             assert (rep["U"], rep["D"]) == crossings_accumulated(p, h)
+        # values on the level grid of a dyadic spacing, in both modes
+        for _ in range(300):
+            m = rng.integers(2, 25)
+            h = 2.0 ** -int(rng.integers(0, 8))
+            vals = rng.integers(-20, 21, m) * h
+            times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 1.0, m - 1))])
+            mode = str(rng.choice(["step", "linear"]))
+            p = Path(times=times, values=vals, horizon=1.0, mode=mode)
+            rep = crossing_report(p, h)
+            assert (rep["U"], rep["D"]) == crossings_accumulated(p, h)
 
     @pytest.mark.parametrize("mode", ["step", "linear"])
     def test_upcrossings_at_events(self, mode):

@@ -132,6 +132,23 @@ class TestAdmissibility:
         v = check_weak_admissibility(stopped, [p], 1.0)[0]
         assert v.ok and v.rho == 1.0
 
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    def test_weak_check_builds_one_curve_per_path(self, monkeypatch, mode):
+        """rho is found on the curve the bound is checked on, not on a second one."""
+        import pathcalc.strategies as S
+        calls = []
+        monkeypatch.setattr(S, "capital_curve",
+                            lambda *args: calls.append(args) or capital_curve(*args))
+        rng = np.random.default_rng(12)
+        paths = [Path(q.times, q.values, mode=mode, horizon=q.horizon)
+                 for q in (random_step_path(rng, n_events=12) for _ in range(8))]
+        short = RealizedStrategy(times=[0.0, 0.5, np.inf], positions=[-1.0, 0.5])
+        verdicts = check_weak_admissibility(short, paths, 0.2)
+        assert len(calls) == len(paths)
+        rhos = [v.rho for v in verdicts]
+        assert any(np.isfinite(rhos)) and not all(np.isfinite(rhos))
+        assert rhos == [rho_lambda(short, p, 0.2) for p in paths]
+
 
 @st.composite
 def interval_cases(draw):
