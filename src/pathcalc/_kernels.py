@@ -14,16 +14,17 @@ the prefix scan :func:`_play_scan`, written once here.  It has two entries:
   steps of the track from ``j_0 = ceil(x_0)`` of ``values / h`` are the
   accumulated upcrossings of the grid of spacing ``h``, while the falls of
   the other track are the accumulated downcrossings (``crossings_prefix``,
-  every prefix from one scan).  On the halved fine
-  indices, clamps ``[floor(J/2), ceil(J/2)]``, the scan derives generation
-  ``n - 1`` from generation ``n`` (``partition_coarsen``; the nesting lemma
-  is in :mod:`pathcalc.partitions`).
-- :func:`_interval_tracks`, for the buy-low/sell-high state of a family of
-  intervals ``(a_i, b_i)``, with the clamps of the interval ranks that a
-  value makes flat or long.  Its tracks give the greedy crossing counts of
-  every interval ``(kh, (k+1)h)`` in one pass (``crossings_interval_batch``,
-  and ``crossings_greedy`` for one interval) and the number of long
-  intervals, which the Doob aggregate position counts (``doob_positions``).
+  every prefix from one scan).  Every grid counter reads these tracks of
+  ``values / h``: clipped to a range of intervals they give the greedy
+  counts per interval (``crossings_interval_batch``) and the number of
+  long intervals, which the Doob aggregate position counts
+  (``doob_positions``).  On the halved fine indices, clamps
+  ``[floor(J/2), ceil(J/2)]``, the scan derives generation ``n - 1`` from
+  generation ``n`` (``partition_coarsen``; the nesting lemma is in
+  :mod:`pathcalc.partitions`).
+- :func:`_interval_tracks`, for the buy-low/sell-high state of one
+  arbitrary interval ``(a, b)`` (``crossings_greedy`` and the step-mode
+  interval trades of :mod:`pathcalc.strategies`).
 
 Multiplying a float by ``2**n`` only shifts its exponent, so ``floor`` and
 ``ceil`` of ``value * 2**n`` are exact.  :func:`_play_tracks` is the only
@@ -299,30 +300,23 @@ def qv_on_grid(x, part_pos):
 # ---------------------------------------------------------------------------
 
 def _interval_tracks(values, a, b):
-    """Flat and long tracks ``(f, m)`` of the intervals ``(a[i], b[i])``.
+    """Flat and long tracks ``(f, m)`` of the interval ``(a, b)``, ``a < b``.
 
-    ``a`` and ``b`` are nondecreasing arrays with ``a[i] <= b[i]``.  The
-    buy-low/sell-high state of interval ``i`` is long after a value
-    ``<= a[i]``, flat after a value ``>= b[i]`` (long wins if both hold),
-    unchanged by a value strictly inside, and neither before the first value
-    outside.  A value ``v`` makes long the intervals
-    ``i >= long_from = #{a_i < v}`` and flat those
-    ``i < flat_below = min(#{b_i <= v}, long_from)``, so after each value the
-    long intervals are an up-set ``i >= m_e`` and the flat ones a down-set
-    ``i < f_e``: ``m`` and ``f`` are the play-operator tracks through the
-    clamps ``[flat_below, long_from]`` from their upper and lower ends.
-    Interval ``i`` completes an upcrossing (long to flat) at ``e`` when
-    ``m_{e-1} <= i < m_e`` and a downcrossing (flat to long) when
-    ``f_e <= i < f_{e-1}``.
+    The buy-low/sell-high state is long after a value ``<= a``, flat after a
+    value ``>= b``, unchanged by a value strictly inside, and neither before
+    the first value outside.  A value ``v`` gives the clamp
+    ``[v >= b, v > a]``: ``m`` and ``f`` are the play-operator tracks
+    through these clamps from their upper and lower ends, so ``m == 0``
+    where the state is long and ``f == 1`` where it is flat.  The interval
+    completes an upcrossing (long to flat) where ``m`` rises and a
+    downcrossing (flat to long) where ``f`` falls.
     """
-    long_from = np.searchsorted(a, values, side="left")
-    flat_below = np.minimum(np.searchsorted(b, values, side="right"), long_from)
-    return _play_scan(flat_below, long_from)
+    return _play_scan((values >= b).astype(np.int64), (values > a).astype(np.int64))
 
 
 def crossings_greedy(values, a, b):
     """Greedy (optimal) up/down crossing counts of the open interval (a, b)."""
-    f, m = _interval_tracks(values, np.array([a]), np.array([b]))
+    f, m = _interval_tracks(values, a, b)
     return int(np.count_nonzero(m[1:] > m[:-1])), int(np.count_nonzero(f[1:] < f[:-1]))
 
 
@@ -422,26 +416,31 @@ def _range_counts(start, stop, size):
     return np.cumsum(ends)[:size]
 
 
-def _grid_intervals(klo, khi, h):
-    """Ends ``(a, b)`` of the intervals ``(kh, kh + h)`` for ``k = klo..khi``."""
-    a = (klo + np.arange(max(khi - klo + 1, 0))) * h
-    return a, a + h
+def _grid_tracks(values, klo, khi, h):
+    """Play-operator tracks of ``values / h`` clipped to the intervals ``k = klo..khi``.
+
+    Returns ``(f - klo, m - klo)`` clipped to ``[0, nk]`` and
+    ``nk = khi - klo + 1``.  A nondecreasing map preserves the median of
+    three, so clipping commutes with the play operator: the clipped tracks
+    are those of the interval family, through the clamps
+    ``[clip(floor(x) - klo), clip(ceil(x) - klo)]`` that count the
+    intervals a value makes flat or long.  The long intervals are the up-set
+    ``i >= m_e``, the flat ones the down-set ``i < f_e``; interval ``i``
+    completes an upcrossing where ``m_{e-1} <= i < m_e`` and a downcrossing
+    where ``f_e <= i < f_{e-1}``.
+    """
+    nk = max(khi - klo + 1, 0)
+    f, m = _play_tracks(values / h)
+    return np.clip(f - klo, 0, nk), np.clip(m - klo, 0, nk), nk
 
 
 def crossings_interval_batch(values, klo, khi, h):
-    """Greedy counts per interval (kh, (k+1)h) for k in [klo, khi], in one scan.
-
-    Interval ``i`` (``k = klo + i``) has the ends ``a_i = k*h`` and
-    ``b_i = a_i + h`` of :func:`crossings_greedy`, both nondecreasing in
-    ``i``; :func:`_interval_tracks` gives where each interval completes a
-    crossing.
-    """
-    a, b = _grid_intervals(klo, khi, h)
-    f, m = _interval_tracks(values, a, b)
+    """Greedy counts per interval (kh, (k+1)h) for k in [klo, khi], from :func:`_grid_tracks`."""
+    f, m, nk = _grid_tracks(values, klo, khi, h)
     rise = m[1:] > m[:-1]
     fall = f[1:] < f[:-1]
-    return (_range_counts(m[:-1][rise], m[1:][rise], a.shape[0]),
-            _range_counts(f[1:][fall], f[:-1][fall], a.shape[0]))
+    return (_range_counts(m[:-1][rise], m[1:][rise], nk),
+            _range_counts(f[1:][fall], f[:-1][fall], nk))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +456,12 @@ def doob_positions(values, klo, khi, spacing, weight, gamma_idx):
     value >= b, closing out at ``gamma_idx``.  Every long interval adds
     ``weight`` once, so ``pos[e]`` is the running sum of ``weight`` taken
     over as many terms as there are long intervals at ``e``, ``nk - m_e``
-    with ``m`` the long track of :func:`_interval_tracks`.
+    with ``m`` the long track of :func:`_grid_tracks`.
     """
-    a, b = _grid_intervals(klo, khi, spacing)
-    _, m = _interval_tracks(values[:gamma_idx], a, b)
-    partial = np.cumsum(np.concatenate(([0.0], np.full(a.shape[0], weight))))
+    _, m, nk = _grid_tracks(values[:gamma_idx], klo, khi, spacing)
+    partial = np.cumsum(np.concatenate(([0.0], np.full(nk, weight))))
     pos = np.zeros(values.shape[0], np.float64)
-    pos[:m.shape[0]] = partial[a.shape[0] - m]
+    pos[:m.shape[0]] = partial[nk - m]
     return pos
 
 

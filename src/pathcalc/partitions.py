@@ -278,7 +278,7 @@ def _sample_values(path: Path, t: float | None) -> np.ndarray:
 
 def crossings(path: Path, a: float, b: float, t: float | None = None) -> tuple[int, int]:
     """Greedy (supremum-attaining) up/down crossing counts of (a, b) by time t."""
-    if a >= b:
+    if not a < b:
         raise ContractError("need a < b")
     vals = _sample_values(path, t)
     up, down = K.crossings_greedy(vals, float(a), float(b))
@@ -328,12 +328,11 @@ def upcrossings_at_events(path: Path, h: float) -> np.ndarray:
 def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
     """Per-interval crossing counts plus totals, as a JSON-ready dict.
 
-    Interval ``k`` runs from ``k * h`` to ``(k + 1) * h``, both computed as
-    products.  For ``h = 2**-n`` they are exact, and ``U`` and ``D`` equal
-    :func:`crossings_accumulated`.  For other spacings the two can differ,
-    because :func:`crossings_accumulated` rounds ``values / h`` instead:
-    ``Path([0, 1, 2, 3], [0.0, 0.6, 0.0, 0.6])`` at ``h = 0.1`` gives
-    ``U, D = 12, 6`` here and ``10, 5`` there.
+    The counts read ``values / h`` against the integers, as
+    :func:`crossings_accumulated` does, so ``U`` and ``D`` equal its counts
+    at every spacing; interval ``k`` is labelled by the products ``k * h``
+    and ``(k + 1) * h``.  Raises :class:`ContractError` when a scaled value
+    reaches ``2**62`` in magnitude, as every level counter does.
 
     When ``h`` is a dyadic spacing ``2**-n`` the report also carries the
     asymptotic crossing budget ``n^2 2^{2n}`` and the observed ratio as a
@@ -343,7 +342,8 @@ def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
         raise ContractError("need h > 0")
     vals = _sample_values(path, t)
     t_eff = float(path.horizon) if t is None else float(t)
-    lo, hi = np.floor(vals.min() / h), np.ceil(vals.max() / h)
+    with np.errstate(over="ignore"):
+        lo, hi = np.floor(vals.min() / h), np.ceil(vals.max() / h)
     if not hi - lo + 3 <= MAX_CROSSING_INTERVALS:  # also rejects an infinite quotient
         raise ContractError(f"spacing {h} gives {hi - lo + 3:.3g} intervals, more than "
                             f"{MAX_CROSSING_INTERVALS}: use a coarser spacing")

@@ -81,23 +81,29 @@ class PsiSpec:
         ``power`` takes the scalar ``**`` (the C library ``pow``), which
         NumPy's vectorized ``power`` can miss by an ulp; ``table`` finds the
         cell ``xs[lo] <= x < xs[lo + 1]`` and lerps with weight
-        ``w = (x - xs[lo]) / (xs[lo + 1] - xs[lo])``.
+        ``w = (x - xs[lo]) / (xs[lo + 1] - xs[lo])``, taken at ``x`` clipped
+        to the table so that it stays in ``[0, 1]``.  A finite ``x`` whose
+        value is beyond float64 raises :class:`ContractError`.
         """
         x = np.asarray(x, dtype=np.float64)
         p = self.params
         if self.family == "constant":
             out = np.full(x.shape, p[0])
-        elif self.family == "affine":
-            out = p[0] + p[1] * x
-        elif self.family == "power":
-            out = np.array([p[0] * v ** p[1] if v > 0.0 else 0.0
-                            for v in x.ravel()]).reshape(x.shape)
-        else:
+        elif self.family == "table":
             xs, ys = self.table_arrays()
             lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.shape[0] - 2)
-            w = (x - xs[lo]) / (xs[lo + 1] - xs[lo])
+            w = (np.minimum(np.maximum(x, xs[0]), xs[-1]) - xs[lo]) / (xs[lo + 1] - xs[lo])
             out = np.where(x <= xs[0], ys[0],
                            np.where(x >= xs[-1], ys[-1], ys[lo] + w * (ys[lo + 1] - ys[lo])))
+        else:
+            try:
+                with np.errstate(over="raise"):
+                    out = (p[0] + p[1] * x if self.family == "affine" else
+                           np.array([p[0] * v ** p[1] if v > 0.0 and p[0] > 0.0 else 0.0
+                                     for v in x.ravel()]).reshape(x.shape))
+            except FloatingPointError:
+                raise ContractError(f"psi {self.family}:{','.join(map(repr, p))} of a finite "
+                                    "argument is beyond float64") from None
         return out[()]
 
     def to_json(self) -> dict:

@@ -111,28 +111,26 @@ def simulate(spec: SimSpec, stream: int = 0) -> Path:
     dt = spec.horizon / spec.steps
     shocks = rng.standard_normal((spec.steps, spec.dim))
 
-    if spec.kind == "brownian":
-        incr = spec.drift * dt + spec.volatility * np.sqrt(dt) * shocks
-        values = np.empty((spec.steps + 1, spec.dim))
-        values[0] = spec.x0
-        values[1:] = spec.x0 + np.cumsum(incr, axis=0)
-        mode = spec.mode or MODE_LINEAR
-    elif spec.kind == "geometric-brownian":
-        log_incr = (spec.drift - 0.5 * spec.volatility ** 2) * dt \
-            + spec.volatility * np.sqrt(dt) * shocks
-        values = np.empty((spec.steps + 1, spec.dim))
-        values[0] = spec.x0
-        values[1:] = spec.x0 * np.exp(np.cumsum(log_incr, axis=0))
-        mode = spec.mode or MODE_LINEAR
-    else:  # jump-diffusion
-        counts = rng.poisson(spec.jump_intensity * dt, (spec.steps, spec.dim))
-        jump_shocks = rng.standard_normal((spec.steps, spec.dim))
-        jumps = counts * spec.jump_mean + np.sqrt(counts) * spec.jump_std * jump_shocks
-        incr = spec.drift * dt + spec.volatility * np.sqrt(dt) * shocks + jumps
-        values = np.empty((spec.steps + 1, spec.dim))
-        values[0] = spec.x0
-        values[1:] = spec.x0 + np.cumsum(incr, axis=0)
-        mode = spec.mode or MODE_STEP
+    values = np.empty((spec.steps + 1, spec.dim))
+    values[0] = spec.x0
+    # finite parameters can still overflow; Path rejects the non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "brownian":
+            incr = spec.drift * dt + spec.volatility * np.sqrt(dt) * shocks
+            values[1:] = spec.x0 + np.cumsum(incr, axis=0)
+            mode = spec.mode or MODE_LINEAR
+        elif spec.kind == "geometric-brownian":
+            log_incr = (spec.drift - 0.5 * spec.volatility ** 2) * dt \
+                + spec.volatility * np.sqrt(dt) * shocks
+            values[1:] = spec.x0 * np.exp(np.cumsum(log_incr, axis=0))
+            mode = spec.mode or MODE_LINEAR
+        else:  # jump-diffusion
+            counts = rng.poisson(spec.jump_intensity * dt, (spec.steps, spec.dim))
+            jump_shocks = rng.standard_normal((spec.steps, spec.dim))
+            jumps = counts * spec.jump_mean + np.sqrt(counts) * spec.jump_std * jump_shocks
+            incr = spec.drift * dt + spec.volatility * np.sqrt(dt) * shocks + jumps
+            values[1:] = spec.x0 + np.cumsum(incr, axis=0)
+            mode = spec.mode or MODE_STEP
 
     if mode == MODE_STEP and spec.psi is not None:
         K.clip_jumps(values, spec.psi)

@@ -166,28 +166,22 @@ def gamma_K(path: Path, K_bound: float) -> float:
         return float(path.times[hits[0]]) if hits.size else SENTINEL
     if norms[0] >= K_bound:
         return 0.0
-    k2 = K_bound * K_bound
-    for e in range(path.n_events - 1):
-        a = path.values[e]
-        b = path.values[e + 1]
-        dv = b - a
-        c2 = float(dv @ dv)
-        c1 = 2.0 * float(a @ dv)
-        c0 = float(a @ a) - k2
-        dt = path.times[e + 1] - path.times[e]
-        if c2 == 0.0:
-            if c1 > 0 and c0 + c1 >= 0:
-                s = -c0 / c1
-                if 0.0 <= s <= 1.0:
-                    return float(path.times[e] + s * dt)
-            continue
+    # segment e reaches K at the fraction s of the root of c2 s^2 + c1 s + c0;
+    # a batched matmul takes each dot product as the per-segment ``x @ y`` does
+    a = path.values[:-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dv = path.values[1:] - a
+        c2 = (dv[:, None, :] @ dv[:, :, None])[:, 0, 0]
+        c1 = 2.0 * (a[:, None, :] @ dv[:, :, None])[:, 0, 0]
+        c0 = (a[:, None, :] @ a[:, :, None])[:, 0, 0] - K_bound * K_bound
         disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0:
-            continue
-        s = (-c1 + math.sqrt(disc)) / (2.0 * c2)
-        if 0.0 <= s <= 1.0:
-            return float(path.times[e] + s * dt)
-    return SENTINEL
+        s = np.where(c2 == 0.0, np.where((c1 > 0) & (c0 + c1 >= 0), -c0 / c1, np.nan),
+                     np.where(disc >= 0, (-c1 + np.sqrt(disc)) / (2.0 * c2), np.nan))
+    hits = np.flatnonzero((s >= 0.0) & (s <= 1.0))
+    if not hits.size:
+        return SENTINEL
+    e = hits[0]
+    return float(path.times[e] + s[e] * (path.times[e + 1] - path.times[e]))
 
 
 def _first_hit(curve: CapitalCurve, lam: float) -> float:
@@ -303,7 +297,7 @@ def _interval_trades(path: Path, a: float, b: float, gamma: float) -> list[tuple
     t, v = path.times, path.values[:, 0]
     if path.mode == MODE_STEP:
         upto = int(np.searchsorted(t, gamma))  # events before gamma
-        _, m = K._interval_tracks(v[:upto], np.array([a]), np.array([b]))
+        _, m = K._interval_tracks(v[:upto], a, b)
         held = m == 0
         trades = [(float(t[e]), float(held[e]))
                   for e in np.flatnonzero(np.diff(held, prepend=False))]
@@ -348,7 +342,7 @@ def doob_interval_strategy(a: float, b: float, K_bound: float, psi: PsiSpec) -> 
     ``a + K + psi(K)``.  A jump crossing both levels at one event triggers at
     most one action: the state machine processes buys only while flat.
     """
-    if a >= b:
+    if not a < b:
         raise ContractError("need a < b")
 
     def evaluate(path: Path) -> RealizedStrategy:
@@ -393,9 +387,7 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
         if khi < klo:
             return RealizedStrategy(times=np.array([0.0]), positions=np.zeros((0, 1)))
         if path.mode == MODE_STEP:
-            norms = np.abs(path.values[:, 0])
-            hits = np.flatnonzero(norms >= K_bound)
-            gidx = int(hits[0]) if hits.size else path.n_events
+            gidx = int(np.searchsorted(path.times, gamma_K(path, K_bound)))
             pos = K.doob_positions(np.ascontiguousarray(path.values[:, 0]),
                                    klo, khi, spacing, weight, gidx)
             times = np.append(path.times, np.inf)

@@ -6,7 +6,8 @@ time as a Python float; ``ito_integral_py`` integrates each generation of it.
 union of the events and every generation, locates each generation on it by
 search and runs ``qv_on_grid_py`` once per coordinate pair and generation.
 ``jump_identity_worst_py`` is the event-by-event discrepancy of
-``qv.jump_identity_check``.  ``interval_trades_py`` runs the buy-low/sell-high
+``qv.jump_identity_check``.  ``gamma_K_py`` solves for the first time a
+linear path's norm reaches K segment by segment.  ``interval_trades_py`` runs the buy-low/sell-high
 state machine of ``strategies._interval_trades`` event by event, and in
 linear mode root by root along each segment.  ``z_data_py`` builds Z on the
 union of the events, generation n and the extra times, by ``path.eval`` and
@@ -26,6 +27,7 @@ shared one table writer; each new writer must produce exactly these bytes.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -137,6 +139,34 @@ def jump_identity_worst_py(path, report: QVReport):
             rhs = dv[e, a] * dv[e, b]
             worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def gamma_K_py(path, K_bound):
+    """``strategies.gamma_K`` of a linear path: the first segment root of ``|S|^2 = K^2``."""
+    if np.linalg.norm(path.values[0]) >= K_bound:
+        return 0.0
+    k2 = K_bound * K_bound
+    for e in range(path.n_events - 1):
+        a = path.values[e]
+        b = path.values[e + 1]
+        dv = b - a
+        c2 = float(dv @ dv)
+        c1 = 2.0 * float(a @ dv)
+        c0 = float(a @ a) - k2
+        dt = path.times[e + 1] - path.times[e]
+        if c2 == 0.0:
+            if c1 > 0 and c0 + c1 >= 0:
+                s = -c0 / c1
+                if 0.0 <= s <= 1.0:
+                    return float(path.times[e] + s * dt)
+            continue
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0:
+            continue
+        s = (-c1 + math.sqrt(disc)) / (2.0 * c2)
+        if 0.0 <= s <= 1.0:
+            return float(path.times[e] + s * dt)
+    return SENTINEL
 
 
 def interval_trades_py(path, a, b, K_bound):

@@ -344,6 +344,28 @@ EXIT_CODE_CASES = [
                               "--psi", "affine:0.1,inf"], None, EXIT_CONFIG),
     ("continuity psi nan", {}, ["continuity", "--ensemble", "cadlag", "--count", "2",
                                 "--n-max", "2", "--psi", "constant:nan"], None, EXIT_CONFIG),
+    ("crossings scaled value beyond int64", {"p.csv": "t,x1\n0,1e300\n1,1e300\n"},
+     ["crossings", "--input", "p.csv", "--h", "0.5"], None, EXIT_CONFIG),
+    ("crossings scaled value at 5e18",
+     {"p.csv": "t,x1\n0,5e18\n1,5.000000000000002e18\n2,5e18\n"},
+     ["crossings", "--input", "p.csv", "--h", "1"], None, EXIT_CONFIG),
+    ("crossings quotient overflows", {"p.csv": "t,x1\n0,-1e308\n1,0\n"},
+     ["crossings", "--input", "p.csv", "--h", "0.5"], None, EXIT_CONFIG),
+    ("bdg-bound psi beyond float64", {},
+     ["verify", "--check", "bdg-bound", "--count", "2", "--psi", "power:1,1000", "--M", "10"],
+     None, EXIT_CONFIG),
+    ("simulate affine psi beyond float64", {},
+     ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "5", "--x0", "1e10",
+      "--steps", "4", "--psi", "affine:1,1e300"], None, EXIT_CONFIG),
+    ("continuity psi beyond float64", {},
+     ["continuity", "--ensemble", "cadlag", "--count", "3", "--psi", "power:1,1000"],
+     None, EXIT_CONFIG),
+    ("simulate geometric values overflow", {},
+     ["simulate", "--kind", "geometric-brownian", "--x0", "1", "--drift", "1e300"],
+     None, EXIT_CONFIG),
+    ("simulate brownian values overflow", {},
+     ["simulate", "--kind", "brownian", "--x0", "1e308", "--drift", "1e308", "--steps", "4"],
+     None, EXIT_CONFIG),
     ("integral beyond float64", {"p.csv": "t,x1\n0.0,0.0\n1.0,1.0\n2.0,3.0\n"},
      ["integrate", "--input", "p.csv", "--rule", "const:1e308"], None, EXIT_CONFIG),
     ("config value not positive", {"p.csv": GOOD_CSV, "c.json": '{"tol": -1}'},

@@ -55,7 +55,7 @@ json_values = st.one_of(st.none(), st.booleans(), numbers, edge_numbers, words,
 
 cells = st.one_of(st.floats(-8, 8).map(repr), st.integers(-8, 8).map(str),
                   st.sampled_from(["", "abc", "nan", "inf", "-0", " 1", "1e300", "-1e308",
-                                   "1e400", "0x10"]))
+                                   "1e400", "0x10", "1e17", "5e18"]))
 sidecars = st.one_of(
     st.none(),
     st.sampled_from(["{mode", "[]", "null", '{"mode": "linear"}', '{"mode": "step"}']),
@@ -128,6 +128,7 @@ def path_commands(draw):
          sidecar=None)
 @example(run=("integrate", ["--rule", "const:1e308"]), csv="t,x1\n0,0\n1,1\n2,2\n",
          sidecar='{"mode": "linear"}')
+@example(run=("crossings", []), csv="t,x1\n0,1e300\n1,1e300\n", sidecar=None)
 def test_path_files_keep_the_exit_code_contract(tmp_path_factory, run, csv, sidecar):
     command, extra = run
     _run(tmp_path_factory, {"p.csv": csv, "p.json": sidecar}, BASE_ARGV[command] + extra)

@@ -432,9 +432,9 @@ class TestQvOnGrid:
 def grid_inputs(draw):
     """Values and an interval range ``klo..khi`` of a spacing h, dyadic or not.
 
-    Values often sit exactly on an interval's ends ``k*h`` and ``k*h + h``
-    as the kernel computes them; for non-dyadic h, ``k*h + h`` need not
-    equal ``(k + 1)*h``.
+    Values often sit on the products ``k*h`` and ``k*h + h``; for
+    non-dyadic h, ``k*h + h`` need not equal ``(k + 1)*h`` and their
+    quotients by h need not be integers.
     """
     h = draw(st.sampled_from([0.25, 0.1, 0.3, 1.0 / 3.0, 0.7]))
     klo = draw(st.integers(-6, 0))
@@ -478,10 +478,12 @@ class TestIntervalState:
     @PROPERTY
     @given(grid_inputs())
     @example((np.array([0.3, 0.0, 0.30000000000000004, 0.0]), 0, 2, 0.1))
+    @example((np.array([0.0, 2.1]), 0, 2, 0.7))  # 2.1 / 0.7 > 3 although 3 * 0.7 < 2.1
     def test_crossings_interval_batch_any_spacing(self, inputs):
+        # the counts read values / h against the integer grid, at any spacing
         values, klo, khi, h = inputs
         a = K.crossings_interval_batch(values, klo, khi, h)
-        b = R.crossings_interval_batch_py(values, klo, khi, h)
+        b = R.crossings_interval_batch_py(values / h, klo, khi, 1.0)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 

@@ -363,8 +363,9 @@ class TestCrossings:
         assert crossings(p, -0.5, 0.5) == (0, 0)
 
     def test_contract(self, p1):
-        with pytest.raises(ContractError):
-            crossings(p1, 0.5, 0.5)
+        for a, b in [(0.5, 0.5), (np.nan, 1.0), (0.0, np.nan)]:
+            with pytest.raises(ContractError):
+                crossings(p1, a, b)
 
     def test_greedy_equals_brute_force(self):
         rng = np.random.default_rng(5)
@@ -527,6 +528,36 @@ class TestCrossingsAccumulated:
             p = Path(times=times, values=vals, horizon=1.0, mode=mode)
             rep = crossing_report(p, h)
             assert (rep["U"], rep["D"]) == crossings_accumulated(p, h)
+        # decimal values at non-dyadic spacings, in both modes, also between events
+        for _ in range(300):
+            m = rng.integers(2, 25)
+            h = float(rng.choice([0.1, 0.3, 1.0 / 3.0]))
+            vals = np.round(rng.uniform(-3, 3, m), int(rng.integers(1, 3)))
+            times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 1.0, m - 1))])
+            mode = str(rng.choice(["step", "linear"]))
+            p = Path(times=times, values=vals, horizon=1.0, mode=mode)
+            for t in (None, float(rng.uniform(0.0, 1.0))):
+                rep = crossing_report(p, h, t)
+                assert (rep["U"], rep["D"]) == crossings_accumulated(p, h, t)
+
+    def test_report_reads_values_over_h(self):
+        # 0.6 / 0.1 is 5.999999999999999, while the product 6 * 0.1 is 0.6000000000000001
+        p = Path([0.0, 1.0, 2.0, 3.0], [0.0, 0.6, 0.0, 0.6])
+        rep = crossing_report(p, 0.1)
+        assert (rep["U"], rep["D"]) == crossings_accumulated(p, 0.1) == (10, 5)
+
+    def test_report_exact_near_int64(self):
+        # 1e17 and its next float 1e17 + 16 are 16 levels apart at h = 1
+        p = Path([0.0, 1.0, 2.0], [1e17, 1.0000000000000002e17, 1e17])
+        rep = crossing_report(p, 1.0)
+        assert (rep["U"], rep["D"]) == crossings_accumulated(p, 1.0) == (16, 16)
+
+    @pytest.mark.parametrize("values, h", [([1e300, 1e300], 0.5),
+                                           ([5e18, 5.000000000000002e18, 5e18], 1.0)])
+    def test_report_rejects_scaled_values_beyond_int64(self, values, h):
+        p = Path(np.arange(float(len(values))), values)
+        with pytest.raises(ContractError, match="2\\*\\*62"):
+            crossing_report(p, h)
 
     @pytest.mark.parametrize("mode", ["step", "linear"])
     def test_upcrossings_at_events(self, mode):
@@ -557,7 +588,6 @@ class TestCrossingsAccumulated:
         with pytest.raises(ContractError, match="11 intervals"):
             crossing_report(p2, 0.125)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("h", [1e-7, 1e-320])
     def test_report_rejects_fine_spacing(self, p2, h):
         with pytest.raises(ContractError, match="intervals"):

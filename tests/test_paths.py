@@ -140,6 +140,18 @@ class TestPsiSpec:
         assert tab(0.5) == pytest.approx(0.5)
         assert tab(10.0) == pytest.approx(1.5)
 
+    def test_value_beyond_float64_is_contract_error(self):
+        # a finite x must not give an infinite bound (or a NumPy overflow warning)
+        for psi in (PsiSpec("power", (1.0, 1000.0)), PsiSpec("affine", (1.0, 1e300))):
+            for x in (1e10, np.array([0.5, 1e10])):
+                with pytest.raises(ContractError, match="beyond float64"):
+                    psi(x)
+        assert PsiSpec("power", (1.0, 1000.0))(0.5) == 0.5 ** 1000.0
+        assert PsiSpec("power", (0.0, 1000.0))(4.0) == 0.0
+        assert PsiSpec("power", (1.0, 2.0))(np.inf) == np.inf
+        # the lerp weight of the last cell overflows, but x lies beyond the table
+        assert PsiSpec("table", (0.0, 0.0, 1e-300, 1.0))(1e10) == 1.0
+
     def test_monotonicity_validated(self):
         with pytest.raises(ContractError):
             PsiSpec("table", (0.0, 1.0, 1.0, 0.5))

@@ -89,6 +89,16 @@ class TestStoppingTimes:
         p = Path(times=[0.0, 2.0], values=[0.0, 2.0], mode="linear")
         assert gamma_K(p, 1.0) == pytest.approx(1.0, abs=1e-15)
 
+    @settings(max_examples=300)
+    @given(ladder_paths(), st.one_of(st.sampled_from([0.25, 1.0, 2.0, 4.0]),
+                                     st.floats(1e-3, 600.0)))
+    @example((Path([0.0, 1.0, 2.0], [[0.5, 0.5], [0.5, 0.5], [1.0, 0.5]]), 1), 1.0)
+    def test_gamma_linear_matches_the_segment_loop(self, case, K_bound):
+        # lattice values repeat (zero increments) and often start at or above K
+        path = case[0]
+        p = Path(path.times, path.values, mode="linear", horizon=path.horizon)
+        assert gamma_K(p, K_bound) == R.gamma_K_py(p, K_bound)
+
     def test_rho_short_seller(self, p1):
         short = RealizedStrategy(times=[0.0, np.inf], positions=[-1.0])
         assert rho_lambda(short, p1, 0.5) == 1.0  # capital -0.6 at t=1
@@ -435,6 +445,14 @@ class TestLStrategy:
             assert realized.times.tobytes() == times.tobytes()
             assert realized.positions[:, 0].tobytes() == positions.tobytes()
             assert report.sigma == sigma
+
+    def test_psi_beyond_float64_is_contract_error(self):
+        # the budget psi(K) = 4**1000 overflows; a NaN deviation must not pass the identity
+        spec = SimSpec(kind="jump-diffusion", steps=48, seed=1, volatility=0.4,
+                       jump_intensity=6.0, jump_mean=-0.05, jump_std=0.25,
+                       psi=PsiSpec("constant", (0.5,)))
+        with pytest.raises(ContractError, match="beyond float64"):
+            l_strategy(simulate(spec), 4, 4, PsiSpec("power", (1.0, 1000.0)))
 
     def test_weak_admissibility_on_member_paths(self):
         psi = PsiSpec("constant", (0.3,))
