@@ -539,8 +539,8 @@ def clip_jumps(values, psi):
     float64 does, converting ``_CLIP_BLOCK`` events at a time.
     """
     prev_row = values[0].tolist()
-    runsup = math.sqrt(_sum_squares(prev_row))
-    bound = psi(runsup)
+    runsup = _norm(prev_row)
+    bound = float(psi(runsup))
     for start in range(1, values.shape[0], _CLIP_BLOCK):
         block = values[start:start + _CLIP_BLOCK].tolist()
         for row in block:
@@ -550,18 +550,22 @@ def clip_jumps(values, psi):
                     while prev - v > bound:
                         v = math.nextafter(v, math.inf)
                     row[i] = v
-            nv = math.sqrt(_sum_squares(row))
+            nv = _norm(row)
             if nv > runsup:
                 runsup = nv
-                bound = psi(runsup)
+                bound = float(psi(runsup))
             prev_row = row
         values[start:start + _CLIP_BLOCK] = block
     return values
 
 
-def _sum_squares(row):
-    """``sum(v * v)`` added left to right from ``0.0``."""
+def _norm(row):
+    """l2 norm of a row: ``sqrt`` of ``v * v`` added left to right from ``0.0``.
+
+    When that sum overflows, the norm of finite values is still finite, so
+    it is taken by the scaled ``math.hypot`` instead.
+    """
     sq = 0.0
     for v in row:
         sq += v * v
-    return sq
+    return math.sqrt(sq) if sq != math.inf else math.hypot(*row)

@@ -296,9 +296,9 @@ def _crossing_scan(path: Path, h: float) -> K.CrossingPrefixes:
     if path.dim != 1:
         raise ContractError("crossing counters work on 1-dimensional paths")
     h = float(h)
-    scan = path._crossing_scans.get(h)
+    scan = path._scans.get(h)
     if scan is None:
-        scan = path._crossing_scans[h] = K.crossings_prefix(path.values[:, 0], h)
+        scan = path._scans[h] = K.crossings_prefix(path.values[:, 0], h)
     return scan
 
 

@@ -125,22 +125,40 @@ def _value_eq(a, b):
                for f in fields(a) if f.compare)
 
 
+def _row_norms(values: np.ndarray) -> np.ndarray:
+    """l2 norm of each row of the finite ``values``.
+
+    A row whose sum of squares overflows takes the scaled ``math.hypot``,
+    as :func:`pathcalc._kernels.clip_jumps` does; every other row keeps the
+    bits of ``np.linalg.norm``.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(values, axis=1)
+    for k in np.flatnonzero(np.isinf(norms)):
+        norms[k] = math.hypot(*values[k].tolist())
+    return norms
+
+
 @dataclass(frozen=True, eq=False)
 class Path:
     """Finite-event trajectory in d dimensions.
 
     ``times`` and ``values`` are read-only arrays, so anything computed from
-    them stays valid for the life of the path.  The crossing counters of
-    :mod:`pathcalc.partitions` keep one scan per spacing in the private
-    ``_crossing_scans`` memo; ``==`` compares the other fields by value, and
-    neither it nor ``repr`` sees the memo.
+    them stays valid for the life of the path.  The private ``_scans`` memo
+    keeps what was scanned from them: the crossing counters of
+    :mod:`pathcalc.partitions` store one scan per spacing under ``float(h)``,
+    :func:`pathcalc.strategies.gamma_K` its stopping time per level under
+    ``("gamma", K)``, and on a step path :func:`pathcalc.qv._z_data`
+    generation n's Z data under ``("z", n)``.  Every array it holds is
+    read-only.  ``==`` compares the other fields by value, and neither it nor
+    ``repr`` sees the memo.
     """
 
     times: np.ndarray
     values: np.ndarray
     mode: str = MODE_STEP
     horizon: float | None = None
-    _crossing_scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __eq__ = _value_eq
     __hash__ = None
@@ -214,7 +232,7 @@ class Path:
         Exact in both modes: on a linear segment the norm is convex, so the
         maximum sits at an endpoint.
         """
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        return float(np.max(_row_norms(self.values)))
 
     def coordinate(self, i: int) -> "Path":
         """1-d path of coordinate i (1-based)."""
@@ -233,8 +251,7 @@ class Path:
 
     def running_sup_before(self) -> np.ndarray:
         """``sup_{s in [0, t_k)} |x(s)|`` for every event index k >= 1."""
-        norms = np.linalg.norm(self.values, axis=1)
-        return np.maximum.accumulate(norms)[:-1]
+        return np.maximum.accumulate(_row_norms(self.values))[:-1]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ reported data, never an error.  Convention: ``Q^0 := 0`` so ``Z^1 = Q^1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,27 +141,58 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
 # Z / K processes and the sigma stopping time (1-d convergence machinery)
 # ---------------------------------------------------------------------------
 
-def _z_data(path: Path, n: int, extra_times=()):
-    """Grid, path values, Z and its compensator, the generation-n partition and the positions.
+class _ZData(NamedTuple):
+    """Generation n's Z data on one grid: see :func:`_z_data`."""
+
+    grid: np.ndarray
+    z: np.ndarray              # Z^n on the grid
+    comp: np.ndarray           # its compensator on the grid
+    fine_times: np.ndarray     # the generation-n partition times
+    fine_pos: np.ndarray       # their grid positions
+    h: np.ndarray | None       # the compensated-Z position at each fine point
+
+
+def _z_data(path: Path, n: int, extra_times=()) -> _ZData:
+    """Z^n, its compensator and the compensated-Z positions of generation n.
 
     The grid is :func:`pathcalc.partitions._on_grid`'s for the generation-n
     partition (which contains the coarse one) and ``extra_times``.  The
     compensator is ``sum_k (dZ along pi_n)^2``, with the partial tail.  The
     coarse partition is derived from the fine one, and its grid positions
-    are the fine ones at the points it keeps; they are ``None`` at n = 1.
+    are the fine ones at the points it keeps.  At a fine point the
+    compensated-Z strategy holds ``h = -4 Z (S - S at chi)``, where its
+    coarse projection chi is the last coarse point at or before it; h is
+    ``None`` at n = 1.  Every array is read-only.
+
+    On a step path the grid is the event table whatever ``extra_times``
+    holds, so the data depend on n alone: they are computed once and kept in
+    the path's ``_scans`` memo under ``("z", n)``, and every later call
+    returns that entry.  On a linear path the grid holds ``extra_times``, so
+    every call computes afresh.
     """
     if path.dim != 1:
         raise ContractError("Z/K processes are defined for 1-d paths")
+    step = path.mode == MODE_STEP
+    if step and ("z", n) in path._scans:
+        return path._scans[("z", n)]
     pn = lebesgue_partition_1d(path, n)
     grid, (pos,) = _on_grid(path, [pn], extra_times)
-    vals = path.values if path.mode == MODE_STEP else path.eval(grid)
-    qn = K.qv_on_grid(vals, pos)[0]
-    coarse_pos, qn1 = None, 0.0
+    vals = path.values if step else path.eval(grid)
+    z = K.qv_on_grid(vals, pos)[0]
+    h = None
     if n >= 2:
         coarse_pos = pos[_coarsen(pn)[1]]
-        qn1 = K.qv_on_grid(vals, coarse_pos)[0]
-    z = qn - qn1
-    return grid, vals[:, 0], z, K.qv_on_grid(z[:, None], pos)[0], pn, pos, coarse_pos
+        z = z - K.qv_on_grid(vals, coarse_pos)[0]
+        # both generations start at grid position 0, so every fine point has a chi
+        chi_pos = coarse_pos[np.searchsorted(coarse_pos, pos, side="right") - 1]
+        h = -4.0 * z[pos] * (vals[pos, 0] - vals[chi_pos, 0])
+    data = _ZData(grid, z, K.qv_on_grid(z[:, None], pos)[0], pn.times, pos, h)
+    for arr in data:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    if step:
+        path._scans[("z", n)] = data
+    return data
 
 
 def _z_at(path: Path, n: int, t: float):
@@ -171,8 +203,8 @@ def _z_at(path: Path, n: int, t: float):
     """
     if not 0.0 <= t <= path.horizon:
         raise ContractError("t outside [0, horizon]")
-    grid, _, z, comp, _, _, _ = _z_data(path, n, extra_times=[t])
-    return z, comp, int(np.searchsorted(grid, t, side="right")) - 1
+    data = _z_data(path, n, extra_times=[t])
+    return data.z, data.comp, int(np.searchsorted(data.grid, t, side="right")) - 1
 
 
 def z_process(path: Path, n: int, t: float) -> float:
@@ -201,19 +233,18 @@ def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float
     return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(comp[it])
 
 
-def _sigma_from_z(z: np.ndarray, comp: np.ndarray, pn: LebesguePartition, pos: np.ndarray,
-                  n: int, K_bound: int) -> float:
-    """:func:`sigma_n_K` from Z and its compensator on a grid that holds ``pn`` at ``pos``."""
+def _sigma_from_z(zd: _ZData, n: int, K_bound: int) -> float:
+    """:func:`sigma_n_K` from generation n's :func:`_z_data`."""
     if K_bound < 1:
         raise ContractError("K must be a positive integer")
-    if len(pn.times) < 2:
+    times, pos = zd.fine_times, zd.fine_pos
+    if len(times) < 2:
         return SENTINEL
-    acc = comp[pos[1:]]
     threshold = float(n) ** 4 * 2.0 ** (-2 * n)
-    hit_acc = np.flatnonzero(acc > threshold)
-    hit_z = np.flatnonzero(z[pos[1:]] > K_bound)
-    t_acc = pn.times[hit_acc[0] + 1] if hit_acc.size else SENTINEL
-    t_z = pn.times[hit_z[0] + 1] if hit_z.size else SENTINEL
+    hit_acc = np.flatnonzero(zd.comp[pos[1:]] > threshold)
+    hit_z = np.flatnonzero(zd.z[pos[1:]] > K_bound)
+    t_acc = times[hit_acc[0] + 1] if hit_acc.size else SENTINEL
+    t_z = times[hit_z[0] + 1] if hit_z.size else SENTINEL
     return float(min(t_acc, t_z))
 
 
@@ -224,8 +255,7 @@ def sigma_n_K(path: Path, n: int, K_bound: int) -> float:
     accumulated squared Z-increments above ``n^4 2^{-2n}`` and the first one
     with ``Z^n > K``; ``inf`` if neither occurs.
     """
-    _, _, z, comp, pn, pos, _ = _z_data(path, n)
-    return _sigma_from_z(z, comp, pn, pos, n, K_bound)
+    return _sigma_from_z(_z_data(path, n), n, K_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ KINDS = ("brownian", "geometric-brownian", "jump-diffusion", "oscillator", "cons
 
 _MASK64 = (1 << 64) - 1
 
+MAX_SIM_VALUES = 2 ** 24
+"""Largest ``(steps + 1) * dim`` simulated: the values of one path, 128 MiB in float64."""
+
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -64,6 +67,9 @@ class SimSpec:
             raise ContractError("jump std must be >= 0")
         if self.dim < 1:
             raise ContractError("dim must be >= 1")
+        if (self.steps + 1) * self.dim > MAX_SIM_VALUES:
+            raise ContractError(f"(steps + 1) * dim = {(self.steps + 1) * self.dim} values "
+                                f"exceed {MAX_SIM_VALUES}: use fewer steps or dimensions")
         if self.kind == "geometric-brownian" and self.x0 <= 0:
             raise ContractError("geometric-brownian needs x0 > 0")
         if self.mode is not None and self.mode not in (MODE_STEP, MODE_LINEAR):

@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
 from .partitions import MAX_CROSSING_INTERVALS, SENTINEL
-from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec
+from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _row_norms
 from .qv import _sigma_from_z, _z_data, k_constant
 
 __all__ = [
@@ -157,10 +157,20 @@ def capital_curve(realized: RealizedStrategy, path: Path) -> CapitalCurve:
 # ---------------------------------------------------------------------------
 
 def gamma_K(path: Path, K_bound: float) -> float:
-    """First time the l2 norm of the path reaches K; ``inf`` if never."""
-    if K_bound <= 0:
+    """First time the l2 norm of the path reaches K; ``inf`` if never.
+
+    It is kept in the path's ``_scans`` memo under ``("gamma", K)``.
+    """
+    if not K_bound > 0:
         raise ContractError("K must be > 0")
-    norms = np.linalg.norm(path.values, axis=1)
+    key = ("gamma", float(K_bound))
+    if key not in path._scans:
+        path._scans[key] = _gamma_K(path, float(K_bound))
+    return path._scans[key]
+
+
+def _gamma_K(path: Path, K_bound: float) -> float:
+    norms = _row_norms(path.values)
     if path.mode == MODE_STEP:
         hits = np.flatnonzero(norms >= K_bound)
         return float(path.times[hits[0]]) if hits.size else SENTINEL
@@ -476,22 +486,18 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
         raise ContractError("needs n >= 2 (a coarser generation must exist)")
     gamma = gamma_K(path, float(K_bound))
     # a finite sigma is a fine partition time, so the grid already holds it
-    grid, v, z, sumsq, fine, fine_pos, coarse_pos = _z_data(
-        path, n, [gamma] if np.isfinite(gamma) else [])
-    sigma = _sigma_from_z(z, sumsq, fine, fine_pos, n, K_bound)
+    zd = _z_data(path, n, [gamma] if np.isfinite(gamma) else [])
+    grid = zd.grid
+    sigma = _sigma_from_z(zd, n, K_bound)
     cut = min(gamma, sigma)
 
-    # realized positions on (tau_k, tau_{k+1} ^ cut]; both generations start
-    # at grid position 0, so every fine point has a coarse projection chi
-    chi_pos = coarse_pos[np.searchsorted(coarse_pos, fine_pos, side="right") - 1]
-    h = -4.0 * z[fine_pos] * (v[fine_pos] - v[chi_pos])
-
-    live = np.flatnonzero(fine.times < cut)  # a prefix of the partition indices
+    # realized positions h on (tau_k, tau_{k+1} ^ cut]
+    live = np.flatnonzero(zd.fine_times < cut)  # a prefix of the partition indices
     if live.size == 0:
         realized = RealizedStrategy(times=np.array([0.0]), positions=np.zeros((0, 1)))
     else:
-        t_out = fine.times[live]
-        p_out = h[live]
+        t_out = zd.fine_times[live]
+        p_out = zd.h[live]
         if np.isfinite(cut):
             t_out = np.concatenate([t_out, [cut, np.inf]])
             p_out = np.append(p_out, 0.0)
@@ -502,7 +508,7 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     budget = k_constant(n, K_bound, psi)
     curve = capital_curve(realized, path)
     cap_grid = curve.values_at(grid)
-    k_vals = budget + z * z - sumsq
+    k_vals = budget + zd.z * zd.z - zd.comp
     if np.isfinite(cut):
         cut_idx = int(np.searchsorted(grid, cut))
         k_clamped = k_vals[np.minimum(np.arange(len(grid)), cut_idx)]

@@ -363,6 +363,11 @@ EXIT_CODE_CASES = [
     ("simulate geometric values overflow", {},
      ["simulate", "--kind", "geometric-brownian", "--x0", "1", "--drift", "1e300"],
      None, EXIT_CONFIG),
+    ("simulate steps above the size cap", {},
+     ["simulate", "--kind", "brownian", "--steps", "10000000000000"], None, EXIT_CONFIG),
+    ("simulate dim above the size cap", {},
+     ["simulate", "--kind", "brownian", "--steps", "4", "--dim", "100000000000"],
+     None, EXIT_CONFIG),
     ("simulate brownian values overflow", {},
      ["simulate", "--kind", "brownian", "--x0", "1e308", "--drift", "1e308", "--steps", "4"],
      None, EXIT_CONFIG),

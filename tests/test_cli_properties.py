@@ -5,7 +5,9 @@ command lines; every run must return 0, 2, 3, 4 or 5 and raise nothing, and
 every JSON file a successful run writes must be strict JSON, without ``NaN``
 or ``Infinity``.  Every drawn integer is small and no drawn string is a
 large integer, so counts, steps and generations stay small and one example
-runs in milliseconds.
+runs in milliseconds.  The one exception is ``simulate``'s ``--steps`` and
+``--dim``, drawn up to 2^63: a run is made only above the size cap, where it
+must exit 2 before allocating, and below it only the spec is built.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import cli
+from pathcalc.simulate import KINDS, MAX_SIM_VALUES, SimSpec
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_INTERNAL,
               cli.EXIT_CHECK_FAILED}
@@ -183,3 +186,23 @@ def command_lines(draw):
 def test_command_lines_keep_the_exit_code_contract(tmp_path_factory, run):
     command, tokens = run
     _run(tmp_path_factory, {"p.csv": GOOD_CSV}, BASE_ARGV[command] + tokens)
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(KINDS), steps=st.integers(1, 2 ** 63), dim=st.integers(1, 2 ** 63))
+@example(kind="brownian", steps=10 ** 13, dim=1)
+@example(kind="brownian", steps=4, dim=10 ** 11)
+@example(kind="constant", steps=1, dim=MAX_SIM_VALUES // 2 + 1)
+@example(kind="oscillator", steps=MAX_SIM_VALUES, dim=1)
+@example(kind="jump-diffusion", steps=MAX_SIM_VALUES - 1, dim=1)
+def test_simulate_sizes_above_the_cap_exit_2(tmp_path_factory, kind, steps, dim):
+    if (steps + 1) * dim <= MAX_SIM_VALUES:
+        SimSpec(kind, steps=steps, dim=dim, x0=1.0)  # accepted; nothing is simulated
+        return
+    run_dir = tmp_path_factory.mktemp("cli")
+    argv = ["simulate", "--kind", kind, "--steps", str(steps), "--dim", str(dim), "--x0", "1",
+            "--output-dir", str(run_dir / "out")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "exceed" in stderr.getvalue()

@@ -81,4 +81,4 @@ def test_equality_and_repr_ignore_the_memo(path):
     crossings_accumulated(path, 0.25)
     assert repr(path) == text == repr(twin)
     assert path == twin
-    assert "_crossing_scans" not in text
+    assert "_scans" not in text

@@ -4,9 +4,9 @@ A path's ladder of generations is built once and shared: ``ito_integral``
 and ``qv_limit`` scan only the finest generation of each component and
 derive each coarser one from the next finer one, ``prepare_ensemble`` takes
 the finest generation from its QV report, ``l_strategy`` scans its fine
-generation and derives the coarse one, and the ``qv`` and ``integrate``
-commands take the finest generation they write or check from the ladder they
-built.  Every scan from the events runs exactly one of ``partition_step``
+generation and derives the coarse one, once per step path and generation
+whatever the level K, and the ``qv`` and ``integrate`` commands take the
+finest generation they write or check from the ladder they built.  Every scan from the events runs exactly one of ``partition_step``
 and ``partition_linear_count``; every derivation runs ``partition_coarsen``.
 """
 
@@ -73,6 +73,14 @@ def test_prepare_ensemble_reuses_the_qv_ladder(builds, p1):
 
 def test_l_strategy_builds_fine_and_coarse_once(builds, p1):
     l_strategy(p1, 3, 2, PsiSpec("constant", (0.5,)))
+    assert builds == {"n": 1, "coarsen": 1}
+
+
+def test_l_strategy_over_levels_builds_fine_and_coarse_once(builds, p1):
+    # a step path keeps generation n's Z data, and K enters only through
+    # gamma_K and sigma
+    for K in (1, 2, 4):
+        l_strategy(p1, 3, K, PsiSpec("constant", (0.5,)))
     assert builds == {"n": 1, "coarsen": 1}
 
 

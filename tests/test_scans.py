@@ -1,0 +1,129 @@
+"""What a path keeps in its ``_scans`` memo, and that reading it changes no result.
+
+On a step path ``qv._z_data`` computes generation n's Z data once and keeps
+it under ``("z", n)``: Z, its compensator, the fine partition's times and
+grid positions, and the compensated-Z strategy's positions h.  ``gamma_K``
+keeps its stopping time per level under ``("gamma", K)``.  ``l_strategy``,
+``sigma_n_K``, ``k_process`` and ``z_process`` read the entry, so on a path
+that already holds it they must return the bits a fresh path gives, whatever
+the order of the calls that filled it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathcalc import ContractError, Path, PsiSpec
+from pathcalc.qv import k_process, sigma_n_K, z_process
+from pathcalc.strategies import gamma_K, l_strategy
+
+from conftest import random_step_path
+
+PSI = PsiSpec("constant", (0.5,))
+GENERATIONS = range(2, 9)
+LEVELS = (1, 2, 4)
+FUNCTIONS = ("l_strategy", "sigma_n_K", "k_process", "z_process")
+
+
+def _fresh(path):
+    return Path(path.times, path.values, path.mode, path.horizon)
+
+
+def _bits(path, name, n, K, t):
+    """The output of one call, as bytes."""
+    if name == "l_strategy":
+        realized, report = l_strategy(path, n, K, PSI, tolerance=np.inf)
+        out = [realized.times, realized.positions,
+               [report.max_deviation, report.budget, report.gamma, report.sigma]]
+    elif name == "sigma_n_K":
+        out = [sigma_n_K(path, n, K)]
+    elif name == "k_process":
+        out = [k_process(path, n, K, PSI, t)]
+    else:
+        out = [z_process(path, n, t)]
+    return b"|".join(np.asarray(x, dtype=np.float64).tobytes() for x in out)
+
+
+@st.composite
+def step_paths(draw):
+    """1-d step paths with values on a dyadic grid or drawn freely, and a time in [0, horizon]."""
+    m = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))) * 0.125
+    else:
+        values = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m)))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    path = Path(times, values, mode="step", horizon=times[-1] + 1.0)
+    return path, draw(st.floats(0.0, path.horizon))
+
+
+@settings(max_examples=40)
+@given(drawn=step_paths(), order=st.permutations(
+    [(name, n, K) for name in FUNCTIONS for n in GENERATIONS for K in LEVELS]))
+def test_a_warm_path_gives_the_bits_of_a_fresh_one(drawn, order):
+    path, t = drawn
+    for name, n, K in order:
+        assert _bits(path, name, n, K, t) == _bits(_fresh(path), name, n, K, t), (name, n, K)
+    assert {key for key in path._scans if key[0] == "z"} == {("z", n) for n in GENERATIONS}
+
+
+@pytest.fixture
+def path():
+    return random_step_path(np.random.default_rng(11), n_events=60)
+
+
+def test_each_generation_is_computed_once(path):
+    l_strategy(path, 4, 1, PSI)
+    entry = path._scans[("z", 4)]
+    for K in LEVELS:
+        l_strategy(path, 4, K, PSI)
+        sigma_n_K(path, 4, K)
+        k_process(path, 4, K, PSI, 0.5)
+        z_process(path, 4, 0.5)
+        assert path._scans[("z", 4)] is entry
+    assert entry.grid is path.times  # the event table itself, not a copy
+
+
+def test_stored_arrays_are_read_only(path):
+    for n in (1, 2, 5):
+        sigma_n_K(path, n, 1)
+    l_strategy(path, 3, 2, PSI)
+    entries = [v for key, v in path._scans.items() if key[0] == "z"]
+    assert len(entries) == 4
+    for entry in entries:
+        for arr in (a for a in entry if a is not None):
+            with pytest.raises(ValueError):
+                arr[0] = 99
+
+
+def test_a_linear_path_stores_no_z_entry(path):
+    linear = Path(path.times, path.values, mode="linear", horizon=path.horizon + 1.0)
+    for n in (2, 4):
+        l_strategy(linear, n, 2, PSI)
+        sigma_n_K(linear, n, 2)
+        k_process(linear, n, 2, PSI, 0.3)
+        z_process(linear, n, 0.3)
+    assert not [key for key in linear._scans if key[0] == "z"]
+
+
+def test_gamma_is_kept_per_level(path):
+    linear = Path(path.times, path.values, mode="linear")
+    for p in (path, linear):
+        gammas = [gamma_K(p, K) for K in (0.25, 0.5, 1.0)]
+        assert [gamma_K(_fresh(p), K) for K in (0.25, 0.5, 1.0)] == gammas
+        assert [p._scans[("gamma", K)] for K in (0.25, 0.5, 1.0)] == gammas
+        assert gamma_K(p, 1) == gammas[-1]
+    with pytest.raises(ContractError, match="K must be > 0"):
+        gamma_K(path, float("nan"))
+
+
+def test_equality_and_repr_ignore_the_z_memo(path):
+    twin = _fresh(path)
+    text = repr(path)
+    l_strategy(path, 3, 2, PSI)
+    assert path._scans
+    assert repr(path) == text == repr(twin)
+    assert path == twin
+    assert "_scans" not in text

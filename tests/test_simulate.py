@@ -1,10 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from pathcalc import ContractError, PsiSpec, SampleSpaceSpec, check_membership
-from pathcalc.simulate import SimSpec, ensemble, read_simspec, simulate, write_simspec
+from pathcalc import ContractError, Path, PsiSpec, SampleSpaceSpec, check_membership
+from pathcalc import _kernels as K
+from pathcalc.cli import EXIT_OK, main
+from pathcalc.paths import read_path_csv
+from pathcalc.simulate import (MAX_SIM_VALUES, SimSpec, ensemble, read_simspec, simulate,
+                               write_simspec)
 
 
 class TestDeterminism:
@@ -64,6 +69,17 @@ class TestKinds:
         with pytest.raises(ContractError):
             SimSpec(kind="geometric-brownian", x0=0.0)
 
+    @pytest.mark.parametrize("steps, dim", [(MAX_SIM_VALUES, 1), (MAX_SIM_VALUES // 2, 2),
+                                            (10 ** 13, 1), (4, 10 ** 11), (2 ** 63, 2 ** 63)])
+    def test_size_cap(self, steps, dim):
+        # checked before anything is allocated
+        with pytest.raises(ContractError, match="exceed"):
+            SimSpec(kind="brownian", steps=steps, dim=dim)
+
+    def test_size_cap_admits_its_bound(self):
+        SimSpec(kind="brownian", steps=MAX_SIM_VALUES - 1)
+        SimSpec(kind="brownian", steps=MAX_SIM_VALUES // 2 - 1, dim=2)
+
 
 class TestMembershipInvariant:
     @pytest.mark.parametrize("psi", [
@@ -97,6 +113,26 @@ class TestMembershipInvariant:
             assert p.dim == 3
             space = SampleSpaceSpec(psi=psi, dim=3, horizon=p.horizon)
             assert check_membership(p, space).ok
+
+    def test_running_sup_beyond_the_sum_of_squares(self):
+        # the squares of 1e200 overflow; the norm and the bound stay finite
+        psi = PsiSpec("affine", (0.1, 0.5))
+        values = np.array([[1e200, 1e200], [0.0, 1e200]])
+        K.clip_jumps(values, psi)
+        assert values[1, 0] == pytest.approx(1e200 - 0.5 * np.hypot(1e200, 1e200))
+        p = Path([0.0, 1.0], values)
+        assert check_membership(p, SampleSpaceSpec(psi=psi, dim=2, horizon=1.0)).ok
+
+    def test_huge_jump_diffusion_writes_a_member_without_warning(self, tmp_path):
+        argv = ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "5", "--dim", "2",
+                "--x0", "1e200", "--steps", "4", "--psi", "affine:0.1,0",
+                "--output-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        p = read_path_csv(tmp_path / "path_0000.csv")
+        space = SampleSpaceSpec(psi=PsiSpec("affine", (0.1, 0.0)), dim=2, horizon=p.horizon)
+        assert check_membership(p, space).ok
 
     def test_clipping_only_limits_downward_moves(self):
         psi = PsiSpec("constant", (0.0,))
