@@ -10,8 +10,9 @@ the prefix scan :func:`_play_scan`, written once here.  It has two entries:
   ``[floor(x_e), ceil(x_e)]``.  Its switching times from
   ``j_0 = floor(x_0)`` are the Lebesgue partition times
   (``partition_step``), its unit steps are the linear-mode crossings
-  (``partition_linear_count``/``partition_linear_fill``), and the positive
-  steps of the track from ``j_0 = ceil(x_0)`` of ``values / h`` are the
+  (``partition_linear_count`` scans the track and counts them, and
+  ``partition_linear_fill`` takes their roots from that track), and the
+  positive steps of the track from ``j_0 = ceil(x_0)`` of ``values / h`` are the
   accumulated upcrossings of the grid of spacing ``h``, while the falls of
   the other track are the accumulated downcrossings (``crossings_prefix``,
   every prefix from one scan).  Every grid counter reads these tracks of
@@ -49,7 +50,8 @@ passes, O(m log m).
 generation, in one O(grid) ``np.repeat`` of the partition indices, and takes
 each coordinate's tail from that point once; a pair's curve is then one
 cumulative sum and one product of two tails.
-The pathwise BDG kernels share one row body, :func:`_bdg_rows`.
+The pathwise BDG kernels share one row body, :func:`_bdg_rows`;
+``bdg_batch`` takes a list of sequences and stacks each equal-length group.
 
 Each vectorized kernel returns exactly the bits of the per-event loop it
 replaced; the test suite keeps those loops as its reference.  ``clip_jumps``
@@ -203,24 +205,28 @@ def partition_coarsen(level_idx):
 
 
 def partition_linear_count(times, values, scale):
-    """Number of crossing times of a 1-d linear-mode path: ``1 + sum |dj|``."""
+    """Number of crossing times of a 1-d linear-mode path, and its track.
+
+    Returns ``(1 + sum |dj|, j)`` with ``j`` the play-operator track of
+    ``values * scale``, which :func:`partition_linear_fill` reads, so the
+    path is scanned once and the caller can check the count before the
+    crossing times are allocated.
+    """
     j, _ = _play_tracks(values * scale, 53)
-    return 1 + _accumulate(np.abs(np.diff(j)))
+    return 1 + _accumulate(np.abs(np.diff(j))), j
 
 
-def partition_linear_fill(times, values, scale, out_t, out_j):
-    """Fill crossing times for a 1-d linear-mode path (exact segment roots).
+def partition_linear_fill(times, values, scale, j):
+    """Crossing times and level indices of a 1-d linear-mode path (exact segment roots).
 
-    On segment ``e`` the tracked index moves one level at a time from
-    ``j_{e-1}`` to ``j_e``; level ``j`` is crossed at
-    ``ta + (j * 2**-n - va) * slope`` with ``slope = (tb - ta) / (vb - va)``.
-    A value step so small that the slope overflows float64 takes the root as
-    the fraction ``(j * 2**-n - va) / (vb - va)`` of the segment instead.
-    ``out_t``/``out_j`` must hold :func:`partition_linear_count` entries;
-    returns that count.
+    ``j`` is the track from :func:`partition_linear_count`.  On segment ``e``
+    the tracked index moves one level at a time from ``j_{e-1}`` to ``j_e``;
+    level ``j`` is crossed at ``ta + (j * 2**-n - va) * slope`` with
+    ``slope = (tb - ta) / (vb - va)``.  A value step so small that the slope
+    overflows float64 takes the root as the fraction
+    ``(j * 2**-n - va) / (vb - va)`` of the segment instead.
     """
     inv = 1.0 / scale
-    j, _ = _play_tracks(values * scale, 53)
     dj = np.diff(j)
     steps = np.abs(dj)
     seg = np.repeat(np.arange(dj.shape[0]), steps)
@@ -234,12 +240,8 @@ def partition_linear_fill(times, values, scale, out_t, out_j):
     rise = lev_j * inv - va
     with np.errstate(over="ignore"):
         slope_dt = dt / dv
-    cnt = seg.shape[0] + 1
-    out_t[0] = times[0]
-    out_j[0] = j[0]
-    out_t[1:cnt] = np.where(np.isfinite(slope_dt), ta + rise * slope_dt, ta + rise / dv * dt)
-    out_j[1:cnt] = lev_j
-    return cnt
+    roots = np.where(np.isfinite(slope_dt), ta + rise * slope_dt, ta + rise / dv * dt)
+    return np.concatenate((times[:1], roots)), np.concatenate((j[:1], lev_j))
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +502,19 @@ def bdg_weights(x):
     return _bdg_rows(x[None, :])[2][0]
 
 
-def bdg_batch(flat, offsets):
-    """(lhs, rhs) of the pathwise BDG inequality for concatenated sequences.
+def bdg_batch(seqs):
+    """(lhs, rhs) of the pathwise BDG inequality for each 1-d float array in ``seqs``.
 
     Sequences of equal length are stacked into one matrix for
     :func:`_bdg_rows`; the result is bit-identical to :func:`bdg_core`
     applied to each sequence.
     """
-    lengths = np.diff(offsets)
+    lengths = np.array([s.shape[0] for s in seqs], np.int64)
     lhs = np.empty(lengths.shape[0], np.float64)
     rhs = np.empty(lengths.shape[0], np.float64)
     for m in np.unique(lengths):
         rows = np.flatnonzero(lengths == m)
-        xstar, qv, _, hx = _bdg_rows(flat[offsets[rows][:, None] + np.arange(m)])
+        xstar, qv, _, hx = _bdg_rows(np.stack([seqs[r] for r in rows]))
         lhs[rows] = xstar
         rhs[rows] = 6.0 * np.sqrt(qv) + 2.0 * hx
     return lhs, rhs

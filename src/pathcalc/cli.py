@@ -44,7 +44,7 @@ from .partitions import (
 from .paths import (Path, PsiSpec, _read_json_object, _write_json, _write_table, read_path_csv,
                     write_path_csv)
 from .qv import discrete_qv, qv_limit, write_qv_report
-from .simulate import SimSpec, ensemble, write_simspec
+from .simulate import SimSpec, ensemble, simulate, write_simspec
 from .strategies import (
     RealizedStrategy,
     bdg_check_batch,
@@ -257,11 +257,10 @@ def _verify_doob(args) -> dict:
         path_worst = np.inf
         for n in (0, 1, 2, 3):
             rule = doob_aggregate(n, K, psi)
-            realized = rule.realize(p)
-            if not check_strong_admissibility(realized, [p], 1.0)[0].ok:
+            curve = capital_curve(rule.realize(p), p)
+            if not curve.minimum >= -1.0:  # strong 1-admissibility
                 raise InternalConsistencyError("aggregate not strongly 1-admissible")
             factor = doob_aggregate_bound_factor(n, K, psi)
-            curve = capital_curve(realized, p)
             ups = upcrossings_at_events(p, 2.0 ** -n)
             slack = 1.0 + curve.values_at(p.times) - factor * ups
             path_worst = min(path_worst, float(slack.min()))
@@ -330,8 +329,8 @@ def _verify_lift(args) -> dict:
 def _verify_concentration(args) -> dict:
     spec = SimSpec(kind="brownian", steps=2 ** 12, seed=args.seed, mode="step")
     rep = concentration_check_continuous(lambda p: constant_integrand(1.0, p.dim),
-                                         ensemble(spec, args.count), a=args.a, b=args.b,
-                                         n_max=args.n_max)
+                                         (simulate(spec, i) for i in range(args.count)),
+                                         a=args.a, b=args.b, n_max=args.n_max)
     if not rep.ok:
         raise CheckFailedError(
             f"frequency {rep.frequency:.4f} > bound {rep.bound:.4f} + 3se")
@@ -345,7 +344,7 @@ def _verify_bdg_bound(args) -> dict:
                    jump_intensity=5.0, jump_mean=-0.02, jump_std=0.1,
                    x0=0.2, psi=psi)
     rep = bdg_bound_check_cadlag(lambda p: constant_integrand(1.0, p.dim),
-                                 ensemble(spec, args.count),
+                                 (simulate(spec, i) for i in range(args.count)),
                                  a=args.a, b=args.b, c=args.c, M=args.M,
                                  psi=psi, n=10, n_max=args.n_max)
     if not (rep.ok_frequency and rep.ok_frequency_compensator):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractError, InternalConsistencyError
 from .partitions import LebesguePartition, lebesgue_partition_nd, partition_ladder
-from .paths import Path, PsiSpec
+from .paths import Path, PsiSpec, _row_norms
 from .qv import qv_limit
 from .strategies import CapitalCurve, RealizedStrategy, bdg_weights, capital_curve
 
@@ -75,6 +75,8 @@ class StepIntegrand:
         z = self.value_at_zero
         if z is not None:
             z = np.ascontiguousarray(np.asarray(z, dtype=np.float64).reshape(-1))
+            if z.shape[0] != values.shape[1]:
+                raise ContractError("value_at_zero needs one value per coordinate")
             z.flags.writeable = False
         times.flags.writeable = False
         values.flags.writeable = False
@@ -92,10 +94,11 @@ class StepIntegrand:
         return self.values[idx]
 
     def sup_norm(self) -> float:
-        norms = np.linalg.norm(self.values, axis=1)
+        """Largest l2 norm of a value, ``value_at_zero`` included; finite for finite values."""
+        rows = self.values
         if self.value_at_zero is not None:
-            norms = np.append(norms, np.linalg.norm(self.value_at_zero))
-        return float(np.max(norms))
+            rows = np.vstack([rows, self.value_at_zero])
+        return float(np.max(_row_norms(rows)))
 
     def as_strategy(self) -> RealizedStrategy:
         return RealizedStrategy(times=np.append(self.times, np.inf), positions=self.values)
@@ -165,7 +168,7 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
     from . import _kernels as K
     parts, _, _ = partition_ladder(path, n_max)
     grid = np.unique(np.concatenate([_union_grid(path, F, parts[-1].times), path.times]))
-    x = np.ascontiguousarray(integral_curve(F, path).values_at(grid))
+    x = integral_curve(F, path).values_at(grid)
     cells = [np.searchsorted(grid, _union_grid(path, F, part.times)) for part in parts]
     terminals = np.array([np.cumsum(np.diff(x[pos]) ** 2)[-1] for pos in cells])
     curve = K.qv_on_grid(x[:, None], cells[-1])[0]
@@ -256,14 +259,13 @@ class PathStats:
     partition_times: np.ndarray   # finest-generation crossing times
     qv_frobenius: float           # |[S]_T| estimate
     sup_norm: float
-    n_max: int
 
 
 def _make_stats(p: Path, n_max: int) -> PathStats:
     report = qv_limit(p, n_max=n_max, tol=1e-9, keep_generations=False)
     return PathStats(path=p, partition_times=report.limit_times,
                      qv_frobenius=report.frobenius_terminal,
-                     sup_norm=p.sup_norm(), n_max=n_max)
+                     sup_norm=p.sup_norm())
 
 
 def prepare_ensemble(paths, n_max: int = 8) -> list[PathStats]:

@@ -79,17 +79,14 @@ class LebesguePartition:
 
     ``level_indices`` holds the tracked dyadic indices ``j`` (level is
     ``j * 2**-generation``); it is ``None`` for multi-dimensional partitions,
-    which only carry times.  ``finite`` records that the recursion exhausted
-    the path before the horizon, which always holds for finite event tables.
-    ``event_indices`` locates the points in the path's event table: a 1-d
-    step partition switches only at events, so it carries them; other
-    partitions hold ``None``.
+    which only carry times.  ``event_indices`` locates the points in the
+    path's event table: a 1-d step partition switches only at events, so it
+    carries them; other partitions hold ``None``.
     """
 
     generation: int
     times: np.ndarray
     level_indices: np.ndarray | None = None
-    finite: bool = True
     event_indices: np.ndarray | None = None
 
     __eq__ = _value_eq
@@ -125,19 +122,16 @@ def lebesgue_partition_1d(path: Path, n: int) -> LebesguePartition:
     _check_generation(n)
     if path.dim != 1:
         raise ContractError("lebesgue_partition_1d needs a 1-dimensional path")
-    if path.mode == MODE_STEP:
-        idx, level_idx = K.partition_step(path.values[:, 0], 2.0 ** int(n))
-        return LebesguePartition(int(n), path.times[idx], level_idx, event_indices=idx)
     scale = 2.0 ** int(n)
     values = path.values[:, 0]
-    cnt = K.partition_linear_count(path.times, values, scale)
+    if path.mode == MODE_STEP:
+        idx, level_idx = K.partition_step(values, scale)
+        return LebesguePartition(int(n), path.times[idx], level_idx, event_indices=idx)
+    cnt, j = K.partition_linear_count(path.times, values, scale)
     if cnt > MAX_LINEAR_POINTS:
         raise ContractError(f"generation {n} crosses {cnt} levels, more than "
                             f"{MAX_LINEAR_POINTS}: use a coarser generation")
-    out_t = np.empty(cnt, np.float64)
-    out_j = np.empty(cnt, np.int64)
-    K.partition_linear_fill(path.times, values, scale, out_t, out_j)
-    return LebesguePartition(int(n), out_t, out_j)
+    return LebesguePartition(int(n), *K.partition_linear_fill(path.times, values, scale, j))
 
 
 def _components(path: Path) -> list[Path]:
@@ -271,9 +265,7 @@ def _sample_values(path: Path, t: float | None) -> np.ndarray:
     """Value sequence that witnesses every crossing up to time t (see :func:`_prefix_end`)."""
     upto, tail = _prefix_end(path, t)
     vals = path.values[:upto, 0]
-    if tail is not None:
-        vals = np.append(vals, tail)
-    return np.ascontiguousarray(vals)
+    return vals if tail is None else np.append(vals, tail)
 
 
 def crossings(path: Path, a: float, b: float, t: float | None = None) -> tuple[int, int]:
@@ -296,10 +288,7 @@ def _crossing_scan(path: Path, h: float) -> K.CrossingPrefixes:
     if path.dim != 1:
         raise ContractError("crossing counters work on 1-dimensional paths")
     h = float(h)
-    scan = path._scans.get(h)
-    if scan is None:
-        scan = path._scans[h] = K.crossings_prefix(path.values[:, 0], h)
-    return scan
+    return path._memo(h, lambda: K.crossings_prefix(path.values[:, 0], h))
 
 
 def crossings_accumulated(path: Path, h: float, t: float | None = None) -> tuple[int, int]:

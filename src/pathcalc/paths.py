@@ -145,13 +145,13 @@ class Path:
 
     ``times`` and ``values`` are read-only arrays, so anything computed from
     them stays valid for the life of the path.  The private ``_scans`` memo
-    keeps what was scanned from them: the crossing counters of
-    :mod:`pathcalc.partitions` store one scan per spacing under ``float(h)``,
-    :func:`pathcalc.strategies.gamma_K` its stopping time per level under
-    ``("gamma", K)``, and on a step path :func:`pathcalc.qv._z_data`
-    generation n's Z data under ``("z", n)``.  Every array it holds is
-    read-only.  ``==`` compares the other fields by value, and neither it nor
-    ``repr`` sees the memo.
+    keeps what was scanned from them, and :meth:`_memo` is the only way in:
+    the crossing counters of :mod:`pathcalc.partitions` store one scan per
+    spacing under ``float(h)``, :func:`pathcalc.strategies.gamma_K` its
+    stopping time per level under ``("gamma", K)``, and on a step path
+    :func:`pathcalc.qv._z_data` generation n's Z data under ``("z", n)``.
+    Every array it holds is read-only.  ``==`` compares the other fields by
+    value, and neither it nor ``repr`` sees the memo.
     """
 
     times: np.ndarray
@@ -189,6 +189,13 @@ class Path:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "horizon", horizon)
+
+    def _memo(self, key, build):
+        """The memo entry under ``key``, stored from ``build()`` on first use."""
+        value = self._scans.get(key)
+        if value is None:  # a stored value can be falsy, such as a gamma_K of 0.0
+            value = self._scans[key] = build()
+        return value
 
     @property
     def dim(self) -> int:

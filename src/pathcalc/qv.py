@@ -40,9 +40,7 @@ def discrete_qv(path: Path, partition: LebesguePartition, t: float) -> float:
         raise ContractError("t outside [0, horizon]")
     if partition.times[-1] > path.horizon:
         raise ContractError("partition does not belong to this path")
-    clamped = np.append(np.minimum(partition.times, t), t)
-    vals = path.eval(clamped)[:, 0]
-    return float(np.sum(np.diff(vals) ** 2))
+    return discrete_cross_qv(path, partition.generation, 1, 1, t, partition)
 
 
 def discrete_cross_qv(path: Path, n: int, i: int, j: int, t: float,
@@ -166,33 +164,33 @@ def _z_data(path: Path, n: int, extra_times=()) -> _ZData:
 
     On a step path the grid is the event table whatever ``extra_times``
     holds, so the data depend on n alone: they are computed once and kept in
-    the path's ``_scans`` memo under ``("z", n)``, and every later call
-    returns that entry.  On a linear path the grid holds ``extra_times``, so
-    every call computes afresh.
+    the path's memo under ``("z", n)``, and every later call returns that
+    entry.  On a linear path the grid holds ``extra_times``, so every call
+    computes afresh.
     """
     if path.dim != 1:
         raise ContractError("Z/K processes are defined for 1-d paths")
     step = path.mode == MODE_STEP
-    if step and ("z", n) in path._scans:
-        return path._scans[("z", n)]
-    pn = lebesgue_partition_1d(path, n)
-    grid, (pos,) = _on_grid(path, [pn], extra_times)
-    vals = path.values if step else path.eval(grid)
-    z = K.qv_on_grid(vals, pos)[0]
-    h = None
-    if n >= 2:
-        coarse_pos = pos[_coarsen(pn)[1]]
-        z = z - K.qv_on_grid(vals, coarse_pos)[0]
-        # both generations start at grid position 0, so every fine point has a chi
-        chi_pos = coarse_pos[np.searchsorted(coarse_pos, pos, side="right") - 1]
-        h = -4.0 * z[pos] * (vals[pos, 0] - vals[chi_pos, 0])
-    data = _ZData(grid, z, K.qv_on_grid(z[:, None], pos)[0], pn.times, pos, h)
-    for arr in data:
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
-    if step:
-        path._scans[("z", n)] = data
-    return data
+
+    def scan() -> _ZData:
+        pn = lebesgue_partition_1d(path, n)
+        grid, (pos,) = _on_grid(path, [pn], extra_times)
+        vals = path.values if step else path.eval(grid)
+        z = K.qv_on_grid(vals, pos)[0]
+        h = None
+        if n >= 2:
+            coarse_pos = pos[_coarsen(pn)[1]]
+            z = z - K.qv_on_grid(vals, coarse_pos)[0]
+            # both generations start at grid position 0, so every fine point has a chi
+            chi_pos = coarse_pos[np.searchsorted(coarse_pos, pos, side="right") - 1]
+            h = -4.0 * z[pos] * (vals[pos, 0] - vals[chi_pos, 0])
+        data = _ZData(grid, z, K.qv_on_grid(z[:, None], pos)[0], pn.times, pos, h)
+        for arr in data:
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        return data
+
+    return path._memo(("z", n), scan) if step else scan()
 
 
 def _z_at(path: Path, n: int, t: float):

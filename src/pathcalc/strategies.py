@@ -159,14 +159,12 @@ def capital_curve(realized: RealizedStrategy, path: Path) -> CapitalCurve:
 def gamma_K(path: Path, K_bound: float) -> float:
     """First time the l2 norm of the path reaches K; ``inf`` if never.
 
-    It is kept in the path's ``_scans`` memo under ``("gamma", K)``.
+    It is kept in the path's memo under ``("gamma", K)``.
     """
     if not K_bound > 0:
         raise ContractError("K must be > 0")
-    key = ("gamma", float(K_bound))
-    if key not in path._scans:
-        path._scans[key] = _gamma_K(path, float(K_bound))
-    return path._scans[key]
+    K_bound = float(K_bound)
+    return path._memo(("gamma", K_bound), lambda: _gamma_K(path, K_bound))
 
 
 def _gamma_K(path: Path, K_bound: float) -> float:
@@ -204,8 +202,6 @@ def _first_hit(curve: CapitalCurve, lam: float) -> float:
         return float(curve.times[idx])
     c0, c1 = curve.values[idx - 1], curve.values[idx]
     t0, t1 = curve.times[idx - 1], curve.times[idx]
-    if c1 == c0:
-        return float(t1)
     s = (-lam - c0) / (c1 - c0)
     return float(t0 + min(max(s, 0.0), 1.0) * (t1 - t0))
 
@@ -398,8 +394,7 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
             return RealizedStrategy(times=np.array([0.0]), positions=np.zeros((0, 1)))
         if path.mode == MODE_STEP:
             gidx = int(np.searchsorted(path.times, gamma_K(path, K_bound)))
-            pos = K.doob_positions(np.ascontiguousarray(path.values[:, 0]),
-                                   klo, khi, spacing, weight, gidx)
+            pos = K.doob_positions(path.values[:, 0], klo, khi, spacing, weight, gidx)
             times = np.append(path.times, np.inf)
             return RealizedStrategy(times=times, positions=pos)
         gamma = gamma_K(path, K_bound)
@@ -641,10 +636,8 @@ def bdg_check(x) -> BdgResult:
 
 
 def bdg_check_batch(sequences) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) arrays for many sequences at once (flat kernel call)."""
-    lengths = [len(s) for s in sequences]
-    if any(m == 0 for m in lengths):
+    """(lhs, rhs) arrays for many sequences at once (one kernel call)."""
+    seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
+    if any(len(s) == 0 for s in seqs):
         raise ContractError("sequences must be non-empty")
-    flat = np.concatenate([np.asarray(s, dtype=np.float64) for s in sequences])
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    return K.bdg_batch(np.ascontiguousarray(flat), offsets)
+    return K.bdg_batch(seqs)

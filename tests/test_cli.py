@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import json
 import time
+import tracemalloc
 from unittest.mock import ANY
 
 import pytest
@@ -95,6 +98,13 @@ class TestIntegrateCommand:
         names = {c["name"]: c["passed"] for c in manifest["checks"]}
         assert names["telescoping-identity"]
 
+    def test_unit_rule_telescopes_on_p1(self, tmp_path, p1_file):
+        out = tmp_path / "int"
+        assert main(["integrate", "--input", str(p1_file), "--rule", "unit",
+                     "--n-max", "6", "--output-dir", str(out)]) == EXIT_OK
+        rep = json.loads((out / "integral_report.json").read_text())
+        assert rep["terminal"] == pytest.approx(1.3, abs=1e-15)
+
     def test_unknown_rule_is_config_error(self, tmp_path, p1_file):
         assert main(["integrate", "--input", str(p1_file), "--rule", "wat",
                      "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -126,6 +136,26 @@ class TestVerifyCommand:
         code = main(["verify", "--check", "lift", "--count", "40",
                      "--seed", "5", "--output-dir", str(tmp_path / "v")])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("check, small, large", [("concentration", 4, 40),
+                                                     ("bdg-bound", 4, 100)])
+    def test_streaming_checks_hold_one_path_at_a_time(self, tmp_path, check, small, large):
+        """The peak traced memory does not grow with --count."""
+        def peak(count):
+            argv = ["verify", "--check", check, "--count", str(count), "--seed", "2",
+                    "--output-dir", str(tmp_path / f"v{count}")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == EXIT_OK
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1)  # first-use allocations of NumPy and the library
+        # holding every path of the ensemble would add about 60 KiB per
+        # concentration path and 2 KiB per bdg-bound path
+        assert peak(large) - peak(small) < 48 * 1024
 
     def test_report_reproducible_byte_identical(self, tmp_path, monkeypatch):
         # successive clock readings drift further apart, so no two runs take

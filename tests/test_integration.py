@@ -47,6 +47,17 @@ class TestIntegrateStep:
     def test_zero(self, p1):
         assert integrate_step(constant_integrand(0.0), p1, 3.0) == 0.0
 
+    def test_sup_norm_of_large_values_is_finite(self):
+        # the sum of squares overflows; the suite turns a RuntimeWarning into an error
+        big = constant_integrand(1e200)
+        assert big.sup_norm() == 1e200
+        assert difference_integrand(big, constant_integrand(-1e200)).sup_norm() == 2e200
+        assert constant_integrand(1e200, 2).sup_norm() == math.hypot(1e200, 1e200)
+
+    def test_value_at_zero_of_another_dimension_rejected(self):
+        with pytest.raises(ContractError, match="value_at_zero"):
+            StepIntegrand(times=[0.0], values=[[1.0, 2.0]], value_at_zero=[1.0])
+
     def test_bilinearity(self):
         rng = np.random.default_rng(41)
         for _ in range(15):

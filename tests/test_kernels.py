@@ -123,14 +123,13 @@ def _assert_qv_matches(x, pos):
 
 def _assert_linear_matches(times, values, n):
     scale = 2.0 ** n
-    cnt = K.partition_linear_count(times, values, scale)
+    cnt, j = K.partition_linear_count(times, values, scale)
     assert cnt == R.partition_linear_count_py(times, values, scale)
-    ta = np.empty(cnt)
-    ja = np.empty(cnt, np.int64)
+    ta, ja = K.partition_linear_fill(times, values, scale, j)
     tb = np.empty(cnt)
     jb = np.empty(cnt, np.int64)
-    assert K.partition_linear_fill(times, values, scale, ta, ja) == cnt
     assert R.partition_linear_fill_py(times, values, scale, tb, jb) == cnt
+    assert ta.dtype == np.float64 and ja.dtype == np.int64
     np.testing.assert_array_equal(ta, tb)
     np.testing.assert_array_equal(ja, jb)
 
@@ -157,7 +156,7 @@ def _linear_partition_py(times, values, n):
 def _assert_bdg_batch_matches(seqs):
     flat = np.concatenate(seqs)
     offsets = np.concatenate([[0], np.cumsum([len(s) for s in seqs])]).astype(np.int64)
-    la, ra = K.bdg_batch(flat, offsets)
+    la, ra = K.bdg_batch(seqs)
     lb, rb = R.bdg_batch_py(flat, offsets)
     np.testing.assert_array_equal(la, lb)
     np.testing.assert_array_equal(ra, rb)

@@ -53,7 +53,6 @@ class TestPartition1d:
         for n in (1, 5, 20):
             part = lebesgue_partition_1d(p, n)
             np.testing.assert_array_equal(part.times, [0.0])
-            assert part.finite
 
     def test_linear_root_of_a_subnormal_step(self):
         # (tb - ta) / (vb - va) overflows; the root is still inside the segment
@@ -305,7 +304,7 @@ class TestLinearCap:
             raise AssertionError("the fill kernel ran")
 
         monkeypatch.setattr(partitions.K, "partition_linear_fill", no_fill)
-        assert partitions.K.partition_linear_count(p.times, p.values[:, 0], 2.0 ** 40) \
+        assert partitions.K.partition_linear_count(p.times, p.values[:, 0], 2.0 ** 40)[0] \
             == 824_633_720_833
         with pytest.raises(ContractError, match="crosses 824633720833 levels"):
             lebesgue_partition_1d(p, 40)
@@ -496,6 +495,8 @@ class TestCrossingsAccumulated:
         p = Path(times=[0.0, 1.0, 2.0], values=[0.0, 10.0, 0.0], mode="step")
         with pytest.raises(ContractError, match="2\\*\\*62"):
             crossings_accumulated(p, 1e-18)
+        with pytest.raises(ContractError, match="2\\*\\*62"):
+            upcrossings_at_events(p, 1e-18)
         assert crossings_accumulated(p, 1e-3) == (10000, 10000)
 
     def test_count_beyond_int64_rejected(self):

@@ -121,6 +121,14 @@ class TestMembership:
             shifted = Path(p.times, p.values - p.values.min() + 0.01, mode="step", horizon=p.horizon)
             assert check_membership(shifted, spec).ok
 
+    def test_nonnegative_base_reports_each_negative_value(self):
+        p = Path(times=[0.0, 1.0, 2.0, 3.0], values=[[0.5, 0.1], [-0.2, 0.1], [0.3, 0.2],
+                                                     [0.4, -1e-300]])
+        spec = SampleSpaceSpec(psi=PsiSpec("constant", (1.0,)), base="nonnegative", dim=2)
+        report = check_membership(p, spec)
+        assert not report.ok
+        assert report.violations == ((1.0, "negative value"), (3.0, "negative value"))
+
     def test_continuous_base_demands_linear_mode(self, p1):
         spec = SampleSpaceSpec(psi=PsiSpec("constant", (1.0,)), base="continuous", dim=1, horizon=3.0)
         assert not check_membership(p1, spec).ok
@@ -196,8 +204,7 @@ def test_paths_and_partitions_compare_by_value(case, data):
     assert path != Path(path.times, path.values, mode=other_mode, horizon=path.horizon)
     part = lebesgue_partition_nd(path, n)
     assert part == lebesgue_partition_nd(twin, n)
-    assert part != LebesguePartition(n + 1, part.times, part.level_indices, part.finite,
-                                     part.event_indices)
+    assert part != LebesguePartition(n + 1, part.times, part.level_indices, part.event_indices)
     with pytest.raises(TypeError):
         hash(path)
 

@@ -9,11 +9,14 @@ that already holds it they must return the bits a fresh path gives, whatever
 the order of the calls that filled it.
 """
 
+from pathlib import Path as FsPath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathcalc
 from pathcalc import ContractError, Path, PsiSpec
 from pathcalc.qv import k_process, sigma_n_K, z_process
 from pathcalc.strategies import gamma_K, l_strategy
@@ -127,3 +130,21 @@ def test_equality_and_repr_ignore_the_z_memo(path):
     assert repr(path) == text == repr(twin)
     assert path == twin
     assert "_scans" not in text
+
+
+def test_a_stored_zero_is_read_back(monkeypatch):
+    """The memo tells a stored 0.0 from a missing entry: gamma_K is 0.0 at a start on K."""
+    import pathcalc.strategies as S
+    calls, real = [], S._gamma_K
+    monkeypatch.setattr(S, "_gamma_K", lambda *args: calls.append(args) or real(*args))
+    path = Path([0.0, 1.0], [2.0, 0.0])
+    assert gamma_K(path, 1.0) == gamma_K(path, 1.0) == 0.0
+    assert len(calls) == 1
+
+
+def test_only_paths_touches_the_memo_dict():
+    """Every module other than ``paths`` goes through ``Path._memo``."""
+    package = FsPath(pathcalc.__file__).parent
+    touching = sorted(f.name for f in package.glob("*.py")
+                      if f.name != "paths.py" and "._scans" in f.read_text())
+    assert touching == []

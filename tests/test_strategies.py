@@ -143,6 +143,18 @@ class TestAdmissibility:
         assert v.ok and v.rho == 1.0
 
     @pytest.mark.parametrize("mode", ["step", "linear"])
+    def test_rule_is_realized_on_each_path(self, mode):
+        rng = np.random.default_rng(13)
+        paths = [Path(q.times, q.values, mode=mode, horizon=q.horizon)
+                 for q in (random_step_path(rng, n_events=12) for _ in range(6))]
+        rule = doob_interval_strategy(-0.2, 0.2, 2.0, PsiSpec("constant", (0.5,)))
+        for check in (check_strong_admissibility, check_weak_admissibility):
+            verdicts = check(rule, paths, 0.3)
+            assert verdicts == [check(rule.realize(p), [p], 0.3)[0] for p in paths]
+        worst = [v.worst_capital for v in check_strong_admissibility(rule, paths, 0.3)]
+        assert len(set(worst)) > 1
+
+    @pytest.mark.parametrize("mode", ["step", "linear"])
     def test_weak_check_builds_one_curve_per_path(self, monkeypatch, mode):
         """rho is found on the curve the bound is checked on, not on a second one."""
         import pathcalc.strategies as S
