@@ -32,28 +32,45 @@ def _pairs(d: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(d) for b in range(a, d)]
 
 
+def _pair_matrix(rows: np.ndarray, cols, d: int) -> np.ndarray:
+    """The symmetric ``(..., d, d)`` matrices of the pair rows of ``qv_on_grid`` at ``cols``."""
+    out = np.empty(np.shape(cols) + (d, d))
+    for row, (a, b) in zip(rows, _pairs(d)):
+        out[..., a, b] = out[..., b, a] = row[cols]
+    return out
+
+
+def _qv_at(path: Path, partition: LebesguePartition, t: float) -> np.ndarray:
+    """``Q^n_t`` along ``partition``: one ``qv_on_grid`` on its times clamped at t, then t.
+
+    The kernel reads the values at the partition points and at t alone, as in ``qv_limit``.
+    """
+    clamped = np.append(np.minimum(partition.times, t), t)
+    q = K.qv_on_grid(path.eval(clamped), np.arange(len(partition)))
+    return _pair_matrix(q, -1, path.dim)
+
+
 def discrete_qv(path: Path, partition: LebesguePartition, t: float) -> float:
     """``Q^n_t`` of a 1-d path along realized partition times."""
     if path.dim != 1:
         raise ContractError("discrete_qv needs a 1-d path; use discrete_cross_qv")
-    if not 0.0 <= t <= path.horizon:
-        raise ContractError("t outside [0, horizon]")
-    if partition.times[-1] > path.horizon:
-        raise ContractError("partition does not belong to this path")
     return discrete_cross_qv(path, partition.generation, 1, 1, t, partition)
 
 
 def discrete_cross_qv(path: Path, n: int, i: int, j: int, t: float,
                       partition: LebesguePartition | None = None) -> float:
-    """``Q^{i,j,n}_t`` along the d-dimensional partition (1-based i, j)."""
+    """``Q^{i,j,n}_t`` along the d-dimensional partition (1-based i, j).
+
+    It is entry ``(i, j)`` of :func:`_qv_at`, the sum ``qv_limit`` takes, bit for bit.
+    """
     if not (1 <= i <= path.dim and 1 <= j <= path.dim):
         raise ContractError("coordinate index out of range")
+    if not 0.0 <= t <= path.horizon:
+        raise ContractError("t outside [0, horizon]")
     part = partition if partition is not None else lebesgue_partition_nd(path, n)
-    clamped = np.append(np.minimum(part.times, t), t)
-    vals = path.eval(clamped)
-    di = np.diff(vals[:, i - 1])
-    dj = np.diff(vals[:, j - 1])
-    return float(np.sum(di * dj))
+    if part.times[-1] > path.horizon:
+        raise ContractError("partition does not belong to this path")
+    return float(_qv_at(path, part, t)[i - 1, j - 1])
 
 
 @dataclass(eq=False)
@@ -97,25 +114,17 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
     d = path.dim
     vals = path.values if path.mode == MODE_STEP else path.eval(grid)
 
-    pairs = _pairs(d)
-    prev = np.zeros((len(pairs), len(grid)))  # Q^0; spent, it holds |Q^n - Q^{n-1}|
+    prev = np.zeros((d * (d + 1) // 2, len(grid)))  # Q^0; spent, it holds |Q^n - Q^{n-1}|
     z_sup = np.empty(n_max)
     qv_terminal = np.empty((n_max, d, d))
     qv_paths: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     for n, (part, pos) in enumerate(zip(partitions, positions), start=1):
         cur = K.qv_on_grid(vals, pos)
-        worst = 0.0
-        for q, p, (a, b) in zip(cur, prev, pairs):
-            np.abs(np.subtract(q, p, out=p), out=p)
-            worst = max(worst, float(p.max()))
-            qv_terminal[n - 1, a, b] = qv_terminal[n - 1, b, a] = q[-1]
-        z_sup[n - 1] = worst
+        z_sup[n - 1] = np.abs(np.subtract(cur, prev, out=prev), out=prev).max()
+        qv_terminal[n - 1] = _pair_matrix(cur, -1, d)
         if keep_generations or n == n_max:
-            qp = np.empty((len(pos), d, d))
-            for q, (a, b) in zip(cur, pairs):
-                qp[:, a, b] = qp[:, b, a] = q[pos]
-            qv_paths[n] = (part.times, qp)
+            qv_paths[n] = (part.times, _pair_matrix(cur, pos, d))
         prev = cur
     limit_times, limit_values = qv_paths[n_max]
 

@@ -121,30 +121,19 @@ class CapitalCurve:
         return float(np.min(self.values))
 
 
-def _as_matrix_positions(realized: RealizedStrategy, d: int) -> np.ndarray:
-    if realized.positions.size and realized.positions.shape[1] != d:
-        raise ContractError(
-            f"strategy dim {realized.positions.shape[1]} != path dim {d}")
-    return realized.positions if realized.positions.size else np.zeros((0, d))
-
-
 def capital(realized: RealizedStrategy, path: Path, t: float) -> float:
-    """``(H.S)_t``: exact finite sum of positions dotted with increments."""
+    """``(H.S)_t``: ``capital_curve(realized, path).value_at(t)``, its one computation."""
     if not 0.0 <= t <= path.horizon:
         raise ContractError("t outside [0, horizon]")
-    pos = _as_matrix_positions(realized, path.dim)
-    clamped = np.minimum(realized.times, t)
-    svals = path.eval(clamped)
-    incr = np.diff(svals, axis=0)
-    return float(np.sum(pos * incr))
+    return capital_curve(realized, path).value_at(t)
 
 
 def capital_curve(realized: RealizedStrategy, path: Path) -> CapitalCurve:
     """Capital evaluated on the merged grid of decision times and events."""
-    _as_matrix_positions(realized, path.dim)  # rejects a strategy of another dimension
-    finite = realized.times[np.isfinite(realized.times)]
-    finite = finite[finite <= path.horizon]
-    grid = np.unique(np.concatenate([path.times, finite, [path.horizon]]))
+    if realized.positions.size and realized.positions.shape[1] != path.dim:
+        raise ContractError(f"strategy dim {realized.positions.shape[1]} != path dim {path.dim}")
+    decided = realized.times[realized.times <= path.horizon]  # drops a last time of inf
+    grid = np.unique(np.concatenate([path.times, decided, [path.horizon]]))
     svals = path.eval(grid)
     held = realized.position_after(grid[:-1])
     incr = np.diff(svals, axis=0)
@@ -263,7 +252,7 @@ def check_weak_admissibility(rule, paths, lam: float) -> list[AdmissibilityVerdi
         ok_bound = bool(np.all(curve.values[before] >= -lam))
         ok_stopping = True
         if np.isfinite(rho):
-            floor_after = -lam * (1.0 + float(np.linalg.norm(path.eval(rho))))
+            floor_after = -lam * (1.0 + float(_row_norms(path.eval([rho]))[0]))
             ok_bound = ok_bound and bool(np.all(curve.values[~before] >= floor_after))
             nonzero = np.any(realized.positions != 0.0, axis=1)
             ok_stopping = bool(np.all(realized.times[1:][nonzero] <= rho))
@@ -615,7 +604,7 @@ class BdgResult:
 
 def bdg_weights(x) -> np.ndarray:
     """Weights ``h_k = x_k / sqrt([x]_k + (x*_k)^2)`` with 0/0 := 0."""
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] == 0:
         raise ContractError("need a non-empty 1-d sequence")
     return K.bdg_weights(x)
@@ -626,7 +615,7 @@ def bdg_check(x) -> BdgResult:
 
     Holds for every real sequence; a ``False`` signals an implementation bug.
     """
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] == 0:
         raise ContractError("need a non-empty 1-d sequence")
     xstar, qv, hx = K.bdg_core(x)

@@ -26,7 +26,7 @@ from pathcalc.qv import qv_limit
 from pathcalc.simulate import SimSpec, ensemble
 
 import reference_loops as R
-from conftest import random_step_path
+from conftest import ladder_paths, random_step_path
 
 PSI_AFF = PsiSpec("affine", (0.1, 0.1))
 
@@ -290,6 +290,15 @@ class TestMetrics:
         est = metric("d_inf_loc", const_factory(1.0), const_factory(0.0),
                      small_ensemble, n_terms=10)
         assert est.tail_bound == pytest.approx(2.0 ** -10)
+
+    @settings(max_examples=100)
+    @given(ladder_paths())
+    def test_stats_are_the_qv_limit_ones(self, case):
+        path, n_max = case
+        (stats,) = prepare_ensemble([path], n_max)
+        report = qv_limit(path, n_max)
+        assert stats.partition_times.tobytes() == report.limit_times.tobytes()
+        assert stats.qv_frobenius == report.frobenius_terminal
 
     def test_contract_errors(self, small_ensemble):
         with pytest.raises(ContractError):

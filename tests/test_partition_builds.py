@@ -2,8 +2,8 @@
 
 A path's ladder of generations is built once and shared: ``ito_integral``
 and ``qv_limit`` scan only the finest generation of each component and
-derive each coarser one from the next finer one, ``prepare_ensemble`` takes
-the finest generation from its QV report, ``l_strategy`` scans its fine
+derive each coarser one from the next finer one, ``prepare_ensemble`` scans
+generation ``n_max`` alone and derives none, ``l_strategy`` scans its fine
 generation and derives the coarse one, once per step path and generation
 whatever the level K, and the ``qv`` and ``integrate`` commands take the
 finest generation they write or check from the ladder they built.  Every scan from the events runs exactly one of ``partition_step``
@@ -65,9 +65,9 @@ def test_qv_limit_scans_each_component_once(builds, dim, scans):
     assert builds == {"n": scans, "coarsen": 5 * scans}
 
 
-def test_prepare_ensemble_reuses_the_qv_ladder(builds, p1):
+def test_prepare_ensemble_scans_one_generation(builds, p1):
     (stats,) = prepare_ensemble([p1], 6)
-    assert builds == {"n": 1, "coarsen": 5}
+    assert builds == {"n": 1, "coarsen": 0}
     np.testing.assert_array_equal(stats.partition_times, lebesgue_partition_nd(p1, 6).times)
 
 

@@ -63,6 +63,26 @@ class TestCrossQV:
         q11 = discrete_cross_qv(p, 1, 1, 1, 3.0)
         assert q12 == pytest.approx(-q11, abs=1e-14)
 
+    @settings(max_examples=100)
+    @given(ladder_paths())
+    def test_at_the_horizon_is_the_qv_limit_terminal(self, case):
+        path, n_max = case
+        report = qv_limit(path, n_max)
+        for a in range(1, path.dim + 1):
+            for b in range(1, path.dim + 1):
+                got = discrete_cross_qv(path, n_max, a, b, path.horizon, report.partition)
+                assert got == report.terminal[a - 1, b - 1]
+
+    def test_rejects_a_partition_past_the_horizon(self, p1):
+        part = lebesgue_partition_nd(Path(p1.times * 2.0, p1.values), 3)
+        with pytest.raises(ContractError, match="does not belong"):
+            discrete_cross_qv(p1, 3, 1, 1, 1.0, partition=part)
+
+    @pytest.mark.parametrize("t", [-0.5, float("nan"), 3.5])
+    def test_rejects_a_time_outside_the_horizon(self, p1, t):
+        with pytest.raises(ContractError, match="outside"):
+            discrete_cross_qv(p1, 3, 1, 1, t)
+
     def test_polarization_exactness(self):
         rng = np.random.default_rng(21)
         for _ in range(25):

@@ -76,6 +76,21 @@ class TestCapital:
         with pytest.raises(ContractError):
             capital(buy_and_hold(d=2), p1, 1.0)
 
+    @settings(max_examples=100)
+    @given(ladder_paths(), st.data())
+    def test_reads_the_capital_curve(self, case, data):
+        path = case[0]
+        d = path.dim
+        gaps = data.draw(st.lists(st.floats(0.001, 1.0), max_size=6))
+        times = np.concatenate([[0.0], np.cumsum(gaps), [np.inf]])
+        size = d * (len(times) - 1)
+        pos = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size))
+        realized = RealizedStrategy(times=times, positions=np.reshape(pos, (-1, d)))
+        curve = capital_curve(realized, path)
+        j = data.draw(st.integers(0, path.n_events - 1))
+        for t in (0.0, path.times[j], 0.5 * (path.times[j] + path.horizon), path.horizon):
+            assert capital(realized, path, t) == curve.value_at(t)
+
 
 class TestStoppingTimes:
     def test_gamma_examples(self, p1):
@@ -141,6 +156,15 @@ class TestAdmissibility:
         stopped = RealizedStrategy(times=[0.0, 1.0], positions=[1.0])
         v = check_weak_admissibility(stopped, [p], 1.0)[0]
         assert v.ok and v.rho == 1.0
+
+    def test_weak_floor_of_a_huge_price(self):
+        # |S_rho| is 1.41e200, so the relaxed floor is -7.07e199; the capital
+        # -2e201 breaks it, and the sum of squares 2e400 must not overflow
+        p = Path([0.0, 1.0, 2.0], [[0.0, 0.0], [1e200, 1e200], [1e200, 1e200]], mode="step")
+        short = RealizedStrategy(times=[0.0, 1.0, np.inf], positions=[[-10.0, -10.0], [0.0, 0.0]])
+        v = check_weak_admissibility(short, [p], 0.5)[0]
+        assert v.rho == 1.0 and v.ok_stopping
+        assert not v.ok and not v.ok_bound
 
     @pytest.mark.parametrize("mode", ["step", "linear"])
     def test_rule_is_realized_on_each_path(self, mode):
@@ -543,6 +567,12 @@ class TestBdg:
     def test_all_zero(self):
         res = bdg_check([0.0, 0.0, 0.0])
         assert res.lhs == 0.0 and res.rhs == 0.0 and res.holds
+
+    @pytest.mark.parametrize("x", [5.0, [], [[0.0, 1.0]]])
+    def test_needs_a_non_empty_1d_sequence(self, x):
+        for fn in (bdg_check, bdg_weights):
+            with pytest.raises(ContractError, match="non-empty 1-d"):
+                fn(x)
 
     def test_random_sequences_never_violate(self):
         rng = np.random.default_rng(38)
