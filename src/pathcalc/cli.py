@@ -37,11 +37,7 @@ from .integration import (
     ito_integral,
     prepare_ensemble,
 )
-from .partitions import (
-    crossing_report,
-    upcrossings_at_events,
-    write_partition_csv,
-)
+from .partitions import crossing_report, upcrossings_at_events
 from .paths import (Path, PsiSpec, _read_json_object, _write_json, _write_table, read_path_csv,
                     write_path_csv)
 from .qv import discrete_qv, qv_limit, write_qv_report
@@ -162,9 +158,8 @@ def cmd_qv(args) -> tuple[int, list]:
     path = read_path_csv(args.input)
     out = _outdir(args)
     report = qv_limit(path, n_max=args.n_max, tol=args.tol)
-    write_qv_report(report, out / "qv_report.json", out / "qv_limit.csv")
-    if path.dim == 1:
-        write_partition_csv(report.partition, out / f"partition_n{args.n_max}.csv")
+    write_qv_report(report, out / "qv_report.json", out / "qv_limit.csv",
+                    out / f"partition_n{args.n_max}.csv" if path.dim == 1 else None)
     checks = [{"name": "qv-cauchy", "passed": bool(report.cauchy_tol_met),
                "detail": f"z_sup[{args.n_max}]={report.z_sup[-1]:.3e} tol={args.tol}"}]
     return EXIT_OK, checks  # non-convergence is reported data

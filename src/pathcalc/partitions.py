@@ -359,10 +359,15 @@ def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
     return report
 
 
+def _partition_table(partition: LebesguePartition):
+    """Header and columns of ``k,tau,level``; the level column is ``(level_indices,
+    2**-generation)``, whose products are :attr:`LebesguePartition.levels` bit for bit."""
+    idx = partition.level_indices
+    level = (idx, 2.0 ** -partition.generation) if idx is not None else np.full(len(partition), "")
+    return ["k", "tau", "level"], [np.arange(len(partition)), partition.times, level]
+
+
 def write_partition_csv(partition: LebesguePartition, file):
     """Export as ``k,tau,level`` (level blank for multi-dimensional)."""
-    levels = partition.levels
     with open(file, "w") as fh:
-        _write_table(fh, ["k", "tau", "level"],
-                     [np.arange(len(partition)), partition.times,
-                      levels if levels is not None else np.full(len(partition), "")])
+        _write_table(fh, *_partition_table(partition))

@@ -13,7 +13,8 @@ non-decreasing ``psi``.  Upward jumps are unrestricted.
 
 It also owns the file formats pathcalc writes and reads: CSV tables of
 ``repr`` floats, sorted-key JSON, and JSON objects read back (section "File
-round trip").
+round trip").  The table writer formats each column object and each level
+index once per block of rows, also across tables written in lockstep.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class Path:
     def eval(self, t):
         """Cadlag value at time(s) t, shape (d,) for a scalar t."""
         t_arr = np.asarray(t, dtype=np.float64)
-        if np.any(t_arr < 0) or np.any(t_arr > self.horizon):
+        if not np.all((t_arr >= 0) & (t_arr <= self.horizon)):  # NaN fails too
             raise ContractError("evaluation time outside [0, horizon]")
         if self.mode == MODE_STEP:
             idx = np.searchsorted(self.times, t_arr, side="right") - 1
@@ -222,7 +223,7 @@ class Path:
     def left_limit(self, t):
         """Left limit at time(s) t > 0, shape (d,) for scalar t."""
         t_arr = np.asarray(t, dtype=np.float64)
-        if np.any(t_arr <= 0) or np.any(t_arr > self.horizon):
+        if not np.all((t_arr > 0) & (t_arr <= self.horizon)):  # NaN fails too
             raise ContractError("left limit defined on (0, horizon]")
         if self.mode == MODE_LINEAR:
             return self.eval(t_arr)
@@ -313,16 +314,34 @@ def check_membership(path: Path, spec: SampleSpaceSpec) -> MembershipReport:
 _TABLE_BLOCK = 4096  # rows formatted at once: a long table never holds all its strings
 
 
-def _write_table(fh, header, columns):
-    """Write ``header`` and a row per index of the equal-length 1-d arrays ``columns``.
+def _block_cells(col, lo):
+    """``str`` of rows ``lo:lo + _TABLE_BLOCK`` of a column; ``(indices, scale)`` holds
+    ``indices * scale``, formatted once per distinct int64 index of the block."""
+    if isinstance(col, tuple):
+        u, inv = np.unique(col[0][lo:lo + _TABLE_BLOCK], return_inverse=True)
+        return np.array(list(map(str, (u * col[1]).tolist())), dtype=object)[inv].tolist()
+    return list(map(str, col[lo:lo + _TABLE_BLOCK].tolist()))
 
-    A cell is ``str`` of its value, for a float its shortest round-trip
-    ``repr``, so readers invert writers exactly.  Lines end with ``"\\n"``.
-    """
-    fh.write(",".join(header) + "\n")
+
+def _write_table(fh, header, columns, *lockstep):
+    """Write ``header`` and a row per index of the equal-length 1-d ``columns`` (the first
+    an array), and beside it each ``(fh, header, columns)`` of ``lockstep``, block by block.
+
+    A cell is ``str`` of its value, for a float its shortest round-trip ``repr``, so readers
+    invert writers exactly.  Lines end with ``"\\n"``.  A column object (by identity) is
+    formatted once per block however many tables list it; a block is one ``%``-format."""
+    tables = [(fh, header, columns), *lockstep]
+    distinct = {id(col): col for _, _, cols in tables for col in cols}
+    for out, head, _ in tables:
+        out.write(",".join(head) + "\n")
     for lo in range(0, len(columns[0]), _TABLE_BLOCK):
-        cells = [map(str, col[lo:lo + _TABLE_BLOCK].tolist()) for col in columns]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        cells = {key: _block_cells(col, lo) for key, col in distinct.items()}
+        m = len(cells[id(columns[0])])
+        for out, _, cols in tables:
+            flat = [None] * (len(cols) * m)
+            for j, col in enumerate(cols):
+                flat[j::len(cols)] = cells[id(col)]
+            out.write((("%s," * (len(cols) - 1) + "%s\n") * m) % tuple(flat))
 
 
 def _write_json(file, obj):

@@ -13,6 +13,7 @@ reported data, never an error.  Convention: ``Q^0 := 0`` so ``Z^1 = Q^1``.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .partitions import (SENTINEL, LebesguePartition, _coarsen, _on_grid,
+from .partitions import (SENTINEL, LebesguePartition, _coarsen, _on_grid, _partition_table,
                          lebesgue_partition_1d, lebesgue_partition_nd, partition_ladder)
 from .paths import MODE_STEP, Path, PsiSpec, _write_json, _write_table
 
@@ -301,8 +302,10 @@ def jump_identity_check(path: Path, report: QVReport, tolerance: float = 1e-9) -
 # Export
 # ---------------------------------------------------------------------------
 
-def write_qv_report(report: QVReport, json_file, csv_file=None):
-    """JSON diagnostics plus optional CSV of the limit matrix path."""
+def write_qv_report(report: QVReport, json_file, csv_file=None, partition_file=None):
+    """JSON diagnostics, optional CSV of the limit matrix path and, in lockstep with it,
+    ``report.partition`` as :func:`write_partition_csv` writes it.  ``tau`` is ``limit_times``
+    and ``qv_ba`` the ``qv_ab`` column where their bits agree, so each is formatted once."""
     obj = {
         "dim": report.dim,
         "n_max": report.n_max,
@@ -319,7 +322,12 @@ def write_qv_report(report: QVReport, json_file, csv_file=None):
     }
     _write_json(json_file, obj)
     if csv_file is not None:
-        pairs = [(a, b) for a in range(report.dim) for b in range(report.dim)]
-        with open(csv_file, "w") as fh:
-            _write_table(fh, ["t"] + [f"qv_{a + 1}{b + 1}" for a, b in pairs],
-                         [report.limit_times] + [report.limit_values[:, a, b] for a, b in pairs])
+        lv, bits, cols = report.limit_values, report.limit_values.view(np.int64), {}
+        for a, b in np.ndindex(report.dim, report.dim):
+            same = a > b and np.array_equal(bits[:, a, b], bits[:, b, a])
+            cols[a, b] = cols[b, a] if same else lv[:, a, b]  # one object per equal pair
+        with open(csv_file, "w") as fh, ExitStack() as files:
+            lockstep = [] if partition_file is None else [
+                (files.enter_context(open(partition_file, "w")), *_partition_table(report.partition))]
+            _write_table(fh, ["t"] + [f"qv_{a + 1}{b + 1}" for a, b in cols],
+                         [report.limit_times, *cols.values()], *lockstep)

@@ -2,12 +2,17 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path as FsPath
 from unittest.mock import ANY
 
 import pytest
 
+import pathcalc
 from pathcalc import cli
 from pathcalc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from pathcalc.errors import CheckFailedError, InternalConsistencyError
@@ -19,6 +24,17 @@ def p1_file(tmp_path, p1):
     f = tmp_path / "p1.csv"
     write_path_csv(p1, f)
     return f
+
+
+def test_python_m_pathcalc_is_the_command_line():
+    """``python -m pathcalc`` runs ``cli.main``, also from a checkout on ``PYTHONPATH``."""
+    package_root = str(FsPath(pathcalc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "pathcalc", "--version"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == pathcalc.__version__
 
 
 class TestSimulateCommand:

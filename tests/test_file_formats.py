@@ -3,14 +3,17 @@
 Every writer must produce the bytes of its reference loop in
 ``reference_loops``, for d = 1..3, ``-0.0``, subnormals, values on both
 sides of the switch to exponent form at 1e16, blank levels and tables longer
-than one formatting block; and every CLI artifact must come out the same on
-a rerun.
+than one formatting block, also where ``qv`` writes two tables in lockstep;
+every CLI artifact must come out the same on a rerun.
 """
 
+import itertools
+import tracemalloc
 from pathlib import PurePosixPath
 
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import cli
@@ -18,7 +21,7 @@ from pathcalc.cli import EXIT_OK, main
 from pathcalc.partitions import LebesguePartition, write_partition_csv
 from pathcalc.paths import (_TABLE_BLOCK, Path, _write_json, _write_table, read_path_csv,
                             write_path_csv)
-from pathcalc.qv import QVReport, write_qv_report
+from pathcalc.qv import QVReport, _pairs, write_qv_report
 
 from reference_loops import (write_continuity_csv_py, write_integral_csv_py,
                              write_partition_csv_py, write_path_csv_py, write_qv_csv_py)
@@ -90,6 +93,84 @@ def test_qv_csv_bytes(tmp_path_factory, m, d, values):
     write_qv_report(report, tmp_path / "new" / "qv.json", tmp_path / "new" / "qv.csv")
     write_qv_csv_py(report, tmp_path / "ref" / "qv.csv")
     _assert_same_files(tmp_path, ["qv.csv"])
+
+
+def _qv_command_report(m, d, generation, values, level_indices):
+    """A report as ``qv_limit`` gives ``cmd_qv``: symmetric limit matrices, and a generation
+    partition whose times are the ``limit_times`` object itself."""
+    part = LebesguePartition(generation, np.resize(values[::-1], m), level_indices)
+    limit_values = np.empty((m, d, d))
+    for k, (a, b) in enumerate(_pairs(d)):
+        limit_values[:, a, b] = limit_values[:, b, a] = np.resize(np.roll(values, k), m)
+    return QVReport(dim=d, n_max=1, tol=1e-8, generations=[1],
+                    z_sup=np.zeros(1), qv_terminal=np.zeros((1, d, d)), limit_times=part.times,
+                    limit_values=limit_values, terminal=np.zeros((d, d)), cauchy_tol_met=False,
+                    converged_at=None, partition=part)
+
+
+@settings(max_examples=30)
+@given(m=st.sampled_from([_TABLE_BLOCK - 1, _TABLE_BLOCK, _TABLE_BLOCK + 1]), d=st.integers(1, 3),
+       generation=st.integers(1, 52), leveled=st.booleans(), values=cells,
+       indices=st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=12))
+@example(m=2 * _TABLE_BLOCK + 3, d=1, generation=52, leveled=True, values=EDGE_FLOATS,
+         indices=[0, -1, -(2 ** 62), 2 ** 53 + 1, 7])
+# one level on both sides of the block boundary, next to level 0 and a negative one
+@example(m=_TABLE_BLOCK + 1, d=1, generation=10, leveled=True, values=[-0.0, 5e-324, 1.5],
+         indices=[-3] * (_TABLE_BLOCK - 2) + [0, -3, -3])
+@example(m=_TABLE_BLOCK, d=3, generation=1, leveled=False, values=EDGE_FLOATS, indices=[0])
+def test_qv_command_tables_bytes(tmp_path_factory, m, d, generation, leveled, values, indices):
+    """``qv_limit.csv`` and ``partition_n<N>.csv``, written in lockstep by ``cmd_qv``'s call,
+    against the loops: one ``t``/``tau`` column object, one ``qv_ab``/``qv_ba`` column object
+    and the levels formatted per distinct index must give the bytes of formatting each cell."""
+    tmp_path = tmp_path_factory.mktemp("qvcmd")
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    report = _qv_command_report(m, d, generation, values,
+                                np.resize(indices, m) if leveled else None)
+    assert report.partition.times is report.limit_times
+    write_qv_report(report, tmp_path / "new" / "qv_report.json", tmp_path / "new" / "qv_limit.csv",
+                    tmp_path / "new" / "partition.csv")
+    write_qv_csv_py(report, tmp_path / "ref" / "qv_limit.csv")
+    write_partition_csv_py(report.partition, tmp_path / "ref" / "partition.csv")
+    _assert_same_files(tmp_path, ["qv_limit.csv", "partition.csv"])
+
+
+def test_qv_writers_hold_one_block(tmp_path):
+    """The peak traced memory of ``cmd_qv``'s writers does not grow with the table."""
+    rng = np.random.default_rng(5)
+
+    def peak(m):
+        report = _qv_command_report(m, 1, 20, rng.standard_normal(997).tolist(),
+                                    rng.integers(-2 ** 20, 2 ** 20, m))
+        report.limit_values[:] = rng.standard_normal((m, 1, 1))  # every value distinct
+        tracemalloc.start()
+        try:
+            write_qv_report(report, tmp_path / "r.json", tmp_path / "q.csv", tmp_path / "p.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8195)  # first-use allocations
+    # 57 342 more rows: the k column's arange grows by 448 KiB, while a table-wide
+    # cache of the rows' strings would add several MiB
+    assert abs(peak(65537) - peak(8195)) < 1024 * 1024
+
+
+@pytest.mark.parametrize("mode", ["step", "linear"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_qv_limit_csv_is_symmetric(tmp_path, monkeypatch, mode, d):
+    """``qv_ab`` and ``qv_ba`` are equal strings in every row of ``cmd_qv``'s ``qv_limit.csv``."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--kind", "brownian", "--steps", "300", "--dim", str(d),
+                 "--mode", mode, "--seed", "9", "--output-dir", "sim"]) == EXIT_OK
+    assert main(["qv", "--input", "sim/path_0000.csv", "--n-max", "6",
+                 "--output-dir", "qv"]) == EXIT_OK
+    header, *lines = (tmp_path / "qv" / "qv_limit.csv").read_text().splitlines()
+    col = {name: j for j, name in enumerate(header.split(","))}
+    rows = [line.split(",") for line in lines]
+    assert len(rows) > 30
+    for a, b in itertools.combinations(range(1, d + 1), 2):
+        assert [r[col[f"qv_{a}{b}"]] for r in rows] == [r[col[f"qv_{b}{a}"]] for r in rows]
 
 
 @given(m=rows, labels=st.lists(st.integers(-10, 10 ** 6), min_size=1, max_size=12),

@@ -38,6 +38,18 @@ class TestEval:
         with pytest.raises(ContractError):
             p1.eval(3.5)
 
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    @pytest.mark.parametrize("t", [np.nan, [0.5, np.nan, 1.5]], ids=["scalar", "array"])
+    def test_nan_time_raises(self, mode, t):
+        """A NaN time, alone or in an array, is outside the domain in both modes."""
+        p = Path([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], mode=mode)
+        with pytest.raises(ContractError, match="outside"):
+            p.eval(t)
+        with pytest.raises(ContractError, match="left limit"):
+            p.left_limit(t)
+        with pytest.raises(ContractError):
+            p.jump(t)
+
     def test_vectorized(self, p1):
         out = p1.eval([0.0, 1.0, 2.9])
         assert out.shape == (3, 1)
