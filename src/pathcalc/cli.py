@@ -561,7 +561,3 @@ def main(argv=None) -> int:
               if k not in ("command", "fn", "config", "output_dir")}
     _write_manifest(_outdir(args), args.command, config, checks, code)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

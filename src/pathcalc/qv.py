@@ -304,8 +304,11 @@ def jump_identity_check(path: Path, report: QVReport, tolerance: float = 1e-9) -
 
 def write_qv_report(report: QVReport, json_file, csv_file=None, partition_file=None):
     """JSON diagnostics, optional CSV of the limit matrix path and, in lockstep with it,
-    ``report.partition`` as :func:`write_partition_csv` writes it.  ``tau`` is ``limit_times``
-    and ``qv_ba`` the ``qv_ab`` column where their bits agree, so each is formatted once."""
+    ``report.partition`` as :func:`write_partition_csv` writes it, one row per limit time.
+    ``tau`` is ``limit_times`` in a ``qv_limit`` report, so it is formatted once."""
+    if partition_file is not None and (csv_file is None or report.partition is None
+                                       or len(report.partition) != len(report.limit_times)):
+        raise ContractError("a partition file needs csv_file and one partition row per limit time")
     obj = {
         "dim": report.dim,
         "n_max": report.n_max,
@@ -322,12 +325,10 @@ def write_qv_report(report: QVReport, json_file, csv_file=None, partition_file=N
     }
     _write_json(json_file, obj)
     if csv_file is not None:
-        lv, bits, cols = report.limit_values, report.limit_values.view(np.int64), {}
-        for a, b in np.ndindex(report.dim, report.dim):
-            same = a > b and np.array_equal(bits[:, a, b], bits[:, b, a])
-            cols[a, b] = cols[b, a] if same else lv[:, a, b]  # one object per equal pair
+        pairs = [(a, b) for a in range(report.dim) for b in range(report.dim)]
         with open(csv_file, "w") as fh, ExitStack() as files:
             lockstep = [] if partition_file is None else [
                 (files.enter_context(open(partition_file, "w")), *_partition_table(report.partition))]
-            _write_table(fh, ["t"] + [f"qv_{a + 1}{b + 1}" for a, b in cols],
-                         [report.limit_times, *cols.values()], *lockstep)
+            _write_table(fh, ["t"] + [f"qv_{a + 1}{b + 1}" for a, b in pairs],
+                         [report.limit_times] + [report.limit_values[:, a, b] for a, b in pairs],
+                         *lockstep)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from pathcalc import cli
 from pathcalc.cli import EXIT_OK, main
+from pathcalc.errors import ContractError
 from pathcalc.partitions import LebesguePartition, write_partition_csv
 from pathcalc.paths import (_TABLE_BLOCK, Path, _write_json, _write_table, read_path_csv,
                             write_path_csv)
@@ -120,8 +121,8 @@ def _qv_command_report(m, d, generation, values, level_indices):
 @example(m=_TABLE_BLOCK, d=3, generation=1, leveled=False, values=EDGE_FLOATS, indices=[0])
 def test_qv_command_tables_bytes(tmp_path_factory, m, d, generation, leveled, values, indices):
     """``qv_limit.csv`` and ``partition_n<N>.csv``, written in lockstep by ``cmd_qv``'s call,
-    against the loops: one ``t``/``tau`` column object, one ``qv_ab``/``qv_ba`` column object
-    and the levels formatted per distinct index must give the bytes of formatting each cell."""
+    against the loops: one ``t``/``tau`` column object and the levels formatted per distinct
+    index must give the bytes of formatting each cell."""
     tmp_path = tmp_path_factory.mktemp("qvcmd")
     (tmp_path / "new").mkdir()
     (tmp_path / "ref").mkdir()
@@ -133,6 +134,21 @@ def test_qv_command_tables_bytes(tmp_path_factory, m, d, generation, leveled, va
     write_qv_csv_py(report, tmp_path / "ref" / "qv_limit.csv")
     write_partition_csv_py(report.partition, tmp_path / "ref" / "partition.csv")
     _assert_same_files(tmp_path, ["qv_limit.csv", "partition.csv"])
+
+
+@pytest.mark.parametrize("rows", [None, _TABLE_BLOCK - 1, _TABLE_BLOCK + 1, "no csv"])
+def test_qv_partition_file_needs_one_row_per_limit_time(tmp_path, rows):
+    """A partition file beside no ``qv_limit.csv``, or without one row per limit time, is
+    refused before anything is written, rather than cut short or left half written."""
+    report = _qv_command_report(_TABLE_BLOCK, 1, 10, [0.5, 1.5], None)
+    if rows is None:
+        report.partition = None
+    elif rows != "no csv":
+        report.partition = LebesguePartition(10, np.zeros(rows))
+    csv_file = None if rows == "no csv" else tmp_path / "q.csv"
+    with pytest.raises(ContractError, match="partition file"):
+        write_qv_report(report, tmp_path / "r.json", csv_file, tmp_path / "p.csv")
+    assert not list(tmp_path.iterdir())
 
 
 def test_qv_writers_hold_one_block(tmp_path):
@@ -159,7 +175,8 @@ def test_qv_writers_hold_one_block(tmp_path):
 @pytest.mark.parametrize("mode", ["step", "linear"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_qv_limit_csv_is_symmetric(tmp_path, monkeypatch, mode, d):
-    """``qv_ab`` and ``qv_ba`` are equal strings in every row of ``cmd_qv``'s ``qv_limit.csv``."""
+    """``qv_ab`` and ``qv_ba`` are equal strings in every row of ``cmd_qv``'s ``qv_limit.csv``:
+    ``qv_limit`` fills both entries of a pair from one value, so the bits agree."""
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--kind", "brownian", "--steps", "300", "--dim", str(d),
                  "--mode", mode, "--seed", "9", "--output-dir", "sim"]) == EXIT_OK
