@@ -134,7 +134,9 @@ def integral_curve(F: StepIntegrand, path: Path) -> CapitalCurve:
 # ---------------------------------------------------------------------------
 
 def _union_grid(path: Path, F: StepIntegrand, part_times: np.ndarray) -> np.ndarray:
-    return np.unique(np.concatenate([F.times, part_times, [path.horizon]]))
+    """F's jump times up to the horizon, ``part_times`` and the horizon, merged."""
+    jumps = F.times[F.times <= path.horizon]
+    return np.unique(np.concatenate([jumps, part_times, [path.horizon]]))
 
 
 def _compensator_terminal(F: StepIntegrand, curve: CapitalCurve, path: Path,

@@ -255,7 +255,7 @@ def _prefix_end(path: Path, t: float | None) -> tuple[int, float | None]:
     t = float(path.horizon) if t is None else float(t)
     if not 0.0 <= t <= path.horizon:
         raise ContractError("t outside [0, horizon]")
-    upto = int(np.searchsorted(path.times, t, side="right"))
+    upto = int(path.times.searchsorted(t, side="right"))
     if path.mode == MODE_LINEAR and t > path.times[upto - 1]:
         return upto, path.eval(t)[0]
     return upto, None

@@ -70,7 +70,7 @@ class RealizedStrategy:
 
     @property
     def dim(self) -> int:
-        return self.positions.shape[1] if self.positions.size else 1
+        return self.positions.shape[1]
 
     def position_after(self, ts) -> np.ndarray:
         """Positions held on ``(t, next decision time]`` for each t of the 1-d ``ts``.
@@ -100,21 +100,38 @@ class StrategyRule:
 @dataclass(frozen=True)
 class CapitalCurve:
     """Capital at every merged grid time; between grid times it moves only
-    through the price (constant in step mode, affine in linear mode)."""
+    through the price (constant in step mode, affine in linear mode).
+
+    ``times`` and ``values`` are read-only: a curve may share its path's
+    read-only event table as ``times``, and ``values`` is frozen with it so
+    that both arrays behave alike on every curve.
+    """
 
     times: np.ndarray
     values: np.ndarray
     mode: str = MODE_STEP
 
+    def __post_init__(self):
+        self.times.setflags(write=False)
+        self.values.setflags(write=False)
+
     def value_at(self, t: float) -> float:
         return float(self.values_at(t))
 
     def values_at(self, ts) -> np.ndarray:
+        """Capital at each of ``ts``, which must lie in ``[times[0], times[-1]]``.
+
+        Given the curve's own ``times`` array it returns ``values`` itself,
+        with no search.
+        """
+        if ts is self.times:
+            return self.values
         ts = np.asarray(ts, dtype=np.float64)
+        if not np.all((ts >= self.times[0]) & (ts <= self.times[-1])):  # NaN fails too
+            raise ContractError("capital read outside the curve's time range")
         if self.mode == MODE_LINEAR:
             return np.interp(ts, self.times, self.values)
-        idx = np.maximum(np.searchsorted(self.times, ts, side="right") - 1, 0)
-        return self.values[idx]
+        return self.values[self.times.searchsorted(ts, side="right") - 1]
 
     @property
     def minimum(self) -> float:
@@ -123,18 +140,27 @@ class CapitalCurve:
 
 def capital(realized: RealizedStrategy, path: Path, t: float) -> float:
     """``(H.S)_t``: ``capital_curve(realized, path).value_at(t)``, its one computation."""
-    if not 0.0 <= t <= path.horizon:
-        raise ContractError("t outside [0, horizon]")
     return capital_curve(realized, path).value_at(t)
 
 
 def capital_curve(realized: RealizedStrategy, path: Path) -> CapitalCurve:
-    """Capital evaluated on the merged grid of decision times and events."""
+    """Capital evaluated on the merged grid of events, decision times and the horizon.
+
+    When the horizon and every decision time up to it are event times, as
+    for the step-path strategies built here, the merged grid is the event
+    table: the curve takes ``path.times`` and ``path.values`` as they are,
+    with no merge and no evaluation.  Membership is one search, made only
+    when there are at most ``path.n_events`` decision times, since more
+    distinct times cannot all be events.
+    """
     if realized.positions.size and realized.positions.shape[1] != path.dim:
         raise ContractError(f"strategy dim {realized.positions.shape[1]} != path dim {path.dim}")
     decided = realized.times[realized.times <= path.horizon]  # drops a last time of inf
-    grid = np.unique(np.concatenate([path.times, decided, [path.horizon]]))
-    svals = path.eval(grid)
+    grid, svals = path.times, path.values
+    if not (path.horizon == grid[-1] and decided.shape[0] <= path.n_events
+            and (grid[grid.searchsorted(decided)] == decided).all()):
+        grid = np.unique(np.concatenate([path.times, decided, [path.horizon]]))
+        svals = path.eval(grid)
     held = realized.position_after(grid[:-1])
     incr = np.diff(svals, axis=0)
     values = np.concatenate([[0.0], np.cumsum(np.sum(held * incr, axis=1))])

@@ -13,7 +13,9 @@ linear mode root by root along each segment.  ``z_data_py`` builds Z on the
 union of the events, generation n and the extra times, by ``path.eval`` and
 searches, in either mode; ``z_process_py``, ``k_process_py``, ``sigma_py``
 and ``l_strategy_py`` read Z, K, sigma and the compensated-Z strategy from
-it time by time.  ``doob_aggregate_linear_py`` merges the interval trades
+it time by time.  ``capital_curve_py`` merges the events, the decision times
+and the horizon by ``np.unique`` and evaluates the path there, whatever the
+decision times are.  ``doob_aggregate_linear_py`` merges the interval trades
 of the linear Doob aggregate time by time, ``admissibility_lift_py`` sets
 the lifted position time by time, and ``hoeffding_positions_py`` carries
 the wealth of the supermartingale strategy step by step.  The library
@@ -269,6 +271,17 @@ def l_strategy_py(path, n, K_bound):
         times.append(cut)
         positions.append(0.0)
     return np.array(times + [np.inf]), np.array(positions), sigma
+
+
+def capital_curve_py(realized, path):
+    """``strategies.capital_curve`` on the merged grid, built by ``np.unique`` and ``path.eval``."""
+    decided = realized.times[realized.times <= path.horizon]  # drops a last time of inf
+    grid = np.unique(np.concatenate([path.times, decided, [path.horizon]]))
+    svals = path.eval(grid)
+    held = realized.position_after(grid[:-1])
+    incr = np.diff(svals, axis=0)
+    values = np.concatenate([[0.0], np.cumsum(np.sum(held * incr, axis=1))])
+    return CapitalCurve(times=grid, values=values, mode=path.mode)
 
 
 def doob_aggregate_linear_py(path, n, K_bound, psi):

@@ -98,6 +98,15 @@ class TestCompensator:
             oracle = qv_limit(p, n_max=12, tol=1e-12).terminal[0, 0]
             assert rep.terminal == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    def test_jumps_after_the_horizon_are_left_out(self, p1, mode):
+        """An integrand's jump past the horizon adds no grid time and changes no value."""
+        p = Path(p1.times, p1.values, mode=mode)
+        late = StepIntegrand(times=[0.0, 1.5, 5.0], values=[1.0, 2.0, 7.0])
+        rep = integrate_f2_dqv(late, p, n_max=6)
+        ref = integrate_f2_dqv(StepIntegrand(times=[0.0, 1.5], values=[1.0, 2.0]), p, n_max=6)
+        assert rep.times[-1] == p.horizon
+        assert np.array_equal(rep.times, ref.times) and np.array_equal(rep.values, ref.values)
 
     def test_coinciding_generations_have_zero_gap(self):
         """Every generation sums its cells one way, so equal cells give equal terminals."""

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import ContractError, Path, PsiSpec
+from pathcalc.integration import ito_integral
 from pathcalc.partitions import SENTINEL, crossings, crossings_accumulated
 from pathcalc.qv import sigma_n_K
 from pathcalc.simulate import SimSpec, ensemble, simulate
@@ -72,6 +73,11 @@ class TestCapital:
             rhs = a * capital(ha, p, t) + b * capital(hb, p, t)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    def test_zero_strategy_of_the_path_dim(self):
+        p = Path(times=[0.0, 1.0], values=[[0.0, 1.0], [2.0, 5.0]])
+        zero = RealizedStrategy(times=[0.0], positions=np.zeros((0, 2)))
+        assert zero.dim == 2 and capital(zero, p, 1.0) == 0.0
+
     def test_dim_mismatch(self, p1):
         with pytest.raises(ContractError):
             capital(buy_and_hold(d=2), p1, 1.0)
@@ -90,6 +96,108 @@ class TestCapital:
         j = data.draw(st.integers(0, path.n_events - 1))
         for t in (0.0, path.times[j], 0.5 * (path.times[j] + path.horizon), path.horizon):
             assert capital(realized, path, t) == curve.value_at(t)
+
+
+DECISION_CASES = ("events", "off-events", "horizon", "past-horizon", "inf", "beyond-events",
+                  "many")
+
+
+@st.composite
+def curve_cases(draw, case):
+    """``(realized, path)``: a step or linear path, d = 1..2, and decision times of ``case``.
+
+    The decision times are 0 and a subset of the events, plus nothing
+    (``events``), times up to the horizon that are mostly not events
+    (``off-events``), the horizon (``horizon``), finite times past it
+    (``past-horizon``), a last time of ``inf`` (``inf``), or more distinct
+    times than events (``many``).  The horizon lies past the last event for
+    ``beyond-events`` and on a one-event path, and is drawn in the other
+    cases.  Values and positions may be drawn as either signed zero.
+    """
+    mode = draw(st.sampled_from(["step", "linear"]))
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.floats(0.001, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    values = draw(st.lists(st.floats(-512.0, 512.0), min_size=m * d, max_size=m * d))
+    beyond = case == "beyond-events" or m == 1 or draw(st.booleans())
+    horizon = float(times[-1]) + (draw(st.floats(0.001, 1.0)) if beyond else 0.0)
+    path = Path(times, np.reshape(values, (m, d)), mode=mode, horizon=horizon)
+    keep = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    decided = np.concatenate([[0.0], times[keep]])
+    up_to_horizon = st.floats(0.0, horizon, exclude_min=True)
+    extra = {
+        "off-events": st.lists(up_to_horizon, min_size=1, max_size=4),
+        "horizon": st.just([horizon]),
+        "past-horizon": st.lists(st.floats(horizon, horizon + 2.0, exclude_min=True),
+                                 min_size=1, max_size=3),
+        "many": st.lists(up_to_horizon, min_size=m, max_size=m + 4, unique=True),
+    }.get(case, st.just([]))
+    decided = np.unique(np.concatenate([decided, draw(extra)]))
+    if case == "inf":
+        decided = np.append(decided, np.inf)
+    size = d * (len(decided) - 1)
+    pos = draw(st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size))
+    return RealizedStrategy(times=decided, positions=np.reshape(pos, (-1, d))), path
+
+
+class TestCapitalCurve:
+    @pytest.mark.parametrize("case", DECISION_CASES)
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_matches_the_merged_grid(self, case, data):
+        """Bit for bit the curve of ``np.unique`` and ``path.eval``, signed zeros included."""
+        realized, path = data.draw(curve_cases(case))
+        curve = capital_curve(realized, path)
+        ref = R.capital_curve_py(realized, path)
+        assert curve.times.tobytes() == ref.times.tobytes()
+        assert curve.values.tobytes() == ref.values.tobytes()
+        if case in ("events", "inf") and path.horizon == path.times[-1]:
+            assert curve.times is path.times
+        if case == "many":
+            assert len(realized.times) > path.n_events
+
+    def test_step_capital_reads_the_event_table(self, monkeypatch):
+        """On a step path whose decisions are events the capital makes no ``Path.eval`` call."""
+        evals = []
+        original = Path.eval
+        monkeypatch.setattr(Path, "eval", lambda self, t: evals.append(t) or original(self, t))
+        rng = np.random.default_rng(20)
+        live = 0
+        for _ in range(6):
+            path = random_step_path(rng, n_events=40)
+            for n in (2, 3, 4):
+                realized, _ = l_strategy(path, n, 4, PSI1)
+                live += realized.positions.size
+                assert capital_curve(realized, path).times is path.times
+            aggregate = doob_aggregate(3, 4.0, PSI1).realize(path)
+            assert capital_curve(aggregate, path).times is path.times
+        assert live and evals == []
+
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    @pytest.mark.parametrize("t", [np.nan, 7.0, 1.0 + 1e-12, -5.0, -1e-300])
+    def test_reads_inside_its_times_only(self, mode, t):
+        p = Path(times=[0.0, 0.5, 1.0], values=[0.0, 1.0, 3.0], mode=mode)
+        curve = capital_curve(buy_and_hold(), p)
+        with pytest.raises(ContractError):
+            curve.value_at(t)
+        with pytest.raises(ContractError):
+            curve.values_at(np.array([0.0, t, 1.0]))
+        with pytest.raises(ContractError):
+            capital(buy_and_hold(), p, t)
+        assert curve.value_at(0.0) == 0.0 and curve.value_at(1.0) == 3.0
+        assert list(curve.values_at([0.0, 0.5, 1.0])) == [0.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("horizon", [1.0, 2.0])
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    def test_arrays_are_read_only(self, mode, horizon):
+        p = Path(times=[0.0, 0.5, 1.0], values=[0.0, 1.0, 3.0], mode=mode, horizon=horizon)
+        curve = capital_curve(buy_and_hold(), p)
+        assert (curve.times is p.times) == (horizon == 1.0)
+        integral = ito_integral(lambda q, t: 1.0, p, n_max=3).curve
+        for arr in (curve.times, curve.values, integral.times, integral.values):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestStoppingTimes:
