@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractError, InternalConsistencyError
 from .partitions import LebesguePartition, lebesgue_partition_nd, partition_ladder
-from .paths import Path, PsiSpec, _row_norms
+from .paths import Path, PsiSpec, _row_norms, _strictly_increasing
 from .qv import _qv_at
 from .strategies import CapitalCurve, RealizedStrategy, bdg_weights, capital, capital_curve
 
@@ -66,7 +66,7 @@ class StepIntegrand:
         values = np.ascontiguousarray(values)
         if times.ndim != 1 or times.shape[0] == 0 or times[0] != 0.0:
             raise ContractError("integrand times must start at 0")
-        if np.any(np.diff(times) <= 0):
+        if not _strictly_increasing(times):
             raise ContractError("integrand times must be strictly increasing")
         if values.shape[0] != times.shape[0]:
             raise ContractError("one value per jump time required")

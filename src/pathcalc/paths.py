@@ -69,7 +69,7 @@ class PsiSpec:
             if len(p) < 4 or len(p) % 2:
                 raise ContractError("table psi needs interleaved x1,y1,...,xk,yk")
             xs, ys = self.table_arrays()
-            if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0) or np.any(ys < 0):
+            if not _strictly_increasing(xs) or np.any(np.diff(ys) < 0) or np.any(ys < 0):
                 raise ContractError("table psi must be sorted in x and non-decreasing in y >= 0")
 
     def table_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -115,6 +115,11 @@ class PsiSpec:
         if missing := sorted({"family", "params"} - set(obj)):
             raise ContractError(f"psi: missing key {missing[0]!r}")
         return cls(obj["family"], tuple(obj["params"]))
+
+
+def _strictly_increasing(t: np.ndarray) -> bool:
+    """Whether each entry of the 1-d ``t`` exceeds the one before; a NaN never does."""
+    return bool((t[1:] > t[:-1]).all())
 
 
 def _value_eq(a, b):
@@ -176,7 +181,7 @@ class Path:
             raise ContractError("a path needs at least one event")
         if times[0] != 0.0:
             raise ContractError("first event time must be 0")
-        if np.any(np.diff(times) <= 0):
+        if not _strictly_increasing(times):
             raise ContractError("event times must be strictly increasing")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
             raise ContractError("times and values must be finite")

@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
 from .partitions import MAX_CROSSING_INTERVALS, SENTINEL
-from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _row_norms
+from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _row_norms, _strictly_increasing
 from .qv import _sigma_from_z, _z_data, k_constant
 
 __all__ = [
@@ -44,24 +44,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RealizedStrategy:
-    """Decision times and the positions held on the half-open gaps between them."""
+    """Decision times and the positions held on the half-open gaps between them.
+
+    The times must start at 0 and increase strictly, so a NaN time is
+    rejected; the last one may be ``inf``.
+    """
 
     times: np.ndarray     # (N+1,), strictly increasing, times[0] = 0, last may be inf
     positions: np.ndarray  # (N, d)
 
     def __post_init__(self):
-        times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
+        times = np.ascontiguousarray(self.times, dtype=np.float64)
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim == 1:
             pos = pos[:, None]
         pos = np.ascontiguousarray(pos)
         if times.ndim != 1 or times.shape[0] == 0 or times[0] != 0.0:
             raise ContractError("strategy times must start at 0")
-        if np.any(np.diff(times) <= 0):
+        if not _strictly_increasing(times):
             raise ContractError("strategy times must be strictly increasing")
         if pos.shape[0] != times.shape[0] - 1:
             raise ContractError("need one position per gap between decision times")
-        if not np.all(np.isfinite(pos)):
+        if not np.isfinite(pos).all():
             raise ContractError("positions must be finite")
         times.flags.writeable = False
         pos.flags.writeable = False
@@ -76,13 +80,12 @@ class RealizedStrategy:
         """Positions held on ``(t, next decision time]`` for each t of the 1-d ``ts``.
 
         Shape ``(len(ts), dim)``; zero before time 0 and after the last
-        decision time.
+        decision time: one search indexes the positions padded with a zero
+        row at each end.
         """
-        k = np.searchsorted(self.times, ts, side="right") - 1
-        held = np.zeros((k.shape[0], self.dim))
-        live = (k >= 0) & (k < self.positions.shape[0])
-        held[live] = self.positions[k[live]]
-        return held
+        padded = np.zeros((self.positions.shape[0] + 2, self.dim))
+        padded[1:-1] = self.positions
+        return padded[self.times.searchsorted(ts, side="right")]
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,8 @@ def capital_curve(realized: RealizedStrategy, path: Path) -> CapitalCurve:
         grid = np.unique(np.concatenate([path.times, decided, [path.horizon]]))
         svals = path.eval(grid)
     held = realized.position_after(grid[:-1])
-    incr = np.diff(svals, axis=0)
-    values = np.concatenate([[0.0], np.cumsum(np.sum(held * incr, axis=1))])
+    values = np.zeros(grid.shape[0])
+    np.cumsum((held * (svals[1:] - svals[:-1])).sum(axis=1), out=values[1:])
     return CapitalCurve(times=grid, values=values, mode=path.mode)
 
 
@@ -496,19 +499,19 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
         raise ContractError("needs n >= 2 (a coarser generation must exist)")
     gamma = gamma_K(path, float(K_bound))
     # a finite sigma is a fine partition time, so the grid already holds it
-    zd = _z_data(path, n, [gamma] if np.isfinite(gamma) else [])
+    zd = _z_data(path, n, [gamma] if math.isfinite(gamma) else [])
     grid = zd.grid
     sigma = _sigma_from_z(zd, n, K_bound)
     cut = min(gamma, sigma)
 
-    # realized positions h on (tau_k, tau_{k+1} ^ cut]
-    live = np.flatnonzero(zd.fine_times < cut)  # a prefix of the partition indices
-    if live.size == 0:
+    # realized positions h on (tau_k, tau_{k+1} ^ cut], k below n_live
+    n_live = int(zd.fine_times.searchsorted(cut))
+    if n_live == 0:
         realized = RealizedStrategy(times=np.array([0.0]), positions=np.zeros((0, 1)))
     else:
-        t_out = zd.fine_times[live]
-        p_out = zd.h[live]
-        if np.isfinite(cut):
+        t_out = zd.fine_times[:n_live]
+        p_out = zd.h[:n_live]
+        if math.isfinite(cut):
             t_out = np.concatenate([t_out, [cut, np.inf]])
             p_out = np.append(p_out, 0.0)
         else:
@@ -519,12 +522,13 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     curve = capital_curve(realized, path)
     cap_grid = curve.values_at(grid)
     k_vals = budget + zd.z * zd.z - zd.comp
-    if np.isfinite(cut):
-        cut_idx = int(np.searchsorted(grid, cut))
-        k_clamped = k_vals[np.minimum(np.arange(len(grid)), cut_idx)]
-    else:
-        k_clamped = k_vals
-    worst = float(np.max(np.abs(k_clamped - (budget + cap_grid))))
+    target = budget + cap_grid
+    deviation = np.abs(k_vals - target)
+    if math.isfinite(cut):  # K stops at the cut: compare the tail with K there
+        cut_idx = int(grid.searchsorted(cut))
+        if cut_idx + 1 < grid.shape[0]:
+            deviation[cut_idx + 1:] = np.abs(k_vals[cut_idx] - target[cut_idx + 1:])
+    worst = float(deviation.max())
     if worst > tolerance:
         raise InternalConsistencyError(
             f"K-process identity violated by {worst:.3e} (> {tolerance:.1e})")
@@ -558,7 +562,7 @@ def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
     ``c_k`` on the target paths for the guarantee to bind.
     """
     dt = np.asarray(decision_times, dtype=np.float64)
-    if dt.ndim != 1 or dt.shape[0] == 0 or dt[0] != 0.0 or np.any(np.diff(dt) <= 0):
+    if dt.ndim != 1 or dt.shape[0] == 0 or dt[0] != 0.0 or not _strictly_increasing(dt):
         raise ContractError("decision times must be increasing and start at 0")
     c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), dt.shape).copy()
     if np.any(c_arr < 0):

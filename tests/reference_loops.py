@@ -13,12 +13,16 @@ linear mode root by root along each segment.  ``z_data_py`` builds Z on the
 union of the events, generation n and the extra times, by ``path.eval`` and
 searches, in either mode; ``z_process_py``, ``k_process_py``, ``sigma_py``
 and ``l_strategy_py`` read Z, K, sigma and the compensated-Z strategy from
-it time by time.  ``capital_curve_py`` merges the events, the decision times
-and the horizon by ``np.unique`` and evaluates the path there, whatever the
-decision times are.  ``doob_aggregate_linear_py`` merges the interval trades
-of the linear Doob aggregate time by time, ``admissibility_lift_py`` sets
-the lifted position time by time, and ``hoeffding_positions_py`` carries
-the wealth of the supermartingale strategy step by step.  The library
+it time by time; ``l_strategy_deviation_py`` compares K, held at the cut by
+a gather of clamped grid indices, with the budget plus a realized
+strategy's capital.  ``position_after_py`` compares each time with the ends
+of every gap.  ``capital_curve_py`` merges the events, the decision times
+and the horizon by ``np.unique``, evaluates the path there, whatever the
+decision times are, and holds ``position_after_py`` on each grid gap.
+``doob_aggregate_linear_py`` merges the interval trades of the linear Doob
+aggregate time by time, ``admissibility_lift_py`` sets the lifted position
+time by time, and ``hoeffding_positions_py`` carries the wealth of the
+supermartingale strategy step by step.  The library
 computes each of them on whole arrays and must return exactly these bits.
 
 The ``*_csv_py`` writers format every file cell by cell with
@@ -273,12 +277,45 @@ def l_strategy_py(path, n, K_bound):
     return np.array(times + [np.inf]), np.array(positions), sigma
 
 
+def l_strategy_deviation_py(path, n, K_bound, psi, realized):
+    """``max_deviation`` of ``strategies.l_strategy`` given its ``realized`` strategy.
+
+    K is held at its value at the cut by a gather of the grid indices
+    clamped at the cut's index, and compared with the budget plus the
+    capital of ``realized`` on the grid.
+    """
+    gamma = gamma_K(path, float(K_bound))
+    grid, _, z, fine, _ = z_data_py(path, n, [gamma] if np.isfinite(gamma) else [])
+    fine_idx = np.searchsorted(grid, fine.times)
+    cut = min(gamma, sigma_py(z[fine_idx], fine.times, n, K_bound))
+    budget = k_constant(n, K_bound, psi)
+    k_vals = budget + z * z - qv_on_grid_py(z, z, fine_idx)
+    cap_grid = capital_curve_py(realized, path).values_at(grid)
+    if np.isfinite(cut):
+        cut_idx = int(np.searchsorted(grid, cut))
+        k_vals = k_vals[np.minimum(np.arange(len(grid)), cut_idx)]
+    return float(np.max(np.abs(k_vals - (budget + cap_grid))))
+
+
+def position_after_py(realized, ts):
+    """Position held on ``(t, next decision time]``: the gap ``times[k] <= t < times[k + 1]``.
+
+    Zero when no gap holds t: before time 0 and from the last decision time on.
+    """
+    held = np.zeros((len(ts), realized.dim))
+    for i, t in enumerate(ts):
+        gap = np.flatnonzero((realized.times[:-1] <= t) & (t < realized.times[1:]))
+        if gap.size:
+            held[i] = realized.positions[gap[0]]
+    return held
+
+
 def capital_curve_py(realized, path):
     """``strategies.capital_curve`` on the merged grid, built by ``np.unique`` and ``path.eval``."""
     decided = realized.times[realized.times <= path.horizon]  # drops a last time of inf
     grid = np.unique(np.concatenate([path.times, decided, [path.horizon]]))
     svals = path.eval(grid)
-    held = realized.position_after(grid[:-1])
+    held = position_after_py(realized, grid[:-1])
     incr = np.diff(svals, axis=0)
     values = np.concatenate([[0.0], np.cumsum(np.sum(held * incr, axis=1))])
     return CapitalCurve(times=grid, values=values, mode=path.mode)

@@ -54,6 +54,11 @@ class TestIntegrateStep:
         assert difference_integrand(big, constant_integrand(-1e200)).sup_norm() == 2e200
         assert constant_integrand(1e200, 2).sup_norm() == math.hypot(1e200, 1e200)
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, 1.0, 1.0]])
+    def test_times_must_increase_strictly(self, times):
+        with pytest.raises(ContractError, match="strictly increasing"):
+            StepIntegrand(times=times, values=np.ones(len(times)))
+
     def test_value_at_zero_of_another_dimension_rejected(self):
         with pytest.raises(ContractError, match="value_at_zero"):
             StepIntegrand(times=[0.0], values=[[1.0, 2.0]], value_at_zero=[1.0])

@@ -369,6 +369,10 @@ class TestPlayOperatorScan:
     @given(clamp_sequences())
     @example((np.array([3]), np.array([5])))
     @example((np.full(4096, 7), np.full(4096, 8)))
+    # entries 2..4 stay live after the dense pass with offset 1, so passes turn
+    # sparse; entry 4 = 2 * 2 still lacks clamp 0 before the pass with offset
+    # 2 and must stay live, since only the next pass brings its hi track to 2
+    @example((np.array([0, 2, 2, 2, 2, 0, 0, 0, 0]), np.array([0, 4, 4, 4, 4, 0, 0, 0, 0])))
     def test_play_scan(self, clamps):
         lo, hi = clamps
         tracks = K._play_scan(lo, hi)
@@ -568,6 +572,12 @@ class TestPsi:
             a = K.clip_jumps(vals.copy(), psi)
         b = R.clip_jumps_py(vals.copy(), *R.psi_args(psi))
         assert a.tobytes() == b.tobytes()
+
+    def test_clip_jumps_keeps_a_jump_exactly_at_the_bound(self):
+        # 1.0 - 0.1 == 0.9 in float64: the jump is allowed and stays as it is
+        values = np.array([[1.0], [0.1]])
+        K.clip_jumps(values, PsiSpec("constant", (0.9,)))
+        assert values[1, 0] == 0.1
 
 
 def test_traced_kernel_names_resolve():

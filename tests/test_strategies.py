@@ -82,6 +82,12 @@ class TestCapital:
         with pytest.raises(ContractError):
             capital(buy_and_hold(d=2), p1, 1.0)
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 0.5], [0.0, 0.5, np.nan], [0.0, 0.5, 0.5],
+                                       [0.0, np.inf, np.inf]])
+    def test_times_must_increase_strictly(self, times):
+        with pytest.raises(ContractError, match="strictly increasing"):
+            RealizedStrategy(times=times, positions=[1.0, 2.0])
+
     @settings(max_examples=100)
     @given(ladder_paths(), st.data())
     def test_reads_the_capital_curve(self, case, data):
@@ -198,6 +204,45 @@ class TestCapitalCurve:
         for arr in (curve.times, curve.values, integral.times, integral.values):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+@st.composite
+def position_cases(draw):
+    """``(realized, ts)``: d = 1..2, up to six gaps, possibly a last time of ``inf``.
+
+    Without gaps and ``inf`` it is the zero strategy, with positions of
+    shape ``(0, d)``.  The query times lie before 0, on the decision times,
+    between them and past the last finite one; either signed zero occurs.
+    """
+    d = draw(st.integers(1, 2))
+    gaps = draw(st.lists(st.floats(0.001, 1.0), max_size=6))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    last = float(times[-1])
+    if draw(st.booleans()):
+        times = np.append(times, np.inf)
+    size = d * (len(times) - 1)
+    pos = draw(st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size))
+    ts = draw(st.lists(st.one_of(st.sampled_from(times[:-1].tolist() + [last, -0.0]),
+                                 st.floats(-1.0, last + 1.0)), min_size=1, max_size=12))
+    return RealizedStrategy(times=times, positions=np.reshape(pos, (-1, d))), np.array(ts)
+
+
+class TestPositionAfter:
+    @settings(max_examples=200)
+    @given(position_cases())
+    @example((RealizedStrategy(times=[0.0], positions=np.zeros((0, 2))),
+              np.array([-1.0, -0.0, 0.0, 0.5])))
+    @example((RealizedStrategy(times=[0.0, 0.5, np.inf], positions=[[1.0], [-2.0]]),
+              np.array([-0.25, 0.0, 0.25, 0.5, 0.75, 1e300])))
+    @example((RealizedStrategy(times=[0.0, 0.5, 1.0], positions=[[1.0, 3.0], [-2.0, 0.0]]),
+              np.array([-1e-300, 0.0, 0.5, 0.75, 1.0, 2.0])))
+    def test_matches_the_gap_loop(self, case):
+        """Bit for bit the per-time reference, which finds ``times[k] <= t < times[k + 1]``."""
+        realized, ts = case
+        held = realized.position_after(ts)
+        ref = R.position_after_py(realized, ts)
+        assert held.shape == ref.shape == (len(ts), realized.dim)
+        assert held.tobytes() == ref.tobytes()
 
 
 class TestStoppingTimes:
@@ -542,6 +587,15 @@ class TestAdmissibilityLift:
         assert realized.positions.tobytes() == ref_pos.tobytes()
 
 
+# paths whose compensated-Z strategy stops inside the grid, at its last
+# point and never: ((path, n), K)
+CUT_CASES = {
+    "inside": ((Path([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.5, 0.25]), 2), 1),
+    "last": ((Path([0.0, 1.0, 2.0], [0.0, 0.5, 1.5]), 2), 1),
+    "none": ((Path([0.0, 1.0, 2.0], [0.125, 0.25, 0.125]), 2), 4),
+}
+
+
 class TestLStrategy:
     def test_constant_path(self):
         p = Path(times=[0.0], values=[0.0], horizon=1.0)
@@ -589,6 +643,28 @@ class TestLStrategy:
             assert realized.times.tobytes() == times.tobytes()
             assert realized.positions[:, 0].tobytes() == positions.tobytes()
             assert report.sigma == sigma
+
+    @settings(max_examples=100)
+    @given(ladder_paths(), st.sampled_from([1, 2, 4]))
+    @example(*CUT_CASES["inside"])
+    @example(*CUT_CASES["last"])
+    @example(*CUT_CASES["none"])
+    def test_deviation_matches_the_clamped_gather(self, case, K_bound):
+        """``max_deviation`` bit for bit against K gathered at ``min(index, cut index)``."""
+        path, n_max = case
+        p = path.coordinate(1)
+        for n in sorted({2, max(2, n_max)}):
+            realized, report = l_strategy(p, n, K_bound, PSI0, tolerance=np.inf)
+            ref = R.l_strategy_deviation_py(p, n, K_bound, PSI0, realized)
+            assert report.max_deviation.hex() == ref.hex()
+
+    @pytest.mark.parametrize("name", sorted(CUT_CASES))
+    def test_cut_cases_stop_where_named(self, name):
+        (path, n), K_bound = CUT_CASES[name]
+        report = l_strategy(path, n, K_bound, PSI0)[1]
+        cut = min(report.gamma, report.sigma)
+        where = "none" if cut == np.inf else "last" if cut == path.times[-1] else "inside"
+        assert where == name and (cut == np.inf or cut in path.times)
 
     def test_psi_beyond_float64_is_contract_error(self):
         # the budget psi(K) = 4**1000 overflows; a NaN deviation must not pass the identity
@@ -653,6 +729,10 @@ class TestHoeffding:
         realized = hoeffding_strategy(times, c, lam).realize(p)
         assert realized.positions[:, 0].tobytes() == \
             R.hoeffding_positions_py(p, times, c, lam).tobytes()
+
+    def test_nan_decision_time_rejected(self):
+        with pytest.raises(ContractError, match="increasing"):
+            hoeffding_strategy([0.0, np.nan, 2.0], 0.5, 1.0)
 
     def test_violated_step_bound_reported(self):
         p = Path(times=[0.0, 1.0], values=[0.0, 5.0], mode="step")
