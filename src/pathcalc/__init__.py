@@ -5,8 +5,9 @@ jump-restricted sample space), ``simulate`` (reproducible generators),
 ``partitions`` (dyadic crossing times and crossing counters), ``qv``
 (discrete quadratic variation and its convergence diagnostics),
 ``strategies`` (simple trading strategies, admissibility and the explicit
-superhedging constructions) and ``integration`` (step-function integrals,
-the quadratic compensator, metrics and bound checks).
+superhedging constructions), ``integration`` (step-function integrals,
+the quadratic compensator, metrics and bound checks) and ``checks`` (each
+acceptance criterion's inputs and check loop, defined once).
 """
 
 from .errors import CheckFailedError, ContractError, InternalConsistencyError, PathcalcError

@@ -21,42 +21,19 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterator
 from dataclasses import fields
 from pathlib import Path as FsPath
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .errors import CheckFailedError, ContractError, InternalConsistencyError
-from .integration import (
-    bdg_bound_check_cadlag,
-    concentration_check_continuous,
-    constant_integrand,
-    continuity_experiment,
-    ito_integral,
-    prepare_ensemble,
-)
-from .partitions import crossing_report, upcrossings_at_events
-from .paths import (Path, PsiSpec, _read_json_object, _write_json, _write_table, read_path_csv,
+from .integration import bdg_bound_check_cadlag, concentration_check_continuous, ito_integral
+from .partitions import crossing_report
+from .paths import (PsiSpec, _read_json_object, _write_json, _write_table, read_path_csv,
                     write_path_csv)
 from .qv import discrete_qv, qv_limit, write_qv_report
-from .simulate import SimSpec, ensemble, simulate, write_simspec
-from .strategies import (
-    RealizedStrategy,
-    bdg_check_batch,
-    check_strong_admissibility,
-    check_weak_admissibility,
-    doob_aggregate,
-    doob_aggregate_bound_factor,
-    hoeffding_check,
-    l_strategy,
-    lift_budget,
-    rho_lambda,
-    StrategyRule,
-    capital_curve,
-    admissibility_lift,
-)
+from .simulate import SimSpec, ensemble, write_simspec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,153 +177,56 @@ def cmd_integrate(args) -> tuple[int, list]:
 
 
 # ---------------------------------------------------------------------------
-# verify subcommand: deterministic theorem checks and empirical bounds
+# verify subcommand: each check returns the detail (and per-path records) it passed with
 # ---------------------------------------------------------------------------
 
-def _random_step_paths(seed: int, count: int, events: int, psi: PsiSpec) -> Iterator[Path]:
-    spec = SimSpec(kind="jump-diffusion", steps=events, seed=seed, volatility=0.4,
-                   jump_intensity=6.0, jump_mean=-0.05, jump_std=0.25,
-                   horizon=1.0, psi=psi)
-    return (simulate(spec, i) for i in range(count))
-
-
 def _verify_bdg(args) -> dict:
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    seqs = []
-    for _ in range(args.count):
-        m = int(rng.integers(1, 201))
-        scale = 10.0 ** rng.uniform(-3, 3)
-        seqs.append(rng.normal(0.0, scale, m))
-    # degenerate shapes that exercise the 0/0 convention
-    seqs += [np.zeros(5), np.array([0.0, 1.0]), np.array([0.0] * 3 + [2.0])]
-    lhs, rhs = bdg_check_batch(seqs)
-    bad = int(np.sum(lhs > rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))))
-    if bad:
-        raise InternalConsistencyError(f"{bad} transform-bound violations")
-    return {"name": "bdg", "passed": True,
-            "detail": f"{len(seqs)} sequences, 0 violations"}
+    rep = checks.bdg(checks.bdg_sequences(args.seed, args.count), args.seed)
+    return {"detail": f"{rep.checked} sequences, 0 violations"}
 
 
 def _verify_l_identity(args) -> dict:
-    psi = _parse_psi(args.psi) or PsiSpec("constant", (0.5,))
-    paths = _random_step_paths(args.seed, args.count, events=48, psi=psi)
-    k_values = (int(args.K),) if args.K else (1, 2, 4)
-    runs = 0
-    for p in paths:
-        for n in range(2, 9):
-            for K in k_values:
-                l_strategy(p, n, K, psi, tolerance=1e-9)  # raises on violation
-                runs += 1
-    return {"name": "l-identity", "passed": True,
-            "detail": f"{runs} path/generation/K combinations, max dev <= 1e-9"}
+    rep = checks.l_identity(args.seed, args.count, _parse_psi(args.psi) or checks.CONSTANT_PSI,
+                            K=int(args.K) if args.K else None)
+    return {"detail": f"{rep.checked} path/generation/K combinations, max dev <= 1e-9"}
 
 
 def _verify_doob(args) -> dict:
-    psi = _parse_psi(args.psi) or PsiSpec("constant", (0.5,))
-    paths = _random_step_paths(args.seed, args.count, events=64, psi=psi)
-    if args.K:  # the crossing bound is claimed on paths below K only
-        paths = (p for p in paths if p.sup_norm() < args.K)
-    worst = np.inf
-    per_path = []
-    for idx, p in enumerate(paths):
-        K = float(args.K) if args.K else float(np.floor(p.sup_norm())) + 1.0
-        path_worst = np.inf
-        for n in (0, 1, 2, 3):
-            rule = doob_aggregate(n, K, psi)
-            curve = capital_curve(rule.realize(p), p)
-            if not curve.minimum >= -1.0:  # strong 1-admissibility
-                raise InternalConsistencyError("aggregate not strongly 1-admissible")
-            factor = doob_aggregate_bound_factor(n, K, psi)
-            ups = upcrossings_at_events(p, 2.0 ** -n)
-            slack = 1.0 + curve.values_at(p.times) - factor * ups
-            path_worst = min(path_worst, float(slack.min()))
-            violated = np.flatnonzero(slack < -1e-12)
-            if violated.size:
-                raise InternalConsistencyError(
-                    f"crossing bound violated by {-slack[violated[0]]:.3e}")
-        worst = min(worst, path_worst)
-        per_path.append({"path": idx, "K": K, "passed": True,
-                         "worst_slack": path_worst})
-    return {"name": "doob", "passed": True,
-            "detail": f"{len(per_path)} paths x 4 generations, worst slack {worst:.3e}",
-            "per_path": per_path}
+    rep = checks.doob(args.seed, args.count, _parse_psi(args.psi) or checks.CONSTANT_PSI,
+                      K=args.K)
+    return {"detail": f"{len(rep.per_path)} paths x 4 generations, worst slack {rep.worst:.3e}",
+            "per_path": rep.per_path}
 
 
 def _verify_hoeffding(args) -> dict:
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    for _ in range(args.count):
-        steps = int(rng.integers(5, 120))
-        c = float(rng.uniform(0.05, 0.5))
-        vals = np.concatenate([[0.0], np.cumsum(rng.uniform(-c, c, steps))])
-        p = Path(times=np.arange(steps + 1, dtype=float), values=vals, mode="step")
-        for lam in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-            rep = hoeffding_check(p, p.times, c, lam)
-            if not rep.ok:
-                raise InternalConsistencyError(
-                    f"wealth fell below the exponential envelope: {rep}")
-    return {"name": "hoeffding", "passed": True,
-            "detail": f"{args.count} walks x 6 lambdas, 0 violations"}
+    checks.hoeffding(args.seed, args.count)
+    return {"detail": f"{args.count} walks x 6 lambdas, 0 violations"}
 
 
 def _verify_lift(args) -> dict:
-    psi = _parse_psi(args.psi) or PsiSpec("constant", (0.5,))
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    paths = _random_step_paths(args.seed + 1, args.count, events=32, psi=psi)
-    lam = float(args.lam)
-    tested = 0
-    per_path = []
-    for idx, p in enumerate(paths):
-        K = float(np.floor(p.sup_norm())) + 1.0
-        times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.9, 3)), [np.inf]])
-        pos = rng.uniform(-lam, lam, 4)
-        cand = RealizedStrategy(times=times, positions=pos)
-        rho = rho_lambda(cand, p, lam)
-        if np.isfinite(rho):
-            keep = [t for t in times[:-1] if t < rho] + [rho]
-            cand = RealizedStrategy(times=np.array(keep + [np.inf]),
-                                    positions=np.append(pos[:len(keep) - 1], 0.0))
-        if not check_weak_admissibility(cand, [p], lam)[0].ok:
-            continue
-        tested += 1
-        rule = StrategyRule(kind="fixed", params={}, _evaluate=lambda _p, c=cand: c)
-        lifted = admissibility_lift(rule, lam, K, psi).realize(p)
-        budget = lift_budget(lam, 1, K, psi)
-        verdict = check_strong_admissibility(lifted, [p], budget)[0]
-        per_path.append({"path": idx, "K": K, "budget": budget,
-                         "passed": verdict.ok,
-                         "worst_slack": verdict.worst_capital + budget})
-        if not verdict.ok:
-            raise InternalConsistencyError("lifted strategy broke its strong budget")
-    return {"name": "lift", "passed": True,
-            "detail": f"{tested} weakly admissible candidates lifted, 0 violations",
-            "per_path": per_path}
+    rep = checks.lift(args.seed, args.count, _parse_psi(args.psi) or checks.CONSTANT_PSI,
+                      float(args.lam))
+    return {"detail": f"{rep.checked} weakly admissible candidates lifted, 0 violations",
+            "per_path": rep.per_path}
 
 
 def _verify_concentration(args) -> dict:
-    spec = SimSpec(kind="brownian", steps=2 ** 12, seed=args.seed, mode="step")
-    rep = concentration_check_continuous(lambda p: constant_integrand(1.0, p.dim),
-                                         (simulate(spec, i) for i in range(args.count)),
-                                         a=args.a, b=args.b, n_max=args.n_max)
+    paths = checks.paths(checks.BROWNIAN_SPEC, args.count, seed=args.seed)
+    rep = concentration_check_continuous(checks.integrand(1.0), paths, a=args.a, b=args.b,
+                                         n_max=args.n_max)
     if not rep.ok:
-        raise CheckFailedError(
-            f"frequency {rep.frequency:.4f} > bound {rep.bound:.4f} + 3se")
-    return {"name": "concentration", "passed": True,
-            "detail": f"freq {rep.frequency:.5f} <= {rep.bound:.5f} + 3*{rep.stderr:.5f}"}
+        raise CheckFailedError(f"frequency {rep.frequency:.4f} > bound {rep.bound:.4f} + 3se")
+    return {"detail": f"freq {rep.frequency:.5f} <= {rep.bound:.5f} + 3*{rep.stderr:.5f}"}
 
 
 def _verify_bdg_bound(args) -> dict:
-    psi = _parse_psi(args.psi) or PsiSpec("affine", (0.1, 0.1))
-    spec = SimSpec(kind="jump-diffusion", steps=128, seed=args.seed, volatility=0.3,
-                   jump_intensity=5.0, jump_mean=-0.02, jump_std=0.1,
-                   x0=0.2, psi=psi)
-    rep = bdg_bound_check_cadlag(lambda p: constant_integrand(1.0, p.dim),
-                                 (simulate(spec, i) for i in range(args.count)),
-                                 a=args.a, b=args.b, c=args.c, M=args.M,
-                                 psi=psi, n=10, n_max=args.n_max)
+    psi = _parse_psi(args.psi) or checks.AFFINE_PSI
+    paths = checks.paths(checks.BDG_BOUND_SPEC, args.count, seed=args.seed, psi=psi)
+    rep = bdg_bound_check_cadlag(checks.integrand(1.0), paths, a=args.a, b=args.b, c=args.c,
+                                 M=args.M, psi=psi, n=10, n_max=args.n_max)
     if not (rep.ok_frequency and rep.ok_frequency_compensator):
         raise CheckFailedError(f"frequency {rep.frequency:.4f} > {rep.bound:.4f} + 3se")
-    return {"name": "bdg-bound", "passed": True,
-            "detail": (f"worst pathwise slack {rep.worst_slack:.3e}, "
+    return {"detail": (f"worst pathwise slack {rep.worst_slack:.3e}, "
                        f"freq {rep.frequency:.5f} <= {rep.bound:.5f}, "
                        f"compensator freq {rep.frequency_compensator:.5f} "
                        f"<= {rep.bound_compensator:.5f}")}
@@ -369,7 +249,7 @@ def cmd_verify(args) -> tuple[int, list]:
     code = EXIT_OK
     for name in names:
         try:
-            checks.append(VERIFY_CHECKS[name](args))
+            checks.append({"name": name, "passed": True} | VERIFY_CHECKS[name](args))
         except InternalConsistencyError as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
             code = EXIT_INTERNAL
@@ -383,20 +263,8 @@ def cmd_verify(args) -> tuple[int, list]:
 
 def cmd_continuity(args) -> tuple[int, list]:
     out = _outdir(args)
-    if args.ensemble == "continuous":
-        spec = SimSpec(kind="brownian", steps=256, seed=args.seed, mode="step")
-        psi = None
-    else:
-        psi = _parse_psi(args.psi) or PsiSpec("affine", (0.1, 0.1))
-        spec = SimSpec(kind="jump-diffusion", steps=128, seed=args.seed,
-                       volatility=0.3, jump_intensity=5.0, jump_std=0.15, psi=psi)
-    stats = prepare_ensemble(ensemble(spec, args.count), n_max=args.n_max)
-
-    def factory(c):
-        return lambda p: constant_integrand(c, p.dim)
-
-    pairs = [(k, factory(1.0 + 2.0 ** -k), factory(1.0)) for k in range(1, 9)]
-    rep = continuity_experiment(pairs, stats, epsilon=args.epsilon, kind=args.ensemble, psi=psi)
+    rep = checks.continuity(args.ensemble, args.seed, args.count, epsilon=args.epsilon,
+                            n_max=args.n_max, psi=_parse_psi(args.psi) or checks.AFFINE_PSI)
     with (out / "continuity.csv").open("w") as fh:
         _write_table(fh, ["scale", "integrand_distance", "integral_distance"],
                      [np.asarray(col) for col in zip(*rep.rows)])
@@ -405,9 +273,9 @@ def cmd_continuity(args) -> tuple[int, list]:
         json.dump({"slope": rep.slope, "floor": rep.floor, "ok": rep.ok,
                    "kind": rep.kind, "epsilon": rep.epsilon}, fh, indent=2)
         fh.write("\n")
-    checks = [{"name": "continuity-slope", "passed": rep.ok,
-               "detail": f"slope {rep.slope:.3f} floor {rep.floor:.3f}"}]
-    return (EXIT_OK if rep.ok else EXIT_CHECK_FAILED), checks
+    return (EXIT_OK if rep.ok else EXIT_CHECK_FAILED), [
+        {"name": "continuity-slope", "passed": rep.ok,
+         "detail": f"slope {rep.slope:.3f} floor {rep.floor:.3f}"}]
 
 
 # ---------------------------------------------------------------------------

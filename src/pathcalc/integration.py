@@ -51,7 +51,9 @@ class StepIntegrand:
     """Piecewise-constant integrand: ``values[i]`` held on ``(times[i], times[i+1]]``.
 
     The last value is held up to the horizon; ``value_at_zero`` is the value
-    at t = 0 itself, which never enters integrals.
+    at t = 0 itself, which never enters integrals.  A contiguous float64 array
+    passed in is taken, not copied, and becomes read-only; a 1-d ``values`` is
+    taken as a read-only view, which leaves the caller's array writable.
     """
 
     times: np.ndarray
@@ -461,7 +463,7 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
     carries the transform weights.  The slack term uses the provable band
     constant ``sqrt(d) 2^{1-n}`` (between consecutive crossing times each
     coordinate moves less than ``2^{1-n}``).  A violation raises
-    :class:`InternalConsistencyError`.
+    :class:`InternalConsistencyError` naming the worst path's index.
 
     (ii) Two four-way event frequencies: ``{sup |(F.S)| >= a, ||F|| <= c,
     |[S]_T| <= b, ||S|| <= M}`` against
@@ -474,7 +476,7 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
     """
     if not (a > 0 and b >= 0 and c >= 0 and M >= 0):
         raise ContractError("need a > 0, b >= 0, c >= 0 and M >= 0")
-    worst_slack = math.inf
+    worst_slack, worst_path = math.inf, None
     mismatch = 0.0
     hits = hits_comp = count = 0
     d = 1
@@ -494,13 +496,14 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
         mismatch = max(mismatch, abs(phi_cap - hx))
         f_sup = Fi.sup_norm()
         rhs = 6.0 * math.sqrt(quad) + 2.0 * hx + f_sup * math.sqrt(d) * 2.0 ** (1 - n)
-        worst_slack = min(worst_slack, rhs - lhs)
+        if rhs - lhs < worst_slack:
+            worst_slack, worst_path = rhs - lhs, count - 1
         within = bool(lhs >= a and f_sup <= c and st.sup_norm <= M)
         hits += within and bool(st.qv_frobenius <= b)
         hits_comp += within and bool(comp <= b)
     if worst_slack < 0:
         raise InternalConsistencyError(
-            f"pathwise transform bound violated by {-worst_slack:.3e}")
+            f"pathwise transform bound violated by {-worst_slack:.3e} on path {worst_path}")
     lift = 1.0 + 3.0 * d * M + 2.0 * d * float(psi(M))
     bound = lift * (6.0 * math.sqrt(b) + 2.0 + 2.0 * M) / a * c
     freq, se, ok = _frequency_test(hits, count, bound)

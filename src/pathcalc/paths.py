@@ -150,14 +150,17 @@ class Path:
     """Finite-event trajectory in d dimensions.
 
     ``times`` and ``values`` are read-only arrays, so anything computed from
-    them stays valid for the life of the path.  The private ``_scans`` memo
-    keeps what was scanned from them, and :meth:`_memo` is the only way in:
-    the crossing counters of :mod:`pathcalc.partitions` store one scan per
-    spacing under ``float(h)``, :func:`pathcalc.strategies.gamma_K` its
-    stopping time per level under ``("gamma", K)``, and on a step path
-    :func:`pathcalc.qv._z_data` generation n's Z data under ``("z", n)``.
-    Every array it holds is read-only.  ``==`` compares the other fields by
-    value, and neither it nor ``repr`` sees the memo.
+    them stays valid for the life of the path.  A contiguous float64 array
+    passed in is taken, not copied, and becomes read-only; a 1-d ``values``
+    is taken as a read-only view, which leaves the caller's array writable.
+    The private ``_scans`` memo keeps what was scanned from them, and
+    :meth:`_memo` is the only way in: the crossing counters of
+    :mod:`pathcalc.partitions` store one scan per spacing under ``float(h)``,
+    :func:`pathcalc.strategies.gamma_K` its stopping time per level under
+    ``("gamma", K)``, and on a step path :func:`pathcalc.qv._z_data`
+    generation n's Z data under ``("z", n)``.  Every array it holds is
+    read-only.  ``==`` compares the other fields by value, and neither it
+    nor ``repr`` sees the memo.
     """
 
     times: np.ndarray

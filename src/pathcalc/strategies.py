@@ -47,7 +47,9 @@ class RealizedStrategy:
     """Decision times and the positions held on the half-open gaps between them.
 
     The times must start at 0 and increase strictly, so a NaN time is
-    rejected; the last one may be ``inf``.
+    rejected; the last one may be ``inf``.  A contiguous float64 array passed
+    in is taken, not copied, and becomes read-only; a 1-d ``positions`` is
+    taken as a read-only view, which leaves the caller's array writable.
     """
 
     times: np.ndarray     # (N+1,), strictly increasing, times[0] = 0, last may be inf
@@ -491,7 +493,8 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     generation-n gap, truncated at ``gamma_K and sigma``.  The capital then
     reproduces the K process exactly:
     ``K^n at (gamma ^ sigma ^ t) = budget + capital_t`` for every t.  A
-    deviation beyond tolerance raises :class:`InternalConsistencyError`.
+    deviation beyond tolerance raises :class:`InternalConsistencyError` naming
+    the time of the worst one.
     """
     if path.dim != 1:
         raise ContractError("the compensated-Z strategy acts on 1-d paths")
@@ -530,8 +533,8 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
             deviation[cut_idx + 1:] = np.abs(k_vals[cut_idx] - target[cut_idx + 1:])
     worst = float(deviation.max())
     if worst > tolerance:
-        raise InternalConsistencyError(
-            f"K-process identity violated by {worst:.3e} (> {tolerance:.1e})")
+        raise InternalConsistencyError(f"K-process identity violated by {worst:.3e} "
+                                       f"(> {tolerance:.1e}) at t {grid[deviation.argmax()]}")
     return realized, LStrategyReport(max_deviation=worst, tolerance=tolerance,
                                      budget=budget, gamma=gamma, sigma=sigma)
 

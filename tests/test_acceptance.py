@@ -6,34 +6,18 @@ Monte-Carlo bound checks allow three binomial standard errors.
 """
 
 import itertools
-import math
 import time
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from pathcalc import Path, PsiSpec
+from pathcalc import Path, PsiSpec, checks
 from pathcalc.cli import EXIT_OK, main
-from pathcalc.integration import (
-    bdg_bound_check_cadlag,
-    concentration_check_continuous,
-    constant_integrand,
-    continuity_experiment,
-    ito_integral,
-    prepare_ensemble,
-)
-from pathcalc.partitions import crossings, crossings_accumulated
+from pathcalc.integration import (bdg_bound_check_cadlag, concentration_check_continuous,
+                                  ito_integral)
+from pathcalc.partitions import crossings
 from pathcalc.qv import jump_identity_check, qv_limit
-from pathcalc.simulate import SimSpec, ensemble, simulate
-from pathcalc.strategies import (
-    bdg_check_batch,
-    capital_curve,
-    check_strong_admissibility,
-    doob_aggregate,
-    doob_aggregate_bound_factor,
-    hoeffding_check,
-    l_strategy,
-)
+from pathcalc.simulate import SimSpec, simulate
 
 from conftest import random_step_path
 
@@ -43,82 +27,37 @@ def _pass(num, name, detail):
 
 
 def test_01_pathwise_bdg_inequality():
-    rng = np.random.Generator(np.random.Philox(key=20240801))
-    seqs = []
-    for _ in range(100_000):
-        m = int(rng.integers(1, 201))
-        scale = 10.0 ** rng.uniform(-3, 3)
-        seqs.append(rng.normal(0.0, scale, m))
     # degenerate prefixes exercising the 0/0 := 0 convention
-    seqs += [np.zeros(7), np.array([0.0, 1.0]), np.array([0.0, 0.0, 3.0]),
-             np.array([5.0]), np.array([0.0])]
+    seqs = checks.bdg_sequences(20240801, 100_000, degenerate=(
+        (0.0,) * 7, (0.0, 1.0), (0.0, 0.0, 3.0), (5.0,), (0.0,)))
     t0 = time.perf_counter()
-    lhs, rhs = bdg_check_batch(seqs)
+    rep = checks.bdg(seqs, 20240801)  # raises on a violation
     elapsed = time.perf_counter() - t0
-    violations = int(np.sum(lhs > rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))))
-    assert violations == 0
+    assert rep.checked == len(seqs) and rep.worst >= 0.0
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     _pass(1, "pathwise-bdg", f"{len(seqs)} sequences, 0 violations, {elapsed:.2f}s")
 
 
 def test_02_compensated_z_capital_identity():
-    psi = PsiSpec("constant", (0.5,))
-    spec = SimSpec(kind="jump-diffusion", steps=48, seed=31, volatility=0.4,
-                   jump_intensity=6.0, jump_mean=-0.05, jump_std=0.25, psi=psi)
-    worst = 0.0
-    runs = 0
-    for stream in range(1000):
-        p = simulate(spec, stream=stream)
-        for n in range(2, 9):
-            for K in (1, 2, 4):
-                _, report = l_strategy(p, n, K, psi, tolerance=1e-9)
-                worst = max(worst, report.max_deviation)
-                runs += 1
-    assert worst <= 1e-9
-    _pass(2, "z-capital-identity", f"{runs} runs, max deviation {worst:.2e} <= 1e-9")
+    rep = checks.l_identity(31, 1000, PsiSpec("constant", (0.5,)))
+    assert rep.worst <= 1e-9
+    _pass(2, "z-capital-identity", f"{rep.checked} runs, max deviation {rep.worst:.2e} <= 1e-9")
 
 
 def test_03_dyadic_doob_bound():
-    psi = PsiSpec("constant", (0.5,))
-    spec = SimSpec(kind="jump-diffusion", steps=64, seed=57, volatility=0.35,
-                   jump_intensity=5.0, jump_mean=-0.05, jump_std=0.2, psi=psi)
-    worst_slack = math.inf
-    checked = 0
-    for stream in range(1000):
-        p = simulate(spec, stream=stream)
-        K = float(np.floor(p.sup_norm())) + 1.0   # guarantees sup < K
-        n = stream % 4
-        rule = doob_aggregate(n, K, psi)
-        realized = rule.realize(p)
-        assert check_strong_admissibility(realized, [p], 1.0)[0].ok
-        factor = doob_aggregate_bound_factor(n, K, psi)
-        curve = capital_curve(realized, p)
-        wealth = 1.0 + curve.values
-        for t, w in zip(curve.times, wealth):
-            up, _ = crossings_accumulated(p, 2.0 ** -n, float(t))
-            slack = w - factor * up
-            worst_slack = min(worst_slack, slack)
-            checked += 1
-            assert slack >= -1e-12, f"stream {stream} t {t}"
+    # one generation per path, n = stream % 4, and K = floor(sup) + 1 > sup
+    spec = replace(checks.JUMP_SPEC, volatility=0.35, jump_intensity=5.0, jump_std=0.2)
+    rep = checks.doob(57, 1000, PsiSpec("constant", (0.5,)), spec=spec, every_generation=False)
+    assert len(rep.per_path) == 1000 and rep.worst >= -1e-12
     _pass(3, "dyadic-doob-bound",
-          f"1000 paths, {checked} grid checks, worst slack {worst_slack:.3e}")
+          f"1000 paths, {rep.checked} grid checks, worst slack {rep.worst:.3e}")
 
 
 def test_04_exponential_supermartingale():
-    rng = np.random.Generator(np.random.Philox(key=4))
-    worst = math.inf
-    for walk in range(1000):
-        steps = int(rng.integers(10, 120))
-        c = float(rng.uniform(0.05, 0.5))
-        vals = np.concatenate([[0.0], np.cumsum(rng.uniform(-c, c, steps))])
-        p = Path(times=np.arange(steps + 1, dtype=float), values=vals, mode="step")
-        for lam in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-            rep = hoeffding_check(p, p.times, c, lam)
-            assert rep.bound_respected
-            assert rep.ok, (walk, lam, rep)
-            worst = min(worst, rep.worst_margin)
+    rep = checks.hoeffding(4, 1000, min_steps=10)  # raises below the envelope
+    assert rep.checked == 6000 and rep.worst >= -1e-10
     _pass(4, "exponential-supermartingale",
-          f"1000 walks x 6 lambdas, worst margin {worst:.3e} >= 0")
+          f"1000 walks x 6 lambdas, worst margin {rep.worst:.3e} >= 0")
 
 
 def test_05_qv_convergence_on_martingale_paths():
@@ -196,11 +135,8 @@ def test_07_ito_telescoping_identity():
 
 
 def test_08_exponential_concentration_bound():
-    spec = SimSpec(kind="brownian", steps=2 ** 10, seed=808, volatility=1.0,
-                   mode="step")
-    paths = (simulate(spec, stream=i) for i in range(10_000))
-    rep = concentration_check_continuous(
-        lambda p: constant_integrand(1.0, p.dim), paths, a=3.0, b=1.5, n_max=6)
+    paths = checks.paths(checks.BROWNIAN_SPEC, 10_000, steps=2 ** 10, seed=808)
+    rep = concentration_check_continuous(checks.integrand(1.0), paths, a=3.0, b=1.5, n_max=6)
     assert rep.count == 10_000
     assert rep.ok, rep
     _pass(8, "exponential-concentration",
@@ -209,13 +145,9 @@ def test_08_exponential_concentration_bound():
 
 def test_09_weighted_transform_bound_cadlag():
     psi = PsiSpec("affine", (0.1, 0.1))
-    spec = SimSpec(kind="jump-diffusion", steps=128, seed=909, volatility=0.3,
-                   jump_intensity=5.0, jump_mean=-0.02, jump_std=0.1,
-                   x0=0.2, psi=psi)
-    paths = (simulate(spec, stream=i) for i in range(10_000))
-    rep = bdg_bound_check_cadlag(lambda p: constant_integrand(1.0, p.dim), paths,
-                                 a=100.0, b=1.0, c=1.0, M=1.0, psi=psi,
-                                 n=10, n_max=6)
+    paths = checks.paths(checks.BDG_BOUND_SPEC, 10_000, seed=909, psi=psi)
+    rep = bdg_bound_check_cadlag(checks.integrand(1.0), paths, a=100.0, b=1.0, c=1.0, M=1.0,
+                                 psi=psi, n=10, n_max=6)
     assert rep.count == 10_000
     assert rep.ok_pathwise and rep.worst_slack >= 0.0
     assert rep.ok_frequency, rep
@@ -226,21 +158,10 @@ def test_09_weighted_transform_bound_cadlag():
 
 
 def test_10_continuity_exponents():
-    def factory(c):
-        return lambda p: constant_integrand(c, p.dim)
-
-    pairs = [(k, factory(1.0 + 2.0 ** -k), factory(1.0)) for k in range(1, 9)]
-
-    spec_c = SimSpec(kind="brownian", steps=256, seed=1010, mode="step")
-    stats_c = prepare_ensemble(ensemble(spec_c, 200), n_max=6)
-    rep_c = continuity_experiment(pairs, stats_c, epsilon=0.25, kind="continuous")
+    rep_c = checks.continuity("continuous", 1010, 200, epsilon=0.25, n_max=6)
     assert rep_c.ok, (rep_c.slope, rep_c.floor)
-
-    psi = PsiSpec("affine", (0.1, 0.1))
-    spec_j = SimSpec(kind="jump-diffusion", steps=128, seed=1011, volatility=0.3,
-                     jump_intensity=5.0, jump_std=0.15, psi=psi)
-    stats_j = prepare_ensemble(ensemble(spec_j, 200), n_max=6)
-    rep_j = continuity_experiment(pairs, stats_j, epsilon=0.25, kind="cadlag", psi=psi)
+    rep_j = checks.continuity("cadlag", 1011, 200, epsilon=0.25, n_max=6,
+                              psi=PsiSpec("affine", (0.1, 0.1)))
     assert rep_j.ok, (rep_j.slope, rep_j.floor)
     _pass(10, "continuity-exponents",
           f"continuous slope {rep_c.slope:.3f} >= {rep_c.floor:.3f}, "

@@ -13,7 +13,7 @@ from unittest.mock import ANY
 import pytest
 
 import pathcalc
-from pathcalc import cli
+from pathcalc import checks, cli
 from pathcalc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from pathcalc.errors import CheckFailedError, InternalConsistencyError
 from pathcalc.paths import write_path_csv
@@ -147,6 +147,35 @@ class TestVerifyCommand:
         code = main(["verify", "--check", "doob", "--count", "10",
                      "--seed", "5", "--output-dir", str(tmp_path / "v")])
         assert code == EXIT_OK
+
+    def test_doob_below_K_records_each_path_by_its_stream(self, tmp_path):
+        out = tmp_path / "v"
+        assert main(["verify", "--check", "doob", "--count", "50", "--K", "0.5", "--seed", "3",
+                     "--output-dir", str(out)]) == EXIT_OK
+        records = json.loads((out / "verification_report.json").read_text())["checks"][0]
+        streams = [r["path"] for r in records["per_path"]]
+        assert streams == [9, 14, 28, 30, 31, 37]
+        assert streams == [i for i, p in enumerate(checks.paths(checks.JUMP_SPEC, 50, seed=3))
+                           if p.sup_norm() < 0.5]
+
+    @pytest.mark.parametrize("check, name, broken, location", [
+        ("l-identity", "l_strategy",
+         lambda real: lambda p, n, K, psi, tolerance: real(p, n, K, psi, tolerance=-1.0),
+         r"at t 0\.0 \(seed 4 stream 0 n 2 K 1\)$"),
+        ("doob", "upcrossings_at_events", lambda real: lambda p, h: real(p, h) + 10 ** 6,
+         r"\(seed 4 stream 0 n 0 K [0-9.]+ t [0-9.e-]+\)$"),
+    ], ids=["l-identity", "doob"])
+    def test_a_failed_identity_names_where(self, tmp_path, monkeypatch, check, name, broken,
+                                           location):
+        monkeypatch.setattr(checks, name, broken(getattr(checks, name)))
+        run = {"l-identity": checks.l_identity, "doob": checks.doob}[check]
+        with pytest.raises(InternalConsistencyError, match=location) as failure:
+            run(4, 2)
+        out = tmp_path / "v"
+        assert main(["verify", "--check", check, "--count", "2", "--seed", "4",
+                     "--output-dir", str(out)]) == EXIT_INTERNAL
+        record = json.loads((out / "verification_report.json").read_text())["checks"][0]
+        assert record == {"name": check, "passed": False, "detail": str(failure.value)}
 
     def test_lift_small(self, tmp_path):
         code = main(["verify", "--check", "lift", "--count", "40",
@@ -372,6 +401,8 @@ EXIT_CODE_CASES = [
      ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "nan"], None, EXIT_CONFIG),
     ("simulate jump intensity per step too large", {},
      ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "1e300"], None, EXIT_CONFIG),
+    ("doob K below every path", {},
+     ["verify", "--check", "doob", "--count", "3", "--K", "1e-300"], None, EXIT_CONFIG),
     ("doob K spans too many intervals", {},
      ["verify", "--check", "doob", "--count", "2", "--K", "1e300"], None, EXIT_CONFIG),
     ("l-identity K overflows the budget", {},

@@ -5,9 +5,13 @@ command lines; every run must return 0, 2, 3, 4 or 5 and raise nothing, and
 every JSON file a successful run writes must be strict JSON, without ``NaN``
 or ``Infinity``.  Every drawn integer is small and no drawn string is a
 large integer, so counts, steps and generations stay small and one example
-runs in milliseconds.  The one exception is ``simulate``'s ``--steps`` and
-``--dim``, drawn up to 2^63: a run is made only above the size cap, where it
-must exit 2 before allocating, and below it only the spec is built.
+runs in milliseconds.  The exceptions are the flags that set a size, drawn
+from a wide range: ``simulate``'s ``--steps`` and ``--dim`` and the
+``--n-max`` of ``qv``, ``integrate``, ``verify`` and ``continuity`` up to
+2^63, and ``crossings``' ``--h`` and ``verify``'s ``--K`` from 1e-300 up to
+2^63.  Above each cap a run must exit 2 before allocating; ``--count``
+stays small.  Below the cap a ``simulate`` draw only builds its spec, and a
+``--h`` draw runs only where its report has at most 2^12 intervals.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import cli
+from pathcalc.partitions import MAX_CROSSING_INTERVALS, MAX_GENERATION
 from pathcalc.simulate import KINDS, MAX_SIM_VALUES, SimSpec
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_INTERNAL,
@@ -108,6 +113,7 @@ def _run(tmp_path_factory, files, argv):
     if code == cli.EXIT_OK:
         for file in (run_dir / "out").glob("*.json"):
             json.loads(file.read_text(), parse_constant=_not_json)
+    return code
 
 
 # flags that change how a path file is read and partitioned
@@ -206,3 +212,55 @@ def test_simulate_sizes_above_the_cap_exit_2(tmp_path_factory, kind, steps, dim)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         assert cli.main(argv) == cli.EXIT_CONFIG
     assert "exceed" in stderr.getvalue()
+
+
+def _generations(n):
+    return {cli.EXIT_CONFIG} if n > MAX_GENERATION else {cli.EXIT_OK}
+
+
+# a command line, the size flag it takes and the exit codes allowed at a value of that
+# flag; the path file's values span 0.5, so spacing h gives at least 0.5 / h intervals
+SIZE_FLAGS = {
+    "qv": (["qv", "--input", "{dir}/p.csv"], "--n-max", _generations),
+    "integrate": (["integrate", "--input", "{dir}/p.csv"], "--n-max", _generations),
+    "concentration": (["verify", "--check", "concentration", "--count", "2"], "--n-max",
+                      _generations),
+    "bdg-bound": (["verify", "--check", "bdg-bound", "--count", "2"], "--n-max", _generations),
+    "continuity": (["continuity", "--ensemble", "cadlag", "--count", "2"], "--n-max",
+                   _generations),
+    "crossings": (["crossings", "--input", "{dir}/p.csv"], "--h",
+                  lambda h: {cli.EXIT_CONFIG} if 0.5 / h > MAX_CROSSING_INTERVALS
+                  else {cli.EXIT_OK}),
+    # a K below every drawn path selects none, which exits 2 too
+    "doob": (["verify", "--check", "doob", "--count", "2"], "--K",
+             lambda K: {cli.EXIT_CONFIG} if 2.0 * K * 2.0 ** 3 > MAX_CROSSING_INTERVALS
+             else {cli.EXIT_OK, cli.EXIT_CONFIG}),
+    # the check runs at the integer part of K, and K = 0 is no bound
+    "l-identity": (["verify", "--check", "l-identity", "--count", "2"], "--K",
+                   lambda K: {cli.EXIT_CONFIG} if K < 1 else {cli.EXIT_OK}),
+}
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from(sorted(SIZE_FLAGS)), n=st.integers(1, 2 ** 63),
+       x=st.floats(1e-300, 2.0 ** 63))
+@example(case="qv", n=MAX_GENERATION + 1, x=1.0)
+@example(case="concentration", n=2 ** 63, x=1.0)
+@example(case="continuity", n=MAX_GENERATION, x=1.0)
+@example(case="crossings", n=1, x=1e-300)
+@example(case="crossings", n=1, x=2.0 ** 63)
+@example(case="doob", n=1, x=1e-300)
+@example(case="doob", n=1, x=2.0 ** 17)
+@example(case="doob", n=1, x=2.0 ** 16)
+@example(case="l-identity", n=1, x=0.5)
+@example(case="l-identity", n=1, x=2.0 ** 63)
+@example(case="integrate", n=MAX_GENERATION, x=1.0)
+@example(case="bdg-bound", n=MAX_GENERATION, x=1.0)
+@example(case="crossings", n=1, x=2.0 ** -13)
+def test_sizes_above_the_cap_exit_2(tmp_path_factory, case, n, x):
+    argv, flag, allowed = SIZE_FLAGS[case]
+    value = n if flag == "--n-max" else x
+    if flag == "--h" and 2 ** 12 < 0.5 / value <= MAX_CROSSING_INTERVALS:
+        return  # valid, and a report of up to 2^20 intervals takes seconds
+    code = _run(tmp_path_factory, {"p.csv": GOOD_CSV}, argv + [flag, str(value)])
+    assert code in allowed(value), (argv, flag, value, code)

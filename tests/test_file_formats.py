@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathcalc import cli
+from pathcalc import checks, cli
 from pathcalc.cli import EXIT_OK, main
 from pathcalc.errors import ContractError
 from pathcalc.partitions import LebesguePartition, write_partition_csv
@@ -234,7 +234,7 @@ def test_cli_artifacts_rerun_byte_identical(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(cli, "ito_integral", keep(cli.ito_integral))
-    monkeypatch.setattr(cli, "continuity_experiment", keep(cli.continuity_experiment))
+    monkeypatch.setattr(checks, "continuity_experiment", keep(checks.continuity_experiment))
     for run in ("a", "b"):
         (tmp_path / run).mkdir()
         monkeypatch.chdir(tmp_path / run)

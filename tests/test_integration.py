@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcalc import ContractError, Path, PsiSpec
+from pathcalc import ContractError, InternalConsistencyError, Path, PsiSpec, integration
 from pathcalc.integration import (
     approximate_caglad,
     bdg_bound_check_cadlag,
@@ -363,6 +363,14 @@ class TestBdgBound:
         assert rep.ok_frequency_compensator
         assert rep.bound_compensator == pytest.approx(
             (1 + 3 + 2 * PSI_AFF(1.0)) * (6 + 2 + 2) / 100.0)
+
+    def test_a_violation_names_the_worst_path(self, monkeypatch, p1):
+        # weights against every move break the bound on the one path that moves
+        monkeypatch.setattr(integration, "bdg_weights", lambda x: -10.0 * np.sign(np.diff(x)))
+        flat = Path([0.0, 3.0], [0.5, 0.5], mode="step")
+        with pytest.raises(InternalConsistencyError, match="on path 2$"):
+            bdg_bound_check_cadlag(const_factory(1.0), [flat, flat, p1, flat], a=1.0, b=1.0,
+                                   c=1.0, M=2.0, psi=PSI_AFF, n=8, n_max=6)
 
 
 class TestBdgBoundMultiDim:
