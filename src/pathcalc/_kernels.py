@@ -54,8 +54,10 @@ The pathwise BDG kernels share one row body, :func:`_bdg_rows`;
 ``bdg_batch`` takes a list of sequences and stacks each equal-length group.
 
 Each vectorized kernel returns exactly the bits of the per-event loop it
-replaced; the test suite keeps those loops as its reference.  ``clip_jumps``
-stays a loop: the bound at each event depends on the already-clipped prefix.
+replaced; the test suite keeps those loops as its reference.  The bound at
+each event of ``clip_jumps`` depends on the already-clipped prefix, but up
+to the first clip that prefix is the input: the rows between clipping
+episodes are scanned as arrays, and only an episode runs the loop.
 """
 
 from __future__ import annotations
@@ -524,7 +526,8 @@ def bdg_batch(seqs):
 # Downward-jump clipping (simulator support)
 # ---------------------------------------------------------------------------
 
-_CLIP_BLOCK = 4096  # events held as Python floats at once
+_CLIP_BLOCK = 4096  # most rows in one window
+_CLIP_CALM = 32  # unclipped rows that end a clipping episode
 
 
 def clip_jumps(values, psi):
@@ -536,29 +539,104 @@ def clip_jumps(values, psi):
     membership rule; the bound at an event is ``psi`` of that supremum, so
     ``psi`` is called again only when the supremum grows.  A clipped value
     starts at ``prev - bound`` and moves up one ulp at a time until
-    ``prev - v <= bound``.  The loop runs on Python floats, whose
-    arithmetic, ``math.sqrt`` and ``math.nextafter`` round as NumPy's
-    float64 does, converting ``_CLIP_BLOCK`` events at a time.
+    ``prev - v <= bound``.
+
+    Up to the first clip the rows are the input rows, so they are scanned
+    as arrays, a window at a time, up to the first row over its bound
+    (:func:`_clean_prefix`).  From there the per-event loop
+    (:func:`_clip_rows`) runs until ``_CLIP_CALM`` rows in a row pass
+    unclipped, and scanning resumes.  The first window holds
+    ``_CLIP_BLOCK`` rows.  An episode starts with ``_CLIP_CALM`` rows of the
+    loop, and each stretch of loop or window after that is twice the last,
+    up to ``_CLIP_BLOCK``, so under dense clipping a scan reads little past
+    the next clip.  Both parts take every bit the single loop would.
     """
-    prev_row = values[0].tolist()
-    runsup = _norm(prev_row)
+    m = values.shape[0]
+    runsup = _norm(values[0].tolist())
     bound = float(psi(runsup))
-    for start in range(1, values.shape[0], _CLIP_BLOCK):
-        block = values[start:start + _CLIP_BLOCK].tolist()
-        for row in block:
-            for i, prev in enumerate(prev_row):
-                if prev - row[i] > bound:
-                    v = prev - bound
-                    while prev - v > bound:
-                        v = math.nextafter(v, math.inf)
-                    row[i] = v
-            nv = _norm(row)
-            if nv > runsup:
-                runsup = nv
-                bound = float(psi(runsup))
-            prev_row = row
-        values[start:start + _CLIP_BLOCK] = block
+    start, width, last = 1, _CLIP_BLOCK, 0
+    while start < m:
+        stop = min(start + width, m)
+        if start > last:
+            start, runsup, bound = _clean_prefix(values, start, stop, runsup, bound, psi)
+            if start < stop:  # an episode: the loop takes over
+                last, width = start + _CLIP_CALM - 1, _CLIP_CALM
+                stop = min(stop, start + width)
+        if start < stop:
+            start, runsup, bound, last = _clip_rows(values, start, stop, runsup, bound, psi, last)
+        width = min(2 * width, _CLIP_BLOCK)
     return values
+
+
+def _clean_prefix(values, start, stop, runsup, bound, psi):
+    """First row of ``start..stop-1`` that the input rows put over the bound.
+
+    Returns ``(first, runsup, bound)``, the running supremum and bound
+    before row ``first``, or ``stop`` when no row is over.  The norms are
+    :func:`_norm`'s: squares added left to right, ``sqrt``, and ``hypot``
+    for a sum that overflows.  The rows are checked one stretch of constant
+    bound at a time, and ``psi`` is called on a new record of the supremum
+    only once every row before it has passed, as the loop calls it.  A
+    window with a value that is not finite returns ``start``: the loop
+    takes it.
+    """
+    rows = values[start - 1:stop]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = rows[:, 0] * rows[:, 0]
+        drop = rows[:-1, 0] - rows[1:, 0]  # the largest fall of each row
+        for i in range(1, rows.shape[1]):
+            sq += rows[:, i] * rows[:, i]
+            np.maximum(drop, rows[:-1, i] - rows[1:, i], out=drop)
+        norms = np.sqrt(sq)
+        if not norms.max() < math.inf:
+            for k in np.flatnonzero(sq == math.inf).tolist():
+                norms[k] = math.hypot(*rows[k].tolist())
+            if not norms.max() < math.inf:
+                return start, runsup, bound
+    norms[0] = runsup
+    run = np.maximum.accumulate(norms)  # run[k]: the supremum before row start + k
+    records = np.flatnonzero(run[1:] > run[:-1]) + 1  # rows whose bound is new
+    cuts = records[records < drop.shape[0]]
+    tops = np.maximum.reduceat(drop, np.concatenate(([0], cuts))).tolist()
+    sups = run[records].tolist()
+    for i, top in enumerate(tops):
+        if top > bound:
+            first = int(cuts[i - 1]) if i else 0
+            first += int(np.argmax(drop[first:] > bound))
+            return start + first, float(run[first]), bound
+        if i < len(sups):
+            bound = float(psi(sups[i]))
+    return stop, float(run[-1]), bound
+
+
+def _clip_rows(values, start, stop, runsup, bound, psi, last):
+    """The per-event clipping loop on rows ``start..stop-1``.
+
+    The episode ends after row ``last``, which each clip moves to
+    ``_CLIP_CALM`` rows past itself.  Runs on Python floats, whose
+    arithmetic, ``math.sqrt`` and ``math.nextafter`` round as NumPy's
+    float64 does.  Returns ``(next row, runsup, bound, last)``.
+    """
+    prev_row = values[start - 1].tolist()
+    block = values[start:stop].tolist()
+    for e, row in enumerate(block, start):
+        for i, prev in enumerate(prev_row):
+            if prev - row[i] > bound:
+                v = prev - bound
+                while prev - v > bound:
+                    v = math.nextafter(v, math.inf)
+                row[i] = v
+                last = e + _CLIP_CALM
+        nv = _norm(row)
+        if nv > runsup:
+            runsup = nv
+            bound = float(psi(runsup))
+        prev_row = row
+        if e == last:
+            stop = e + 1
+            break
+    values[start:stop] = block[:stop - start]
+    return stop, runsup, bound, last
 
 
 def _norm(row):

@@ -186,6 +186,8 @@ def _verify_bdg(args) -> dict:
 
 
 def _verify_l_identity(args) -> dict:
+    if args.K is not None and args.K != int(args.K):
+        raise ContractError(f"--K must be an integer for the l-identity check, got {args.K!r}")
     rep = checks.l_identity(args.seed, args.count, _parse_psi(args.psi) or checks.CONSTANT_PSI,
                             K=int(args.K) if args.K else None)
     return {"detail": f"{rep.checked} path/generation/K combinations, max dev <= 1e-9"}

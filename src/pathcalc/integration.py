@@ -53,7 +53,7 @@ class StepIntegrand:
     The last value is held up to the horizon; ``value_at_zero`` is the value
     at t = 0 itself, which never enters integrals.  A contiguous float64 array
     passed in is taken, not copied, and becomes read-only; a 1-d ``values`` is
-    taken as a read-only view, which leaves the caller's array writable.
+    taken as a column view, and the caller's array becomes read-only too.
     """
 
     times: np.ndarray
@@ -62,10 +62,8 @@ class StepIntegrand:
 
     def __post_init__(self):
         times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-        values = np.ascontiguousarray(values)
+        given = np.asarray(self.values, dtype=np.float64)
+        values = np.ascontiguousarray(given[:, None] if given.ndim == 1 else given)
         if times.ndim != 1 or times.shape[0] == 0 or times[0] != 0.0:
             raise ContractError("integrand times must start at 0")
         if not _strictly_increasing(times):
@@ -82,6 +80,8 @@ class StepIntegrand:
             z.flags.writeable = False
         times.flags.writeable = False
         values.flags.writeable = False
+        if np.may_share_memory(given, values):  # a 1-d input, taken as a column view
+            given.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "value_at_zero", z)

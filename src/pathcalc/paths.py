@@ -152,7 +152,7 @@ class Path:
     ``times`` and ``values`` are read-only arrays, so anything computed from
     them stays valid for the life of the path.  A contiguous float64 array
     passed in is taken, not copied, and becomes read-only; a 1-d ``values``
-    is taken as a read-only view, which leaves the caller's array writable.
+    is taken as a column view, and the caller's array becomes read-only too.
     The private ``_scans`` memo keeps what was scanned from them, and
     :meth:`_memo` is the only way in: the crossing counters of
     :mod:`pathcalc.partitions` store one scan per spacing under ``float(h)``,
@@ -174,10 +174,8 @@ class Path:
 
     def __post_init__(self):
         times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-        values = np.ascontiguousarray(values)
+        given = np.asarray(self.values, dtype=np.float64)
+        values = np.ascontiguousarray(given[:, None] if given.ndim == 1 else given)
         if times.ndim != 1 or values.ndim != 2 or values.shape[0] != times.shape[0]:
             raise ContractError("times must be (m,), values (m, d) with matching length")
         if times.shape[0] == 0:
@@ -195,6 +193,8 @@ class Path:
             raise ContractError(f"unknown mode {self.mode!r}")
         times.flags.writeable = False
         values.flags.writeable = False
+        if np.may_share_memory(given, values):  # a 1-d input, taken as a column view
+            given.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "horizon", horizon)

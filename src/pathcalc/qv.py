@@ -158,6 +158,7 @@ class _ZData(NamedTuple):
     fine_times: np.ndarray     # the generation-n partition times
     fine_pos: np.ndarray       # their grid positions
     h: np.ndarray | None       # the compensated-Z position at each fine point
+    t_acc: float               # first fine time whose compensator passes n^4 2^{-2n}
 
 
 def _z_data(path: Path, n: int, extra_times=()) -> _ZData:
@@ -170,7 +171,9 @@ def _z_data(path: Path, n: int, extra_times=()) -> _ZData:
     are the fine ones at the points it keeps.  At a fine point the
     compensated-Z strategy holds ``h = -4 Z (S - S at chi)``, where its
     coarse projection chi is the last coarse point at or before it; h is
-    ``None`` at n = 1.  Every array is read-only.
+    ``None`` at n = 1.  ``t_acc``, the half of σ that does not depend on K,
+    is the first fine partition time after 0 whose compensator passes
+    ``n^4 2^{-2n}`` (``inf`` if none does).  Every array is read-only.
 
     On a step path the grid is the event table whatever ``extra_times``
     holds, so the data depend on n alone: they are computed once and kept in
@@ -194,7 +197,10 @@ def _z_data(path: Path, n: int, extra_times=()) -> _ZData:
             # both generations start at grid position 0, so every fine point has a chi
             chi_pos = coarse_pos[np.searchsorted(coarse_pos, pos, side="right") - 1]
             h = -4.0 * z[pos] * (vals[pos, 0] - vals[chi_pos, 0])
-        data = _ZData(grid, z, K.qv_on_grid(z[:, None], pos)[0], pn.times, pos, h)
+        comp = K.qv_on_grid(z[:, None], pos)[0]
+        hit = np.flatnonzero(comp[pos[1:]] > float(n) ** 4 * 2.0 ** (-2 * n))
+        t_acc = float(pn.times[hit[0] + 1]) if hit.size else SENTINEL
+        data = _ZData(grid, z, comp, pn.times, pos, h, t_acc)
         for arr in data:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -241,19 +247,13 @@ def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float
     return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(comp[it])
 
 
-def _sigma_from_z(zd: _ZData, n: int, K_bound: int) -> float:
+def _sigma_from_z(zd: _ZData, K_bound: int) -> float:
     """:func:`sigma_n_K` from generation n's :func:`_z_data`."""
     if K_bound < 1:
         raise ContractError("K must be a positive integer")
-    times, pos = zd.fine_times, zd.fine_pos
-    if len(times) < 2:
-        return SENTINEL
-    threshold = float(n) ** 4 * 2.0 ** (-2 * n)
-    hit_acc = np.flatnonzero(zd.comp[pos[1:]] > threshold)
-    hit_z = np.flatnonzero(zd.z[pos[1:]] > K_bound)
-    t_acc = times[hit_acc[0] + 1] if hit_acc.size else SENTINEL
-    t_z = times[hit_z[0] + 1] if hit_z.size else SENTINEL
-    return float(min(t_acc, t_z))
+    hit_z = np.flatnonzero(zd.z[zd.fine_pos[1:]] > K_bound)
+    t_z = zd.fine_times[hit_z[0] + 1] if hit_z.size else SENTINEL
+    return float(min(zd.t_acc, t_z))
 
 
 def sigma_n_K(path: Path, n: int, K_bound: int) -> float:
@@ -263,7 +263,7 @@ def sigma_n_K(path: Path, n: int, K_bound: int) -> float:
     accumulated squared Z-increments above ``n^4 2^{-2n}`` and the first one
     with ``Z^n > K``; ``inf`` if neither occurs.
     """
-    return _sigma_from_z(_z_data(path, n), n, K_bound)
+    return _sigma_from_z(_z_data(path, n), K_bound)
 
 
 # ---------------------------------------------------------------------------

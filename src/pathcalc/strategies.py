@@ -49,7 +49,7 @@ class RealizedStrategy:
     The times must start at 0 and increase strictly, so a NaN time is
     rejected; the last one may be ``inf``.  A contiguous float64 array passed
     in is taken, not copied, and becomes read-only; a 1-d ``positions`` is
-    taken as a read-only view, which leaves the caller's array writable.
+    taken as a column view, and the caller's array becomes read-only too.
     """
 
     times: np.ndarray     # (N+1,), strictly increasing, times[0] = 0, last may be inf
@@ -57,10 +57,8 @@ class RealizedStrategy:
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=np.float64)
-        pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.ndim == 1:
-            pos = pos[:, None]
-        pos = np.ascontiguousarray(pos)
+        given = np.asarray(self.positions, dtype=np.float64)
+        pos = np.ascontiguousarray(given[:, None] if given.ndim == 1 else given)
         if times.ndim != 1 or times.shape[0] == 0 or times[0] != 0.0:
             raise ContractError("strategy times must start at 0")
         if not _strictly_increasing(times):
@@ -71,6 +69,8 @@ class RealizedStrategy:
             raise ContractError("positions must be finite")
         times.flags.writeable = False
         pos.flags.writeable = False
+        if np.may_share_memory(given, pos):  # a 1-d input, taken as a column view
+            given.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "positions", pos)
 
@@ -504,7 +504,7 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     # a finite sigma is a fine partition time, so the grid already holds it
     zd = _z_data(path, n, [gamma] if math.isfinite(gamma) else [])
     grid = zd.grid
-    sigma = _sigma_from_z(zd, n, K_bound)
+    sigma = _sigma_from_z(zd, K_bound)
     cut = min(gamma, sigma)
 
     # realized positions h on (tau_k, tau_{k+1} ^ cut], k below n_live

@@ -138,6 +138,14 @@ class TestVerifyCommand:
                      "--seed", "3", "--output-dir", str(tmp_path / "v")])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("K", ["2.7", "0.5"])
+    def test_l_identity_needs_an_integer_K(self, tmp_path, capsys, K):
+        # K is not truncated: 2.7 is not checked as K = 2
+        code = main(["verify", "--check", "l-identity", "--count", "2", "--K", K,
+                     "--output-dir", str(tmp_path / "v")])
+        assert code == EXIT_CONFIG
+        assert "--K must be an integer" in capsys.readouterr().err
+
     def test_hoeffding_small(self, tmp_path):
         code = main(["verify", "--check", "hoeffding", "--count", "20",
                      "--seed", "3", "--output-dir", str(tmp_path / "v")])

@@ -235,9 +235,9 @@ SIZE_FLAGS = {
     "doob": (["verify", "--check", "doob", "--count", "2"], "--K",
              lambda K: {cli.EXIT_CONFIG} if 2.0 * K * 2.0 ** 3 > MAX_CROSSING_INTERVALS
              else {cli.EXIT_OK, cli.EXIT_CONFIG}),
-    # the check runs at the integer part of K, and K = 0 is no bound
+    # the check needs an integer K
     "l-identity": (["verify", "--check", "l-identity", "--count", "2"], "--K",
-                   lambda K: {cli.EXIT_CONFIG} if K < 1 else {cli.EXIT_OK}),
+                   lambda K: {cli.EXIT_OK} if K == int(K) else {cli.EXIT_CONFIG}),
 }
 
 

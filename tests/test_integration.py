@@ -59,6 +59,13 @@ class TestIntegrateStep:
         with pytest.raises(ContractError, match="strictly increasing"):
             StepIntegrand(times=times, values=np.ones(len(times)))
 
+    def test_a_1d_values_array_is_frozen_with_the_integrand(self):
+        values = np.array([1.0, 2.0])
+        F = StepIntegrand(times=[0.0, 1.0], values=values)
+        with pytest.raises(ValueError):
+            values[1] = 5.0
+        assert F.values[1, 0] == 2.0
+
     def test_value_at_zero_of_another_dimension_rejected(self):
         with pytest.raises(ContractError, match="value_at_zero"):
             StepIntegrand(times=[0.0], values=[[1.0, 2.0]], value_at_zero=[1.0])

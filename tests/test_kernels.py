@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from pathcalc import _kernels as K
 from pathcalc.errors import ContractError
 from pathcalc.paths import PsiSpec
+from pathcalc.simulate import SimSpec, simulate
 
 import reference_kernels as R
 
@@ -563,8 +564,8 @@ class TestPsi:
     @given(psi_specs(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([1, 2, 7, K._CLIP_BLOCK]))
     def test_clip_jumps(self, psi, dim, seed, block):
-        # events are converted in blocks; small blocks put many clips on
-        # block boundaries
+        # a window holds at most _CLIP_BLOCK rows; small windows put many
+        # clips and episodes on window boundaries
         rng = np.random.default_rng(seed)
         vals = np.cumsum(rng.normal(0, 0.5, (int(rng.integers(1, 60)), dim)), axis=0)
         with pytest.MonkeyPatch.context() as mp:
@@ -574,10 +575,128 @@ class TestPsi:
         assert a.tobytes() == b.tobytes()
 
     def test_clip_jumps_keeps_a_jump_exactly_at_the_bound(self):
-        # 1.0 - 0.1 == 0.9 in float64: the jump is allowed and stays as it is
+        # 1.0 - 0.1 == 0.9 in float64: the jump is allowed and stays as it is,
+        # both where the rows are scanned and inside an episode, after a clip
         values = np.array([[1.0], [0.1]])
         K.clip_jumps(values, PsiSpec("constant", (0.9,)))
         assert values[1, 0] == 0.1
+        values = np.array([[0.0], [-1.0], [1.0], [0.1]])
+        K.clip_jumps(values, PsiSpec("constant", (0.9,)))
+        assert values[1:, 0].tolist() == [-0.9, 1.0, 0.1]
+
+
+def _calm_path(m, dim=1, seed=0):
+    """A path near 1 whose steps (sd 1e-3) no bound below clips."""
+    return 1.0 + np.cumsum(np.random.default_rng(seed).normal(0, 1e-3, (m, dim)), axis=0)
+
+
+def _fall(values, rows, size=0.2):
+    """``values`` with the first coordinate falling by ``size`` at each of ``rows``.
+
+    Against a bound of 0.05 each fall is clipped over four rows or more.
+    """
+    for r in rows:
+        values[r:, 0] -= size
+    return values
+
+
+def _assert_clips_as_the_reference(values, psi):
+    a = K.clip_jumps(values.copy(), psi)
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference squares 1e200
+        b = R.clip_jumps_py(values.copy(), *R.psi_args(psi))  # and takes inf - inf
+    assert a.tobytes() == b.tobytes()
+    return a
+
+
+@pytest.fixture
+def episodes(monkeypatch):
+    """The ``(first row, end row)`` of each clipping episode that ``clip_jumps`` runs,
+    and each ``psi`` argument the episodes reach (filled as it runs)."""
+    spans, calls = [], []
+    clip_rows = K._clip_rows
+
+    def spy(values, start, stop, runsup, bound, psi, last):
+        if not spans or spans[-1][1] != start:
+            spans.append([start, start])
+        out = clip_rows(values, start, stop, runsup, bound,
+                        lambda x: calls.append(x) or psi(x), last)
+        spans[-1][1] = out[0]
+        return out
+
+    monkeypatch.setattr(K, "_clip_rows", spy)
+    return spans, calls
+
+
+class TestClipJumpsScan:
+    """The windowed scan against the loop, where windows and episodes meet."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_episode_across_a_window_boundary(self, episodes, dim):
+        # the first window ends at row _CLIP_BLOCK; the episode from row
+        # _CLIP_BLOCK - 6 runs on past it
+        edge = K._CLIP_BLOCK + 1
+        values = _fall(_calm_path(2 ** 13, dim), [edge - 7, edge + 3])
+        _assert_clips_as_the_reference(values, PsiSpec("constant", (0.05,)))
+        assert any(a < edge < b for a, b in episodes[0])
+
+    def test_an_episode_longer_than_the_calm_run(self, episodes):
+        values = _fall(_calm_path(2 ** 12), range(1000, 1400, K._CLIP_CALM // 2))
+        _assert_clips_as_the_reference(values, PsiSpec("affine", (0.05, 0.01)))
+        assert max(b - a for a, b in episodes[0]) > 400
+
+    def test_the_running_sup_grows_inside_an_episode(self, episodes):
+        values = _calm_path(2 ** 12, 2)
+        for r in range(2000, 2200, 10):  # a rise, then a fall that is clipped
+            values[r:] += 0.3
+            values[r + 5:, 0] -= 0.2
+        _assert_clips_as_the_reference(values, PsiSpec("affine", (0.05, 0.01)))
+        spans, calls = episodes
+        assert spans and len(calls) > 10
+
+    def test_a_row_whose_squares_overflow(self, episodes, monkeypatch):
+        # rows near 1e200 from row 1000 on, rising, with small falls that clip
+        values = _calm_path(2 ** 12, 2)
+        values[1000:] = 1e200 * (1.0 + np.cumsum(np.full((2 ** 12 - 1000, 2), 1e-12), axis=0))
+        values[3000::50, 1] *= 1.0 - 1e-11
+        # the reference's supremum is inf and ours hypot's; beyond 4 this bound is flat
+        table = PsiSpec("table", (0.0, 0.01, 4.0, 0.05))
+        clipped = _assert_clips_as_the_reference(values, table)
+        assert episodes[0] and episodes[0][0][0] >= 3000
+        assert clipped[3000, 1] == clipped[2999, 1]
+        # with a bound that reads the supremum, the scan still takes the loop's bits
+        affine = PsiSpec("affine", (0.05, 1e-201))
+        scanned = K.clip_jumps(values.copy(), affine)
+        monkeypatch.setattr(K, "_clean_prefix",  # no window: the loop takes every row
+                            lambda values, start, stop, runsup, bound, psi: (start, runsup, bound))
+        assert scanned.tobytes() == K.clip_jumps(values.copy(), affine).tobytes()
+
+    @pytest.mark.parametrize("dim, psi", [
+        (1, PsiSpec("constant", (0.05,))), (1, PsiSpec("affine", (0.05, 0.05))),
+        (2, PsiSpec("affine", (0.05, 0.05)))])
+    def test_the_benchmark_jump_paths(self, dim, psi):
+        # qv-step-long's jump specs at 2^13 steps, drawn without psi, then clipped
+        spec = SimSpec(kind="jump-diffusion", steps=2 ** 13, seed=1, mode="step", dim=dim,
+                       volatility=1.0, jump_intensity=50.0, jump_mean=-0.02, jump_std=0.1)
+        values = simulate(spec, stream=2).values
+        clipped = _assert_clips_as_the_reference(values, psi)
+        assert np.count_nonzero(clipped != values) > 0
+
+    def test_psi_is_called_only_where_the_loop_calls_it(self):
+        # the fall to -1e308 is clipped before its norm, whose psi overflows,
+        # can become a record; the rise to 1e308 is not, and both raise there
+        psi = PsiSpec("affine", (0.1, 2.0))
+        values = np.array([[0.0], [1.0], [-1e308], [1.0], [2.0]])
+        _assert_clips_as_the_reference(values, psi)
+        with pytest.raises(ContractError, match="beyond float64"):
+            K.clip_jumps(np.array([[0.0], [1.0], [1e308], [1.0]]), psi)
+
+    def test_values_that_are_not_finite(self):
+        # the windows that hold them go to the loop, without a warning
+        values = _fall(_calm_path(300, 2), [100])
+        values[150, 0] = np.inf
+        values[200, 1] = np.nan
+        values[250:, :] = -np.inf
+        _assert_clips_as_the_reference(values, PsiSpec("constant", (0.05,)))
 
 
 def test_traced_kernel_names_resolve():

@@ -202,6 +202,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             p1.values[0, 0] = 5.0
 
+    @pytest.mark.parametrize("values", [np.array([0.0, 2.0]), np.array([[0.0], [2.0]])])
+    def test_the_callers_array_is_frozen_with_the_path(self, values):
+        p = Path(np.array([0.0, 1.0]), values)
+        with pytest.raises(ValueError):
+            values[1] = 5.0
+        assert p.values[1, 0] == 2.0
+
+    def test_a_copied_input_stays_writable(self):
+        values = np.array([[0.0, 9.0], [2.0, 9.0]])[:, 0]  # strided: the path takes a copy
+        p = Path(np.array([0.0, 1.0]), values)
+        values[1] = 5.0
+        assert p.values[1, 0] == 2.0
+
 
 @given(case=ladder_paths(), data=st.data())
 def test_paths_and_partitions_compare_by_value(case, data):

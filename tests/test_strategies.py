@@ -88,6 +88,13 @@ class TestCapital:
         with pytest.raises(ContractError, match="strictly increasing"):
             RealizedStrategy(times=times, positions=[1.0, 2.0])
 
+    def test_a_1d_positions_array_is_frozen_with_the_strategy(self):
+        positions = np.array([1.0, 2.0])
+        realized = RealizedStrategy(times=[0.0, 0.5, 1.0], positions=positions)
+        with pytest.raises(ValueError):
+            positions[1] = 5.0
+        assert realized.positions[1, 0] == 2.0
+
     @settings(max_examples=100)
     @given(ladder_paths(), st.data())
     def test_reads_the_capital_curve(self, case, data):
