@@ -322,13 +322,30 @@ def check_membership(path: Path, spec: SampleSpaceSpec) -> MembershipReport:
 _TABLE_BLOCK = 4096  # rows formatted at once: a long table never holds all its strings
 
 
+def _float_cells(a):
+    """``repr`` of each value of the 1-d float64 ``a``.
+
+    orjson writes the shortest round-trip digits, as ``repr`` does, and spells them as
+    ``repr`` does for magnitudes in ``[1e-4, 1e16)`` and at zero; at every other value
+    (non-finite ones too) the cell is ``repr`` itself."""
+    import orjson  # here, not at module top: only a table writer loads it
+
+    a = np.ascontiguousarray(a)
+    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    for k in np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (a == 0))).tolist():
+        cells[k] = repr(float(a[k]))
+    return cells
+
+
 def _block_cells(col, lo):
     """``str`` of rows ``lo:lo + _TABLE_BLOCK`` of a column; ``(indices, scale)`` holds
     ``indices * scale``, formatted once per distinct int64 index of the block."""
     if isinstance(col, tuple):
         u, inv = np.unique(col[0][lo:lo + _TABLE_BLOCK], return_inverse=True)
-        return np.array(list(map(str, (u * col[1]).tolist())), dtype=object)[inv].tolist()
-    return list(map(str, col[lo:lo + _TABLE_BLOCK].tolist()))
+        return np.array(_float_cells(u * col[1]), dtype=object)[inv].tolist()
+    block = col[lo:lo + _TABLE_BLOCK]
+    return _float_cells(block) if block.dtype == np.float64 else list(map(str, block.tolist()))
 
 
 def _write_table(fh, header, columns, *lockstep):
@@ -410,7 +427,7 @@ def read_path_csv(csv_file) -> Path:
         if len(row) != width:
             raise ContractError(f"{csv_file}:{line}: {len(row)} cells, the header has {width}")
     try:
-        data = np.array([[float(x) for x in row] for row in rows[1:]], dtype=np.float64)
+        data = np.array(rows[1:], dtype=np.float64)
     except ValueError as exc:
         raise ContractError(f"{csv_file}: {exc}") from exc
     if data.size == 0:

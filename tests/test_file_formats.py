@@ -20,20 +20,51 @@ from pathcalc import checks, cli
 from pathcalc.cli import EXIT_OK, main
 from pathcalc.errors import ContractError
 from pathcalc.partitions import LebesguePartition, write_partition_csv
-from pathcalc.paths import (_TABLE_BLOCK, Path, _write_json, _write_table, read_path_csv,
-                            write_path_csv)
+from pathcalc.paths import (_TABLE_BLOCK, Path, _float_cells, _write_json, _write_table,
+                            read_path_csv, write_path_csv)
 from pathcalc.qv import QVReport, _pairs, write_qv_report
 
 from reference_loops import (write_continuity_csv_py, write_integral_csv_py,
                              write_partition_csv_py, write_path_csv_py, write_qv_csv_py)
 
-EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 0.0001, 9999999999999998.0,
-               1e16, 1.2345678901234567e16, -1.7976931348623157e308]
+# zero, subnormals, both ends of the magnitudes [1e-4, 1e16) where orjson spells a float as
+# ``repr`` does, values just outside them, and the largest double
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, float(np.nextafter(1e-4, 0)),
+               1.5e-06, -2.5e-05, 0.0001, 9999999999999998.0, 1e16, 1.2345678901234567e16,
+               -1.7976931348623157e308]
 
 cells = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12)
 # short tables, and tables on both sides of one formatting block
 rows = st.one_of(st.integers(1, 20),
                  st.sampled_from([_TABLE_BLOCK - 1, _TABLE_BLOCK, _TABLE_BLOCK + 1]))
+
+
+@given(x=st.floats())
+@example(x=1e-4)
+@example(x=float(np.nextafter(1e-4, 0)))
+@example(x=1e-5)
+@example(x=1.5e-6)
+@example(x=1e-7)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=9999999999999998.0)
+@example(x=1e16)
+@example(x=-1e16)
+@example(x=1.7976931348623157e308)
+@example(x=float("nan"))
+@example(x=float("inf"))
+@example(x=float("-inf"))
+def test_float_cells_are_repr(x):
+    """Each cell is ``repr`` of its value, on both sides of every spelling boundary."""
+    assert _float_cells(np.array([x, 1.0, x])) == [repr(x), "1.0", repr(x)]
+
+
+def test_float_cells_of_random_bit_patterns():
+    """2^18 random float64 bit patterns, a table block at a time, are each ``repr``."""
+    rng = np.random.default_rng(24)
+    for _ in range(2 ** 18 // _TABLE_BLOCK):
+        block = rng.integers(0, 2 ** 64, _TABLE_BLOCK, dtype=np.uint64).view(np.float64)
+        assert _float_cells(block) == list(map(repr, block.tolist()))
 
 
 def _times(m, scale, fracs):
