@@ -57,7 +57,9 @@ Each vectorized kernel returns exactly the bits of the per-event loop it
 replaced; the test suite keeps those loops as its reference.  The bound at
 each event of ``clip_jumps`` depends on the already-clipped prefix, but up
 to the first clip that prefix is the input: the rows between clipping
-episodes are scanned as arrays, and only an episode runs the loop.
+episodes are scanned as arrays, and only an episode runs the loop.  Every
+l2 norm of a row in pathcalc is :func:`row_norms`, whose one sum the loop's
+bounds read too.
 """
 
 from __future__ import annotations
@@ -573,26 +575,20 @@ def _clean_prefix(values, start, stop, runsup, bound, psi):
 
     Returns ``(first, runsup, bound)``, the running supremum and bound
     before row ``first``, or ``stop`` when no row is over.  The norms are
-    :func:`_norm`'s: squares added left to right, ``sqrt``, and ``hypot``
-    for a sum that overflows.  The rows are checked one stretch of constant
-    bound at a time, and ``psi`` is called on a new record of the supremum
-    only once every row before it has passed, as the loop calls it.  A
-    window with a value that is not finite returns ``start``: the loop
-    takes it.
+    :func:`row_norms`, which the loop's :func:`_norm` equals.  The rows are
+    checked one stretch of constant bound at a time, and ``psi`` is called
+    on a new record of the supremum only once every row before it has
+    passed, as the loop calls it.  A window with a norm that is not finite
+    returns ``start``: the loop takes it.
     """
     rows = values[start - 1:stop]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = rows[:, 0] * rows[:, 0]
+    norms = row_norms(rows)
+    if not norms.max() < math.inf:
+        return start, runsup, bound
+    with np.errstate(over="ignore"):
         drop = rows[:-1, 0] - rows[1:, 0]  # the largest fall of each row
         for i in range(1, rows.shape[1]):
-            sq += rows[:, i] * rows[:, i]
             np.maximum(drop, rows[:-1, i] - rows[1:, i], out=drop)
-        norms = np.sqrt(sq)
-        if not norms.max() < math.inf:
-            for k in np.flatnonzero(sq == math.inf).tolist():
-                norms[k] = math.hypot(*rows[k].tolist())
-            if not norms.max() < math.inf:
-                return start, runsup, bound
     norms[0] = runsup
     run = np.maximum.accumulate(norms)  # run[k]: the supremum before row start + k
     records = np.flatnonzero(run[1:] > run[:-1]) + 1  # rows whose bound is new
@@ -639,12 +635,26 @@ def _clip_rows(values, start, stop, runsup, bound, psi, last):
     return stop, runsup, bound, last
 
 
-def _norm(row):
-    """l2 norm of a row: ``sqrt`` of ``v * v`` added left to right from ``0.0``.
+def row_norms(values):
+    """l2 norm of each row of the 2-d ``values``: ``sqrt`` of ``v * v`` added left to right.
 
-    When that sum overflows, the norm of finite values is still finite, so
-    it is taken by the scaled ``math.hypot`` instead.
+    The squares are added a column at a time, so each row's sum rounds as
+    :func:`_norm`'s loop along the row does (NumPy's pairwise row sum rounds
+    otherwise from 8 columns on).  A row whose sum overflows takes the scaled
+    ``math.hypot``.
     """
+    with np.errstate(over="ignore"):
+        sq = values[:, 0] * values[:, 0]
+        for i in range(1, values.shape[1]):
+            sq += values[:, i] * values[:, i]
+    norms = np.sqrt(sq)
+    for k in np.flatnonzero(sq == math.inf).tolist():
+        norms[k] = math.hypot(*values[k].tolist())
+    return norms
+
+
+def _norm(row):
+    """:func:`row_norms` of one row of Python floats, for the clipping loop."""
     sq = 0.0
     for v in row:
         sq += v * v

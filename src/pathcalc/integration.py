@@ -23,9 +23,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
 from .partitions import LebesguePartition, lebesgue_partition_nd, partition_ladder
-from .paths import Path, PsiSpec, _row_norms, _strictly_increasing
+from .paths import Path, PsiSpec, _held_table
 from .qv import _qv_at
 from .strategies import CapitalCurve, RealizedStrategy, bdg_weights, capital, capital_curve
 
@@ -50,10 +51,9 @@ ARBITRAGE_NOTE = ("non-convergence of the approximating integrals is reported da
 class StepIntegrand:
     """Piecewise-constant integrand: ``values[i]`` held on ``(times[i], times[i+1]]``.
 
-    The last value is held up to the horizon; ``value_at_zero`` is the value
-    at t = 0 itself, which never enters integrals.  A contiguous float64 array
-    passed in is taken, not copied, and becomes read-only; a 1-d ``values`` is
-    taken as a column view, and the caller's array becomes read-only too.
+    The table is :func:`pathcalc.paths._held_table`'s, and the last value is
+    held up to the horizon; ``value_at_zero``, finite and one value per
+    coordinate, is the value at t = 0 itself, which never enters integrals.
     """
 
     times: np.ndarray
@@ -61,27 +61,17 @@ class StepIntegrand:
     value_at_zero: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
-        given = np.asarray(self.values, dtype=np.float64)
-        values = np.ascontiguousarray(given[:, None] if given.ndim == 1 else given)
-        if times.ndim != 1 or times.shape[0] == 0 or times[0] != 0.0:
-            raise ContractError("integrand times must start at 0")
-        if not _strictly_increasing(times):
-            raise ContractError("integrand times must be strictly increasing")
-        if values.shape[0] != times.shape[0]:
-            raise ContractError("one value per jump time required")
-        if not np.all(np.isfinite(values)):
-            raise ContractError("integrand values must be finite")
         z = self.value_at_zero
         if z is not None:
             z = np.ascontiguousarray(np.asarray(z, dtype=np.float64).reshape(-1))
-            if z.shape[0] != values.shape[1]:
-                raise ContractError("value_at_zero needs one value per coordinate")
+
+        def z_fits(_, values):
+            if z is not None and not (z.shape[0] == values.shape[1] and np.isfinite(z).all()):
+                raise ContractError("value_at_zero needs one finite value per coordinate")
+
+        times, values = _held_table(self.times, self.values, 0, "integrand", z_fits)
+        if z is not None:
             z.flags.writeable = False
-        times.flags.writeable = False
-        values.flags.writeable = False
-        if np.may_share_memory(given, values):  # a 1-d input, taken as a column view
-            given.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "value_at_zero", z)
@@ -96,11 +86,11 @@ class StepIntegrand:
         return self.values[idx]
 
     def sup_norm(self) -> float:
-        """Largest l2 norm of a value, ``value_at_zero`` included; finite for finite values."""
+        """Largest l2 norm of a value, ``value_at_zero`` included."""
         rows = self.values
         if self.value_at_zero is not None:
             rows = np.vstack([rows, self.value_at_zero])
-        return float(np.max(_row_norms(rows)))
+        return float(np.max(K.row_norms(rows)))
 
     def as_strategy(self) -> RealizedStrategy:
         return RealizedStrategy(times=np.append(self.times, np.inf), positions=self.values)
@@ -168,7 +158,6 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
     generation's union (on the curve's grid by nesting), supply the Cauchy
     diagnostic, so generations with the same cells have the same terminal.
     """
-    from . import _kernels as K
     parts, _, _ = partition_ladder(path, n_max)
     grid = np.unique(np.concatenate([_union_grid(path, F, parts[-1].times), path.times]))
     x = integral_curve(F, path).values_at(grid)
@@ -411,6 +400,8 @@ def _frequency_test(hits: int, count: int, bound: float) -> tuple[float, float, 
     """``hits / count``, its binomial standard error and whether it is <= bound + 3 se."""
     if count == 0:
         raise ContractError("empty ensemble")
+    if math.isnan(bound):  # such as inf * 0 of the parameters
+        raise ContractError("the frequency bound of these parameters is NaN")
     freq = hits / count
     p0 = min(bound, 1.0)
     se = math.sqrt(max(p0 * (1 - p0), freq * (1 - freq)) / count)

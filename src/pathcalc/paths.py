@@ -27,6 +27,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
+from . import _kernels as K
 from .errors import ContractError
 
 MODE_STEP = "step"
@@ -131,29 +132,49 @@ def _value_eq(a, b):
                for f in fields(a) if f.compare)
 
 
-def _row_norms(values: np.ndarray) -> np.ndarray:
-    """l2 norm of each row of the finite ``values``.
+def _held_table(times, values, gaps: int, what: str, check=None):
+    """The checked, read-only ``(times, values)`` of a table of values held between times.
 
-    A row whose sum of squares overflows takes the scaled ``math.hypot``,
-    as :func:`pathcalc._kernels.clip_jumps` does; every other row keeps the
-    bits of ``np.linalg.norm``.
+    ``times`` is 1-d, starts at 0 and increases strictly (a NaN never does);
+    ``values`` is 2-d with at least one column, a 1-d array taken as a column
+    view, and has a row per time, or per gap between times with ``gaps=1``.
+    Both are finite, except that the end of the last gap may be ``inf``.
+    ``check(times, values)`` adds the caller's own rules.  Only once every
+    check has passed is anything frozen: a contiguous float64 array passed
+    in is taken, not copied, and becomes read-only, and so does the caller's
+    array behind a column view.  ``what`` names the table in errors.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(values, axis=1)
-    for k in np.flatnonzero(np.isinf(norms)):
-        norms[k] = math.hypot(*values[k].tolist())
-    return norms
+    times = np.asarray(times, dtype=np.float64)
+    given = np.asarray(values, dtype=np.float64)
+    values = given[:, None] if given.ndim == 1 else given
+    if times.ndim != 1 or times.shape[0] == 0 or times[0] != 0.0:
+        raise ContractError(f"{what} times must be a 1-d array starting at 0")
+    if not _strictly_increasing(times):
+        raise ContractError(f"{what} times must be strictly increasing")
+    rows = times.shape[0] - gaps
+    if values.ndim != 2 or values.shape[1] == 0 or values.shape[0] != rows:
+        raise ContractError(f"{what} values must be 2-d with {rows} rows and at least one "
+                            f"column, got shape {values.shape}")
+    if not (np.isfinite(times[:rows]).all() and np.isfinite(values).all()):
+        raise ContractError(f"{what} times and values must be finite")
+    if check is not None:
+        check(times, values)
+    times, values = np.ascontiguousarray(times), np.ascontiguousarray(values)
+    times.flags.writeable = False
+    values.flags.writeable = False
+    if np.may_share_memory(given, values):  # a 1-d input, taken as a column view
+        given.flags.writeable = False
+    return times, values
 
 
 @dataclass(frozen=True, eq=False)
 class Path:
     """Finite-event trajectory in d dimensions.
 
-    ``times`` and ``values`` are read-only arrays, so anything computed from
-    them stays valid for the life of the path.  A contiguous float64 array
-    passed in is taken, not copied, and becomes read-only; a 1-d ``values``
-    is taken as a column view, and the caller's array becomes read-only too.
-    The private ``_scans`` memo keeps what was scanned from them, and
+    ``times`` and ``values`` are the read-only event table of
+    :func:`_held_table`, so anything computed from them stays valid for the
+    life of the path; ``horizon`` is at least the last event time.  The
+    private ``_scans`` memo keeps what was scanned from them, and
     :meth:`_memo` is the only way in: the crossing counters of
     :mod:`pathcalc.partitions` store one scan per spacing under ``float(h)``,
     :func:`pathcalc.strategies.gamma_K` its stopping time per level under
@@ -173,31 +194,18 @@ class Path:
     __hash__ = None
 
     def __post_init__(self):
-        times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
-        given = np.asarray(self.values, dtype=np.float64)
-        values = np.ascontiguousarray(given[:, None] if given.ndim == 1 else given)
-        if times.ndim != 1 or values.ndim != 2 or values.shape[0] != times.shape[0]:
-            raise ContractError("times must be (m,), values (m, d) with matching length")
-        if times.shape[0] == 0:
-            raise ContractError("a path needs at least one event")
-        if times[0] != 0.0:
-            raise ContractError("first event time must be 0")
-        if not _strictly_increasing(times):
-            raise ContractError("event times must be strictly increasing")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
-            raise ContractError("times and values must be finite")
-        horizon = float(self.horizon) if self.horizon is not None else float(times[-1])
-        if horizon <= 0 or horizon < times[-1]:
-            raise ContractError("horizon must be positive and >= the last event time")
         if self.mode not in (MODE_STEP, MODE_LINEAR):
             raise ContractError(f"unknown mode {self.mode!r}")
-        times.flags.writeable = False
-        values.flags.writeable = False
-        if np.may_share_memory(given, values):  # a 1-d input, taken as a column view
-            given.flags.writeable = False
+
+        def take_horizon(times, _):
+            horizon = float(self.horizon) if self.horizon is not None else float(times[-1])
+            if not 0 < horizon < math.inf or horizon < times[-1]:
+                raise ContractError("horizon must be finite, positive and >= the last event time")
+            object.__setattr__(self, "horizon", horizon)
+
+        times, values = _held_table(self.times, self.values, 0, "path", take_horizon)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "horizon", horizon)
 
     def _memo(self, key, build):
         """The memo entry under ``key``, stored from ``build()`` on first use."""
@@ -248,7 +256,7 @@ class Path:
         Exact in both modes: on a linear segment the norm is convex, so the
         maximum sits at an endpoint.
         """
-        return float(np.max(_row_norms(self.values)))
+        return float(np.max(K.row_norms(self.values)))
 
     def coordinate(self, i: int) -> "Path":
         """1-d path of coordinate i (1-based)."""
@@ -267,7 +275,7 @@ class Path:
 
     def running_sup_before(self) -> np.ndarray:
         """``sup_{s in [0, t_k)} |x(s)|`` for every event index k >= 1."""
-        return np.maximum.accumulate(_row_norms(self.values))[:-1]
+        return np.maximum.accumulate(K.row_norms(self.values))[:-1]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
 from .partitions import MAX_CROSSING_INTERVALS, SENTINEL
-from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _row_norms, _strictly_increasing
+from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _held_table, _strictly_increasing
 from .qv import _sigma_from_z, _z_data, k_constant
 
 __all__ = [
@@ -46,33 +46,17 @@ __all__ = [
 class RealizedStrategy:
     """Decision times and the positions held on the half-open gaps between them.
 
-    The times must start at 0 and increase strictly, so a NaN time is
-    rejected; the last one may be ``inf``.  A contiguous float64 array passed
-    in is taken, not copied, and becomes read-only; a 1-d ``positions`` is
-    taken as a column view, and the caller's array becomes read-only too.
+    The table is :func:`pathcalc.paths._held_table`'s with one row per gap,
+    so the last time may be ``inf``.
     """
 
     times: np.ndarray     # (N+1,), strictly increasing, times[0] = 0, last may be inf
     positions: np.ndarray  # (N, d)
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=np.float64)
-        given = np.asarray(self.positions, dtype=np.float64)
-        pos = np.ascontiguousarray(given[:, None] if given.ndim == 1 else given)
-        if times.ndim != 1 or times.shape[0] == 0 or times[0] != 0.0:
-            raise ContractError("strategy times must start at 0")
-        if not _strictly_increasing(times):
-            raise ContractError("strategy times must be strictly increasing")
-        if pos.shape[0] != times.shape[0] - 1:
-            raise ContractError("need one position per gap between decision times")
-        if not np.isfinite(pos).all():
-            raise ContractError("positions must be finite")
-        times.flags.writeable = False
-        pos.flags.writeable = False
-        if np.may_share_memory(given, pos):  # a 1-d input, taken as a column view
-            given.flags.writeable = False
+        times, positions = _held_table(self.times, self.positions, 1, "strategy")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", positions)
 
     @property
     def dim(self) -> int:
@@ -188,7 +172,7 @@ def gamma_K(path: Path, K_bound: float) -> float:
 
 
 def _gamma_K(path: Path, K_bound: float) -> float:
-    norms = _row_norms(path.values)
+    norms = K.row_norms(path.values)
     if path.mode == MODE_STEP:
         hits = np.flatnonzero(norms >= K_bound)
         return float(path.times[hits[0]]) if hits.size else SENTINEL
@@ -283,7 +267,7 @@ def check_weak_admissibility(rule, paths, lam: float) -> list[AdmissibilityVerdi
         ok_bound = bool(np.all(curve.values[before] >= -lam))
         ok_stopping = True
         if np.isfinite(rho):
-            floor_after = -lam * (1.0 + float(_row_norms(path.eval([rho]))[0]))
+            floor_after = -lam * (1.0 + float(K.row_norms(path.eval([rho]))[0]))
             ok_bound = ok_bound and bool(np.all(curve.values[~before] >= floor_after))
             nonzero = np.any(realized.positions != 0.0, axis=1)
             ok_stopping = bool(np.all(realized.times[1:][nonzero] <= rho))

@@ -376,6 +376,13 @@ EXIT_CODE_CASES = [
      ["integrate", "--input", "p.csv", "--rule", "const:abc"], None, EXIT_CONFIG),
     ("verify lambda negative", {}, ["verify", "--check", "lift", "--lambda", "-1"],
      None, EXIT_CONFIG),
+    ("verify lambda whose double overflows", {},
+     ["verify", "--check", "lift", "--count", "2", "--lambda", "8.99e307"], None, EXIT_CONFIG),
+    ("verify lambda whose lift budget overflows", {},
+     ["verify", "--check", "lift", "--count", "2", "--lambda", "8.98e307"], None, EXIT_CONFIG),
+    ("bdg-bound bound inf * 0", {},
+     ["verify", "--check", "bdg-bound", "--count", "2", "--M", "1e308", "--c", "0"],
+     None, EXIT_CONFIG),
     ("bdg-bound a zero", {}, ["verify", "--check", "bdg-bound", "--a", "0"], None, EXIT_CONFIG),
     ("bdg-bound b negative", {}, ["verify", "--check", "bdg-bound", "--b", "-1"],
      None, EXIT_CONFIG),

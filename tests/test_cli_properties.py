@@ -11,7 +11,9 @@ from a wide range: ``simulate``'s ``--steps`` and ``--dim`` and the
 2^63, and ``crossings``' ``--h`` and ``verify``'s ``--K`` from 1e-300 up to
 2^63.  Above each cap a run must exit 2 before allocating; ``--count``
 stays small.  Below the cap a ``simulate`` draw only builds its spec, and a
-``--h`` draw runs only where its report has at most 2^12 intervals.
+``--h`` draw runs only where its report has at most 2^12 intervals.  The
+parameters of ``verify``'s lift and bound checks are drawn from 1e-300 to
+1.7e308.
 """
 
 import contextlib
@@ -264,3 +266,23 @@ def test_sizes_above_the_cap_exit_2(tmp_path_factory, case, n, x):
         return  # valid, and a report of up to 2^20 intervals takes seconds
     code = _run(tmp_path_factory, {"p.csv": GOOD_CSV}, argv + [flag, str(value)])
     assert code in allowed(value), (argv, flag, value, code)
+
+
+# the parameters of verify's lift and statistical bound checks
+WIDE_PARAMETERS = {"lift": ["--lambda"], "bdg-bound": ["--a", "--b", "--c", "--M"],
+                   "concentration": ["--a", "--b"]}
+
+
+@settings(max_examples=100)
+@given(check=st.sampled_from(sorted(WIDE_PARAMETERS)),
+       values=st.lists(st.one_of(st.none(), st.floats(1e-300, 1.7e308)), min_size=4,
+                       max_size=4))
+@example(check="lift", values=[8.99e307, None, None, None])  # the draws overflowed
+@example(check="bdg-bound", values=[None, None, 0.0, 1e308])  # a bound of inf * 0
+def test_wide_check_parameters_keep_the_exit_code_contract(tmp_path_factory, check, values):
+    # a None keeps the flag's default; _run fails on an exception escaping main,
+    # which the command reports as exit 1
+    tokens = [token for flag, value in zip(WIDE_PARAMETERS[check], values) if value is not None
+              for token in (flag, repr(value))]
+    _run(tmp_path_factory, {}, ["verify", "--check", check, "--count", "2", "--n-max", "3"]
+         + tokens)

@@ -59,6 +59,19 @@ class TestIntegrateStep:
         with pytest.raises(ContractError, match="strictly increasing"):
             StepIntegrand(times=times, values=np.ones(len(times)))
 
+    @pytest.mark.parametrize("values", [5.0, np.ones((1, 1, 1))])
+    def test_values_must_be_a_2d_table(self, values):
+        with pytest.raises(ContractError, match="2-d"):
+            StepIntegrand(times=[0.0], values=values)
+
+    def test_times_must_be_finite(self):
+        with pytest.raises(ContractError, match="finite"):
+            StepIntegrand(times=[0.0, np.inf], values=[1.0, 2.0])
+
+    def test_value_at_zero_must_be_finite(self):
+        with pytest.raises(ContractError, match="value_at_zero"):
+            StepIntegrand(times=[0.0], values=[1.0], value_at_zero=[np.nan])
+
     def test_a_1d_values_array_is_frozen_with_the_integrand(self):
         values = np.array([1.0, 2.0])
         F = StepIntegrand(times=[0.0, 1.0], values=values)

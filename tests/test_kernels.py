@@ -585,6 +585,19 @@ class TestPsi:
         assert values[1:, 0].tolist() == [-0.9, 1.0, 0.1]
 
 
+def test_row_norms_are_the_loops_norm():
+    # bit for bit the clipping loop's sum, also from 8 columns on, where NumPy's
+    # pairwise sum rounds otherwise, and on rows whose sum of squares overflows
+    rng = np.random.default_rng(33)
+    for d in range(1, 34):
+        rows = rng.normal(0, 1, (300, d)) * 10.0 ** rng.integers(-3, 4, (300, 1))
+        rows[::10] *= 1e160
+        rows[5::10, 0] = 1.7e308
+        norms = K.row_norms(rows)
+        assert np.isfinite(norms).all()
+        assert norms.tobytes() == np.array([K._norm(row) for row in rows.tolist()]).tobytes()
+
+
 def _calm_path(m, dim=1, seed=0):
     """A path near 1 whose steps (sd 1e-3) no bound below clips."""
     return 1.0 + np.cumsum(np.random.default_rng(seed).normal(0, 1e-3, (m, dim)), axis=0)

@@ -198,6 +198,22 @@ class TestConstruction:
         with pytest.raises(ContractError):
             Path(times=[0.0, 1.0], values=[0.0, np.nan])
 
+    def test_values_need_a_column(self):
+        with pytest.raises(ContractError, match="at least one column"):
+            Path(times=[0.0, 1.0], values=np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_horizon_must_be_finite(self, horizon):
+        # an infinite horizon was written to the sidecar as Infinity, which no reader takes
+        with pytest.raises(ContractError, match="horizon"):
+            Path(times=[0.0, 1.0], values=[0.0, 1.0], horizon=horizon)
+
+    def test_a_rejected_table_leaves_the_callers_array_writable(self):
+        values = np.array([0.0, 2.0])
+        with pytest.raises(ContractError, match="horizon"):
+            Path(np.array([0.0, 1.0]), values, horizon=0.5)
+        values[1] = 5.0
+
     def test_immutable(self, p1):
         with pytest.raises(ValueError):
             p1.values[0, 0] = 5.0

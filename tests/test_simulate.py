@@ -114,6 +114,17 @@ class TestMembershipInvariant:
             space = SampleSpaceSpec(psi=psi, dim=3, horizon=p.horizon)
             assert check_membership(p, space).ok
 
+    def test_a_clipped_path_of_twelve_coordinates_passes_membership(self):
+        # membership read NumPy's pairwise row norm, which from 8 coordinates on
+        # can round below the clipping loop's left-to-right sum: this path's
+        # running supremum came out one ulp lower, and a clipped fall exceeded
+        # its bound by 1.1e-16
+        psi = PsiSpec("affine", (0.01, 0.05))
+        spec = SimSpec(kind="jump-diffusion", steps=256, dim=12, seed=5, jump_intensity=2000.0,
+                       psi=psi)
+        p = simulate(spec, stream=39)
+        assert check_membership(p, SampleSpaceSpec(psi=psi, dim=12, horizon=p.horizon)).ok
+
     def test_running_sup_beyond_the_sum_of_squares(self):
         # the squares of 1e200 overflow; the norm and the bound stay finite
         psi = PsiSpec("affine", (0.1, 0.5))

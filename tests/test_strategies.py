@@ -88,6 +88,11 @@ class TestCapital:
         with pytest.raises(ContractError, match="strictly increasing"):
             RealizedStrategy(times=times, positions=[1.0, 2.0])
 
+    @pytest.mark.parametrize("positions", [5.0, np.ones((1, 1, 1)), np.zeros((1, 0))])
+    def test_positions_must_be_a_table_with_columns(self, positions):
+        with pytest.raises(ContractError, match="2-d"):
+            RealizedStrategy(times=[0.0, 1.0], positions=positions)
+
     def test_a_1d_positions_array_is_frozen_with_the_strategy(self):
         positions = np.array([1.0, 2.0])
         realized = RealizedStrategy(times=[0.0, 0.5, 1.0], positions=positions)
