@@ -159,10 +159,7 @@ def lift(seed: int, count: int, psi: PsiSpec = CONSTANT_PSI, lam: float = 0.5) -
     worst, where, per_path = math.inf, None, []
     for stream, p in enumerate(paths(JUMP_SPEC, count, steps=32, seed=seed + 1, psi=psi)):
         K = float(np.floor(p.sup_norm())) + 1.0
-        budget = lift_budget(lam, 1, K, psi)
-        if not budget < math.inf:  # budget >= 4 lam: the draws in [-lam, lam) stay finite too
-            raise ContractError(f"lambda {lam!r} is too large: the lift budget at K = {K} "
-                                f"overflows {_at(seed, stream)}")
+        budget = lift_budget(lam, 1, K, psi)  # finite and >= 4 lam: so are draws in [-lam, lam)
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.9, 3)), [np.inf]])
         pos = rng.uniform(-lam, lam, 4)
         cand = RealizedStrategy(times=times, positions=pos)

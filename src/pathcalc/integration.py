@@ -25,8 +25,8 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
-from .partitions import LebesguePartition, lebesgue_partition_nd, partition_ladder
-from .paths import Path, PsiSpec, _held_table
+from .partitions import MAX_GENERATION, LebesguePartition, lebesgue_partition_nd, partition_ladder
+from .paths import Path, PsiSpec, _held_table, _scalar
 from .qv import _qv_at
 from .strategies import CapitalCurve, RealizedStrategy, bdg_weights, capital, capital_curve
 
@@ -97,6 +97,7 @@ class StepIntegrand:
 
 
 def constant_integrand(value, d: int = 1) -> StepIntegrand:
+    d = _scalar(d, "d", 1, 2 ** 24, integer=True)  # a value of at most 128 MiB
     vec = np.broadcast_to(np.asarray(value, dtype=np.float64), (d,))
     return StepIntegrand(times=[0.0], values=[vec], value_at_zero=vec)
 
@@ -158,16 +159,17 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
     generation's union (on the curve's grid by nesting), supply the Cauchy
     diagnostic, so generations with the same cells have the same terminal.
     """
+    tol = _scalar(tol, "tol", 0, open_lo=True)
     parts, _, _ = partition_ladder(path, n_max)
     grid = np.unique(np.concatenate([_union_grid(path, F, parts[-1].times), path.times]))
     x = integral_curve(F, path).values_at(grid)
     cells = [np.searchsorted(grid, _union_grid(path, F, part.times)) for part in parts]
     terminals = np.array([np.cumsum(np.diff(x[pos]) ** 2)[-1] for pos in cells])
     curve = K.qv_on_grid(x[:, None], cells[-1])[0]
-    gap = float(abs(terminals[-1] - terminals[-2])) if n_max >= 2 else float("nan")
+    gap = float(abs(terminals[-1] - terminals[-2])) if len(parts) >= 2 else float("nan")
     return CompensatorReport(times=grid, values=curve, terminal=float(terminals[-1]),
                              per_generation=terminals, cauchy_gap=gap,
-                             converged=bool(n_max >= 2 and gap < tol))
+                             converged=bool(len(parts) >= 2 and gap < tol))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +179,11 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
 def _sample(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
             times: np.ndarray) -> StepIntegrand:
     """The step integrand holding ``rule(path, times)[k]`` on ``(times[k], times[k+1]]``."""
-    vals = np.empty((len(times), path.dim))
-    vals[...] = rule(path, times)
+    vals, out = np.empty((len(times), path.dim)), rule(path, times)
+    try:
+        vals[...] = out
+    except ValueError as exc:
+        raise ContractError(f"the rule's values do not broadcast to {vals.shape}: {exc}") from None
     return StepIntegrand(times=times, values=vals, value_at_zero=vals[0])
 
 
@@ -220,6 +225,7 @@ def ito_integral(rule: Callable[[Path, np.ndarray], np.ndarray], path: Path,
     the float64 array of that generation's crossing times and returns values
     that broadcast to ``(len(times), d)``, as in :func:`approximate_caglad`.
     """
+    tol = _scalar(tol, "tol", 0, open_lo=True)
     parts, grid, _ = partition_ladder(path, n_max)
     prev_vals = None
     gaps = []
@@ -262,7 +268,7 @@ def _make_stats(p: Path, n_max: int) -> PathStats:
 
 
 def prepare_ensemble(paths, n_max: int = 8) -> list[PathStats]:
-    return [_make_stats(p, n_max) for p in paths]
+    return list(_iter_stats(paths, n_max))
 
 
 @dataclass(frozen=True)
@@ -282,6 +288,7 @@ def _iter_stats(ensemble, n_max: int):
     Large Monte-Carlo checks stream their paths through here one at a time,
     so only per-path scalar summaries are ever retained.
     """
+    n_max = _scalar(n_max, "n_max", 1, MAX_GENERATION, integer=True)
     for item in ensemble:
         yield item if isinstance(item, PathStats) else _make_stats(item, n_max)
 
@@ -320,10 +327,10 @@ def metric(name: str, F, G, ensemble, *, n_max: int = 8, epsilon: float = 0.25,
     """
     if name not in METRIC_NAMES:
         raise ContractError(f"unknown metric {name!r}; choose from {METRIC_NAMES}")
-    if not 0.0 < epsilon < 1.0:
-        raise ContractError("epsilon must lie in (0, 1)")
-    if name == "d_inf_bM" and (b is None or M is None):
-        raise ContractError("d_inf_bM needs b and M")
+    epsilon = _scalar(epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
+    n_terms = _scalar(n_terms, "n_terms", 1, 1023, integer=True)  # 2.0 ** 1024 overflows
+    if name == "d_inf_bM":  # the one metric that reads b and M
+        b, M = _scalar(b, "b", 0), _scalar(M, "M", 0)
     if name == "d_inf_psi" and psi is None:
         raise ContractError("d_inf_psi needs the psi spec of the sample space")
 
@@ -400,8 +407,7 @@ def _frequency_test(hits: int, count: int, bound: float) -> tuple[float, float, 
     """``hits / count``, its binomial standard error and whether it is <= bound + 3 se."""
     if count == 0:
         raise ContractError("empty ensemble")
-    if math.isnan(bound):  # such as inf * 0 of the parameters
-        raise ContractError("the frequency bound of these parameters is NaN")
+    bound = _scalar(bound, "the frequency bound of these parameters", 0, math.inf)  # NaN of inf * 0
     freq = hits / count
     p0 = min(bound, 1.0)
     se = math.sqrt(max(p0 * (1 - p0), freq * (1 - freq)) / count)
@@ -415,8 +421,7 @@ def concentration_check_continuous(F, ensemble, a: float, b: float, *,
     Event per path: ``sup |(F.S)| >= a sqrt(b)`` and compensator ``<= b``;
     the bound is ``2 exp(-a^2 / 2)`` plus three binomial standard errors.
     """
-    if not (a >= 0 and b > 0):
-        raise ContractError("need a >= 0 and b > 0")
+    a, b = _scalar(a, "a", 0), _scalar(b, "b", 0, open_lo=True)
     hits = n = 0
     for st in _iter_stats(ensemble, n_max):
         _, _, sup, comp = _integral_summary(F, st)
@@ -465,8 +470,9 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
     event already confines the path below M).  Both allow three binomial
     standard errors.
     """
-    if not (a > 0 and b >= 0 and c >= 0 and M >= 0):
-        raise ContractError("need a > 0, b >= 0, c >= 0 and M >= 0")
+    a, b = _scalar(a, "a", 0, open_lo=True), _scalar(b, "b", 0)
+    c, M = _scalar(c, "c", 0), _scalar(M, "M", 0)
+    n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
     worst_slack, worst_path = math.inf, None
     mismatch = 0.0
     hits = hits_comp = count = 0
@@ -536,8 +542,7 @@ def continuity_experiment(pairs, ensemble, epsilon: float = 0.25, *,
         raise ContractError("kind must be continuous or cadlag")
     if kind == "cadlag" and psi is None:
         raise ContractError("the cadlag experiment needs the sample-space psi")
-    if not 0.0 < epsilon < 1.0:  # also rejects nan, which would reach the floor
-        raise ContractError("epsilon must lie in (0, 1)")
+    epsilon = _scalar(epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
     stats = list(_iter_stats(ensemble, n_max))  # reused across every pair
     rows = []
     for label, Ff, Gf in pairs:

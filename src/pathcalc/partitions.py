@@ -59,7 +59,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .paths import MODE_LINEAR, MODE_STEP, Path, _value_eq, _write_table
+from .paths import MODE_LINEAR, MODE_STEP, Path, _scalar, _value_eq, _write_table
 
 MAX_GENERATION = 52
 
@@ -112,26 +112,21 @@ class LebesguePartition:
         return self.times.shape[0]
 
 
-def _check_generation(n: int):
-    if not 1 <= int(n) <= MAX_GENERATION:
-        raise ContractError(f"generation must be in 1..{MAX_GENERATION}, got {n}")
-
-
 def lebesgue_partition_1d(path: Path, n: int) -> LebesguePartition:
     """Crossing times and tracked levels of a 1-d path at generation n."""
-    _check_generation(n)
+    n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
     if path.dim != 1:
         raise ContractError("lebesgue_partition_1d needs a 1-dimensional path")
-    scale = 2.0 ** int(n)
+    scale = 2.0 ** n
     values = path.values[:, 0]
     if path.mode == MODE_STEP:
         idx, level_idx = K.partition_step(values, scale)
-        return LebesguePartition(int(n), path.times[idx], level_idx, event_indices=idx)
+        return LebesguePartition(n, path.times[idx], level_idx, event_indices=idx)
     cnt, j = K.partition_linear_count(path.times, values, scale)
     if cnt > MAX_LINEAR_POINTS:
         raise ContractError(f"generation {n} crosses {cnt} levels, more than "
                             f"{MAX_LINEAR_POINTS}: use a coarser generation")
-    return LebesguePartition(int(n), *K.partition_linear_fill(path.times, values, scale, j))
+    return LebesguePartition(n, *K.partition_linear_fill(path.times, values, scale, j))
 
 
 def _components(path: Path) -> list[Path]:
@@ -165,11 +160,11 @@ def lebesgue_partition_nd(path: Path, n: int) -> LebesguePartition:
     A 1-d path is its own only component, so its partition is
     :func:`lebesgue_partition_1d`'s, level indices included.
     """
-    _check_generation(n)
+    n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
     pieces = [lebesgue_partition_1d(c, n) for c in _components(path)]
     if len(pieces) == 1:
         return pieces[0]
-    return LebesguePartition(int(n), np.unique(np.concatenate([p.times for p in pieces])))
+    return LebesguePartition(n, np.unique(np.concatenate([p.times for p in pieces])))
 
 
 def _on_grid(path: Path, pieces: list[LebesguePartition],
@@ -208,9 +203,7 @@ def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], n
     points at which any of its components has a point.  By nesting, the
     grid is the union of the event times and generation ``n_max``.
     """
-    if not 1 <= int(n_max) <= MAX_GENERATION:
-        raise ContractError(f"n_max must be in 1..{MAX_GENERATION}, got {n_max}")
-    n_max = int(n_max)
+    n_max = _scalar(n_max, "n_max", 1, MAX_GENERATION, integer=True)
     pieces = [lebesgue_partition_1d(c, n_max) for c in _components(path)]
     grid, pos = _on_grid(path, pieces)
     parts, positions = [], []
@@ -236,8 +229,7 @@ def partition_ladder(path: Path, n_max: int) -> tuple[list[LebesguePartition], n
 
 def chi(partition: LebesguePartition, t: float) -> float:
     """Largest partition time <= t (the coarse-projection map)."""
-    if t < 0:
-        raise ContractError("chi needs t >= 0")
+    t = _scalar(t, "t", 0)
     idx = int(np.searchsorted(partition.times, t, side="right")) - 1
     return float(partition.times[max(idx, 0)])
 
@@ -252,9 +244,7 @@ def _prefix_end(path: Path, t: float | None) -> tuple[int, float | None]:
     """
     if path.dim != 1:
         raise ContractError("crossing counters work on 1-dimensional paths")
-    t = float(path.horizon) if t is None else float(t)
-    if not 0.0 <= t <= path.horizon:
-        raise ContractError("t outside [0, horizon]")
+    t = path.horizon if t is None else _scalar(t, "t", 0, path.horizon)
     upto = int(path.times.searchsorted(t, side="right"))
     if path.mode == MODE_LINEAR and t > path.times[upto - 1]:
         return upto, path.eval(t)[0]
@@ -270,10 +260,11 @@ def _sample_values(path: Path, t: float | None) -> np.ndarray:
 
 def crossings(path: Path, a: float, b: float, t: float | None = None) -> tuple[int, int]:
     """Greedy (supremum-attaining) up/down crossing counts of (a, b) by time t."""
+    a, b = _scalar(a, "a"), _scalar(b, "b")
     if not a < b:
         raise ContractError("need a < b")
     vals = _sample_values(path, t)
-    up, down = K.crossings_greedy(vals, float(a), float(b))
+    up, down = K.crossings_greedy(vals, a, b)
     return int(up), int(down)
 
 
@@ -283,11 +274,9 @@ def _crossing_scan(path: Path, h: float) -> K.CrossingPrefixes:
     The scan covers the whole event table and is kept in the path's memo,
     keyed by ``float(h)``, so every later query at h reads it.
     """
-    if not h > 0:
-        raise ContractError("need h > 0")
+    h = _scalar(h, "h", 0, open_lo=True)
     if path.dim != 1:
         raise ContractError("crossing counters work on 1-dimensional paths")
-    h = float(h)
     return path._memo(h, lambda: K.crossings_prefix(path.values[:, 0], h))
 
 
@@ -327,8 +316,7 @@ def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
     asymptotic crossing budget ``n^2 2^{2n}`` and the observed ratio as a
     diagnostic; the budget is asymptotic and never asserted.
     """
-    if h <= 0:
-        raise ContractError("need h > 0")
+    h = _scalar(h, "h", 0, open_lo=True)
     vals = _sample_values(path, t)
     t_eff = float(path.horizon) if t is None else float(t)
     with np.errstate(over="ignore"):
@@ -337,7 +325,7 @@ def crossing_report(path: Path, h: float, t: float | None = None) -> dict:
         raise ContractError(f"spacing {h} gives {hi - lo + 3:.3g} intervals, more than "
                             f"{MAX_CROSSING_INTERVALS}: use a coarser spacing")
     klo, khi = int(lo) - 1, int(hi) + 1
-    up, down = K.crossings_interval_batch(vals, klo, khi, float(h))
+    up, down = K.crossings_interval_batch(vals, klo, khi, h)
     per_interval = [
         {"k": int(klo + i), "a": (klo + i) * h, "b": (klo + i + 1) * h,
          "up": int(up[i]), "down": int(down[i])}

@@ -19,9 +19,11 @@ index once per block of rows, also across tables written in lockstep.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
@@ -53,24 +55,17 @@ class PsiSpec:
     def __post_init__(self):
         if self.family not in ("constant", "affine", "power", "table"):
             raise ContractError(f"unknown psi family {self.family!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        p = self.params
-        if not all(map(math.isfinite, p)):
-            raise ContractError(f"psi parameters must be finite, got {p}")
-        if self.family == "constant":
-            if len(p) != 1 or p[0] < 0:
-                raise ContractError("constant psi needs one parameter c >= 0")
-        elif self.family == "affine":
-            if len(p) != 2 or p[0] < 0 or p[1] < 0:
-                raise ContractError("affine psi needs a, b >= 0")
-        elif self.family == "power":
-            if len(p) != 2 or p[0] < 0 or p[1] < 0:
-                raise ContractError("power psi needs a, p >= 0")
-        else:
+        table = self.family == "table"  # only a table's x (its even parameters) may be < 0
+        p = tuple(_scalar(v, f"{self.family} psi parameter", -_BIG if table and k % 2 == 0 else 0)
+                  for k, v in enumerate(self.params))
+        object.__setattr__(self, "params", p)
+        if not table and len(p) != (arity := 1 + (self.family != "constant")):
+            raise ContractError(f"{self.family} psi needs {arity} parameter(s) >= 0")
+        if table:
             if len(p) < 4 or len(p) % 2:
                 raise ContractError("table psi needs interleaved x1,y1,...,xk,yk")
             xs, ys = self.table_arrays()
-            if not _strictly_increasing(xs) or np.any(np.diff(ys) < 0) or np.any(ys < 0):
+            if not _strictly_increasing(xs) or np.any(np.diff(ys) < 0):
                 raise ContractError("table psi must be sorted in x and non-decreasing in y >= 0")
 
     def table_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -78,35 +73,36 @@ class PsiSpec:
         return arr[0::2], arr[1::2]
 
     def __call__(self, x):
-        """``psi(x)`` for a float or, elementwise, an array.
+        """``psi(x)`` for ``x`` in ``[0, inf]``: a float of a real number, else elementwise.
 
-        ``power`` takes the scalar ``**`` (the C library ``pow``), which
-        NumPy's vectorized ``power`` can miss by an ulp; ``table`` finds the
-        cell ``xs[lo] <= x < xs[lo + 1]`` and lerps with weight
-        ``w = (x - xs[lo]) / (xs[lo + 1] - xs[lo])``, taken at ``x`` clipped
-        to the table so that it stays in ``[0, 1]``.  A finite ``x`` whose
-        value is beyond float64 raises :class:`ContractError`.
+        Each value is checked by :func:`_scalar` and evaluated in Python
+        floats, whose arithmetic and ``**`` (the C library ``pow``) round as
+        NumPy's scalars do.  ``table`` holds its end values beyond the table
+        and between them finds the cell ``xs[lo] <= x < xs[lo + 1]`` and lerps
+        with weight ``(x - xs[lo]) / (xs[lo + 1] - xs[lo])``.  A finite ``x``
+        whose value is beyond float64 raises :class:`ContractError`.
         """
-        x = np.asarray(x, dtype=np.float64)
+        if not isinstance(x, numbers.Real):
+            return np.vectorize(self, otypes=[np.float64])(x)
+        v = _scalar(x, "psi argument", 0, math.inf)
         p = self.params
         if self.family == "constant":
-            out = np.full(x.shape, p[0])
-        elif self.family == "table":
-            xs, ys = self.table_arrays()
-            lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.shape[0] - 2)
-            w = (np.minimum(np.maximum(x, xs[0]), xs[-1]) - xs[lo]) / (xs[lo + 1] - xs[lo])
-            out = np.where(x <= xs[0], ys[0],
-                           np.where(x >= xs[-1], ys[-1], ys[lo] + w * (ys[lo + 1] - ys[lo])))
-        else:
-            try:
-                with np.errstate(over="raise"):
-                    out = (p[0] + p[1] * x if self.family == "affine" else
-                           np.array([p[0] * v ** p[1] if v > 0.0 and p[0] > 0.0 else 0.0
-                                     for v in x.ravel()]).reshape(x.shape))
-            except FloatingPointError:
-                raise ContractError(f"psi {self.family}:{','.join(map(repr, p))} of a finite "
-                                    "argument is beyond float64") from None
-        return out[()]
+            return p[0]
+        if self.family == "table":
+            xs, ys = p[0::2], p[1::2]
+            if not xs[0] < v < xs[-1]:
+                return ys[0] if v <= xs[0] else ys[-1]
+            lo = bisect.bisect_right(xs, v) - 1
+            return ys[lo] + (v - xs[lo]) / (xs[lo + 1] - xs[lo]) * (ys[lo + 1] - ys[lo])
+        try:  # b = 0 holds a at x = inf too
+            out = (p[0] + (p[1] * v if p[1] else 0.0) if self.family == "affine" else
+                   p[0] * v ** p[1] if v > 0.0 and p[0] > 0.0 else 0.0)
+        except OverflowError:
+            out = math.inf
+        if out == math.inf and v < math.inf:
+            raise ContractError(f"psi {self.family}:{','.join(map(repr, p))} of a finite "
+                                "argument is beyond float64")
+        return out
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
@@ -116,6 +112,37 @@ class PsiSpec:
         if missing := sorted({"family", "params"} - set(obj)):
             raise ContractError(f"psi: missing key {missing[0]!r}")
         return cls(obj["family"], tuple(obj["params"]))
+
+
+_BIG = 1.7976931348623157e308  # the largest float64, the default bound of a scalar
+
+
+def _scalar(x, name: str, lo=-_BIG, hi=_BIG, *, integer=False, open_lo=False, open_hi=False):
+    """The checked scalar argument ``name``: the one intake of every scalar precondition.
+
+    An ``integer`` is an ``int``, a NumPy integer or an integral float, returned as an ``int``;
+    a real is any real number, returned as a ``float``; a ``bool`` is neither, and a 0-d array
+    is its element.  It lies in ``[lo, hi]``, less a bound with ``open_lo`` or ``open_hi``; the
+    default bounds are float64's, so a real is finite, and NaN is in no bounds.  Anything else
+    raises :class:`ContractError` naming ``name``, its domain and ``x``."""
+    v = x
+    if type(v) is not float and type(v) is not int:  # a bool is neither type
+        v = v[()] if isinstance(v, np.ndarray) and v.ndim == 0 else v  # a NumPy scalar
+        real = isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+        v = (int(v) if isinstance(v, numbers.Integral) else float(v)) if real else math.nan
+    if integer and type(v) is float:
+        v = int(v) if v.is_integer() else None
+    if v is not None and (lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi):
+        return v if integer else float(v)
+    if integer:
+        domain = f"in {lo}..{hi}" if hi < _BIG else f"an integer >= {lo}"
+    elif -_BIG < lo and hi < _BIG:
+        raise ContractError(f"{name} = {x!r} is outside {'[('[open_lo]}{lo}, {hi}{'])'[open_hi]}")
+    elif -_BIG < lo:
+        domain = f"{'>' if open_lo else '>='} {lo}" + (" and finite" if hi == _BIG else "")
+    else:
+        domain = "a finite number" if hi == _BIG else "a number"
+    raise ContractError(f"{name} must be {domain}, got {x!r}")
 
 
 def _strictly_increasing(t: np.ndarray) -> bool:
@@ -197,11 +224,10 @@ class Path:
         if self.mode not in (MODE_STEP, MODE_LINEAR):
             raise ContractError(f"unknown mode {self.mode!r}")
 
-        def take_horizon(times, _):
-            horizon = float(self.horizon) if self.horizon is not None else float(times[-1])
-            if not 0 < horizon < math.inf or horizon < times[-1]:
-                raise ContractError("horizon must be finite, positive and >= the last event time")
-            object.__setattr__(self, "horizon", horizon)
+        def take_horizon(times, _):  # positive and at least the last event time
+            last = float(times[-1])
+            horizon = last if self.horizon is None else self.horizon
+            object.__setattr__(self, "horizon", _scalar(horizon, "horizon", last, open_lo=not last))
 
         times, values = _held_table(self.times, self.values, 0, "path", take_horizon)
         object.__setattr__(self, "times", times)
@@ -260,14 +286,13 @@ class Path:
 
     def coordinate(self, i: int) -> "Path":
         """1-d path of coordinate i (1-based)."""
-        if not 1 <= i <= self.dim:
-            raise ContractError(f"coordinate index {i} out of range 1..{self.dim}")
+        i = _scalar(i, "i", 1, self.dim, integer=True)
         return Path(self.times, self.values[:, i - 1], mode=self.mode, horizon=self.horizon)
 
     def coordinate_sum(self, i: int, j: int) -> "Path":
         """1-d path of the coordinate sum x_i + x_j (1-based, i != j)."""
-        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
-            raise ContractError("coordinate index out of range")
+        i = _scalar(i, "i", 1, self.dim, integer=True)
+        j = _scalar(j, "j", 1, self.dim, integer=True)
         if i == j:
             raise ContractError("coordinate_sum requires i != j")
         return Path(self.times, self.values[:, i - 1] + self.values[:, j - 1],
@@ -408,16 +433,6 @@ def write_path_csv(path: Path, csv_file, sidecar: dict | None = None):
     _write_json(csv_file.with_suffix(".json"), meta)
 
 
-def _finite_number(x) -> bool:
-    """Whether a JSON value is a number (not a boolean) with a finite float64 value."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond float64
-        return False
-
-
 def read_path_csv(csv_file) -> Path:
     """Read a path written by :func:`write_path_csv` (sidecar optional)."""
     csv_file = FsPath(csv_file)
@@ -449,6 +464,4 @@ def read_path_csv(csv_file) -> Path:
         horizon = meta.get("horizon")
         if not isinstance(mode, str):
             raise ContractError(f"{sidecar}: mode must be a string, got {mode!r}")
-        if horizon is not None and not _finite_number(horizon):
-            raise ContractError(f"{sidecar}: horizon must be a finite number, got {horizon!r}")
     return Path(times=data[:, 0], values=data[:, 1:], mode=mode, horizon=horizon)

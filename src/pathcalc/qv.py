@@ -15,15 +15,17 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .partitions import (SENTINEL, LebesguePartition, _coarsen, _on_grid, _partition_table,
-                         lebesgue_partition_1d, lebesgue_partition_nd, partition_ladder)
-from .paths import MODE_STEP, Path, PsiSpec, _write_json, _write_table
+from .partitions import (MAX_GENERATION, SENTINEL, LebesguePartition, _coarsen, _on_grid,
+                         _partition_table, lebesgue_partition_1d, lebesgue_partition_nd,
+                         partition_ladder)
+from .paths import MODE_STEP, Path, PsiSpec, _scalar, _write_json, _write_table
 
 Q0_CONVENTION = "Q^0 := 0, so Z^1 = Q^1"
 
@@ -64,10 +66,8 @@ def discrete_cross_qv(path: Path, n: int, i: int, j: int, t: float,
 
     It is entry ``(i, j)`` of :func:`_qv_at`, the sum ``qv_limit`` takes, bit for bit.
     """
-    if not (1 <= i <= path.dim and 1 <= j <= path.dim):
-        raise ContractError("coordinate index out of range")
-    if not 0.0 <= t <= path.horizon:
-        raise ContractError("t outside [0, horizon]")
+    i, j = _scalar(i, "i", 1, path.dim, integer=True), _scalar(j, "j", 1, path.dim, integer=True)
+    t = _scalar(t, "t", 0, path.horizon)
     part = partition if partition is not None else lebesgue_partition_nd(path, n)
     if part.times[-1] > path.horizon:
         raise ContractError("partition does not belong to this path")
@@ -109,10 +109,9 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
     In step mode it is the event table, so the values on it are
     ``path.values``.
     """
-    if tol <= 0:
-        raise ContractError("tol must be > 0")
+    tol = _scalar(tol, "tol", 0, open_lo=True)
     partitions, grid, positions = partition_ladder(path, n_max)
-    d = path.dim
+    n_max, d = len(partitions), path.dim
     vals = path.values if path.mode == MODE_STEP else path.eval(grid)
 
     prev = np.zeros((d * (d + 1) // 2, len(grid)))  # Q^0; spent, it holds |Q^n - Q^{n-1}|
@@ -181,6 +180,7 @@ def _z_data(path: Path, n: int, extra_times=()) -> _ZData:
     entry.  On a linear path the grid holds ``extra_times``, so every call
     computes afresh.
     """
+    n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
     if path.dim != 1:
         raise ContractError("Z/K processes are defined for 1-d paths")
     step = path.mode == MODE_STEP
@@ -215,8 +215,7 @@ def _z_at(path: Path, n: int, t: float):
     In linear mode ``t`` is on the grid; in step mode Z is constant between
     events, so ``t`` reads the last event at or before it.
     """
-    if not 0.0 <= t <= path.horizon:
-        raise ContractError("t outside [0, horizon]")
+    t = _scalar(t, "t", 0, path.horizon)
     data = _z_data(path, n, extra_times=[t])
     return data.z, data.comp, int(np.searchsorted(data.grid, t, side="right")) - 1
 
@@ -227,11 +226,15 @@ def z_process(path: Path, n: int, t: float) -> float:
     return float(z[it])
 
 
+@lru_cache(maxsize=256, typed=True)  # only checked calls are kept; typed keeps True apart from 1
 def k_constant(n: int, K_bound: int, psi: PsiSpec) -> float:
     """``n^4 2^{-2n} + 2^{-n+5} (K + psi(K))^2``."""
-    try:
-        return float(n) ** 4 * 2.0 ** (-2 * n) \
-            + 2.0 ** (-n + 5) * (K_bound + float(psi(float(K_bound)))) ** 2
+    n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
+    K_bound = _scalar(K_bound, "K", 1, integer=True)
+    try:  # an overflow raises at ``**``, or gives inf at ``+``
+        return _scalar(float(n) ** 4 * 2.0 ** (-2 * n)
+                       + 2.0 ** (-n + 5) * (K_bound + float(psi(float(K_bound)))) ** 2,
+                       f"the K-process budget at K = {K_bound}")
     except OverflowError as exc:
         raise ContractError(f"K = {K_bound} overflows the K-process budget") from exc
 
@@ -241,16 +244,13 @@ def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float
 
     ``n^4 2^{-2n} + 2^{-n+5}(K+psi(K))^2 + (Z^n_t)^2 - sum_k (dZ along pi_n)^2``.
     """
-    if K_bound < 1:
-        raise ContractError("K must be a positive integer")
+    budget = k_constant(n, K_bound, psi)
     z, comp, it = _z_at(path, n, t)
-    return k_constant(n, K_bound, psi) + float(z[it]) ** 2 - float(comp[it])
+    return budget + float(z[it]) ** 2 - float(comp[it])
 
 
 def _sigma_from_z(zd: _ZData, K_bound: int) -> float:
-    """:func:`sigma_n_K` from generation n's :func:`_z_data`."""
-    if K_bound < 1:
-        raise ContractError("K must be a positive integer")
+    """:func:`sigma_n_K` from generation n's :func:`_z_data`, for a checked ``K_bound``."""
     hit_z = np.flatnonzero(zd.z[zd.fine_pos[1:]] > K_bound)
     t_z = zd.fine_times[hit_z[0] + 1] if hit_z.size else SENTINEL
     return float(min(zd.t_acc, t_z))
@@ -263,7 +263,7 @@ def sigma_n_K(path: Path, n: int, K_bound: int) -> float:
     accumulated squared Z-increments above ``n^4 2^{-2n}`` and the first one
     with ``Z^n > K``; ``inf`` if neither occurs.
     """
-    return _sigma_from_z(_z_data(path, n), K_bound)
+    return _sigma_from_z(_z_data(path, n), _scalar(K_bound, "K", 1, integer=True))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,7 @@ def jump_identity_check(path: Path, report: QVReport, tolerance: float = 1e-9) -
     Exact for step paths once the final generation isolates every jump; for
     linear paths both sides vanish identically.
     """
+    tolerance = _scalar(tolerance, "tolerance", 0, np.inf)
     if path.mode != MODE_STEP:
         return JumpIdentityReport(ok=True, max_discrepancy=0.0, tolerance=tolerance)
     # every limit time is an event time, so the grid is the event table

@@ -17,16 +17,20 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _read_json_object, _write_json
+from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _read_json_object, _scalar, _write_json
 
 RNG_ALGORITHM = "philox4x64 keyed by (seed << 64) | stream"
 
 KINDS = ("brownian", "geometric-brownian", "jump-diffusion", "oscillator", "constant")
 
-_MASK64 = (1 << 64) - 1
-
 MAX_SIM_VALUES = 2 ** 24
-"""Largest ``(steps + 1) * dim`` simulated: the values of one path, 128 MiB in float64."""
+"""Most values simulated at once, 128 MiB in float64: ``(steps + 1) * dim`` for a path,
+``count`` times that for an ensemble."""
+
+# the domain of a numeric field of a SimSpec; any other one takes any finite float
+_FIELD_RULES = {"steps": {"lo": 1}, "dim": {"lo": 1}, "seed": {"lo": 0, "hi": 2 ** 64 - 1},
+                "horizon": {"lo": 0, "open_lo": True}, "volatility": {"lo": 0},
+                "jump_intensity": {"lo": 0}, "jump_std": {"lo": 0}}
 
 
 @dataclass(frozen=True)
@@ -52,26 +56,18 @@ class SimSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractError(f"unknown kind {self.kind!r}; choose one of {KINDS}")
-        if bad := [f.name for f in fields(self)
-                   if f.type == "float" and not np.isfinite(getattr(self, f.name))]:
-            raise ContractError(f"{bad[0]} must be finite, got {getattr(self, bad[0])}")
-        if self.steps < 1:
-            raise ContractError("steps must be >= 1")
-        if self.volatility < 0:
-            raise ContractError("volatility must be >= 0")
-        if self.horizon <= 0:
-            raise ContractError("horizon must be > 0")
-        if not 0 <= self.jump_intensity * (self.horizon / self.steps) <= 2.0 ** 62:
-            raise ContractError("jump intensity must be >= 0, and per step <= 2**62")
-        if self.jump_std < 0:
-            raise ContractError("jump std must be >= 0")
-        if self.dim < 1:
-            raise ContractError("dim must be >= 1")
+        rules = _FIELD_RULES | ({"x0": {"lo": 0, "open_lo": True}}
+                                if self.kind == "geometric-brownian" else {})
+        for f in fields(self):
+            if f.type in ("int", "float"):
+                value = _scalar(getattr(self, f.name), f.name, integer=f.type == "int",
+                                **rules.get(f.name, {}))
+                object.__setattr__(self, f.name, value)
+        if not self.jump_intensity * (self.horizon / self.steps) <= 2.0 ** 62:
+            raise ContractError("jump intensity per step must be <= 2**62")
         if (self.steps + 1) * self.dim > MAX_SIM_VALUES:
             raise ContractError(f"(steps + 1) * dim = {(self.steps + 1) * self.dim} values "
                                 f"exceed {MAX_SIM_VALUES}: use fewer steps or dimensions")
-        if self.kind == "geometric-brownian" and self.x0 <= 0:
-            raise ContractError("geometric-brownian needs x0 > 0")
         if self.mode is not None and self.mode not in (MODE_STEP, MODE_LINEAR):
             raise ContractError(f"unknown mode {self.mode!r}")
 
@@ -90,8 +86,7 @@ class SimSpec:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    key = ((int(seed) & _MASK64) << 64) | (int(stream) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | stream))
 
 
 def _grid(spec: SimSpec) -> np.ndarray:
@@ -99,7 +94,8 @@ def _grid(spec: SimSpec) -> np.ndarray:
 
 
 def simulate(spec: SimSpec, stream: int = 0) -> Path:
-    """Generate one path, a pure function of ``(spec, stream)``."""
+    """Generate one path, a pure function of ``(spec, stream)``; ``stream`` is in ``[0, 2**64)``."""
+    stream = _scalar(stream, "stream", 0, 2 ** 64 - 1, integer=True)
     if spec.kind == "constant":
         values = np.full((1, spec.dim), float(spec.value))
         return Path(times=np.zeros(1), values=values,
@@ -145,8 +141,9 @@ def simulate(spec: SimSpec, stream: int = 0) -> Path:
 
 def ensemble(spec: SimSpec, count: int) -> list[Path]:
     """``count`` independent paths from derived streams (seed, 0..count-1)."""
-    if count < 1:
-        raise ContractError("count must be >= 1")
+    count = _scalar(count, "count", 1, integer=True)
+    if count * (spec.steps + 1) * spec.dim > MAX_SIM_VALUES:
+        raise ContractError(f"count * (steps + 1) * dim exceeds {MAX_SIM_VALUES}: use fewer paths")
     return [simulate(spec, stream=i) for i in range(count)]
 
 

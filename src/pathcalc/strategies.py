@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
-from .partitions import MAX_CROSSING_INTERVALS, SENTINEL
-from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _held_table, _strictly_increasing
+from .partitions import MAX_CROSSING_INTERVALS, MAX_GENERATION, SENTINEL
+from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _held_table, _scalar, _strictly_increasing
 from .qv import _sigma_from_z, _z_data, k_constant
 
 __all__ = [
@@ -165,9 +165,7 @@ def gamma_K(path: Path, K_bound: float) -> float:
 
     It is kept in the path's memo under ``("gamma", K)``.
     """
-    if not K_bound > 0:
-        raise ContractError("K must be > 0")
-    K_bound = float(K_bound)
+    K_bound = _scalar(K_bound, "K", 0, open_lo=True)
     return path._memo(("gamma", K_bound), lambda: _gamma_K(path, K_bound))
 
 
@@ -212,8 +210,7 @@ def _first_hit(curve: CapitalCurve, lam: float) -> float:
 
 def rho_lambda(realized: RealizedStrategy, path: Path, lam: float) -> float:
     """First time the capital curve reaches ``-lam``; ``inf`` if never."""
-    if lam <= 0:
-        raise ContractError("lambda must be > 0")
+    lam = _scalar(lam, "lambda", 0, open_lo=True)
     return _first_hit(capital_curve(realized, path), lam)
 
 
@@ -243,8 +240,7 @@ def check_strong_admissibility(rule, paths, lam: float) -> list[AdmissibilityVer
     Grid checks are exact: capital is constant between grid times in step
     mode and affine in linear mode, so extrema sit on the grid.
     """
-    if lam <= 0:
-        raise ContractError("lambda must be > 0")
+    lam = _scalar(lam, "lambda", 0, open_lo=True)
     verdicts = []
     for path in paths:
         curve = capital_curve(_realize(rule, path), path)
@@ -256,8 +252,7 @@ def check_strong_admissibility(rule, paths, lam: float) -> list[AdmissibilityVer
 
 def check_weak_admissibility(rule, paths, lam: float) -> list[AdmissibilityVerdict]:
     """Relaxed bound ``-lam (1 + |S_rho| 1_{t >= rho})`` plus the stop-at-rho clause."""
-    if lam <= 0:
-        raise ContractError("lambda must be > 0")
+    lam = _scalar(lam, "lambda", 0, open_lo=True)
     verdicts = []
     for path in paths:
         realized = _realize(rule, path)
@@ -352,6 +347,7 @@ def doob_interval_strategy(a: float, b: float, K_bound: float, psi: PsiSpec) -> 
     ``a + K + psi(K)``.  A jump crossing both levels at one event triggers at
     most one action: the state machine processes buys only while flat.
     """
+    a, b, K_bound = _scalar(a, "a"), _scalar(b, "b"), _scalar(K_bound, "K", 0, open_lo=True)
     if not a < b:
         raise ContractError("need a < b")
 
@@ -367,8 +363,9 @@ def doob_interval_strategy(a: float, b: float, K_bound: float, psi: PsiSpec) -> 
 
 def doob_aggregate_bound_factor(n: int, K_bound: float, psi: PsiSpec) -> float:
     """``[2K (2K + psi(K))]^{-1} 2^{-2n}``, the crossing-count multiplier."""
-    psi_k = float(psi(float(K_bound)))
-    return 2.0 ** (-2 * n) / (2.0 * K_bound * (2.0 * K_bound + psi_k))
+    n = _scalar(n, "n", 0, MAX_GENERATION, integer=True)
+    K_bound = _scalar(K_bound, "K", 0, open_lo=True)
+    return 2.0 ** (-2 * n) / (2.0 * K_bound * (2.0 * K_bound + float(psi(K_bound))))
 
 
 def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
@@ -379,15 +376,12 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
     upcrossing count at spacing ``2^{-n}``, and the whole portfolio is
     strongly 1-admissible.
     """
-    if K_bound <= 0:
-        raise ContractError("K must be > 0")
-    if not 0 <= n <= 52:
-        raise ContractError("n out of range")
-    if not 2.0 * K_bound * 2.0 ** n <= MAX_CROSSING_INTERVALS:  # also rejects nan and inf
+    n = _scalar(n, "n", 0, MAX_GENERATION, integer=True)
+    K_bound = _scalar(K_bound, "K", 0, open_lo=True)
+    if not 2.0 * K_bound * 2.0 ** n <= MAX_CROSSING_INTERVALS:
         raise ContractError(f"K = {K_bound} spans over {MAX_CROSSING_INTERVALS} intervals at n = {n}")
     spacing = 2.0 ** (-n)
-    psi_k = float(psi(float(K_bound)))
-    weight = 1.0 / (K_bound * 2.0 ** (n + 1) * (2.0 * K_bound + psi_k))
+    weight = 1.0 / (K_bound * 2.0 ** (n + 1) * (2.0 * K_bound + float(psi(K_bound))))
     klo = int(np.floor(-K_bound / spacing)) + 1
     khi = int(np.ceil(K_bound / spacing)) - 2
 
@@ -421,8 +415,11 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
 # ---------------------------------------------------------------------------
 
 def lift_budget(lam: float, d: int, K_bound: float, psi: PsiSpec) -> float:
-    """``lam (1 + 3 d K + 2 d psi(K))``: strong budget of the lifted strategy."""
-    return lam * (1.0 + 3.0 * d * K_bound + 2.0 * d * float(psi(float(K_bound))))
+    """``lam (1 + 3 d K + 2 d psi(K))``: strong budget of the lifted strategy, finite."""
+    lam, d = _scalar(lam, "lambda", 0, open_lo=True), _scalar(d, "d", 1, integer=True)
+    K_bound = _scalar(K_bound, "K", 0, open_lo=True)
+    return _scalar(lam * (1.0 + 3.0 * d * K_bound + 2.0 * d * float(psi(K_bound))),
+                   f"the lift budget of lambda {lam!r} at K = {K_bound}")
 
 
 def admissibility_lift(G: StrategyRule, lam: float, K_bound: float, psi: PsiSpec) -> StrategyRule:
@@ -431,8 +428,7 @@ def admissibility_lift(G: StrategyRule, lam: float, K_bound: float, psi: PsiSpec
     If G is weakly lam-admissible, the lift is strongly admissible with
     budget :func:`lift_budget` on paths bounded by K.
     """
-    if lam <= 0:
-        raise ContractError("lambda must be > 0")
+    lam, K_bound = _scalar(lam, "lambda", 0, open_lo=True), _scalar(K_bound, "K", 0, open_lo=True)
 
     def evaluate(path: Path) -> RealizedStrategy:
         g_real = G.realize(path)
@@ -480,11 +476,12 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     deviation beyond tolerance raises :class:`InternalConsistencyError` naming
     the time of the worst one.
     """
+    n = _scalar(n, "n", 2, MAX_GENERATION, integer=True)  # a coarser generation must exist
+    K_bound = _scalar(K_bound, "K", 1, integer=True)
+    tolerance = _scalar(tolerance, "tolerance", 0, math.inf)
     if path.dim != 1:
         raise ContractError("the compensated-Z strategy acts on 1-d paths")
-    if n < 2:
-        raise ContractError("needs n >= 2 (a coarser generation must exist)")
-    gamma = gamma_K(path, float(K_bound))
+    gamma = gamma_K(path, K_bound)
     # a finite sigma is a fine partition time, so the grid already holds it
     zd = _z_data(path, n, [gamma] if math.isfinite(gamma) else [])
     grid = zd.grid
@@ -532,10 +529,12 @@ def hoeffding_beta(lam: float, c: float) -> float:
 
     Chord construction: ``exp(lam x - lam^2 c^2 / 2) <= 1 + beta x`` for
     ``|x| <= c`` because the chord of the convex exponential over ``[-c, c]``
-    dominates it and ``cosh(lam c) <= exp(lam^2 c^2 / 2)``.
+    dominates it and ``cosh(lam c) <= exp(lam^2 c^2 / 2)``.  From ``|lam c| = 38.6`` on,
+    ``exp(-lam^2 c^2 / 2)`` is 0 in float64, so beta is 0 there.
     """
+    lam, c = _scalar(lam, "lambda"), _scalar(c, "c", 0)
     y = lam * c
-    if y == 0.0 or c == 0.0:
+    if y == 0.0 or c == 0.0 or not abs(y) < 40.0:
         return 0.0
     return math.exp(-0.5 * y * y) * math.sinh(y) / c
 
@@ -551,10 +550,8 @@ def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
     dt = np.asarray(decision_times, dtype=np.float64)
     if dt.ndim != 1 or dt.shape[0] == 0 or dt[0] != 0.0 or not _strictly_increasing(dt):
         raise ContractError("decision times must be increasing and start at 0")
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), dt.shape).copy()
-    if np.any(c_arr < 0):
-        raise ContractError("step bounds must be >= 0")
-    betas = np.array([hoeffding_beta(lam, ck) for ck in c_arr])
+    c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), dt.shape)
+    betas = np.array([hoeffding_beta(lam, ck) for ck in c_arr.tolist()])
 
     def evaluate(path: Path) -> RealizedStrategy:
         if path.dim != 1:
@@ -597,9 +594,13 @@ def hoeffding_check(path: Path, decision_times, c, lam: float) -> HoeffdingRepor
     incr = np.abs(s_grid - s_at_step[step_of])
     bound_respected = bool(np.all(incr <= c_arr[step_of] + 1e-12))
 
-    penalties = np.concatenate([[0.0], np.cumsum(c_arr ** 2)])
     started = np.searchsorted(dt, curve.times, side="right")
-    envelope = np.exp(lam * (s_grid - s0) - 0.5 * lam * lam * penalties[started])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        penalties = np.concatenate([[0.0], np.cumsum(c_arr ** 2)])
+        exponent = lam * (s_grid - s0) - 0.5 * lam * lam * penalties[started]
+    if not (exponent < 709.78).all():  # exp(709.79) is beyond float64; NaN fails too
+        raise ContractError(f"the envelope of lambda {lam!r} and these bounds is beyond float64")
+    envelope = np.exp(exponent)
     wealth = 1.0 + curve.values
     margin = wealth - envelope
     worst = float(np.min(margin))
@@ -619,23 +620,25 @@ class BdgResult:
     holds: bool
 
 
+def _sequence(x) -> np.ndarray:
+    """``x`` as a sequence of the transform bound: a non-empty, finite 1-d float64 array."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] == 0 or not np.isfinite(x).all():
+        raise ContractError("need a non-empty 1-d sequence of finite values")
+    return x
+
+
 def bdg_weights(x) -> np.ndarray:
     """Weights ``h_k = x_k / sqrt([x]_k + (x*_k)^2)`` with 0/0 := 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise ContractError("need a non-empty 1-d sequence")
-    return K.bdg_weights(x)
+    return K.bdg_weights(_sequence(x))
 
 
 def bdg_check(x) -> BdgResult:
     """Verify ``max_k |x_k| <= 6 sqrt([x]_n) + 2 (h.x)_n`` for one sequence.
 
-    Holds for every real sequence; a ``False`` signals an implementation bug.
+    Holds for every finite sequence; a ``False`` signals an implementation bug.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise ContractError("need a non-empty 1-d sequence")
-    xstar, qv, hx = K.bdg_core(x)
+    xstar, qv, hx = K.bdg_core(_sequence(x))
     lhs = float(xstar)
     rhs = float(6.0 * np.sqrt(qv) + 2.0 * hx)
     return BdgResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-9 * max(1.0, abs(rhs))))
@@ -643,7 +646,4 @@ def bdg_check(x) -> BdgResult:
 
 def bdg_check_batch(sequences) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) arrays for many sequences at once (one kernel call)."""
-    seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if any(len(s) == 0 for s in seqs):
-        raise ContractError("sequences must be non-empty")
-    return K.bdg_batch(seqs)
+    return K.bdg_batch([_sequence(s) for s in sequences])

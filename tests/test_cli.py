@@ -144,7 +144,7 @@ class TestVerifyCommand:
         code = main(["verify", "--check", "l-identity", "--count", "2", "--K", K,
                      "--output-dir", str(tmp_path / "v")])
         assert code == EXIT_CONFIG
-        assert "--K must be an integer" in capsys.readouterr().err
+        assert "K must be an integer" in capsys.readouterr().err
 
     def test_hoeffding_small(self, tmp_path):
         code = main(["verify", "--check", "hoeffding", "--count", "20",
@@ -168,8 +168,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("check, name, broken, location", [
         ("l-identity", "l_strategy",
-         lambda real: lambda p, n, K, psi, tolerance: real(p, n, K, psi, tolerance=-1.0),
-         r"at t 0\.0 \(seed 4 stream 0 n 2 K 1\)$"),
+         lambda real: lambda p, n, K, psi, tolerance: real(p, n, K, psi, tolerance=0.0),
+         r"\(> 0\.0e\+00\) at t [0-9.]+ \(seed 4 stream 0 n 3 K 1\)$"),
         ("doob", "upcrossings_at_events", lambda real: lambda p, h: real(p, h) + 10 ** 6,
          r"\(seed 4 stream 0 n 0 K [0-9.]+ t [0-9.e-]+\)$"),
     ], ids=["l-identity", "doob"])

@@ -542,8 +542,8 @@ def psi_specs(draw):
     return PsiSpec(family, tuple(np.column_stack([xs, ys]).ravel()))
 
 
-# running sups and knots: zero, negative, on the lattice and anywhere
-PSI_ARGUMENTS = st.one_of(st.floats(-1.0, 12.0), st.integers(-2, 48).map(lambda k: k * 0.25))
+# running sups and knots: zero, on the lattice and anywhere (psi rejects a negative argument)
+PSI_ARGUMENTS = st.one_of(st.floats(0.0, 12.0), st.integers(0, 48).map(lambda k: k * 0.25))
 
 
 class TestPsi:

@@ -774,6 +774,18 @@ class TestBdg:
             with pytest.raises(ContractError, match="non-empty 1-d"):
                 fn(x)
 
+    @pytest.mark.parametrize("x", [[1.0, np.inf], [1.0, np.nan], [-np.inf]])
+    def test_needs_finite_values(self, x):
+        # an infinite term made the bound hold and a NaN one made it fail
+        for fn in (bdg_check, bdg_weights, lambda s: bdg_check_batch([[0.5], s])):
+            with pytest.raises(ContractError, match="finite"):
+                fn(x)
+
+    @pytest.mark.parametrize("seqs", [[[]], [5.0], [[[0.0, 1.0]]]])
+    def test_batch_takes_the_sequences_of_bdg_check(self, seqs):
+        with pytest.raises(ContractError, match="non-empty 1-d"):
+            bdg_check_batch(seqs)
+
     def test_random_sequences_never_violate(self):
         rng = np.random.default_rng(38)
         seqs = []
