@@ -16,6 +16,7 @@ empirical bound check failed (statistical).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -30,8 +31,8 @@ from . import __version__, checks
 from .errors import CheckFailedError, ContractError, InternalConsistencyError
 from .integration import bdg_bound_check_cadlag, concentration_check_continuous, ito_integral
 from .partitions import crossing_report
-from .paths import (PsiSpec, _read_json_object, _write_json, _write_table, read_path_csv,
-                    write_path_csv)
+from .paths import (PsiSpec, _create, _read_json_object, _write_json, _write_table,
+                    read_path_csv, write_path_csv)
 from .qv import discrete_qv, qv_limit, write_qv_report
 from .simulate import SimSpec, simulate, write_simspec
 
@@ -155,7 +156,7 @@ def cmd_integrate(args) -> tuple[int, list]:
     path = read_path_csv(args.input)
     out = _outdir(args)
     rep = ito_integral(_parse_rule(args.rule), path, n_max=args.n_max, tol=args.tol)
-    with (out / "integral.csv").open("w") as fh:
+    with _create(out / "integral.csv") as fh:
         _write_table(fh, ["t", "integral"], [rep.curve.times, rep.curve.values])
     checks = [{"name": "ito-cauchy", "passed": bool(rep.converged),
                "detail": f"last gap {rep.generation_gaps[-1]:.3e}" if rep.generation_gaps.size else "single generation"}]
@@ -265,14 +266,13 @@ def cmd_continuity(args) -> tuple[int, list]:
     out = _outdir(args)
     rep = checks.continuity(args.ensemble, args.seed, args.count, epsilon=args.epsilon,
                             n_max=args.n_max, psi=_parse_psi(args.psi) or checks.AFFINE_PSI)
-    with (out / "continuity.csv").open("w") as fh:
+    with _create(out / "continuity.csv") as fh:
         _write_table(fh, ["scale", "integrand_distance", "integral_distance"],
                      [np.asarray(col) for col in zip(*rep.rows)])
     # the one JSON artifact in insertion order: sorting its keys would change its bytes
-    with (out / "continuity_summary.json").open("w") as fh:
-        json.dump({"slope": rep.slope, "floor": rep.floor, "ok": rep.ok,
-                   "kind": rep.kind, "epsilon": rep.epsilon}, fh, indent=2)
-        fh.write("\n")
+    summary = {"slope": rep.slope, "floor": rep.floor, "ok": rep.ok, "kind": rep.kind,
+               "epsilon": rep.epsilon}
+    _write_json(out / "continuity_summary.json", summary, sort_keys=False)
     return (EXIT_OK if rep.ok else EXIT_CHECK_FAILED), [
         {"name": "continuity-slope", "passed": rep.ok,
          "detail": f"slope {rep.slope:.3f} floor {rep.floor:.3f}"}]
@@ -280,6 +280,7 @@ def cmd_continuity(args) -> tuple[int, list]:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathcalc",
                                      description=__doc__.splitlines()[0])
@@ -308,21 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--value", type=float, default=0.0)
     sp.add_argument("--psi", help="family:p1,p2 e.g. constant:0.5 or affine:0.1,0.2")
     sp.add_argument("--mode", choices=["step", "linear"])
-    sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("qv", help="quadratic variation report for a path file")
     common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--n-max", type=_positive(int), default=12)
     sp.add_argument("--tol", type=_positive(float), default=1e-8)
-    sp.set_defaults(fn=cmd_qv)
 
     sp = sub.add_parser("crossings", help="level-crossing report for a path file")
     common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--h", type=_positive(float), required=True)
     sp.add_argument("--t", type=float, default=None)
-    sp.set_defaults(fn=cmd_crossings)
 
     sp = sub.add_parser("integrate", help="pathwise integral of a sampled rule")
     common(sp)
@@ -331,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="unit | prev-price | const:VALUE")
     sp.add_argument("--n-max", type=_positive(int), default=10)
     sp.add_argument("--tol", type=_positive(float), default=1e-6)
-    sp.set_defaults(fn=cmd_integrate)
 
     sp = sub.add_parser("verify", help="run theorem and bound checks")
     common(sp)
@@ -353,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="path sup bound (transform check)")
     sp.add_argument("--n-max", type=_positive(int), default=6,
                     help="quadratic-variation generations for ensemble stats")
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("continuity", help="integrand-vs-integral distance table")
     common(sp)
@@ -364,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=0.25)
     sp.add_argument("--n-max", type=_positive(int), default=6)
     sp.add_argument("--psi", help="family:p1,p2 (cadlag ensemble)")
-    sp.set_defaults(fn=cmd_continuity)
 
     return parser
 
@@ -409,7 +404,8 @@ def main(argv=None) -> int:
         return exc.code
     try:
         _apply_config_file(args, parser)
-        code, checks = args.fn(args)
+        # looked up by name at each call: the cached parser pins no command function
+        code, checks = globals()[f"cmd_{args.command}"](args)
     except ContractError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -426,6 +422,6 @@ def main(argv=None) -> int:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[{status}] {chk['name']}: {chk.get('detail', '')}")
     config = {k: v for k, v in vars(args).items()
-              if k not in ("command", "fn", "config", "output_dir")}
+              if k not in ("command", "config", "output_dir")}
     _write_manifest(_outdir(args), args.command, config, checks, code)
     return code

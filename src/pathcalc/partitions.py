@@ -59,7 +59,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .paths import MODE_LINEAR, MODE_STEP, Path, _scalar, _value_eq, _write_table
+from .paths import MODE_LINEAR, MODE_STEP, Path, _create, _scalar, _value_eq, _write_table
 
 MAX_GENERATION = 52
 
@@ -357,5 +357,5 @@ def _partition_table(partition: LebesguePartition):
 
 def write_partition_csv(partition: LebesguePartition, file):
     """Export as ``k,tau,level`` (level blank for multi-dimensional)."""
-    with open(file, "w") as fh:
+    with _create(file) as fh:
         _write_table(fh, *_partition_table(partition))

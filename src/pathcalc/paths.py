@@ -402,10 +402,17 @@ def _write_table(fh, header, columns, *lockstep):
             out.write((("%s," * (len(cols) - 1) + "%s\n") * m) % tuple(flat))
 
 
-def _write_json(file, obj):
-    """``obj`` as JSON: two-space indents, sorted keys, ``str`` of other types, final newline."""
-    with open(file, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+def _create(file, newline=None):
+    """``file`` opened as a new file, never truncated: a file or link at its name is unlinked."""
+    FsPath(file).unlink(missing_ok=True)
+    return open(file, "x", newline=newline)
+
+
+def _write_json(file, obj, sort_keys=True):
+    """``obj`` as JSON: two-space indents, keys sorted unless ``sort_keys`` is false, ``str`` of
+    other types, final newline."""
+    with _create(file) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys, default=str)  # streamed, not one string
         fh.write("\n")
 
 
@@ -424,7 +431,7 @@ def _read_json_object(file) -> dict:
 def write_path_csv(path: Path, csv_file, sidecar: dict | None = None):
     """Write the event table as ``t,x1,...,xd`` with CRLF line ends, plus the JSON sidecar."""
     csv_file = FsPath(csv_file)
-    with csv_file.open("w", newline="\r\n") as fh:
+    with _create(csv_file, newline="\r\n") as fh:
         _write_table(fh, ["t"] + [f"x{i + 1}" for i in range(path.dim)],
                      [path.times] + list(path.values.T))
     meta = {"dim": path.dim, "horizon": path.horizon, "mode": path.mode}

@@ -25,7 +25,7 @@ from .errors import ContractError
 from .partitions import (MAX_GENERATION, SENTINEL, LebesguePartition, _coarsen, _on_grid,
                          _partition_table, lebesgue_partition_1d, lebesgue_partition_nd,
                          partition_ladder)
-from .paths import MODE_STEP, Path, PsiSpec, _scalar, _write_json, _write_table
+from .paths import MODE_STEP, Path, PsiSpec, _create, _scalar, _write_json, _write_table
 
 Q0_CONVENTION = "Q^0 := 0, so Z^1 = Q^1"
 
@@ -327,9 +327,9 @@ def write_qv_report(report: QVReport, json_file, csv_file=None, partition_file=N
     _write_json(json_file, obj)
     if csv_file is not None:
         pairs = [(a, b) for a in range(report.dim) for b in range(report.dim)]
-        with open(csv_file, "w") as fh, ExitStack() as files:
+        with _create(csv_file) as fh, ExitStack() as files:
             lockstep = [] if partition_file is None else [
-                (files.enter_context(open(partition_file, "w")), *_partition_table(report.partition))]
+                (files.enter_context(_create(partition_file)), *_partition_table(report.partition))]
             _write_table(fh, ["t"] + [f"qv_{a + 1}{b + 1}" for a, b in pairs],
                          [report.limit_times] + [report.limit_values[:, a, b] for a, b in pairs],
                          *lockstep)

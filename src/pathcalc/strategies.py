@@ -365,7 +365,9 @@ def doob_aggregate_bound_factor(n: int, K_bound: float, psi: PsiSpec) -> float:
     """``[2K (2K + psi(K))]^{-1} 2^{-2n}``, the crossing-count multiplier."""
     n = _scalar(n, "n", 0, MAX_GENERATION, integer=True)
     K_bound = _scalar(K_bound, "K", 0, open_lo=True)
-    return 2.0 ** (-2 * n) / (2.0 * K_bound * (2.0 * K_bound + float(psi(K_bound))))
+    budget = 2.0 * K_bound * (2.0 * K_bound + float(psi(K_bound)))  # subnormal: factor overflows
+    return 2.0 ** (-2 * n) / _scalar(budget, "the budget 2K (2K + psi(K))",
+                                     np.finfo(np.float64).tiny, math.inf)
 
 
 def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
@@ -381,7 +383,7 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
     if not 2.0 * K_bound * 2.0 ** n <= MAX_CROSSING_INTERVALS:
         raise ContractError(f"K = {K_bound} spans over {MAX_CROSSING_INTERVALS} intervals at n = {n}")
     spacing = 2.0 ** (-n)
-    weight = 1.0 / (K_bound * 2.0 ** (n + 1) * (2.0 * K_bound + float(psi(K_bound))))
+    weight = doob_aggregate_bound_factor(0, K_bound, psi) * 2.0 ** -n
     klo = int(np.floor(-K_bound / spacing)) + 1
     khi = int(np.ceil(K_bound / spacing)) - 2
 
@@ -621,10 +623,12 @@ class BdgResult:
 
 
 def _sequence(x) -> np.ndarray:
-    """``x`` as a sequence of the transform bound: a non-empty, finite 1-d float64 array."""
+    """``x`` as a sequence of the transform bound: a non-empty 1-d float64 array of finite values
+    whose squares sum in float64 (``m`` terms sum to at most ``4 m max|x|^2``)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] == 0 or not np.isfinite(x).all():
-        raise ContractError("need a non-empty 1-d sequence of finite values")
+    if x.ndim != 1 or x.shape[0] == 0 or not (
+            np.abs(x).max() <= math.sqrt(np.finfo(np.float64).max / (4 * x.shape[0]))):
+        raise ContractError("need a non-empty 1-d sequence of finite values, squares in float64")
     return x
 
 

@@ -241,6 +241,23 @@ class TestConfigFile:
         report = json.loads((out / "qv_report.json").read_text())
         assert report["n_max"] == 10
 
+    def test_a_config_run_leaves_the_one_parser_as_it_was(self, tmp_path, p1_file, monkeypatch):
+        # build_parser is cached: every main call parses with the same parser object
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        before = vars(parser.parse_args(["qv", "--input", "x.csv"]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-max": 3, "tol": 0.5, "input": str(p1_file)}))
+        assert main(["qv", "--input", "x.csv", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "qv")]) == EXIT_OK
+        assert vars(parser.parse_args(["qv", "--input", "x.csv"])) == before
+        # and holds no command function: one patched after it was built is the one called
+        monkeypatch.setattr(cli, "cmd_qv", lambda args: (EXIT_OK, [{"name": "patched",
+                                                                    "passed": True}]))
+        assert main(["qv", "--input", "x.csv", "--output-dir", str(tmp_path / "p")]) == EXIT_OK
+        assert json.loads((tmp_path / "p" / "manifest.json").read_text())["checks"] == [
+            {"name": "patched", "passed": True}]
+
     def test_unknown_key_is_config_error(self, tmp_path, p1_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -29,7 +29,7 @@ from pathcalc.simulate import KINDS, MAX_SIM_VALUES, SimSpec
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_INTERNAL,
               cli.EXIT_CHECK_FAILED}
-NOT_CONFIG = ("command", "fn", "config", "output_dir")  # what the manifest leaves out
+NOT_CONFIG = ("command", "config", "output_dir")  # what the manifest leaves out
 
 # the argv every command starts from, with small counts and generations
 BASE_ARGV = {

@@ -500,6 +500,16 @@ class TestDoobAggregate:
                 .realize(p).position_after(times) * weight
         assert realized.position_after(times).tobytes() == total.tobytes()
 
+    @pytest.mark.parametrize("K", [1e-300, 1e-155])
+    def test_a_budget_below_the_normal_floats_is_rejected(self, K):
+        # with psi(K) = K^2 the budget 2K (2K + psi(K)) is 0.0 at 1e-300 (a ZeroDivisionError
+        # before) and subnormal at 1e-155 (an infinite factor before)
+        psi = PsiSpec("power", (1.0, 2.0))
+        for fn in (doob_aggregate_bound_factor, doob_aggregate):
+            with pytest.raises(ContractError, match=r"budget 2K \(2K \+ psi\(K\)\)"):
+                fn(0, K, psi)
+        assert doob_aggregate_bound_factor(0, 1e-153, psi) == 1.0 / (2e-153 * 2e-153)
+
     @settings(max_examples=150)
     @given(interval_cases(), st.integers(0, 3))
     def test_linear_merge_matches_the_reference_loop(self, case, n):
@@ -780,6 +790,17 @@ class TestBdg:
         for fn in (bdg_check, bdg_weights, lambda s: bdg_check_batch([[0.5], s])):
             with pytest.raises(ContractError, match="finite"):
                 fn(x)
+
+    def test_needs_squares_that_sum_in_float64(self):
+        # 1e200 squared overflowed in the kernel with a RuntimeWarning; m terms whose largest
+        # magnitude is M square-sum to at most 4 m M^2, so M up to sqrt(max / 4m) is taken
+        for fn in (bdg_check, bdg_weights, lambda s: bdg_check_batch([[0.5], s])):
+            with pytest.raises(ContractError, match="squares in float64"):
+                fn([1e200, -1e200])
+        top = math.sqrt(np.finfo(np.float64).max / 12)
+        assert bdg_check([top, -top, top]).holds
+        with pytest.raises(ContractError, match="float64"):
+            bdg_check([top, -np.nextafter(top, np.inf), top])
 
     @pytest.mark.parametrize("seqs", [[[]], [5.0], [[[0.0, 1.0]]]])
     def test_batch_takes_the_sequences_of_bdg_check(self, seqs):
