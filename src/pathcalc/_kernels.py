@@ -208,7 +208,7 @@ def partition_coarsen(level_idx):
     return sel, j[sel]
 
 
-def partition_linear_count(times, values, scale):
+def partition_linear_count(values, scale):
     """Number of crossing times of a 1-d linear-mode path, and its track.
 
     Returns ``(1 + sum |dj|, j)`` with ``j`` the play-operator track of

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ContractError, InternalConsistencyError
 from .integration import ContinuityReport, constant_integrand, continuity_experiment
 from .partitions import upcrossings_at_events
-from .paths import Path, PsiSpec
+from .paths import Path, PsiSpec, _scalar
 from .simulate import SimSpec, ensemble, simulate
 from .strategies import (RealizedStrategy, StrategyRule, admissibility_lift, bdg_check_batch,
                          capital_curve, check_strong_admissibility, check_weak_admissibility,
@@ -48,13 +48,19 @@ class Report:
 
 def paths(spec: SimSpec, count: int, **changes) -> Iterator[Path]:
     """Streams 0..count-1 of ``spec`` with ``changes`` applied, drawn one at a time."""
-    spec = replace(spec, **changes)
+    spec, count = replace(spec, **changes), _scalar(count, "count", 1, integer=True)
     return (simulate(spec, i) for i in range(count))
 
 
 def integrand(c: float):
     """The rule of the constant integrand ``c``."""
     return lambda p: constant_integrand(c, p.dim)
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The draws of ``seed``, which is in [0, 2**64) as a simulation seed is."""
+    return np.random.Generator(np.random.Philox(key=_scalar(seed, "seed", 0, 2 ** 64 - 1,
+                                                            integer=True)))
 
 
 def _at(seed: int, stream: int, **where) -> str:
@@ -64,9 +70,8 @@ def _at(seed: int, stream: int, **where) -> str:
 def bdg_sequences(seed: int, count: int,
                   degenerate=((0.0,) * 5, (0.0, 1.0), (0.0, 0.0, 0.0, 2.0))) -> list:
     """``count`` normal sequences of 1..200 terms at scales 1e-3..1e3, then ``degenerate``."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    seqs = []
-    for _ in range(count):
+    rng, seqs = _rng(seed), []
+    for _ in range(_scalar(count, "count", 1, integer=True)):
         m = int(rng.integers(1, 201))
         scale = 10.0 ** rng.uniform(-3, 3)
         seqs.append(rng.normal(0.0, scale, m))
@@ -107,11 +112,12 @@ def doob(seed: int, count: int, psi: PsiSpec = CONSTANT_PSI, *, K: float | None 
     """The dyadic Doob crossing bound and strong 1-admissibility at every event, at n = 0..3
     (or ``stream % 4`` alone), with K = ``floor(sup) + 1`` or ``K`` on the paths below it."""
     checked, per_path = 0, []
+    K = K if K is None else _scalar(K, "K", 0, open_lo=True)
     for stream, p in enumerate(paths(spec, count, seed=seed, psi=psi)):
         sup = p.sup_norm()
         if K is not None and not sup < K:  # the bound is claimed on paths below K only
             continue
-        k = float(K) if K is not None else float(np.floor(sup)) + 1.0
+        k = K if K is not None else float(np.floor(sup)) + 1.0
         path_worst = math.inf
         for n in (0, 1, 2, 3) if every_generation else (stream % 4,):
             curve = capital_curve(doob_aggregate(n, k, psi).realize(p), p)
@@ -136,8 +142,9 @@ def doob(seed: int, count: int, psi: PsiSpec = CONSTANT_PSI, *, K: float | None 
 def hoeffding(seed: int, count: int, min_steps: int = 5) -> Report:
     """The exponential supermartingale floor for six lambdas on each random walk:
     ``min_steps``..119 steps uniform in ``[-c, c]``, c uniform in [0.05, 0.5]."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    worst, where = math.inf, None
+    rng, worst, where = _rng(seed), math.inf, None
+    count = _scalar(count, "count", 1, integer=True)
+    min_steps = _scalar(min_steps, "min_steps", 1, 119, integer=True)
     for stream in range(count):
         steps = int(rng.integers(min_steps, 120))
         c = float(rng.uniform(0.05, 0.5))
@@ -155,8 +162,7 @@ def hoeffding(seed: int, count: int, min_steps: int = 5) -> Report:
 
 def lift(seed: int, count: int, psi: PsiSpec = CONSTANT_PSI, lam: float = 0.5) -> Report:
     """The admissibility lift of random weakly lam-admissible strategies keeps its budget."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    worst, where, per_path = math.inf, None, []
+    rng, worst, where, per_path = _rng(seed), math.inf, None, []
     for stream, p in enumerate(paths(JUMP_SPEC, count, steps=32, seed=seed + 1, psi=psi)):
         K = float(np.floor(p.sup_norm())) + 1.0
         budget = lift_budget(lam, 1, K, psi)  # finite and >= 4 lam: so are draws in [-lam, lam)
@@ -170,7 +176,7 @@ def lift(seed: int, count: int, psi: PsiSpec = CONSTANT_PSI, lam: float = 0.5) -
                                     positions=np.append(pos[:len(keep) - 1], 0.0))
         if not check_weak_admissibility(cand, [p], lam)[0].ok:
             continue
-        rule = StrategyRule(kind="fixed", params={}, _evaluate=lambda _p, c=cand: c)
+        rule = StrategyRule(lambda _p, c=cand: c)
         verdict = check_strong_admissibility(admissibility_lift(rule, lam, K, psi).realize(p),
                                              [p], budget)[0]
         if not verdict.ok:

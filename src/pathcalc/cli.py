@@ -135,7 +135,7 @@ def cmd_simulate(args) -> tuple[int, list]:
 def cmd_qv(args) -> tuple[int, list]:
     path = read_path_csv(args.input)
     out = _outdir(args)
-    report = qv_limit(path, n_max=args.n_max, tol=args.tol)
+    report = qv_limit(path, n_max=args.n_max, tol=args.tol, keep_generations=False)
     write_qv_report(report, out / "qv_report.json", out / "qv_limit.csv",
                     out / f"partition_n{args.n_max}.csv" if path.dim == 1 else None)
     checks = [{"name": "qv-cauchy", "passed": bool(report.cauchy_tol_met),

@@ -28,7 +28,7 @@ from .errors import ContractError, InternalConsistencyError
 from .partitions import MAX_GENERATION, LebesguePartition, lebesgue_partition_nd, partition_ladder
 from .paths import Path, PsiSpec, _held_table, _scalar
 from .qv import _qv_at
-from .strategies import CapitalCurve, RealizedStrategy, bdg_weights, capital, capital_curve
+from .strategies import CapitalCurve, RealizedStrategy, _sequence, capital, capital_curve
 
 __all__ = [
     "StepIntegrand", "MetricEstimate", "PathStats",
@@ -103,6 +103,8 @@ def constant_integrand(value, d: int = 1) -> StepIntegrand:
 
 
 def difference_integrand(F: StepIntegrand, G: StepIntegrand) -> StepIntegrand:
+    if F.dim != G.dim:
+        raise ContractError(f"integrand dims {F.dim} != {G.dim}")
     times = np.unique(np.concatenate([F.times, G.times]))
     vals = F.value_after(times) - G.value_after(times)
     z = None
@@ -483,10 +485,9 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
         d = path.dim
         Fi, curve, lhs, comp = _integral_summary(F, st)
         rho = _union_grid(path, Fi, lebesgue_partition_nd(path, n).times)
-        x = curve.values_at(rho)
-        quad = float(np.sum(np.diff(x) ** 2))
-        h = bdg_weights(x)
-        hx = float(np.sum(h * np.diff(x)))
+        # the curve starts at 0, so [x] is the sum of the squared cell increments
+        _, quad, h, hx = K._bdg_rows(_sequence(curve.values_at(rho))[None, :])
+        quad, h, hx = float(quad[0]), h[0], float(hx[0])
         phi = h[:, None] * Fi.value_after(rho[:-1])
         phi_strategy = RealizedStrategy(times=np.append(rho[:-1], np.inf), positions=phi)
         phi_cap = capital_curve(phi_strategy, path).value_at(path.horizon)

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ContractError
-from .paths import MODE_LINEAR, MODE_STEP, Path, _create, _scalar, _value_eq, _write_table
+from .paths import MODE_LINEAR, MODE_STEP, Path, _scalar, _value_eq
 
 MAX_GENERATION = 52
 
@@ -122,7 +122,7 @@ def lebesgue_partition_1d(path: Path, n: int) -> LebesguePartition:
     if path.mode == MODE_STEP:
         idx, level_idx = K.partition_step(values, scale)
         return LebesguePartition(n, path.times[idx], level_idx, event_indices=idx)
-    cnt, j = K.partition_linear_count(path.times, values, scale)
+    cnt, j = K.partition_linear_count(values, scale)
     if cnt > MAX_LINEAR_POINTS:
         raise ContractError(f"generation {n} crosses {cnt} levels, more than "
                             f"{MAX_LINEAR_POINTS}: use a coarser generation")
@@ -353,9 +353,3 @@ def _partition_table(partition: LebesguePartition):
     idx = partition.level_indices
     level = (idx, 2.0 ** -partition.generation) if idx is not None else np.full(len(partition), "")
     return ["k", "tau", "level"], [np.arange(len(partition)), partition.times, level]
-
-
-def write_partition_csv(partition: LebesguePartition, file):
-    """Export as ``k,tau,level`` (level blank for multi-dimensional)."""
-    with _create(file) as fh:
-        _write_table(fh, *_partition_table(partition))

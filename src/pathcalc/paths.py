@@ -310,7 +310,6 @@ class SampleSpaceSpec:
     psi: PsiSpec
     base: str = BASE_CADLAG
     dim: int = 1
-    horizon: float = 1.0
 
     def __post_init__(self):
         if self.base not in (BASE_CADLAG, BASE_CONTINUOUS, BASE_NONNEGATIVE):

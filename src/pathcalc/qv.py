@@ -305,7 +305,7 @@ def jump_identity_check(path: Path, report: QVReport, tolerance: float = 1e-9) -
 
 def write_qv_report(report: QVReport, json_file, csv_file=None, partition_file=None):
     """JSON diagnostics, optional CSV of the limit matrix path and, in lockstep with it,
-    ``report.partition`` as :func:`write_partition_csv` writes it, one row per limit time.
+    ``report.partition`` as ``k,tau,level`` (blank levels for d > 1), one row per limit time.
     ``tau`` is ``limit_times`` in a ``qv_limit`` report, so it is formatted once."""
     if partition_file is not None and (csv_file is None or report.partition is None
                                        or len(report.partition) != len(report.limit_times)):

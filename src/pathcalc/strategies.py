@@ -76,10 +76,8 @@ class RealizedStrategy:
 
 @dataclass(frozen=True)
 class StrategyRule:
-    """Deterministic map from a path to a realized strategy, with its kind and parameters."""
+    """Deterministic map from a path to a realized strategy."""
 
-    kind: str
-    params: dict
     _evaluate: Callable[[Path], RealizedStrategy] = field(repr=False)
 
     def realize(self, path: Path) -> RealizedStrategy:
@@ -356,9 +354,7 @@ def doob_interval_strategy(a: float, b: float, K_bound: float, psi: PsiSpec) -> 
             raise ContractError("interval strategies act on 1-d paths")
         return _strategy_from_trades(_interval_trades(path, a, b, gamma_K(path, K_bound)))
 
-    return StrategyRule(kind="doob-interval",
-                        params={"a": a, "b": b, "K": K_bound, "psi": psi.to_json()},
-                        _evaluate=evaluate)
+    return StrategyRule(evaluate)
 
 
 def doob_aggregate_bound_factor(n: int, K_bound: float, psi: PsiSpec) -> float:
@@ -407,9 +403,7 @@ def doob_aggregate(n: int, K_bound: float, psi: PsiSpec) -> StrategyRule:
             pos += sub.position_after(times) * weight
         return RealizedStrategy(times=np.append(times, np.inf), positions=pos)
 
-    return StrategyRule(kind="doob-aggregate",
-                        params={"n": n, "K": K_bound, "psi": psi.to_json()},
-                        _evaluate=evaluate)
+    return StrategyRule(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +442,7 @@ def admissibility_lift(G: StrategyRule, lam: float, K_bound: float, psi: PsiSpec
         pos[times < cut] += lam
         return RealizedStrategy(times=np.append(times, np.inf), positions=pos)
 
-    return StrategyRule(kind="lift",
-                        params={"lambda": lam, "K": K_bound, "psi": psi.to_json(),
-                                "of": G.kind},
-                        _evaluate=evaluate)
+    return StrategyRule(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +550,14 @@ def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
         if path.dim != 1:
             raise ContractError("the supermartingale strategy acts on 1-d paths")
         s = path.eval(np.minimum(dt, path.horizon))[:, 0]
-        wealth = np.cumprod(np.concatenate([[1.0], 1.0 + betas[:-1] * np.diff(s)]))
-        return RealizedStrategy(times=np.append(dt, np.inf), positions=wealth * betas)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            wealth = np.cumprod(np.concatenate([[1.0], 1.0 + betas[:-1] * np.diff(s)]))
+            positions = wealth * betas
+        if not np.isfinite(positions).all():
+            raise ContractError(f"the wealth of lambda {lam!r} on this path is beyond float64")
+        return RealizedStrategy(times=np.append(dt, np.inf), positions=positions)
 
-    return StrategyRule(kind="hoeffding",
-                        params={"lambda": lam, "steps": len(dt)},
-                        _evaluate=evaluate)
+    return StrategyRule(evaluate)
 
 
 @dataclass(frozen=True)

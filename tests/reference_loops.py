@@ -409,7 +409,7 @@ def write_path_csv_py(path, csv_file, sidecar=None):
 
 
 def write_partition_csv_py(partition, file):
-    """``partitions.write_partition_csv``, point by point."""
+    """The ``partition_n<N>.csv`` part of ``qv.write_qv_report``, point by point."""
     levels = partition.levels
     with open(file, "w") as fh:
         fh.write("k,tau,level\n")

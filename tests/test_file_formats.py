@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from pathcalc import checks, cli
 from pathcalc.cli import EXIT_OK, main
 from pathcalc.errors import ContractError
-from pathcalc.partitions import LebesguePartition, write_partition_csv
+from pathcalc.partitions import LebesguePartition
 from pathcalc.paths import (_TABLE_BLOCK, Path, _float_cells, _write_json, _write_table,
                             read_path_csv, write_path_csv)
 from pathcalc.qv import QVReport, _pairs, write_qv_report
@@ -96,21 +96,6 @@ def test_path_csv_bytes(tmp_path_factory, m, d, values, scale, fracs, mode):
     assert read_path_csv(tmp_path / "new" / "p.csv") == path
 
 
-@given(m=rows, generation=st.integers(1, 52), leveled=st.booleans(), values=cells,
-       indices=st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=12))
-@example(m=2 * _TABLE_BLOCK + 3, generation=10, leveled=False, values=EDGE_FLOATS, indices=[0])
-@example(m=_TABLE_BLOCK, generation=1, leveled=True, values=EDGE_FLOATS, indices=[-1, 0, 2 ** 53])
-def test_partition_csv_bytes(tmp_path_factory, m, generation, leveled, values, indices):
-    tmp_path = tmp_path_factory.mktemp("partition")
-    (tmp_path / "new").mkdir()
-    (tmp_path / "ref").mkdir()
-    part = LebesguePartition(generation, np.resize(values, m),
-                             np.resize(indices, m) if leveled else None)
-    write_partition_csv(part, tmp_path / "new" / "part.csv")
-    write_partition_csv_py(part, tmp_path / "ref" / "part.csv")
-    _assert_same_files(tmp_path, ["part.csv"])
-
-
 @given(m=rows, d=st.integers(1, 3), values=cells)
 @example(m=_TABLE_BLOCK + 1, d=2, values=EDGE_FLOATS)
 def test_qv_csv_bytes(tmp_path_factory, m, d, values):
@@ -141,9 +126,11 @@ def _qv_command_report(m, d, generation, values, level_indices):
 
 
 @settings(max_examples=30)
-@given(m=st.sampled_from([_TABLE_BLOCK - 1, _TABLE_BLOCK, _TABLE_BLOCK + 1]), d=st.integers(1, 3),
-       generation=st.integers(1, 52), leveled=st.booleans(), values=cells,
-       indices=st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=12))
+@given(m=rows, d=st.integers(1, 3), generation=st.integers(1, 52), leveled=st.booleans(),
+       values=cells, indices=st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=12))
+@example(m=2 * _TABLE_BLOCK + 3, d=1, generation=10, leveled=False, values=EDGE_FLOATS, indices=[0])
+@example(m=_TABLE_BLOCK, d=1, generation=1, leveled=True, values=EDGE_FLOATS,
+         indices=[-1, 0, 2 ** 53])
 @example(m=2 * _TABLE_BLOCK + 3, d=1, generation=52, leveled=True, values=EDGE_FLOATS,
          indices=[0, -1, -(2 ** 62), 2 ** 53 + 1, 7])
 # one level on both sides of the block boundary, next to level 0 and a negative one

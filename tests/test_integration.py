@@ -54,6 +54,13 @@ class TestIntegrateStep:
         assert difference_integrand(big, constant_integrand(-1e200)).sup_norm() == 2e200
         assert constant_integrand(1e200, 2).sup_norm() == math.hypot(1e200, 1e200)
 
+    def test_difference_of_different_dims_rejected(self, p1):
+        with pytest.raises(ContractError, match="dims 1 != 3"):
+            difference_integrand(constant_integrand(1.0, 1), constant_integrand(1.0, 3))
+        with pytest.raises(ContractError, match="dims 1 != 3"):
+            metric("d_inf", lambda q: constant_integrand(1.0, 1),
+                   lambda q: constant_integrand(1.0, 3), [p1])
+
     @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, 1.0, 1.0]])
     def test_times_must_increase_strictly(self, times):
         with pytest.raises(ContractError, match="strictly increasing"):
@@ -386,7 +393,14 @@ class TestBdgBound:
 
     def test_a_violation_names_the_worst_path(self, monkeypatch, p1):
         # weights against every move break the bound on the one path that moves
-        monkeypatch.setattr(integration, "bdg_weights", lambda x: -10.0 * np.sign(np.diff(x)))
+        rows = integration.K._bdg_rows
+
+        def against(x):
+            xstar, qv, _, _ = rows(x)
+            h = -10.0 * np.sign(np.diff(x))
+            return xstar, qv, h, np.sum(h * np.diff(x), axis=1)
+
+        monkeypatch.setattr(integration.K, "_bdg_rows", against)
         flat = Path([0.0, 3.0], [0.5, 0.5], mode="step")
         with pytest.raises(InternalConsistencyError, match="on path 2$"):
             bdg_bound_check_cadlag(const_factory(1.0), [flat, flat, p1, flat], a=1.0, b=1.0,

@@ -19,13 +19,13 @@ from pathcalc import Path, PsiSpec
 from pathcalc import _kernels as K
 from pathcalc.cli import EXIT_OK, main
 from pathcalc.integration import ito_integral, prepare_ensemble
-from pathcalc.partitions import (lebesgue_partition_1d, lebesgue_partition_nd,
-                                 write_partition_csv)
+from pathcalc.partitions import lebesgue_partition_1d, lebesgue_partition_nd
 from pathcalc.paths import write_path_csv
 from pathcalc.qv import qv_limit
 from pathcalc.strategies import l_strategy
 
 from conftest import random_step_path
+from reference_loops import write_partition_csv_py
 
 KERNELS = {"partition_step": "n", "partition_linear_count": "n", "partition_coarsen": "coarsen"}
 
@@ -91,7 +91,7 @@ def test_qv_command(builds, tmp_path, p1):
     assert code == EXIT_OK
     # partition_n6.csv is the finest generation of the QV ladder
     assert builds == {"n": 1, "coarsen": 5}
-    write_partition_csv(lebesgue_partition_1d(p1, 6), tmp_path / "direct.csv")
+    write_partition_csv_py(lebesgue_partition_1d(p1, 6), tmp_path / "direct.csv")
     assert ((tmp_path / "out" / "partition_n6.csv").read_bytes()
             == (tmp_path / "direct.csv").read_bytes())
 

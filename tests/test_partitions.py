@@ -304,7 +304,7 @@ class TestLinearCap:
             raise AssertionError("the fill kernel ran")
 
         monkeypatch.setattr(partitions.K, "partition_linear_fill", no_fill)
-        assert partitions.K.partition_linear_count(p.times, p.values[:, 0], 2.0 ** 40)[0] \
+        assert partitions.K.partition_linear_count(p.values[:, 0], 2.0 ** 40)[0] \
             == 824_633_720_833
         with pytest.raises(ContractError, match="crosses 824633720833 levels"):
             lebesgue_partition_1d(p, 40)

@@ -115,14 +115,14 @@ class TestNorms:
 
 class TestMembership:
     def test_p1_fails_small_psi(self, p1):
-        spec = SampleSpaceSpec(psi=PsiSpec("constant", (0.1,)), dim=1, horizon=3.0)
+        spec = SampleSpaceSpec(psi=PsiSpec("constant", (0.1,)), dim=1)
         report = check_membership(p1, spec)
         assert not report.ok
         # downward jump of 0.2 at t=2 exceeds psi(0.6) = 0.1
         assert [v[0] for v in report.violations] == [2.0]
 
     def test_p1_passes_psi_half(self, p1):
-        spec = SampleSpaceSpec(psi=PsiSpec("constant", (0.5,)), dim=1, horizon=3.0)
+        spec = SampleSpaceSpec(psi=PsiSpec("constant", (0.5,)), dim=1)
         assert check_membership(p1, spec).ok
 
     def test_nonnegative_paths_pass_identity_psi(self):
@@ -142,11 +142,11 @@ class TestMembership:
         assert report.violations == ((1.0, "negative value"), (3.0, "negative value"))
 
     def test_continuous_base_demands_linear_mode(self, p1):
-        spec = SampleSpaceSpec(psi=PsiSpec("constant", (1.0,)), base="continuous", dim=1, horizon=3.0)
+        spec = SampleSpaceSpec(psi=PsiSpec("constant", (1.0,)), base="continuous", dim=1)
         assert not check_membership(p1, spec).ok
 
     def test_dim_mismatch_raises(self, p1):
-        spec = SampleSpaceSpec(psi=PsiSpec("constant", (1.0,)), dim=2, horizon=3.0)
+        spec = SampleSpaceSpec(psi=PsiSpec("constant", (1.0,)), dim=2)
         with pytest.raises(ContractError):
             check_membership(p1, spec)
 

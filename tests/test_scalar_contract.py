@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcalc import ContractError, Path, PsiSpec
+from pathcalc import checks as C
 from pathcalc import integration as I
 from pathcalc import partitions as P
 from pathcalc import qv as Q
@@ -274,6 +275,38 @@ def test_messages_name_the_argument_its_domain_and_value():
         with pytest.raises(ContractError) as failure:
             call()
         assert str(failure.value) == message
+
+
+SEEDS = "in 0..18446744073709551615"
+# ``pathcalc.checks`` stays out of the edge sweep: a valid count such as 2**63 never ends
+CHECKS_REJECTED = [
+    ("bdg_sequences count -3", lambda: C.bdg_sequences(1, -3),
+     "count must be an integer >= 1, got -3"),
+    ("bdg_sequences seed -1", lambda: C.bdg_sequences(-1, 1), f"seed must be {SEEDS}, got -1"),
+    ("bdg_sequences seed 2**64", lambda: C.bdg_sequences(2 ** 64, 1),
+     f"seed must be {SEEDS}, got {2 ** 64}"),
+    ("l_identity count 0", lambda: C.l_identity(1, 0), "count must be an integer >= 1, got 0"),
+    ("doob count 0", lambda: C.doob(1, 0), "count must be an integer >= 1, got 0"),
+    ("doob K 0", lambda: C.doob(1, 1, K=0), "K must be > 0 and finite, got 0"),
+    ("doob K nan", lambda: C.doob(1, 1, K=NAN), "K must be > 0 and finite, got nan"),
+    ("doob K True", lambda: C.doob(1, 1, K=True), "K must be > 0 and finite, got True"),
+    ("hoeffding count -3", lambda: C.hoeffding(1, -3), "count must be an integer >= 1, got -3"),
+    ("hoeffding seed -1", lambda: C.hoeffding(-1, 1), f"seed must be {SEEDS}, got -1"),
+    ("hoeffding min_steps 120", lambda: C.hoeffding(1, 2, min_steps=120),
+     "min_steps must be in 1..119, got 120"),
+    ("hoeffding min_steps 0", lambda: C.hoeffding(1, 2, min_steps=0),
+     "min_steps must be in 1..119, got 0"),
+    ("lift count 0", lambda: C.lift(1, 0), "count must be an integer >= 1, got 0"),
+    ("lift seed -1", lambda: C.lift(-1, 1), f"seed must be {SEEDS}, got -1"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in CHECKS_REJECTED],
+                         ids=[row[0] for row in CHECKS_REJECTED])
+def test_checks_take_their_scalars_through_the_intake(call, message):
+    with pytest.raises(ContractError) as failure:
+        call()
+    assert str(failure.value) == message
 
 
 def test_integral_floats_and_numpy_integers_are_integers():

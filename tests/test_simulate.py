@@ -95,7 +95,7 @@ class TestMembershipInvariant:
                            jump_intensity=20.0, jump_mean=-0.2, jump_std=0.3,
                            volatility=0.5, psi=psi)
             p = simulate(spec)
-            space = SampleSpaceSpec(psi=psi, dim=1, horizon=p.horizon)
+            space = SampleSpaceSpec(psi=psi, dim=1)
             assert check_membership(p, space).ok, f"seed {seed}"
 
     def test_step_brownian_clipped(self):
@@ -111,7 +111,7 @@ class TestMembershipInvariant:
                            volatility=0.4, psi=psi)
             p = simulate(spec)
             assert p.dim == 3
-            space = SampleSpaceSpec(psi=psi, dim=3, horizon=p.horizon)
+            space = SampleSpaceSpec(psi=psi, dim=3)
             assert check_membership(p, space).ok
 
     def test_a_clipped_path_of_twelve_coordinates_passes_membership(self):
@@ -123,7 +123,7 @@ class TestMembershipInvariant:
         spec = SimSpec(kind="jump-diffusion", steps=256, dim=12, seed=5, jump_intensity=2000.0,
                        psi=psi)
         p = simulate(spec, stream=39)
-        assert check_membership(p, SampleSpaceSpec(psi=psi, dim=12, horizon=p.horizon)).ok
+        assert check_membership(p, SampleSpaceSpec(psi=psi, dim=12)).ok
 
     def test_running_sup_beyond_the_sum_of_squares(self):
         # the squares of 1e200 overflow; the norm and the bound stay finite
@@ -132,7 +132,7 @@ class TestMembershipInvariant:
         K.clip_jumps(values, psi)
         assert values[1, 0] == pytest.approx(1e200 - 0.5 * np.hypot(1e200, 1e200))
         p = Path([0.0, 1.0], values)
-        assert check_membership(p, SampleSpaceSpec(psi=psi, dim=2, horizon=1.0)).ok
+        assert check_membership(p, SampleSpaceSpec(psi=psi, dim=2)).ok
 
     def test_huge_jump_diffusion_writes_a_member_without_warning(self, tmp_path):
         argv = ["simulate", "--kind", "jump-diffusion", "--jump-intensity", "5", "--dim", "2",
@@ -142,7 +142,7 @@ class TestMembershipInvariant:
             warnings.simplefilter("error")
             assert main(argv) == EXIT_OK
         p = read_path_csv(tmp_path / "path_0000.csv")
-        space = SampleSpaceSpec(psi=PsiSpec("affine", (0.1, 0.0)), dim=2, horizon=p.horizon)
+        space = SampleSpaceSpec(psi=PsiSpec("affine", (0.1, 0.0)), dim=2)
         assert check_membership(p, space).ok
 
     def test_clipping_only_limits_downward_moves(self):

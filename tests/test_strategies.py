@@ -557,7 +557,7 @@ class TestAdmissibilityLift:
                 continue
             checked += 1
             from pathcalc.strategies import StrategyRule
-            rule = StrategyRule(kind="fixed", params={}, _evaluate=lambda _p, c=cand: c)
+            rule = StrategyRule(lambda _p, c=cand: c)
             lifted = admissibility_lift(rule, lam, K, psi).realize(p)
             budget = lift_budget(lam, 1, K, psi)
             assert check_strong_admissibility(lifted, [p], budget)[0].ok
@@ -584,7 +584,7 @@ class TestAdmissibilityLift:
                 continue
             checked += 1
             from pathcalc.strategies import StrategyRule
-            rule = StrategyRule(kind="fixed", params={}, _evaluate=lambda _p, c=cand: c)
+            rule = StrategyRule(lambda _p, c=cand: c)
             lifted = admissibility_lift(rule, lam, K, psi).realize(p)
             budget = lift_budget(lam, 2, K, psi)
             assert check_strong_admissibility(lifted, [p], budget)[0].ok
@@ -602,7 +602,7 @@ class TestAdmissibilityLift:
         G = RealizedStrategy(times=times, positions=np.repeat(np.array(pos)[:, None], d, axis=1))
         lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
         K_bound = data.draw(st.sampled_from([0.5, 2.25, 100.0, 1e4]))
-        rule = StrategyRule(kind="fixed", params={}, _evaluate=lambda _p: G)
+        rule = StrategyRule(lambda _p: G)
         realized = admissibility_lift(rule, lam, K_bound, PSI0).realize(path)
         ref_times, ref_pos = R.admissibility_lift_py(G, path, lam, K_bound)
         assert realized.times.tobytes() == ref_times.tobytes()
@@ -755,6 +755,13 @@ class TestHoeffding:
     def test_nan_decision_time_rejected(self):
         with pytest.raises(ContractError, match="increasing"):
             hoeffding_strategy([0.0, np.nan, 2.0], 0.5, 1.0)
+
+    def test_wealth_beyond_float64_rejected(self):
+        p = Path(np.arange(301.0), np.arange(301.0) % 2)
+        with pytest.raises(ContractError, match="wealth of lambda 10000000000.0"):
+            hoeffding_strategy(p.times, 1e-300, 1e10).realize(p)
+        with pytest.raises(ContractError, match="wealth of lambda 10000000000.0"):
+            hoeffding_check(p, p.times, 1e-300, 1e10)
 
     def test_violated_step_bound_reported(self):
         p = Path(times=[0.0, 1.0], values=[0.0, 5.0], mode="step")
