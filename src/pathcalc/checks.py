@@ -163,7 +163,8 @@ def hoeffding(seed: int, count: int, min_steps: int = 5) -> Report:
 def lift(seed: int, count: int, psi: PsiSpec = CONSTANT_PSI, lam: float = 0.5) -> Report:
     """The admissibility lift of random weakly lam-admissible strategies keeps its budget."""
     rng, worst, where, per_path = _rng(seed), math.inf, None, []
-    for stream, p in enumerate(paths(JUMP_SPEC, count, steps=32, seed=seed + 1, psi=psi)):
+    for stream, p in enumerate(paths(JUMP_SPEC, count, steps=32, seed=(seed + 1) % 2 ** 64,
+                                     psi=psi)):
         K = float(np.floor(p.sup_norm())) + 1.0
         budget = lift_budget(lam, 1, K, psi)  # finite and >= 4 lam: so are draws in [-lam, lam)
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.9, 3)), [np.inf]])
@@ -177,7 +178,7 @@ def lift(seed: int, count: int, psi: PsiSpec = CONSTANT_PSI, lam: float = 0.5) -
         if not check_weak_admissibility(cand, [p], lam)[0].ok:
             continue
         rule = StrategyRule(lambda _p, c=cand: c)
-        verdict = check_strong_admissibility(admissibility_lift(rule, lam, K, psi).realize(p),
+        verdict = check_strong_admissibility(admissibility_lift(rule, lam, K).realize(p),
                                              [p], budget)[0]
         if not verdict.ok:
             raise InternalConsistencyError(

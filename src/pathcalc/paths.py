@@ -13,8 +13,8 @@ non-decreasing ``psi``.  Upward jumps are unrestricted.
 
 It also owns the file formats pathcalc writes and reads: CSV tables of
 ``repr`` floats, sorted-key JSON, and JSON objects read back (section "File
-round trip").  The table writer formats each column object and each level
-index once per block of rows, also across tables written in lockstep.
+round trip").  The table writer turns a block of rows into text with one
+``orjson.dumps`` and a few NumPy passes over its bytes, with no string per cell.
 """
 
 from __future__ import annotations
@@ -351,54 +351,54 @@ def check_membership(path: Path, spec: SampleSpaceSpec) -> MembershipReport:
 # File round trip: every artifact format pathcalc writes or reads
 # ---------------------------------------------------------------------------
 
-_TABLE_BLOCK = 4096  # rows formatted at once: a long table never holds all its strings
+_TABLE_BLOCK = 4096  # rows formatted at once: a long table never holds all its text
 
 
-def _float_cells(a):
-    """``repr`` of each value of the 1-d float64 ``a``.
-
-    orjson writes the shortest round-trip digits, as ``repr`` does, and spells them as
-    ``repr`` does for magnitudes in ``[1e-4, 1e16)`` and at zero; at every other value
-    (non-finite ones too) the cell is ``repr`` itself."""
-    import orjson  # here, not at module top: only a table writer loads it
-
-    a = np.ascontiguousarray(a)
-    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    mag = np.abs(a)
-    for k in np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (a == 0))).tolist():
-        cells[k] = repr(float(a[k]))
-    return cells
-
-
-def _block_cells(col, lo):
-    """``str`` of rows ``lo:lo + _TABLE_BLOCK`` of a column; ``(indices, scale)`` holds
-    ``indices * scale``, formatted once per distinct int64 index of the block."""
-    if isinstance(col, tuple):
-        u, inv = np.unique(col[0][lo:lo + _TABLE_BLOCK], return_inverse=True)
-        return np.array(_float_cells(u * col[1]), dtype=object)[inv].tolist()
-    block = col[lo:lo + _TABLE_BLOCK]
-    return _float_cells(block) if block.dtype == np.float64 else list(map(str, block.tolist()))
-
-
-def _write_table(fh, header, columns, *lockstep):
-    """Write ``header`` and a row per index of the equal-length 1-d ``columns`` (the first
-    an array), and beside it each ``(fh, header, columns)`` of ``lockstep``, block by block.
+def _write_table(fh, header, columns):
+    """Write ``header`` and a row per index of the equal-length 1-d ``columns``: arrays, or
+    after the first ``(indices, scale)`` for the float column ``indices * scale``.
 
     A cell is ``str`` of its value, for a float its shortest round-trip ``repr``, so readers
-    invert writers exactly.  Lines end with ``"\\n"``.  A column object (by identity) is
-    formatted once per block however many tables list it; a block is one ``%``-format."""
-    tables = [(fh, header, columns), *lockstep]
-    distinct = {id(col): col for _, _, cols in tables for col in cols}
-    for out, head, _ in tables:
-        out.write(",".join(head) + "\n")
+    invert writers exactly; lines end with ``"\\n"``.  A block of rows is one ``orjson.dumps``
+    of its cells as float64s, whose bytes NumPy splits into rows, dropping each int cell's
+    ``.0``.  orjson spells a float as ``repr`` does at magnitudes in ``[1e-4, 1e16)`` and at
+    zero, and an int exactly below 2^53; a row with any other cell is rebuilt with ``str``."""
+    import orjson  # here, not at module top: only a table writer loads it
+
+    fh.write(",".join(header) + "\n")
     for lo in range(0, len(columns[0]), _TABLE_BLOCK):
-        cells = {key: _block_cells(col, lo) for key, col in distinct.items()}
-        m = len(cells[id(columns[0])])
-        for out, _, cols in tables:
-            flat = [None] * (len(cols) * m)
-            for j, col in enumerate(cols):
-                flat[j::len(cols)] = cells[id(col)]
-            out.write((("%s," * (len(cols) - 1) + "%s\n") * m) % tuple(flat))
+        cols = [c[0][lo:lo + _TABLE_BLOCK] * c[1] if isinstance(c, tuple)
+                else c[lo:lo + _TABLE_BLOCK] for c in columns]
+        grid = np.zeros((len(cols[0]), len(cols)))
+        odd = np.zeros(len(grid), dtype=bool)  # rows with a cell orjson spells otherwise
+        ints = [j for j, c in enumerate(cols) if c.dtype.kind in "iu"]
+        for j, c in enumerate(cols):
+            if j in ints:
+                odd |= (c >= 2 ** 53) | (c <= -2 ** 53)
+            elif c.dtype == np.float64:
+                mag = np.abs(c)
+                odd |= ~(((mag >= 1e-4) & (mag < 1e16)) | (c == 0))
+            else:
+                odd[:] = True
+                continue
+            grid[:, j] = c
+        raw = orjson.dumps(grid.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        text = np.frombuffer(raw, np.uint8)[1:].copy()  # b"cell,cell,...,cell]"
+        ends = np.append(np.flatnonzero(text == ord(",")), text.size - 1).reshape(grid.shape)
+        text[ends[:, -1]] = ord("\n")
+        if ints:
+            text = np.delete(text, np.concatenate([ends[:, ints] - 2, ends[:, ints] - 1]).ravel())
+        out = text.tobytes().decode()
+        rows = np.flatnonzero(odd)
+        if rows.size:
+            bounds = np.append(0, np.flatnonzero(text == ord("\n")) + 1)
+            pieces, at = [], 0
+            for start, stop, row in zip(bounds[rows].tolist(), bounds[rows + 1].tolist(),
+                                        zip(*(c[rows].tolist() for c in cols))):
+                pieces += [out[at:start], ",".join(map(str, row)), "\n"]
+                at = stop
+            out = "".join(pieces) + out[at:]
+        fh.write(out)
 
 
 def _create(file, newline=None):

@@ -13,7 +13,6 @@ reported data, never an error.  Convention: ``Q^0 := 0`` so ``Z^1 = Q^1``.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -304,9 +303,9 @@ def jump_identity_check(path: Path, report: QVReport, tolerance: float = 1e-9) -
 # ---------------------------------------------------------------------------
 
 def write_qv_report(report: QVReport, json_file, csv_file=None, partition_file=None):
-    """JSON diagnostics, optional CSV of the limit matrix path and, in lockstep with it,
-    ``report.partition`` as ``k,tau,level`` (blank levels for d > 1), one row per limit time.
-    ``tau`` is ``limit_times`` in a ``qv_limit`` report, so it is formatted once."""
+    """JSON diagnostics, optional CSV of the limit matrix path and, beside it,
+    ``report.partition`` as ``k,tau,level`` (blank levels for d > 1), one row per limit time;
+    a partition file that breaks this is refused before anything is written."""
     if partition_file is not None and (csv_file is None or report.partition is None
                                        or len(report.partition) != len(report.limit_times)):
         raise ContractError("a partition file needs csv_file and one partition row per limit time")
@@ -327,9 +326,9 @@ def write_qv_report(report: QVReport, json_file, csv_file=None, partition_file=N
     _write_json(json_file, obj)
     if csv_file is not None:
         pairs = [(a, b) for a in range(report.dim) for b in range(report.dim)]
-        with _create(csv_file) as fh, ExitStack() as files:
-            lockstep = [] if partition_file is None else [
-                (files.enter_context(_create(partition_file)), *_partition_table(report.partition))]
+        with _create(csv_file) as fh:
             _write_table(fh, ["t"] + [f"qv_{a + 1}{b + 1}" for a, b in pairs],
-                         [report.limit_times] + [report.limit_values[:, a, b] for a, b in pairs],
-                         *lockstep)
+                         [report.limit_times] + [report.limit_values[:, a, b] for a, b in pairs])
+    if partition_file is not None:
+        with _create(partition_file) as fh:
+            _write_table(fh, *_partition_table(report.partition))

@@ -336,7 +336,7 @@ def _strategy_from_trades(trades) -> RealizedStrategy:
     return RealizedStrategy(times=np.array(times), positions=np.array(positions))
 
 
-def doob_interval_strategy(a: float, b: float, K_bound: float, psi: PsiSpec) -> StrategyRule:
+def doob_interval_strategy(a: float, b: float, K_bound: float) -> StrategyRule:
     """Buy one unit at the first time S <= a, sell at the next time S >= b.
 
     Trading repeats until the horizon or until ``gamma_K`` fires, whichever
@@ -418,7 +418,7 @@ def lift_budget(lam: float, d: int, K_bound: float, psi: PsiSpec) -> float:
                    f"the lift budget of lambda {lam!r} at K = {K_bound}")
 
 
-def admissibility_lift(G: StrategyRule, lam: float, K_bound: float, psi: PsiSpec) -> StrategyRule:
+def admissibility_lift(G: StrategyRule, lam: float, K_bound: float) -> StrategyRule:
     """Add ``lam`` units of every asset until ``rho_lam(G)`` and cut at ``gamma_K``.
 
     If G is weakly lam-admissible, the lift is strongly admissible with

@@ -190,6 +190,23 @@ class TestVerifyCommand:
                      "--seed", "5", "--output-dir", str(tmp_path / "v")])
         assert code == EXIT_OK
 
+    def test_lift_takes_the_largest_seed(self, tmp_path, monkeypatch):
+        """Seed 2^64 - 1 is valid: its paths are drawn with seed 0, the next seed mod 2^64,
+        while every other seed keeps the paths of ``seed + 1``."""
+        drawn = []
+
+        def paths(spec, count, **changes):
+            drawn.append(changes["seed"])
+            return real_paths(spec, count, **changes)
+
+        real_paths = checks.paths
+        monkeypatch.setattr(checks, "paths", paths)
+        assert checks.lift(2 ** 64 - 1, 3).seed == 2 ** 64 - 1
+        assert checks.lift(5, 3).seed == 5
+        assert main(["verify", "--check", "lift", "--count", "3", "--seed", str(2 ** 64 - 1),
+                     "--output-dir", str(tmp_path / "v")]) == EXIT_OK
+        assert drawn == [0, 6, 0]
+
     @pytest.mark.parametrize("check, small, large", [("concentration", 4, 40),
                                                      ("bdg-bound", 4, 100),
                                                      ("doob", 4, 40),

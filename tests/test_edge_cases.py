@@ -109,7 +109,7 @@ class TestStrategiesEdges:
     def test_doob_interval_on_linear_path_round_trips(self):
         p = Path(times=[0, 1, 2, 3, 4], values=[0.6, -0.1, 0.8, -0.2, 0.9],
                  mode="linear")
-        realized = doob_interval_strategy(0.0, 0.5, 5.0, PsiSpec("constant", (0.0,))).realize(p)
+        realized = doob_interval_strategy(0.0, 0.5, 5.0).realize(p)
         # two full round trips: buy at the exact 0.0 roots, sell at the 0.5 roots
         assert capital(realized, p, 4.0) == pytest.approx(1.0, abs=1e-12)
 

@@ -3,10 +3,13 @@
 Every writer must produce the bytes of its reference loop in
 ``reference_loops``, for d = 1..3, ``-0.0``, subnormals, values on both
 sides of the switch to exponent form at 1e16, blank levels and tables longer
-than one formatting block, also where ``qv`` writes two tables in lockstep;
-every CLI artifact must come out the same on a rerun.
+than one formatting block.  The table writer must also match ``str`` of each
+cell on the cells orjson spells otherwise (non-finite and out-of-range floats,
+ints from 2^53 on, blanks) wherever they fall in a block, and at row counts on
+both sides of a block; every CLI artifact must come out the same on a rerun.
 """
 
+import io
 import itertools
 import tracemalloc
 from pathlib import PurePosixPath
@@ -20,7 +23,7 @@ from pathcalc import checks, cli
 from pathcalc.cli import EXIT_OK, main
 from pathcalc.errors import ContractError
 from pathcalc.partitions import LebesguePartition
-from pathcalc.paths import (_TABLE_BLOCK, Path, _float_cells, _write_json, _write_table,
+from pathcalc.paths import (_TABLE_BLOCK, Path, _write_json, _write_table,
                             read_path_csv, write_path_csv)
 from pathcalc.qv import QVReport, _pairs, write_qv_report
 
@@ -55,8 +58,9 @@ rows = st.one_of(st.integers(1, 20),
 @example(x=float("inf"))
 @example(x=float("-inf"))
 def test_float_cells_are_repr(x):
-    """Each cell is ``repr`` of its value, on both sides of every spelling boundary."""
-    assert _float_cells(np.array([x, 1.0, x])) == [repr(x), "1.0", repr(x)]
+    """Each cell of a one-column table is ``repr`` of its value, on both sides of every
+    spelling boundary."""
+    _assert_same_text(_table(["x"], [np.array([x, 1.0, x])]), f"x\n{x!r}\n1.0\n{x!r}\n")
 
 
 def test_float_cells_of_random_bit_patterns():
@@ -64,7 +68,92 @@ def test_float_cells_of_random_bit_patterns():
     rng = np.random.default_rng(24)
     for _ in range(2 ** 18 // _TABLE_BLOCK):
         block = rng.integers(0, 2 ** 64, _TABLE_BLOCK, dtype=np.uint64).view(np.float64)
-        assert _float_cells(block) == list(map(repr, block.tolist()))
+        _assert_same_text(_table(["x"], [block]),
+                          "x\n" + "".join(f"{v!r}\n" for v in block.tolist()))
+
+
+def _table(header, columns):
+    """The text ``_write_table`` writes."""
+    fh = io.StringIO()
+    _write_table(fh, header, columns)
+    return fh.getvalue()
+
+
+def _assert_same_text(text, ref):
+    """``text == ref``; a mismatch names its first differing line, since pytest's own diff of
+    two long tables takes minutes."""
+    if text != ref:
+        got, want = text.splitlines(True), ref.splitlines(True)
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"line {k}: {got[k:k + 1]} != {want[k:k + 1]}")
+
+
+def _cell_by_cell(header, columns):
+    """``str`` of every cell, row by row; ``(indices, scale)`` is the column ``indices * scale``."""
+    cols = [(c[0] * c[1] if isinstance(c, tuple) else c).tolist() for c in columns]
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *zip(*cols)])
+
+
+INT_EDGES = [2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53), 2 ** 53 + 1, -(2 ** 53 + 1),
+             2 ** 62, -(2 ** 62)]
+
+
+def test_int_cells_at_the_edge_of_float64():
+    """Ints orjson writes exactly (below 2^53 in magnitude) lose the ``.0`` of their float;
+    from 2^53 on, where a float64 may round, the row is rebuilt with ``str``."""
+    ints = np.array(INT_EDGES + [0, 1, -1, 7], dtype=np.int64)
+    floats = np.resize([-1.0, 0.25, 3.5], len(ints))  # no odd float: each row is its int's
+    text = _table(["k", "x"], [ints, floats])
+    _assert_same_text(text, _cell_by_cell(["k", "x"], [ints, floats]))
+    assert text.splitlines()[1:4] == ["9007199254740991,-1.0", "-9007199254740991,0.25",
+                                      "9007199254740992,3.5"]
+
+
+def _odd_rows(where, m):
+    """Rows of an ``m``-row table that hold an odd cell, by their place in each block."""
+    k = np.arange(m)
+    return {"none": k < 0, "first": k % _TABLE_BLOCK == 0,
+            "last": (k % _TABLE_BLOCK == _TABLE_BLOCK - 1) | (k == m - 1), "every": k >= 0}[where]
+
+
+@pytest.mark.parametrize("where", ["none", "first", "last", "every"])
+@pytest.mark.parametrize("kind", ["float", "nan", "int", "level"])
+def test_blocks_with_odd_rows(where, kind):
+    """A block whose rows holding a cell orjson spells otherwise are none, only the first,
+    only the last or every one, in a table of two blocks with k, float and level columns."""
+    m = _TABLE_BLOCK + 5
+    rows = _odd_rows(where, m)
+    k, x = np.arange(m), np.linspace(0.5, 2.5, m)
+    idx, scale = np.arange(m, dtype=np.int64) - 2 ** 14, 2.0 ** -20  # levels -1/64 and below
+    if kind == "float":
+        x[rows] = 1.5e-7
+    elif kind == "nan":
+        x[rows] = np.where(np.arange(rows.sum()) % 2, np.inf, np.nan)
+    elif kind == "int":
+        k[rows] = 2 ** 53 + 1
+    else:
+        idx[rows] = 3  # a level of 3 * 2^-20, below 1e-4
+    columns = [k, x, (idx, scale)]
+    _assert_same_text(_table(["k", "tau", "level"], columns),
+                      _cell_by_cell(["k", "tau", "level"], columns))
+
+
+def test_blank_level_column():
+    """The partition table of a d > 1 path: a blank level makes every row odd."""
+    m = _TABLE_BLOCK + 1
+    columns = [np.arange(m), np.linspace(0.0, 3.0, m), np.full(m, "")]
+    text = _table(["k", "tau", "level"], columns)
+    _assert_same_text(text, _cell_by_cell(["k", "tau", "level"], columns))
+    assert text.splitlines()[2] == f"1,{3.0 / (m - 1)!r},"
+
+
+@pytest.mark.parametrize("m", [1, _TABLE_BLOCK - 1, _TABLE_BLOCK, _TABLE_BLOCK + 1])
+def test_row_counts_around_a_block(m):
+    """Tables of one row and on both sides of a block end in exactly one newline."""
+    columns = [np.arange(m) - 3, np.linspace(-1e-5, 2.0, m), np.linspace(0.0, 1e17, m)]
+    text = _table(["k", "x", "y"], columns)
+    _assert_same_text(text, _cell_by_cell(["k", "x", "y"], columns))
+    assert text.count("\n") == m + 1 and text.endswith("\n") and not text.endswith("\n\n")
 
 
 def _times(m, scale, fracs):
@@ -138,9 +227,9 @@ def _qv_command_report(m, d, generation, values, level_indices):
          indices=[-3] * (_TABLE_BLOCK - 2) + [0, -3, -3])
 @example(m=_TABLE_BLOCK, d=3, generation=1, leveled=False, values=EDGE_FLOATS, indices=[0])
 def test_qv_command_tables_bytes(tmp_path_factory, m, d, generation, leveled, values, indices):
-    """``qv_limit.csv`` and ``partition_n<N>.csv``, written in lockstep by ``cmd_qv``'s call,
-    against the loops: one ``t``/``tau`` column object and the levels formatted per distinct
-    index must give the bytes of formatting each cell."""
+    """``qv_limit.csv`` and ``partition_n<N>.csv``, written by ``cmd_qv``'s call, against the
+    loops: the ``t``/``tau`` column object shared by both tables and the levels multiplied a
+    block at a time must give the bytes of formatting each cell."""
     tmp_path = tmp_path_factory.mktemp("qvcmd")
     (tmp_path / "new").mkdir()
     (tmp_path / "ref").mkdir()
@@ -170,24 +259,41 @@ def test_qv_partition_file_needs_one_row_per_limit_time(tmp_path, rows):
 
 
 def test_qv_writers_hold_one_block(tmp_path):
-    """The peak traced memory of ``cmd_qv``'s writers does not grow with the table."""
+    """The peak traced memory of ``cmd_qv``'s writers, and of ``_write_table`` on the
+    ``integral.csv`` and ``continuity.csv`` shapes, does not grow with the table."""
     rng = np.random.default_rng(5)
 
-    def peak(m):
-        report = _qv_command_report(m, 1, 20, rng.standard_normal(997).tolist(),
-                                    rng.integers(-2 ** 20, 2 ** 20, m))
-        report.limit_values[:] = rng.standard_normal((m, 1, 1))  # every value distinct
+    def traced_peak(write):
         tracemalloc.start()
         try:
-            write_qv_report(report, tmp_path / "r.json", tmp_path / "q.csv", tmp_path / "p.csv")
+            write()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(8195)  # first-use allocations
+    def qv_peak(m):
+        report = _qv_command_report(m, 1, 20, rng.standard_normal(997).tolist(),
+                                    rng.integers(-2 ** 20, 2 ** 20, m))
+        report.limit_values[:] = rng.standard_normal((m, 1, 1))  # every value distinct
+        return traced_peak(lambda: write_qv_report(report, tmp_path / "r.json",
+                                                   tmp_path / "q.csv", tmp_path / "p.csv"))
+
+    def table_peak(m, labels):
+        columns = [rng.integers(-10, 10 ** 6, m)] if labels else []
+        columns += [rng.standard_normal(m), rng.standard_normal(m)]
+
+        def write():
+            with open(tmp_path / "t.csv", "w") as fh:
+                _write_table(fh, ["c"] * len(columns), columns)
+        return traced_peak(write)
+
+    qv_peak(8195)  # first-use allocations
     # 57 342 more rows: the k column's arange grows by 448 KiB, while a table-wide
     # cache of the rows' strings would add several MiB
-    assert abs(peak(65537) - peak(8195)) < 1024 * 1024
+    assert abs(qv_peak(65537) - qv_peak(8195)) < 1024 * 1024
+    for labels in (False, True):  # integral.csv, continuity.csv
+        table_peak(8195, labels)
+        assert abs(table_peak(65537, labels) - table_peak(8195, labels)) < 1024 * 1024
 
 
 @pytest.mark.parametrize("mode", ["step", "linear"])

@@ -86,7 +86,7 @@ ROWS = [
     ("check_weak_admissibility", lambda lam: G.check_weak_admissibility(HELD, [STEP], lam),
      {"lam": 0.5}),
     ("doob_interval_strategy",
-     lambda a, b, K_bound: G.doob_interval_strategy(a, b, K_bound, PSI).realize(LINEAR),
+     lambda a, b, K_bound: G.doob_interval_strategy(a, b, K_bound).realize(LINEAR),
      {"a": 0.0, "b": 0.5, "K_bound": 1.0}),
     ("doob_aggregate_bound_factor",
      lambda n, K_bound: G.doob_aggregate_bound_factor(n, K_bound, PSI), {"n": 2, "K_bound": 1.0}),
@@ -95,8 +95,8 @@ ROWS = [
     ("lift_budget", lambda lam, d, K_bound: G.lift_budget(lam, d, K_bound, PSI),
      {"lam": 0.5, "d": 1, "K_bound": 1.0}),
     ("admissibility_lift",
-     lambda lam, K_bound: G.admissibility_lift(G.doob_aggregate(2, 1.0, PSI), lam, K_bound,
-                                               PSI).realize(STEP),
+     lambda lam, K_bound: G.admissibility_lift(G.doob_aggregate(2, 1.0, PSI), lam,
+                                               K_bound).realize(STEP),
      {"lam": 0.5, "K_bound": 1.0}),
     ("l_strategy", lambda n, K_bound, tolerance: G.l_strategy(STEP, n, K_bound, PSI, tolerance),
      {"n": 3, "K_bound": 1, "tolerance": 1e-9}),
@@ -216,12 +216,12 @@ REJECTED = [
     ("rho lambda nan", lambda: G.rho_lambda(HELD, STEP, NAN)),
     ("strong lambda nan", lambda: G.check_strong_admissibility(HELD, [STEP], NAN)),
     ("weak lambda inf", lambda: G.check_weak_admissibility(HELD, [STEP], INF)),
-    ("interval strategy K nan", lambda: G.doob_interval_strategy(0.0, 0.5, NAN, PSI)),
+    ("interval strategy K nan", lambda: G.doob_interval_strategy(0.0, 0.5, NAN)),
     ("aggregate generation 1.5", lambda: G.doob_aggregate(1.5, 2.0, PSI)),
     ("bound factor K nan", lambda: G.doob_aggregate_bound_factor(2, NAN, PSI)),
     ("lift budget lambda nan", lambda: G.lift_budget(NAN, 1, 1.0, PSI)),
     ("lift budget d 1.5", lambda: G.lift_budget(0.5, 1.5, 1.0, PSI)),
-    ("lift K nan", lambda: G.admissibility_lift(G.doob_aggregate(2, 1.0, PSI), 0.5, NAN, PSI)),
+    ("lift K nan", lambda: G.admissibility_lift(G.doob_aggregate(2, 1.0, PSI), 0.5, NAN)),
     ("beta lambda nan", lambda: G.hoeffding_beta(NAN, 1.0)),
     ("beta c -1", lambda: G.hoeffding_beta(1.0, -1.0)),
     ("hoeffding c nan", lambda: G.hoeffding_strategy(STEP.times, NAN, 1.0)),

@@ -336,7 +336,7 @@ class TestAdmissibility:
         rng = np.random.default_rng(13)
         paths = [Path(q.times, q.values, mode=mode, horizon=q.horizon)
                  for q in (random_step_path(rng, n_events=12) for _ in range(6))]
-        rule = doob_interval_strategy(-0.2, 0.2, 2.0, PsiSpec("constant", (0.5,)))
+        rule = doob_interval_strategy(-0.2, 0.2, 2.0)
         for check in (check_strong_admissibility, check_weak_admissibility):
             verdicts = check(rule, paths, 0.3)
             assert verdicts == [check(rule.realize(p), [p], 0.3)[0] for p in paths]
@@ -401,7 +401,7 @@ class TestDoobInterval:
         assert _interval_trades(p, 0.0, 1.0, gamma_K(p, 1e20)) == [(2.0, 1.0)]
 
     def test_p1_round_trip(self, p1):
-        rule = doob_interval_strategy(0.0, 0.5, 2.0, PSI0)
+        rule = doob_interval_strategy(0.0, 0.5, 2.0)
         realized = rule.realize(p1)
         cap = capital(realized, p1, 3.0)
         assert cap == pytest.approx(0.6, abs=1e-15)
@@ -410,12 +410,12 @@ class TestDoobInterval:
 
     def test_constant_path_no_trades(self):
         p = Path(times=[0.0], values=[0.7], horizon=1.0)
-        realized = doob_interval_strategy(0.0, 0.5, 2.0, PSI0).realize(p)
+        realized = doob_interval_strategy(0.0, 0.5, 2.0).realize(p)
         assert capital(realized, p, 1.0) == 0.0
 
     def test_monotone_ramp_single_trip(self):
         p = Path(times=[0.0, 1.0], values=[-0.2, 0.9], mode="linear")
-        realized = doob_interval_strategy(0.0, 0.5, 2.0, PSI0).realize(p)
+        realized = doob_interval_strategy(0.0, 0.5, 2.0).realize(p)
         # buys at t=0 (value -0.2 <= 0), sells at the exact 0.5-crossing
         assert capital(realized, p, 1.0) == pytest.approx(0.7, abs=1e-12)
 
@@ -426,7 +426,7 @@ class TestDoobInterval:
             p = random_step_path(rng, n_events=14)
             K = float(np.ceil(p.sup_norm())) + 1.0
             a, b = -0.25, 0.25
-            realized = doob_interval_strategy(a, b, K, psi).realize(p)
+            realized = doob_interval_strategy(a, b, K).realize(p)
             curve = capital_curve(realized, p)
             for t, _ in zip(curve.times, curve.values):
                 up, _ = crossings(p, a, b, float(t))
@@ -482,7 +482,7 @@ class TestDoobAggregate:
         klo = int(np.floor(-K / spacing)) + 1
         khi = int(np.ceil(K / spacing)) - 2
         for k in range(klo, khi + 1):
-            sub = doob_interval_strategy(k * spacing, (k + 1) * spacing, K, PSI0).realize(p)
+            sub = doob_interval_strategy(k * spacing, (k + 1) * spacing, K).realize(p)
             total += sub.position_after(p.times) * weight
         assert realized.position_after(p.times).tobytes() == total.tobytes()
 
@@ -496,7 +496,7 @@ class TestDoobAggregate:
         times = realized.times[:-1]
         total = np.zeros((len(times), 1))
         for k in range(-2, 2):
-            total += doob_interval_strategy(k * spacing, (k + 1) * spacing, K, PSI0) \
+            total += doob_interval_strategy(k * spacing, (k + 1) * spacing, K) \
                 .realize(p).position_after(times) * weight
         assert realized.position_after(times).tobytes() == total.tobytes()
 
@@ -527,8 +527,8 @@ class TestAdmissibilityLift:
         assert lift_budget(0.5, 2, 1.0, PSI1) == 0.5 * (1 + 6 + 4)
 
     def test_zero_strategy_lift(self, p1):
-        zero = doob_interval_strategy(-10.0, -9.0, 100.0, PSI0)  # never trades on p1
-        lifted = admissibility_lift(zero, 1.0, 2.0, PSI0)
+        zero = doob_interval_strategy(-10.0, -9.0, 100.0)  # never trades on p1
+        lifted = admissibility_lift(zero, 1.0, 2.0)
         realized = lifted.realize(p1)
         # lift holds lam units until gamma_K = inf, so capital = S_t - S_0
         assert capital(realized, p1, 3.0) == pytest.approx(1.3, abs=1e-14)
@@ -558,7 +558,7 @@ class TestAdmissibilityLift:
             checked += 1
             from pathcalc.strategies import StrategyRule
             rule = StrategyRule(lambda _p, c=cand: c)
-            lifted = admissibility_lift(rule, lam, K, psi).realize(p)
+            lifted = admissibility_lift(rule, lam, K).realize(p)
             budget = lift_budget(lam, 1, K, psi)
             assert check_strong_admissibility(lifted, [p], budget)[0].ok
         assert checked >= 20
@@ -585,7 +585,7 @@ class TestAdmissibilityLift:
             checked += 1
             from pathcalc.strategies import StrategyRule
             rule = StrategyRule(lambda _p, c=cand: c)
-            lifted = admissibility_lift(rule, lam, K, psi).realize(p)
+            lifted = admissibility_lift(rule, lam, K).realize(p)
             budget = lift_budget(lam, 2, K, psi)
             assert check_strong_admissibility(lifted, [p], budget)[0].ok
         assert checked >= 15
@@ -603,7 +603,7 @@ class TestAdmissibilityLift:
         lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
         K_bound = data.draw(st.sampled_from([0.5, 2.25, 100.0, 1e4]))
         rule = StrategyRule(lambda _p: G)
-        realized = admissibility_lift(rule, lam, K_bound, PSI0).realize(path)
+        realized = admissibility_lift(rule, lam, K_bound).realize(path)
         ref_times, ref_pos = R.admissibility_lift_py(G, path, lam, K_bound)
         assert realized.times.tobytes() == ref_times.tobytes()
         assert realized.positions.tobytes() == ref_pos.tobytes()
@@ -846,7 +846,7 @@ class TestNonAnticipation:
         psi = PSI1
         K = 50.0
         rules = [
-            doob_interval_strategy(-0.1, 0.4, K, psi),
+            doob_interval_strategy(-0.1, 0.4, K),
             doob_aggregate(2, K, psi),
             hoeffding_strategy(np.arange(0.0, 1.2, 0.2), 10.0, 0.5),
         ]
