@@ -6,7 +6,8 @@ Every run writes a ``manifest.json``: its ``config`` is the parsed flags but
 and one pass/fail entry per check.  All other outputs are deterministic
 functions of the config, so that object, passed back as ``--config``, reruns
 the command byte for byte.  Only ``simulate``, ``verify`` and ``continuity``
-draw random numbers, so only they take ``--seed``.
+draw random numbers, so only they take ``--seed``.  Every numeric flag is
+checked as it is parsed, by the library's one scalar rule (``paths._scalar``).
 
 Exit codes: 0 success; 2 configuration error; 3 I/O error; 4 an exact
 pathwise identity failed (implementation bug, never bad luck); 5 an
@@ -16,10 +17,10 @@ empirical bound check failed (statistical).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import fields
@@ -31,10 +32,10 @@ from . import __version__, checks
 from .errors import CheckFailedError, ContractError, InternalConsistencyError
 from .integration import bdg_bound_check_cadlag, concentration_check_continuous, ito_integral
 from .partitions import crossing_report
-from .paths import (PsiSpec, _create, _read_json_object, _write_json, _write_table,
+from .paths import (PsiSpec, _create, _read_json_object, _scalar, _write_json, _write_table,
                     read_path_csv, write_path_csv)
 from .qv import discrete_qv, qv_limit, write_qv_report
-from .simulate import SimSpec, simulate, write_simspec
+from .simulate import _FIELD_RULES, SimSpec, simulate, write_simspec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,33 +55,22 @@ def _parse_psi(text: str | None) -> PsiSpec | None:
         raise ContractError(f"bad --psi {text!r}: {exc}") from exc
 
 
-def _positive(kind):
-    """An argparse type: ``kind(text)``, rejected unless finite and > 0."""
+def _flag(name: str, integer: bool = False, **domain):
+    """An argparse type: ``int(text)`` or ``float(text)``, checked by :func:`paths._scalar` as
+    ``name`` in ``domain``; every numeric flag has one.  By default the domain is the finite
+    numbers, so that the manifest records every flag, read or not, as JSON."""
+    kind = int if integer else float
+
     def parse(text: str):
-        value = kind(text)
-        if not 0 < value < float("inf"):  # also rejects nan, and compares any int
-            raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > 0, "
-                                             f"got {text!r}")
-        return value
-    parse.__name__ = f"positive {kind.__name__}"  # argparse names it on a ValueError
+        try:
+            return _scalar(kind(text), name, integer=integer, **domain)
+        except ContractError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    parse.__name__ = kind.__name__  # argparse names it on a ValueError
     return parse
 
 
-def _finite(text: str) -> float:
-    """An argparse type: a float, rejected unless finite (the manifest records it as JSON)."""
-    if not math.isfinite(value := float(text)):
-        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
-    return value
-
-
-_finite.__name__ = "float"  # argparse names it on a ValueError
-
-
-def _seed(text: str) -> int:
-    """An argparse type: a seed, an integer in [0, 2**64) (simulate's key holds 64 bits)."""
-    if not 0 <= (value := int(text)) < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text!r}")
-    return value
+_POSITIVE = {"lo": 0, "open_lo": True}  # the domain of a finite number > 0
 
 
 def _parse_rule(text: str):
@@ -90,14 +80,12 @@ def _parse_rule(text: str):
     if text == "prev-price":
         return lambda p, t: p.eval(t)
     family, _, value = text.partition(":")
-    try:
-        c = float(value)
-    except ValueError:
-        c = np.nan
-    if family != "const" or not np.isfinite(c):
-        raise ContractError(f"unknown --rule {text!r}: use unit, prev-price or const:VALUE "
-                            "with a finite VALUE")
-    return lambda p, t: np.full(p.dim, c)
+    with contextlib.suppress(ValueError, ContractError):
+        if family == "const":
+            c = _scalar(float(value), "VALUE")
+            return lambda p, t: np.full(p.dim, c)
+    raise ContractError(f"unknown --rule {text!r}: use unit, prev-price or const:VALUE "
+                        "with a finite VALUE")
 
 
 def _outdir(args) -> FsPath:
@@ -293,72 +281,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="generate a path ensemble")
     common(sp)
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--kind", default="brownian")
-    sp.add_argument("--steps", type=_positive(int), default=256)
-    sp.add_argument("--count", type=_positive(int), default=1)
-    sp.add_argument("--horizon", type=_positive(float), default=1.0)
-    sp.add_argument("--dim", type=_positive(int), default=1)
-    sp.add_argument("--drift", type=float, default=0.0)
-    sp.add_argument("--volatility", type=float, default=1.0)
-    sp.add_argument("--jump-intensity", type=float, default=0.0)
-    sp.add_argument("--jump-mean", type=float, default=0.0)
-    sp.add_argument("--jump-std", type=float, default=0.1)
-    sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--amplitude", type=float, default=1.0)
-    sp.add_argument("--value", type=float, default=0.0)
-    sp.add_argument("--psi", help="family:p1,p2 e.g. constant:0.5 or affine:0.1,0.2")
-    sp.add_argument("--mode", choices=["step", "linear"])
+    sp.add_argument("--count", type=_flag("count", True, lo=1), default=1)
+    defaults = {"kind": "brownian", "steps": 256}  # the CLI's own; the others are SimSpec's
+    helps = {"psi": "family:p1,p2 e.g. constant:0.5 or affine:0.1,0.2"}
+    for f in fields(SimSpec):  # a numeric field's flag is checked by the field's own rule
+        sp.add_argument(f"--{f.name.replace('_', '-')}", default=defaults.get(f.name, f.default),
+                        type=_flag(f.name, f.type == "int", **_FIELD_RULES.get(f.name, {}))
+                        if f.type in ("int", "float") else None, help=helps.get(f.name))
 
     sp = sub.add_parser("qv", help="quadratic variation report for a path file")
     common(sp)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--n-max", type=_positive(int), default=12)
-    sp.add_argument("--tol", type=_positive(float), default=1e-8)
+    sp.add_argument("--n-max", type=_flag("n_max", True, lo=1), default=12)
+    sp.add_argument("--tol", type=_flag("tol", **_POSITIVE), default=1e-8)
 
     sp = sub.add_parser("crossings", help="level-crossing report for a path file")
     common(sp)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--h", type=_positive(float), required=True)
-    sp.add_argument("--t", type=float, default=None)
+    sp.add_argument("--h", type=_flag("h", **_POSITIVE), required=True)
+    sp.add_argument("--t", type=_flag("t"), default=None)
 
     sp = sub.add_parser("integrate", help="pathwise integral of a sampled rule")
     common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--rule", default="prev-price",
                     help="unit | prev-price | const:VALUE")
-    sp.add_argument("--n-max", type=_positive(int), default=10)
-    sp.add_argument("--tol", type=_positive(float), default=1e-6)
+    sp.add_argument("--n-max", type=_flag("n_max", True, lo=1), default=10)
+    sp.add_argument("--tol", type=_flag("tol", **_POSITIVE), default=1e-6)
 
     sp = sub.add_parser("verify", help="run theorem and bound checks")
     common(sp)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_flag("seed", True, **_FIELD_RULES["seed"]), default=0)
     sp.add_argument("--check", default="all",
                     choices=["all"] + sorted(VERIFY_CHECKS))
-    sp.add_argument("--count", type=_positive(int), default=200)
-    sp.add_argument("--K", type=_positive(float), default=None,
+    sp.add_argument("--count", type=_flag("count", True, lo=1), default=200)
+    sp.add_argument("--K", type=_flag("K", **_POSITIVE), default=None,
                     help="fix the wealth bound K instead of the per-path default")
-    sp.add_argument("--lambda", dest="lam", type=_positive(float), default=0.5)
+    sp.add_argument("--lambda", dest="lam", type=_flag("lambda", **_POSITIVE), default=0.5)
     sp.add_argument("--psi", help="family:p1,p2")
-    sp.add_argument("--a", type=_finite, default=3.0,
+    sp.add_argument("--a", type=_flag("a"), default=3.0,
                     help="deviation level for the bound checks")
-    sp.add_argument("--b", type=_finite, default=1.5,
+    sp.add_argument("--b", type=_flag("b"), default=1.5,
                     help="quadratic-variation budget for the bound checks")
-    sp.add_argument("--c", type=_finite, default=1.0,
+    sp.add_argument("--c", type=_flag("c"), default=1.0,
                     help="integrand sup bound (transform check)")
-    sp.add_argument("--M", type=_finite, default=1.0,
+    sp.add_argument("--M", type=_flag("M"), default=1.0,
                     help="path sup bound (transform check)")
-    sp.add_argument("--n-max", type=_positive(int), default=6,
+    sp.add_argument("--n-max", type=_flag("n_max", True, lo=1), default=6,
                     help="quadratic-variation generations for ensemble stats")
 
     sp = sub.add_parser("continuity", help="integrand-vs-integral distance table")
     common(sp)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_flag("seed", True, **_FIELD_RULES["seed"]), default=0)
     sp.add_argument("--ensemble", choices=["continuous", "cadlag"],
                     default="continuous")
-    sp.add_argument("--count", type=_positive(int), default=50)
-    sp.add_argument("--epsilon", type=float, default=0.25)
-    sp.add_argument("--n-max", type=_positive(int), default=6)
+    sp.add_argument("--count", type=_flag("count", True, lo=1), default=50)
+    sp.add_argument("--epsilon", type=_flag("epsilon"), default=0.25)
+    sp.add_argument("--n-max", type=_flag("n_max", True, lo=1), default=6)
     sp.add_argument("--psi", help="family:p1,p2 (cadlag ensemble)")
 
     return parser

@@ -545,6 +545,8 @@ def continuity_experiment(pairs, ensemble, epsilon: float = 0.25, *,
         raise ContractError("the cadlag experiment needs the sample-space psi")
     epsilon = _scalar(epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
     stats = list(_iter_stats(ensemble, n_max))  # reused across every pair
+    if not (pairs := list(pairs)):  # else no rows would pass as identical integrands
+        raise ContractError("the continuity experiment needs at least one integrand pair")
     rows = []
     for label, Ff, Gf in pairs:
         def curve_F(p, Ff=Ff):

@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
 from .partitions import MAX_CROSSING_INTERVALS, MAX_GENERATION, SENTINEL
-from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _held_table, _scalar, _strictly_increasing
+from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _held_table, _scalar
 from .qv import _sigma_from_z, _z_data, k_constant
 
 __all__ = [
@@ -532,6 +532,18 @@ def hoeffding_beta(lam: float, c: float) -> float:
     return math.exp(-0.5 * y * y) * math.sinh(y) / c
 
 
+def _decision_table(decision_times, c) -> tuple[np.ndarray, np.ndarray]:
+    """The checked decision times of the supermartingale strategy and the bound ``c_k`` on
+    each step's increment, a scalar ``c`` bounding every step: a read-only :func:`_held_table`,
+    so a float64 array passed in is frozen."""
+    times, c = np.asarray(decision_times, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    if c.ndim > 1:
+        raise ContractError(f"c must be a scalar or 1-d, got shape {c.shape}")
+    times, c = _held_table(times, np.broadcast_to(c, times.shape) if c.ndim == 0 else c, 0,
+                           "step-bound")
+    return times, c[:, 0]
+
+
 def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
     """Multiplicative exponential-supermartingale strategy on given steps.
 
@@ -540,10 +552,7 @@ def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
     :func:`hoeffding_beta`; the per-step price increments must stay within
     ``c_k`` on the target paths for the guarantee to bind.
     """
-    dt = np.asarray(decision_times, dtype=np.float64)
-    if dt.ndim != 1 or dt.shape[0] == 0 or dt[0] != 0.0 or not _strictly_increasing(dt):
-        raise ContractError("decision times must be increasing and start at 0")
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), dt.shape)
+    dt, c_arr = _decision_table(decision_times, c)
     betas = np.array([hoeffding_beta(lam, ck) for ck in c_arr.tolist()])
 
     def evaluate(path: Path) -> RealizedStrategy:
@@ -574,11 +583,9 @@ def hoeffding_check(path: Path, decision_times, c, lam: float) -> HoeffdingRepor
     ``M_t = S_t - S_0``.  Also reports whether the per-step increment bounds
     actually held on this path (the guarantee is void otherwise).
     """
-    rule = hoeffding_strategy(decision_times, c, lam)
-    realized = rule.realize(path)
+    dt, c_arr = _decision_table(decision_times, c)
+    realized = hoeffding_strategy(dt, c_arr, lam).realize(path)
     curve = capital_curve(realized, path)
-    dt = np.asarray(decision_times, dtype=np.float64)
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), dt.shape)
     s0 = float(path.values[0, 0])
 
     s_grid = path.eval(curve.times)[:, 0]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path as FsPath
 from unittest.mock import ANY
 
@@ -17,6 +18,7 @@ from pathcalc import checks, cli
 from pathcalc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from pathcalc.errors import CheckFailedError, InternalConsistencyError
 from pathcalc.paths import write_path_csv
+from pathcalc.simulate import SimSpec
 
 
 @pytest.fixture
@@ -527,3 +529,104 @@ def test_exit_code_contract(tmp_path, monkeypatch, files, argv, failure, expecte
         monkeypatch.setitem(cli.VERIFY_CHECKS, "bdg", _failing_check(failure))
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--output-dir", "out"]) == expected
+
+
+# each command with only its required flags
+REQUIRED_ARGV = {
+    "simulate": ["simulate"],
+    "qv": ["qv", "--input", "p.csv"],
+    "crossings": ["crossings", "--input", "p.csv", "--h", "1"],
+    "integrate": ["integrate", "--input", "p.csv"],
+    "verify": ["verify"],
+    "continuity": ["continuity"],
+}
+# the parsed flags of REQUIRED_ARGV, but the command, --config and --output-dir
+DEFAULTS = {
+    "simulate": {"seed": 0, "kind": "brownian", "steps": 256, "count": 1, "horizon": 1.0,
+                 "dim": 1, "drift": 0.0, "volatility": 1.0, "jump_intensity": 0.0,
+                 "jump_mean": 0.0, "jump_std": 0.1, "x0": 0.0, "amplitude": 1.0, "value": 0.0,
+                 "psi": None, "mode": None},
+    "qv": {"input": "p.csv", "n_max": 12, "tol": 1e-08},
+    "crossings": {"input": "p.csv", "h": 1.0, "t": None},
+    "integrate": {"input": "p.csv", "rule": "prev-price", "n_max": 10, "tol": 1e-06},
+    "verify": {"seed": 0, "check": "all", "count": 200, "K": None, "lam": 0.5, "psi": None,
+               "a": 3.0, "b": 1.5, "c": 1.0, "M": 1.0, "n_max": 6},
+    "continuity": {"seed": 0, "ensemble": "continuous", "count": 50, "epsilon": 0.25,
+                   "n_max": 6, "psi": None},
+}
+SUBPARSERS = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+
+# (command, flag, a value just outside the flag's domain)
+OUT_OF_DOMAIN = [
+    ("simulate", "--count", "0"), ("simulate", "--steps", "0"), ("simulate", "--horizon", "0"),
+    ("simulate", "--dim", "0"), ("simulate", "--drift", "inf"),
+    ("simulate", "--volatility", "-1"), ("simulate", "--jump-intensity", "-1"),
+    ("simulate", "--jump-mean", "nan"), ("simulate", "--jump-std", "-1"),
+    ("simulate", "--x0", "inf"), ("simulate", "--amplitude", "nan"),
+    ("simulate", "--value", "-inf"), ("simulate", "--seed", "-1"),
+    ("simulate", "--seed", str(2 ** 64)),
+    ("qv", "--n-max", "1.5"), ("qv", "--n-max", "0"), ("qv", "--tol", "0"),
+    ("crossings", "--h", "-1"), ("crossings", "--t", "nan"),
+    ("integrate", "--n-max", "0"), ("integrate", "--tol", "nan"),
+    ("verify", "--seed", "-1"), ("verify", "--count", "0"), ("verify", "--K", "nan"),
+    ("verify", "--lambda", "inf"), ("verify", "--a", "nan"), ("verify", "--b", "inf"),
+    ("verify", "--c", "nan"), ("verify", "--M", "-inf"), ("verify", "--n-max", "0"),
+    ("continuity", "--seed", str(2 ** 64)), ("continuity", "--count", "0"),
+    ("continuity", "--epsilon", "inf"), ("continuity", "--n-max", "0"),
+]
+
+
+def _numeric_actions(command):
+    return {opt: a for a in SUBPARSERS[command]._actions for opt in a.option_strings
+            if a.type is not None}
+
+
+class TestFlagIntake:
+    def test_every_numeric_flag_is_in_the_table(self):
+        table = {(command, flag) for command, flag, _ in OUT_OF_DOMAIN}
+        assert table == {(command, flag) for command in SUBPARSERS
+                         for flag in _numeric_actions(command)}
+
+    def test_every_typed_flag_is_checked_by_the_scalar_rule(self):
+        for command, sp in SUBPARSERS.items():
+            for action in sp._actions:
+                if action.type not in (None, str):
+                    assert action.type.__qualname__ == "_flag.<locals>.parse", \
+                        (command, action.dest)
+
+    @pytest.mark.parametrize("command, flag, value", OUT_OF_DOMAIN)
+    def test_out_of_domain_exits_2_from_flags_and_config(self, tmp_path, monkeypatch, capsys,
+                                                         command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        assert main(REQUIRED_ARGV[command] + [f"{flag}={value}"]) == EXIT_CONFIG
+        assert f"argument {flag}:" in capsys.readouterr().err
+        key = _numeric_actions(command)[flag].dest
+        with contextlib.suppress(ValueError):  # a number goes in as one, anything else as text
+            value = json.loads(value)
+        (tmp_path / "c.json").write_text(json.dumps({key: value}))
+        assert main(REQUIRED_ARGV[command] + ["--config", "c.json"]) == EXIT_CONFIG
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_messages_are_the_scalar_rules(self, capsys):
+        assert main(["simulate", "--steps", "0"]) == EXIT_CONFIG
+        assert "argument --steps: steps must be an integer >= 1, got 0" in capsys.readouterr().err
+
+    def test_defaults_are_unchanged(self):
+        parser = cli.build_parser()
+        for command, argv in REQUIRED_ARGV.items():
+            assert vars(parser.parse_args(argv)) == {"command": command, "config": None,
+                                                     "output_dir": "out"} | DEFAULTS[command]
+
+    def test_simulate_flags_are_the_simspec_fields(self):
+        assert {a.dest for a in SUBPARSERS["simulate"]._actions} == \
+            {f.name for f in fields(SimSpec)} | {"count", "config", "output_dir", "help"}
+
+    def test_bad_mode_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--mode", "spline", "--output-dir", str(tmp_path)]) \
+            == EXIT_CONFIG
+        assert "unknown mode 'spline'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_ARGV))
+    def test_help_exits_0(self, capsys, command):
+        assert main([command, "--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: pathcalc {command}")

@@ -431,6 +431,12 @@ class TestContinuity:
         assert all(x == 0 and y == 0 for _, x, y in rep.rows)
         assert rep.ok
 
+    def test_no_pairs_rejected(self):
+        stats = prepare_ensemble(ensemble(SimSpec(kind="brownian", steps=16, mode="step"), 2),
+                                 n_max=3)
+        with pytest.raises(ContractError, match="at least one integrand pair"):
+            continuity_experiment([], stats, kind="continuous")
+
     def test_constant_offsets_have_unit_slope(self):
         spec = SimSpec(kind="brownian", steps=256, seed=4, mode="step")
         stats = prepare_ensemble(ensemble(spec, 20), n_max=6)

@@ -756,6 +756,14 @@ class TestHoeffding:
         with pytest.raises(ContractError, match="increasing"):
             hoeffding_strategy([0.0, np.nan, 2.0], 0.5, 1.0)
 
+    @pytest.mark.parametrize("c", [[0.1, 0.2], [[0.1], [0.2], [0.3]], np.ones((3, 2))])
+    def test_bounds_not_one_per_decision_time_rejected(self, c):
+        p = Path([0.0, 1.0, 2.0], [0.0, 0.1, 0.05])
+        with pytest.raises(ContractError, match="c must be|step-bound values"):
+            hoeffding_strategy([0.0, 1.0, 2.0], c, 1.0)
+        with pytest.raises(ContractError, match="c must be|step-bound values"):
+            hoeffding_check(p, [0.0, 1.0, 2.0], c, 1.0)
+
     def test_wealth_beyond_float64_rejected(self):
         p = Path(np.arange(301.0), np.arange(301.0) % 2)
         with pytest.raises(ContractError, match="wealth of lambda 10000000000.0"):
