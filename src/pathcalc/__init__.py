@@ -7,7 +7,7 @@ jump-restricted sample space), ``simulate`` (reproducible generators),
 ``strategies`` (simple trading strategies, admissibility and the explicit
 superhedging constructions), ``integration`` (step-function integrals,
 the quadratic compensator, metrics and bound checks) and ``checks`` (each
-acceptance criterion's inputs and check loop, defined once).
+acceptance criterion's inputs and per-stream check, defined once).
 """
 
 from .errors import CheckFailedError, ContractError, InternalConsistencyError, PathcalcError

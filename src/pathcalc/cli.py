@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, checks
 from .errors import CheckFailedError, ContractError, InternalConsistencyError
-from .integration import bdg_bound_check_cadlag, concentration_check_continuous, ito_integral
+from .integration import ito_integral
 from .partitions import crossing_report
 from .paths import (PsiSpec, _create, _read_json_object, _scalar, _write_json, _write_table,
                     read_path_csv, write_path_csv)
@@ -200,21 +200,13 @@ def _verify_lift(args) -> dict:
 
 
 def _verify_concentration(args) -> dict:
-    paths = checks.paths(checks.BROWNIAN_SPEC, args.count, seed=args.seed)
-    rep = concentration_check_continuous(checks.integrand(1.0), paths, a=args.a, b=args.b,
-                                         n_max=args.n_max)
-    if not rep.ok:
-        raise CheckFailedError(f"frequency {rep.frequency:.4f} > bound {rep.bound:.4f} + 3se")
+    rep = checks.concentration(args.seed, args.count, a=args.a, b=args.b, n_max=args.n_max)
     return {"detail": f"freq {rep.frequency:.5f} <= {rep.bound:.5f} + 3*{rep.stderr:.5f}"}
 
 
 def _verify_bdg_bound(args) -> dict:
-    psi = _parse_psi(args.psi) or checks.AFFINE_PSI
-    paths = checks.paths(checks.BDG_BOUND_SPEC, args.count, seed=args.seed, psi=psi)
-    rep = bdg_bound_check_cadlag(checks.integrand(1.0), paths, a=args.a, b=args.b, c=args.c,
-                                 M=args.M, psi=psi, n=10, n_max=args.n_max)
-    if not (rep.ok_frequency and rep.ok_frequency_compensator):
-        raise CheckFailedError(f"frequency {rep.frequency:.4f} > {rep.bound:.4f} + 3se")
+    rep = checks.bdg_bound(args.seed, args.count, _parse_psi(args.psi) or checks.AFFINE_PSI,
+                           a=args.a, b=args.b, c=args.c, M=args.M, n_max=args.n_max)
     return {"detail": (f"worst pathwise slack {rep.worst_slack:.3e}, "
                        f"freq {rep.frequency:.5f} <= {rep.bound:.5f}, "
                        f"compensator freq {rep.frequency_compensator:.5f} "

@@ -24,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as K
-from .errors import ContractError, InternalConsistencyError
+from .errors import ContractError
 from .partitions import MAX_GENERATION, LebesguePartition, lebesgue_partition_nd, partition_ladder
-from .paths import Path, PsiSpec, _held_table, _scalar
+from .paths import Path, PsiSpec, Report, _Row, _held_table, _scalar, _sweep
 from .qv import _qv_at
 from .strategies import CapitalCurve, RealizedStrategy, _sequence, capital, capital_curve
 
@@ -423,15 +423,21 @@ def concentration_check_continuous(F, ensemble, a: float, b: float, *,
     Event per path: ``sup |(F.S)| >= a sqrt(b)`` and compensator ``<= b``;
     the bound is ``2 exp(-a^2 / 2)`` plus three binomial standard errors.
     """
+    return _concentration(None, _iter_stats(ensemble, n_max), F, a, b)[0]
+
+
+def _concentration(seed, stats, F, a, b) -> tuple[ConcentrationReport, Report]:
+    """The report of :func:`concentration_check_continuous` on ``stats``, and its pass."""
     a, b = _scalar(a, "a", 0), _scalar(b, "b", 0, open_lo=True)
-    hits = n = 0
-    for st in _iter_stats(ensemble, n_max):
+
+    def body(stream, st, where):
         _, _, sup, comp = _integral_summary(F, st)
-        hits += bool(sup >= a * math.sqrt(b) and comp <= b)
-        n += 1
+        return _Row(None, hits=(sup >= a * math.sqrt(b) and comp <= b,))
+    run = _sweep(seed, stats, body)
     bound = 2.0 * math.exp(-0.5 * a * a)
-    freq, se, ok = _frequency_test(hits, n, bound)
-    return ConcentrationReport(frequency=freq, bound=bound, stderr=se, count=n, ok=ok)
+    freq, se, ok = _frequency_test(len(run.hits.get(0, ())), run.checked, bound)
+    return ConcentrationReport(frequency=freq, bound=bound, stderr=se, count=run.checked,
+                               ok=ok), run
 
 
 @dataclass(frozen=True)
@@ -461,7 +467,8 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
     carries the transform weights.  The slack term uses the provable band
     constant ``sqrt(d) 2^{1-n}`` (between consecutive crossing times each
     coordinate moves less than ``2^{1-n}``).  A violation raises
-    :class:`InternalConsistencyError` naming the worst path's index.
+    :class:`InternalConsistencyError`, once every path is checked, naming the
+    stream, the index in ``ensemble``, of the worst.
 
     (ii) Two four-way event frequencies: ``{sup |(F.S)| >= a, ||F|| <= c,
     |[S]_T| <= b, ||S|| <= M}`` against
@@ -472,15 +479,18 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
     event already confines the path below M).  Both allow three binomial
     standard errors.
     """
+    return _bdg_bound(None, _iter_stats(ensemble, n_max), F, a, b, c, M, psi, n)[0]
+
+
+def _bdg_bound(seed, stats, F, a, b, c, M, psi, n) -> tuple[BdgBoundReport, Report]:
+    """The report of :func:`bdg_bound_check_cadlag` on ``stats``, and its pass."""
     a, b = _scalar(a, "a", 0, open_lo=True), _scalar(b, "b", 0)
     c, M = _scalar(c, "c", 0), _scalar(M, "M", 0)
     n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
-    worst_slack, worst_path = math.inf, None
-    mismatch = 0.0
-    hits = hits_comp = count = 0
-    d = 1
-    for st in _iter_stats(ensemble, n_max):
-        count += 1
+    mismatch, d = 0.0, 1
+
+    def body(stream, st, where):
+        nonlocal mismatch, d
         path = st.path
         d = path.dim
         Fi, curve, lhs, comp = _integral_summary(F, st)
@@ -494,23 +504,18 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
         mismatch = max(mismatch, abs(phi_cap - hx))
         f_sup = Fi.sup_norm()
         rhs = 6.0 * math.sqrt(quad) + 2.0 * hx + f_sup * math.sqrt(d) * 2.0 ** (1 - n)
-        if rhs - lhs < worst_slack:
-            worst_slack, worst_path = rhs - lhs, count - 1
         within = bool(lhs >= a and f_sup <= c and st.sup_norm <= M)
-        hits += within and bool(st.qv_frobenius <= b)
-        hits_comp += within and bool(comp <= b)
-    if worst_slack < 0:
-        raise InternalConsistencyError(
-            f"pathwise transform bound violated by {-worst_slack:.3e} on path {worst_path}")
+        return _Row(rhs - lhs, hits=(within and st.qv_frobenius <= b, within and comp <= b))
+    run = _sweep(seed, stats, body, violation="pathwise transform bound")
     lift = 1.0 + 3.0 * d * M + 2.0 * d * float(psi(M))
     bound = lift * (6.0 * math.sqrt(b) + 2.0 + 2.0 * M) / a * c
-    freq, se, ok = _frequency_test(hits, count, bound)
+    freq, se, ok = _frequency_test(len(run.hits.get(0, ())), run.checked, bound)
     bound_comp = lift * (6.0 * math.sqrt(b) + 2.0 * c + 2.0 * c * M) / a
-    freq_comp, _, ok_comp = _frequency_test(hits_comp, count, bound_comp)
-    return BdgBoundReport(worst_slack=worst_slack, frequency=freq, bound=bound,
-                          stderr=se, count=count, ok_pathwise=True, ok_frequency=ok,
+    freq_comp, _, ok_comp = _frequency_test(len(run.hits.get(1, ())), run.checked, bound_comp)
+    return BdgBoundReport(worst_slack=run.worst, frequency=freq, bound=bound,
+                          stderr=se, count=run.checked, ok_pathwise=True, ok_frequency=ok,
                           transform_mismatch=mismatch, frequency_compensator=freq_comp,
-                          bound_compensator=bound_comp, ok_frequency_compensator=ok_comp)
+                          bound_compensator=bound_comp, ok_frequency_compensator=ok_comp), run
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ Sample-space membership restricts downward jumps: for every coordinate and
 every time, ``x_i(t-) - x_i(t) <= psi(sup_{s<t} |x(s)|)`` with a fixed
 non-decreasing ``psi``.  Upward jumps are unrestricted.
 
-It also owns the file formats pathcalc writes and reads: CSV tables of
-``repr`` floats, sorted-key JSON, and JSON objects read back (section "File
-round trip").  The table writer turns a block of rows into text with one
-``orjson.dumps`` and a few NumPy passes over its bytes, with no string per cell.
+It holds the one scalar intake, :func:`_scalar`, and :func:`_sweep`, the one
+loop of the ensemble checks of :mod:`pathcalc.checks` and
+:mod:`pathcalc.integration`.  It also owns the file formats pathcalc writes
+and reads: CSV tables of ``repr`` floats, sorted-key JSON, and JSON objects
+read back (section "File round trip").  The table writer turns a block of
+rows into text with one ``orjson.dumps`` and a few NumPy passes over its
+bytes, with no string per cell.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels as K
-from .errors import ContractError
+from .errors import CheckFailedError, ContractError, InternalConsistencyError
 
 MODE_STEP = "step"
 MODE_LINEAR = "linear"
@@ -143,6 +147,68 @@ def _scalar(x, name: str, lo=-_BIG, hi=_BIG, *, integer=False, open_lo=False, op
     else:
         domain = "a finite number" if hi == _BIG else "a number"
     raise ContractError(f"{name} must be {domain}, got {x!r}")
+
+
+def _at(seed: int | None, stream: int, **where) -> str:
+    """Where a check failed, ``(seed S stream I n N K K t T)``; no seed if none is known."""
+    seed = "" if seed is None else f"seed {seed} "
+    return f"({seed}stream {stream}" + "".join(f" {k} {v}" for k, v in where.items()) + ")"
+
+
+class _Row(NamedTuple):
+    """A stream's value (None: none), items checked, per-path record and, per event, a hit."""
+
+    value: float | None
+    checked: int = 1
+    record: dict | None = None
+    hits: tuple = ()
+
+
+@dataclass(frozen=True)
+class Report:
+    """A passed check: the items checked, the worst value and the first stream to reach it,
+    ``verify``'s per-path records, and per event the streams in it."""
+
+    checked: int
+    worst: float
+    seed: int | None
+    stream: int | None
+    per_path: list = field(default_factory=list)
+    hits: dict = field(default_factory=dict)
+
+    def failure(self, what: str, event: int = 0) -> CheckFailedError:
+        """The frequency bound ``what`` of ``event`` failed, on one item per stream."""
+        hits = self.hits.get(event, [])
+        return CheckFailedError(f"{what} (seed {self.seed} count {self.checked}: {len(hits)} "
+                                f"streams in the event, the first at streams "
+                                f"{', '.join(map(str, hits[:10]))})")
+
+
+def _sweep(seed: int | None, items, body, *, worst=math.inf, violation: str = "") -> Report:
+    """The one loop of the ensemble checks: ``body(stream, item, where)`` returns the
+    :class:`_Row` of each of ``items``, streams counted from 0, or None to skip it.  The worst
+    value is the lowest, or the highest from a ``worst`` of -inf.  An
+    :class:`InternalConsistencyError` of the body is raised again naming the seed, the stream
+    and the n, K, t or lambda the body put in ``where``, and a worst value below 0 raises as a
+    named ``violation``."""
+    sign, at, checked, records, hits = math.copysign(1.0, worst), None, 0, [], {}
+    for stream, item in enumerate(items):
+        where = {}
+        try:
+            row = body(stream, item, where)
+        except InternalConsistencyError as exc:
+            raise InternalConsistencyError(f"{exc} {_at(seed, stream, **where)}") from exc
+        if row is not None:
+            checked += row.checked
+            if row.value is not None and sign * row.value < sign * worst:
+                worst, at = row.value, stream
+            if row.record is not None:
+                records.append(row.record)
+            for event in (e for e, hit in enumerate(row.hits) if hit):
+                hits.setdefault(event, []).append(stream)
+    if violation and worst < 0:
+        raise InternalConsistencyError(f"{violation} violated by {-worst:.3e} {_at(seed, at)}")
+    return Report(checked, worst, seed, at, records, hits)
 
 
 def _strictly_increasing(t: np.ndarray) -> bool:

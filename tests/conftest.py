@@ -1,13 +1,44 @@
+import importlib
+import importlib.util
+import pkgutil
+import sys
+from pathlib import Path as FsPath
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import pathcalc
 from pathcalc import Path
 
 # property tests replay the same examples on every run, however long each takes
 settings.register_profile("pathcalc", deadline=None, derandomize=True)
 settings.load_profile("pathcalc")
+
+PERFBENCH = FsPath(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    """``perfbench/<name>.py`` as the module ``name``; its dataclasses look it up in
+    ``sys.modules`` while they are created."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Hypothesis adds the numeric constants of every local module it finds loaded to the
+# examples it draws.  Every local module a test imports is loaded here, before any test
+# runs, so that a property test draws the same examples alone as in the whole suite.
+for _module in pkgutil.iter_modules(pathcalc.__path__):
+    importlib.import_module(f"pathcalc.{_module.name}")
+import reference_kernels  # noqa: E402,F401
+import reference_loops  # noqa: E402,F401
+
+bench_trace = _load("bench_trace")
+bench_workloads = _load("bench_workloads")
 
 
 @pytest.fixture

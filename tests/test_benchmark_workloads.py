@@ -6,32 +6,14 @@ Here every workload sets up a pool from seed 1, runs and checks each of its
 items once and gives no verdict, and one operation of each runs under the
 span tracer of ``perfbench/bench_trace.py``, which wraps the library's
 functions and kernels by name: an edit to a name or signature they use fails
-here instead of in a benchmark run.
+here instead of in a benchmark run.  ``conftest.py`` loads both modules.
 """
-
-import importlib.util
-import sys
-from pathlib import Path as FsPath
 
 import pytest
 
 import pathcalc
 
-PERFBENCH = FsPath(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    """``perfbench/<name>.py`` as the module ``name``; its dataclasses look it up in
-    ``sys.modules`` while they are created."""
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_trace = _load("bench_trace")
-bench_workloads = _load("bench_workloads")
+from conftest import bench_trace, bench_workloads
 
 
 @pytest.mark.parametrize("name", sorted(bench_workloads.WORKLOADS))

@@ -2,19 +2,20 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path as FsPath
 from unittest.mock import ANY
 
 import pytest
 
 import pathcalc
-from pathcalc import checks, cli
+from pathcalc import checks, cli, integration
 from pathcalc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from pathcalc.errors import CheckFailedError, InternalConsistencyError
 from pathcalc.paths import write_path_csv
@@ -168,22 +169,52 @@ class TestVerifyCommand:
         assert streams == [i for i, p in enumerate(checks.paths(checks.JUMP_SPEC, 50, seed=3))
                            if p.sup_norm() < 0.5]
 
-    @pytest.mark.parametrize("check, name, broken, location", [
-        ("l-identity", "l_strategy",
+    @pytest.mark.parametrize("check, owner, name, broken, location", [
+        ("l-identity", checks, "l_strategy",
          lambda real: lambda p, n, K, psi, tolerance: real(p, n, K, psi, tolerance=0.0),
          r"\(> 0\.0e\+00\) at t [0-9.]+ \(seed 4 stream 0 n 3 K 1\)$"),
-        ("doob", "upcrossings_at_events", lambda real: lambda p, h: real(p, h) + 10 ** 6,
+        ("doob", checks, "upcrossings_at_events", lambda real: lambda p, h: real(p, h) + 10 ** 6,
          r"\(seed 4 stream 0 n 0 K [0-9.]+ t [0-9.e-]+\)$"),
-    ], ids=["l-identity", "doob"])
-    def test_a_failed_identity_names_where(self, tmp_path, monkeypatch, check, name, broken,
-                                           location):
-        monkeypatch.setattr(checks, name, broken(getattr(checks, name)))
-        run = {"l-identity": checks.l_identity, "doob": checks.doob}[check]
-        with pytest.raises(InternalConsistencyError, match=location) as failure:
+        ("doob", checks, "capital_curve",
+         lambda real: lambda s, p: replace(real(s, p), values=real(s, p).values - 2.0),
+         r"^aggregate not strongly 1-admissible \(seed 4 stream 0 n 0 K 1\.0\)$"),
+        ("hoeffding", checks, "hoeffding_check",
+         lambda real: lambda p, t, c, lam: replace(real(p, t, c, lam), ok=False),
+         r"^wealth fell below .* \(seed 4 stream 0 lam -2\.0\)$"),
+        ("lift", checks, "check_strong_admissibility",
+         lambda real: lambda s, ps, lam: [replace(v, ok=False) for v in real(s, ps, lam)],
+         r"^lifted strategy broke its strong budget \(seed 4 stream 0 K 2\.0\)$"),
+        ("bdg", checks, "bdg_check_batch",
+         lambda real: lambda seqs: (lambda lhs, rhs: (lhs + 10.0 ** 6, rhs))(*real(seqs)),
+         r"^transform bound violated by 1\.000e\+06 \(seed 4 stream 2\)$"),
+        ("bdg-bound", integration, "_integral_summary",
+         lambda real: lambda F, st: (lambda Fi, c, sup, comp: (Fi, c, sup + 10.0 ** 6, comp))(
+             *real(F, st)),
+         r"^pathwise transform bound violated by 1\.000e\+06 \(seed 4 stream 0\)$"),
+        ("concentration", integration, "_integral_summary",
+         lambda real: lambda F, st: real(F, st)[:2] + (math.inf, 0.0),
+         r"^frequency 1\.0000 > bound 0\.0222 \+ 3se \(seed 4 count 2: 2 streams in the "
+         r"event, the first at streams 0, 1\)$"),
+    ], ids=["l-identity", "doob", "doob-admissibility", "hoeffding", "lift", "bdg",
+            "bdg-bound", "concentration-frequency"])
+    def test_a_failed_identity_names_where(self, tmp_path, monkeypatch, check, owner, name,
+                                           broken, location):
+        """Each failure kind names its seed and stream, in the library's message and in the
+        report's detail; a failed frequency bound names the first streams in its event."""
+        monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+        verify = {"bdg": lambda seed, count: checks.bdg(checks.bdg_sequences(seed, count), seed),
+                  "bdg-bound": lambda seed, count: checks.bdg_bound(
+                      seed, count, a=3.0, b=1.5, c=1.0, M=1.0, n_max=6),
+                  "concentration": lambda seed, count: checks.concentration(
+                      seed, count, a=3.0, b=1.5, n_max=6)}  # at verify's defaults
+        run = verify.get(check) or getattr(checks, check.replace("-", "_"))
+        error = CheckFailedError if check == "concentration" else InternalConsistencyError
+        with pytest.raises(error, match=location) as failure:
             run(4, 2)
         out = tmp_path / "v"
         assert main(["verify", "--check", check, "--count", "2", "--seed", "4",
-                     "--output-dir", str(out)]) == EXIT_INTERNAL
+                     "--output-dir", str(out)]) == (EXIT_CHECK_FAILED if error is CheckFailedError
+                                                    else EXIT_INTERNAL)
         record = json.loads((out / "verification_report.json").read_text())["checks"][0]
         assert record == {"name": check, "passed": False, "detail": str(failure.value)}
 
@@ -213,7 +244,10 @@ class TestVerifyCommand:
                                                      ("bdg-bound", 4, 100),
                                                      ("doob", 4, 40),
                                                      ("l-identity", 4, 40),
-                                                     ("lift", 20, 400)])
+                                                     ("lift", 20, 400),
+                                                     ("hoeffding", 20, 400),
+                                                     ("bdg", 2 * checks.BDG_CHUNK,
+                                                      8 * checks.BDG_CHUNK)])
     def test_streaming_checks_hold_one_path_at_a_time(self, tmp_path, check, small, large):
         """The peak traced memory grows with --count by the per-path records alone."""
         def peak(count):
@@ -230,9 +264,10 @@ class TestVerifyCommand:
         peak(1)  # first-use allocations of NumPy and the library
         # holding every path of the ensemble would add about 60 KiB per
         # concentration path, 2 KiB per bdg-bound path, 12 KiB per doob path,
-        # 16 KiB per l-identity path and 1.4 KiB per lift path; the per_path
-        # records of doob and lift take under 0.5 KiB per path
-        bound = {"doob": 128, "lift": 320}.get(check, 48) * 1024
+        # 16 KiB per l-identity path, 1.4 KiB per lift path, 1.5 KiB per
+        # hoeffding walk and 0.9 KiB per bdg sequence (checked BDG_CHUNK at a
+        # time); the per_path records of doob and lift take under 0.5 KiB per path
+        bound = {"doob": 128, "lift": 320, "bdg": 64}.get(check, 48) * 1024
         assert peak(large) - peak(small) < bound
 
     def test_report_reproducible_byte_identical(self, tmp_path, monkeypatch):

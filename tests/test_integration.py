@@ -392,7 +392,7 @@ class TestBdgBound:
             (1 + 3 + 2 * PSI_AFF(1.0)) * (6 + 2 + 2) / 100.0)
 
     def test_a_violation_names_the_worst_path(self, monkeypatch, p1):
-        # weights against every move break the bound on the one path that moves
+        # weights against every move break the bound on the paths that move, by most on p1
         rows = integration.K._bdg_rows
 
         def against(x):
@@ -402,9 +402,13 @@ class TestBdgBound:
 
         monkeypatch.setattr(integration.K, "_bdg_rows", against)
         flat = Path([0.0, 3.0], [0.5, 0.5], mode="step")
-        with pytest.raises(InternalConsistencyError, match="on path 2$"):
-            bdg_bound_check_cadlag(const_factory(1.0), [flat, flat, p1, flat], a=1.0, b=1.0,
+        small = Path([0.0, 3.0], [0.5, 0.625], mode="step")
+        with pytest.raises(InternalConsistencyError, match=r"\(stream 2\)$"):
+            bdg_bound_check_cadlag(const_factory(1.0), [small, flat, p1, flat], a=1.0, b=1.0,
                                    c=1.0, M=2.0, psi=PSI_AFF, n=8, n_max=6)
+        with pytest.raises(InternalConsistencyError, match=r"\(stream 0\)$"):
+            bdg_bound_check_cadlag(const_factory(1.0), [small, flat], a=1.0, b=1.0, c=1.0,
+                                   M=2.0, psi=PSI_AFF, n=8, n_max=6)
 
 
 class TestBdgBoundMultiDim:

@@ -7,8 +7,9 @@ returns or raises :class:`ContractError`.  Each slot of a row of
 their valid defaults, and Hypothesis draws every slot of a row at once from
 its default and the edges; a ``RuntimeWarning`` fails the test too
 (``pyproject.toml`` makes it an error).  Another test walks the public
-functions of the five library modules and fails on a scalar slot that
-:data:`ROWS` does not cover.  The rest pin single decisions of the contract.
+functions of the six library modules and fails on a scalar slot that
+:data:`ROWS` does not cover; the checks of ``pathcalc.checks`` run at count 1.
+The rest pin single decisions of the contract.
 """
 
 import inspect
@@ -30,7 +31,10 @@ from pathcalc import strategies as G
 EDGES = [math.nan, math.inf, -math.inf, 0, -0.0, 1e-300, 1.7e308, 1.5, True, 2 ** 63]
 SLOT_NAMES = {"n", "n_max", "K_bound", "lam", "t", "h", "tol", "tolerance", "epsilon", "a", "b",
               "c", "M", "i", "j", "stream", "count", "d"}
-MODULES = (P, Q, G, I, S)
+MODULES = (P, Q, G, I, S, C)
+# ``pathcalc.checks`` runs its rows at count 1: a valid count such as 2**63 never ends, and
+# CHECKS_REJECTED pins the count instead
+UNSWEPT = {(C.__name__, "count")}
 
 # dyadic values keep every sum exact, so the compensated-Z identity holds to 0
 STEP = Path([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 0.25, 0.75, -0.25], horizon=1.5)
@@ -131,6 +135,15 @@ ROWS = [
      I.continuity_experiment([(1, unit, half)], [STEP], epsilon, kind="cadlag", n_max=n_max,
                              psi=PSI),
      {"epsilon": 0.25, "n_max": 3}),
+    ("integrand", lambda c: C.integrand(c)(STEP), {"c": 1.0}),
+    ("lift", lambda lam: C.lift(1, 1, lam=lam), {"lam": 0.5}),
+    ("concentration", lambda a, b, n_max: C.concentration(1, 1, a=a, b=b, n_max=n_max),
+     {"a": 3.0, "b": 1.5, "n_max": 3}),
+    ("bdg_bound", lambda a, b, c, M, n_max: C.bdg_bound(1, 1, a=a, b=b, c=c, M=M, n_max=n_max),
+     {"a": 3.0, "b": 1.5, "c": 1.0, "M": 1.0, "n_max": 3}),
+    ("continuity", lambda epsilon, n_max: C.continuity("cadlag", 1, 1, epsilon=epsilon,
+                                                       n_max=n_max),
+     {"epsilon": 0.25, "n_max": 3}),
     ("simulate", lambda stream: S.simulate(SPEC, stream), {"stream": 3}),
     ("ensemble", lambda count: S.ensemble(SPEC, count), {"count": 2}),
     ("SimSpec", lambda **fields: S.simulate(S.SimSpec(kind="jump-diffusion", psi=PSI, **fields)),
@@ -181,7 +194,8 @@ def test_every_scalar_slot_is_in_the_table():
                if not name.startswith("_") and inspect.isfunction(inspect.unwrap(fn))
                and fn.__module__ == mod.__name__
                for slot in inspect.signature(fn).parameters
-               if slot in SLOT_NAMES and (name, slot) not in covered]
+               if slot in SLOT_NAMES and (name, slot) not in covered
+               and (mod.__name__, slot) not in UNSWEPT]
     assert not missing, f"scalar slots without a row in ROWS: {missing}"
 
 
@@ -278,7 +292,6 @@ def test_messages_name_the_argument_its_domain_and_value():
 
 
 SEEDS = "in 0..18446744073709551615"
-# ``pathcalc.checks`` stays out of the edge sweep: a valid count such as 2**63 never ends
 CHECKS_REJECTED = [
     ("bdg_sequences count -3", lambda: C.bdg_sequences(1, -3),
      "count must be an integer >= 1, got -3"),
