@@ -476,8 +476,9 @@ def bdg_bound_check_cadlag(F, ensemble, a: float, b: float, c: float, M: float,
     compensator form ``{sup |(F.S)| >= a, int F^(x2) d[S] <= b, ||F|| <= c,
     ||S|| <= M}`` against ``(1 + 3dM + 2d psi(M)) (6 sqrt(b) + 2c + 2cM)/a``
     (the hedging-price bound lifted to a probability bound, valid because the
-    event already confines the path below M).  Both allow three binomial
-    standard errors.
+    event already confines the path below M).  ``d`` is the largest
+    dimension in ``ensemble``; the bounds grow with it, so they hold on every
+    path's sample space.  Both allow three binomial standard errors.
     """
     return _bdg_bound(None, _iter_stats(ensemble, n_max), F, a, b, c, M, psi, n)[0]
 
@@ -492,7 +493,7 @@ def _bdg_bound(seed, stats, F, a, b, c, M, psi, n) -> tuple[BdgBoundReport, Repo
     def body(stream, st, where):
         nonlocal mismatch, d
         path = st.path
-        d = path.dim
+        d = max(d, path.dim)  # the lift grows with d: the largest holds on every path
         Fi, curve, lhs, comp = _integral_summary(F, st)
         rho = _union_grid(path, Fi, lebesgue_partition_nd(path, n).times)
         # the curve starts at 0, so [x] is the sum of the squared cell increments

@@ -458,6 +458,26 @@ class LStrategyReport:
     sigma: float
 
 
+def _z_capital(path: Path, n: int, zd) -> np.ndarray:
+    """Capital of the uncut compensated-Z strategy of generation n on a step path's grid.
+
+    The strategy holds h on every generation-n gap; its capital is
+    :func:`capital_curve`'s, read on ``zd.grid`` (the event table) and kept
+    read-only in the path's memo under ``("z-capital", n)``.  A cut strategy
+    holds the same positions before its cut and zero after it, so its capital
+    is this curve up to the cut and the curve's value at the cut after it:
+    each later term of the running sum is a zero position times a finite
+    increment.
+    """
+    def build() -> np.ndarray:
+        uncut = RealizedStrategy(times=np.append(zd.fine_times, np.inf), positions=zd.h)
+        values = capital_curve(uncut, path).values_at(zd.grid)
+        values.setflags(write=False)
+        return values
+
+    return path._memo(("z-capital", n), build)
+
+
 def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
                tolerance: float = 1e-9) -> tuple[RealizedStrategy, LStrategyReport]:
     """Realize the compensated-Z strategy and verify its capital identity.
@@ -468,6 +488,11 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     ``K^n at (gamma ^ sigma ^ t) = budget + capital_t`` for every t.  A
     deviation beyond tolerance raises :class:`InternalConsistencyError` naming
     the time of the worst one.
+
+    K enters only through the cut, so on a step path the capital is read
+    from the generation's uncut capital (:func:`_z_capital`, built once per
+    path and n) and held at the cut; a linear path builds the capital of the
+    returned strategy on every call.
     """
     n = _scalar(n, "n", 2, MAX_GENERATION, integer=True)  # a coarser generation must exist
     K_bound = _scalar(K_bound, "K", 1, integer=True)
@@ -496,15 +521,16 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
         realized = RealizedStrategy(times=t_out, positions=p_out)
 
     budget = k_constant(n, K_bound, psi)
-    curve = capital_curve(realized, path)
-    cap_grid = curve.values_at(grid)
+    if path.mode == MODE_STEP:  # the uncut capital, which equals this one up to the cut
+        cap_grid = _z_capital(path, n, zd)
+    else:
+        cap_grid = capital_curve(realized, path).values_at(grid)
     k_vals = budget + zd.z * zd.z - zd.comp
     target = budget + cap_grid
     deviation = np.abs(k_vals - target)
-    if math.isfinite(cut):  # K stops at the cut: compare the tail with K there
+    if math.isfinite(cut):  # K and the capital stop at the cut: compare the tail with both there
         cut_idx = int(grid.searchsorted(cut))
-        if cut_idx + 1 < grid.shape[0]:
-            deviation[cut_idx + 1:] = np.abs(k_vals[cut_idx] - target[cut_idx + 1:])
+        deviation[cut_idx + 1:] = abs(k_vals[cut_idx] - target[cut_idx])
     worst = float(deviation.max())
     if worst > tolerance:
         raise InternalConsistencyError(f"K-process identity violated by {worst:.3e} "

@@ -16,13 +16,13 @@ from pathcalc import Path
 settings.register_profile("pathcalc", deadline=None, derandomize=True)
 settings.load_profile("pathcalc")
 
-PERFBENCH = FsPath(__file__).resolve().parents[1] / "perfbench"
+ROOT = FsPath(__file__).resolve().parents[1]
 
 
-def _load(name):
-    """``perfbench/<name>.py`` as the module ``name``; its dataclasses look it up in
+def _load(name, folder="perfbench"):
+    """``<folder>/<name>.py`` as the module ``name``; its dataclasses look it up in
     ``sys.modules`` while they are created."""
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
@@ -39,6 +39,7 @@ import reference_loops  # noqa: E402,F401
 
 bench_trace = _load("bench_trace")
 bench_workloads = _load("bench_workloads")
+ab = _load("ab", "tools")
 
 
 @pytest.fixture

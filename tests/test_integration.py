@@ -425,6 +425,24 @@ class TestBdgBoundMultiDim:
         assert rep.ok_pathwise and rep.worst_slack >= 0
         assert rep.transform_mismatch < 1e-9
 
+    def test_a_mixed_ensemble_lifts_with_its_largest_dimension(self):
+        """``1 + 3dM + 2d psi(M)`` takes the largest d checked, in either order of the paths."""
+        rng = np.random.default_rng(56)
+        one, three = (random_step_path(rng, n_events=12, dim=d) for d in (1, 3))
+
+        def bounds(ensemble):
+            rep = bdg_bound_check_cadlag(const_factory(1.0), ensemble, a=1.0, b=1.0, c=2.0,
+                                         M=1.0, psi=PSI_AFF, n=6, n_max=4)
+            return rep.bound, rep.bound_compensator
+
+        def lifted(d):  # the bounds as the check computes them at a=1, b=1, c=2, M=1
+            lift = 1.0 + 3.0 * d * 1.0 + 2.0 * d * float(PSI_AFF(1.0))
+            return lift * (6.0 + 2.0 + 2.0) / 1.0 * 2.0, lift * (6.0 + 4.0 + 4.0) / 1.0
+
+        assert bounds([one, three]) == bounds([three, one]) == lifted(3)
+        assert lifted(3) == (224.0, pytest.approx(156.8))
+        assert bounds([one, one]) == lifted(1) == (88.0, pytest.approx(61.6))
+
 
 class TestContinuity:
     def test_identical_pairs_all_zero(self):

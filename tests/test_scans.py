@@ -2,11 +2,14 @@
 
 On a step path ``qv._z_data`` computes generation n's Z data once and keeps
 it under ``("z", n)``: Z, its compensator, the fine partition's times and
-grid positions, and the compensated-Z strategy's positions h.  ``gamma_K``
-keeps its stopping time per level under ``("gamma", K)``.  ``l_strategy``,
-``sigma_n_K``, ``k_process`` and ``z_process`` read the entry, so on a path
-that already holds it they must return the bits a fresh path gives, whatever
-the order of the calls that filled it.
+grid positions, and the compensated-Z strategy's positions h.  Next to it
+``l_strategy`` keeps the capital of the uncut compensated-Z strategy (h on
+every generation-n gap) on the event table under ``("z-capital", n)``, and
+each call holds that curve at its own cut.  ``gamma_K`` keeps its stopping
+time per level under ``("gamma", K)``.  ``l_strategy``, ``sigma_n_K``,
+``k_process`` and ``z_process`` read the entries, so on a path that already
+holds them they must return the bits a fresh path gives, whatever the order
+of the calls that filled them.
 """
 
 from pathlib import Path as FsPath
@@ -17,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathcalc
-from pathcalc import ContractError, Path, PsiSpec
-from pathcalc.qv import k_process, sigma_n_K, z_process
-from pathcalc.strategies import gamma_K, l_strategy
+from pathcalc import ContractError, Path, PsiSpec, checks
+from pathcalc.qv import _z_data, k_process, sigma_n_K, z_process
+from pathcalc.strategies import RealizedStrategy, capital_curve, gamma_K, l_strategy
 
 from conftest import random_step_path
 
@@ -72,9 +75,103 @@ def test_a_warm_path_gives_the_bits_of_a_fresh_one(drawn, order):
     assert {key for key in path._scans if key[0] == "z"} == {("z", n) for n in GENERATIONS}
 
 
+def _held_capital(path, n, cut):
+    """Generation n's uncut capital on the event table, held at ``cut`` after it."""
+    zd = _z_data(path, n)
+    uncut = RealizedStrategy(times=np.append(zd.fine_times, np.inf), positions=zd.h)
+    held = capital_curve(uncut, path).values_at(zd.grid).copy()
+    if np.isfinite(cut):
+        i = int(zd.grid.searchsorted(cut))
+        held[i + 1:] = held[i]
+    return zd.grid, held
+
+
+def _cuts_hold_the_uncut_capital(path):
+    """Assert the capital of every returned strategy is its held uncut capital, and the report
+    on the warming path is a fresh path's; the kinds of cut seen."""
+    seen = set()
+    for n in GENERATIONS:
+        for K in LEVELS:
+            realized, report = l_strategy(path, n, K, PSI, tolerance=np.inf)
+            assert report == l_strategy(_fresh(path), n, K, PSI, tolerance=np.inf)[1], (n, K)
+            cut = min(report.gamma, report.sigma)
+            grid, held = _held_capital(path, n, cut)
+            got = capital_curve(realized, path).values_at(grid)
+            assert got.tobytes() == held.tobytes(), (n, K)
+            seen.add("n_live = 0" if realized.positions.shape[0] == 0 else
+                     "no cut" if cut == np.inf else "gamma" if cut == report.gamma else "sigma")
+    return seen
+
+
+@st.composite
+def walks(draw):
+    """1-d step paths that start near 0 and move by small steps, on a dyadic lattice or
+    drawn freely, so that gamma_K and sigma fall anywhere or nowhere; the horizon is at the
+    last event or beyond it."""
+    m = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        steps = np.array(draw(st.lists(st.integers(-24, 24), min_size=m, max_size=m))) / 64.0
+    else:
+        steps = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=m, max_size=m)))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    values = np.concatenate([[draw(st.floats(-1.25, 1.25))], steps]).cumsum()
+    return Path(times, values, mode="step",
+                horizon=draw(st.sampled_from([None, times[-1] + 0.5])))
+
+
+@settings(max_examples=60)
+@given(path=walks())
+def test_a_cut_strategy_has_the_uncut_capital_held_at_its_cut(path):
+    _cuts_hold_the_uncut_capital(path)
+
+
+def test_the_held_capital_covers_every_kind_of_cut(path):
+    seen = set()
+    for p in (path, Path([0.0, 1.0, 2.0], [1.0, 0.0, 0.5]),
+              Path([0.0, 1.0, 2.0], [1.0, 0.0, 0.5], horizon=3.0)):
+        seen |= _cuts_hold_the_uncut_capital(p)
+    assert seen == {"n_live = 0", "gamma", "sigma", "no cut"}
+
+
 @pytest.fixture
 def path():
     return random_step_path(np.random.default_rng(11), n_events=60)
+
+
+def test_a_step_path_keeps_one_capital_per_generation(path):
+    linear = Path(path.times, path.values, mode="linear", horizon=path.horizon + 1.0)
+    for p in (path, linear):
+        for n in GENERATIONS:
+            for K in LEVELS:
+                l_strategy(p, n, K, PSI)
+    assert {key for key in path._scans if key[0] == "z-capital"} == {
+        ("z-capital", n) for n in GENERATIONS}
+    assert not [key for key in linear._scans if key[0] == "z-capital"]
+    for n in GENERATIONS:
+        capital = path._scans[("z-capital", n)]
+        assert capital.shape == path.times.shape
+        with pytest.raises(ValueError):
+            capital[0] = 99
+
+
+def test_l_identity_builds_one_capital_per_path_and_generation(monkeypatch):
+    """3 paths x 7 generations: 21 curves, one per (path, n) rather than per K; none on reuse."""
+    import pathcalc.strategies as S
+    calls, drawn, real = [], [], checks.paths
+
+    def reused(*args, **kwargs):  # the paths of the first pass, again on the second
+        if not drawn:
+            drawn.extend(real(*args, **kwargs))
+        return iter(drawn)
+
+    monkeypatch.setattr(checks, "paths", reused)
+    monkeypatch.setattr(S, "capital_curve", lambda *args: calls.append(args) or capital_curve(*args))
+    first = checks.l_identity(1, 3)
+    assert len(calls) == 21 and len(drawn) == 3
+    second = checks.l_identity(1, 3)
+    assert len(calls) == 21
+    assert (second.worst, second.checked) == (first.worst, first.checked)
 
 
 def test_each_generation_is_computed_once(path):
