@@ -26,10 +26,10 @@ from .integration import (BdgBoundReport, ConcentrationReport, ContinuityReport,
 from .partitions import upcrossings_at_events
 from .paths import Path, PsiSpec, Report, _Row, _scalar, _sweep
 from .simulate import SimSpec, ensemble, simulate
-from .strategies import (RealizedStrategy, StrategyRule, admissibility_lift, bdg_check_batch,
-                         capital_curve, check_strong_admissibility, check_weak_admissibility,
-                         doob_aggregate, doob_aggregate_bound_factor, hoeffding_check,
-                         l_strategy, lift_budget, rho_lambda)
+from .strategies import (RealizedStrategy, StrategyRule, _bdg_slack, admissibility_lift,
+                         bdg_check_batch, capital_curve, check_strong_admissibility,
+                         check_weak_admissibility, doob_aggregate, doob_aggregate_bound_factor,
+                         hoeffding_check, l_strategy, lift_budget, rho_lambda)
 
 CONSTANT_PSI = PsiSpec("constant", (0.5,))
 AFFINE_PSI = PsiSpec("affine", (0.1, 0.1))
@@ -75,7 +75,7 @@ def bdg(seqs: Iterable, seed: int) -> Report:
     def slacks(rest):
         while chunk := list(itertools.islice(rest, BDG_CHUNK)):
             lhs, rhs = bdg_check_batch(chunk)
-            yield from (rhs + 1e-9 * np.maximum(1.0, np.abs(rhs)) - lhs).tolist()
+            yield from _bdg_slack(lhs, rhs).tolist()
     return _sweep(seed, slacks(iter(seqs)), lambda _, slack, where: _Row(slack),
                   violation="transform bound")
 

@@ -134,11 +134,15 @@ def _union_grid(path: Path, F: StepIntegrand, part_times: np.ndarray) -> np.ndar
     return np.unique(np.concatenate([jumps, part_times, [path.horizon]]))
 
 
+def _squares_summed(x: np.ndarray) -> float:
+    """The squared increments of ``x`` added left to right, as the compensator curve adds them."""
+    return float(np.cumsum(np.diff(x) ** 2)[-1])
+
+
 def _compensator_terminal(F: StepIntegrand, curve: CapitalCurve, path: Path,
                           part_times: np.ndarray) -> float:
     """Squared increments of ``curve``, F's integral, summed along F's and the partition's times."""
-    x = curve.values_at(_union_grid(path, F, part_times))
-    return float(np.sum(np.diff(x) ** 2))
+    return _squares_summed(curve.values_at(_union_grid(path, F, part_times)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +170,7 @@ def integrate_f2_dqv(F: StepIntegrand, path: Path, n_max: int,
     grid = np.unique(np.concatenate([_union_grid(path, F, parts[-1].times), path.times]))
     x = integral_curve(F, path).values_at(grid)
     cells = [np.searchsorted(grid, _union_grid(path, F, part.times)) for part in parts]
-    terminals = np.array([np.cumsum(np.diff(x[pos]) ** 2)[-1] for pos in cells])
+    terminals = np.array([_squares_summed(x[pos]) for pos in cells])
     curve = K.qv_on_grid(x[:, None], cells[-1])[0]
     gap = float(abs(terminals[-1] - terminals[-2])) if len(parts) >= 2 else float("nan")
     return CompensatorReport(times=grid, values=curve, terminal=float(terminals[-1]),

@@ -167,23 +167,18 @@ def lebesgue_partition_nd(path: Path, n: int) -> LebesguePartition:
     return LebesguePartition(n, np.unique(np.concatenate([p.times for p in pieces])))
 
 
-def _on_grid(path: Path, pieces: list[LebesguePartition],
-             extra_times=()) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The grid holding the events, ``pieces`` and ``extra_times``, and each piece's positions.
+def _on_grid(path: Path, pieces: list[LebesguePartition]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The grid holding the events and ``pieces``, and each piece's positions.
 
     ``pieces`` are 1-d partitions of ``path``'s components.  In step mode
-    every partition time is an event time, and values are constant between
-    events, so the grid is the event table ``path.times`` itself and the
-    positions are the pieces' ``event_indices``: no union and no search is
-    made, and ``extra_times`` are not added (a time between events reads the
-    last event at or before it).  In linear mode the grid is
-    ``unique(events, pieces, extra_times)`` and the positions are found on
-    it by search.
+    every partition time is an event time, so the grid is the event table
+    ``path.times`` itself and the positions are the pieces' ``event_indices``:
+    no union and no search is made.  In linear mode the grid is
+    ``unique(events, pieces)`` and the positions are found on it by search.
     """
     if path.mode == MODE_STEP:
         return path.times, [p.event_indices for p in pieces]
-    grid = np.unique(np.concatenate([path.times] + [p.times for p in pieces]
-                                    + [np.asarray(extra_times, dtype=np.float64)]))
+    grid = np.unique(np.concatenate([path.times] + [p.times for p in pieces]))
     return grid, [np.searchsorted(grid, p.times) for p in pieces]
 
 

@@ -148,7 +148,7 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 class _ZData(NamedTuple):
-    """Generation n's Z data on one grid: see :func:`_z_data`."""
+    """Generation n's Z record on its grid: see :func:`_z_data`."""
 
     grid: np.ndarray
     z: np.ndarray              # Z^n on the grid
@@ -159,35 +159,30 @@ class _ZData(NamedTuple):
     t_acc: float               # first fine time whose compensator passes n^4 2^{-2n}
 
 
-def _z_data(path: Path, n: int, extra_times=()) -> _ZData:
+def _z_data(path: Path, n: int) -> _ZData:
     """Z^n, its compensator and the compensated-Z positions of generation n.
 
     The grid is :func:`pathcalc.partitions._on_grid`'s for the generation-n
-    partition (which contains the coarse one) and ``extra_times``.  The
-    compensator is ``sum_k (dZ along pi_n)^2``, with the partial tail.  The
-    coarse partition is derived from the fine one, and its grid positions
-    are the fine ones at the points it keeps.  At a fine point the
-    compensated-Z strategy holds ``h = -4 Z (S - S at chi)``, where its
-    coarse projection chi is the last coarse point at or before it; h is
-    ``None`` at n = 1.  ``t_acc``, the half of σ that does not depend on K,
-    is the first fine partition time after 0 whose compensator passes
-    ``n^4 2^{-2n}`` (``inf`` if none does).  Every array is read-only.
-
-    On a step path the grid is the event table whatever ``extra_times``
-    holds, so the data depend on n alone: they are computed once and kept in
-    the path's memo under ``("z", n)``, and every later call returns that
-    entry.  On a linear path the grid holds ``extra_times``, so every call
-    computes afresh.
+    partition (which contains the coarse one).  The compensator is
+    ``sum_k (dZ along pi_n)^2``, with the partial tail.  The coarse
+    partition is derived from the fine one, and its grid positions are the
+    fine ones at the points it keeps.  At a fine point the compensated-Z
+    strategy holds ``h = -4 Z (S - S at chi)``, where its coarse projection
+    chi is the last coarse point at or before it; h is ``None`` at n = 1.
+    ``t_acc``, the half of σ that does not depend on K, is the first fine
+    partition time after 0 whose compensator passes ``n^4 2^{-2n}`` (``inf``
+    if none does).  Every array is read-only.  The record depends on the
+    path and n alone, in either mode, so it is kept in the path's memo under
+    ``("z", n)`` and every later call returns that entry.
     """
     n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
     if path.dim != 1:
         raise ContractError("Z/K processes are defined for 1-d paths")
-    step = path.mode == MODE_STEP
 
     def scan() -> _ZData:
         pn = lebesgue_partition_1d(path, n)
-        grid, (pos,) = _on_grid(path, [pn], extra_times)
-        vals = path.values if step else path.eval(grid)
+        grid, (pos,) = _on_grid(path, [pn])
+        vals = path.values if path.mode == MODE_STEP else path.eval(grid)
         z = K.qv_on_grid(vals, pos)[0]
         h = None
         if n >= 2:
@@ -205,24 +200,30 @@ def _z_data(path: Path, n: int, extra_times=()) -> _ZData:
                 arr.setflags(write=False)
         return data
 
-    return path._memo(("z", n), scan) if step else scan()
+    return path._memo(("z", n), scan)
 
 
-def _z_at(path: Path, n: int, t: float):
-    """Z^n and its compensator on the grid of :func:`_z_data` with ``t``, and the index of ``t``.
-
-    In linear mode ``t`` is on the grid; in step mode Z is constant between
-    events, so ``t`` reads the last event at or before it.
-    """
+def _z_at(path: Path, n: int, t: float) -> tuple[float, float]:
+    """``(Z^n_t, compensator at t)``: :func:`_z_data`'s record at the last grid time <= t if t
+    is a grid time or the path a step path; else ``Q^n_t - Q^{n-1}_t`` by :func:`_qv_at` and
+    the compensator at the last fine point plus ``(dZ)^2``, the sums of a grid holding t."""
     t = _scalar(t, "t", 0, path.horizon)
-    data = _z_data(path, n, extra_times=[t])
-    return data.z, data.comp, int(np.searchsorted(data.grid, t, side="right")) - 1
+    zd = _z_data(path, n)
+    it = int(np.searchsorted(zd.grid, t, side="right")) - 1
+    if path.mode == MODE_STEP or zd.grid[it] == t:
+        return float(zd.z[it]), float(zd.comp[it])
+    pn = lebesgue_partition_1d(path, n)
+    z = float(_qv_at(path, pn, t)[0, 0])
+    if n >= 2:
+        z -= float(_qv_at(path, _coarsen(pn)[0], t)[0, 0])
+    tau = zd.fine_pos[int(np.searchsorted(zd.fine_times, t, side="right")) - 1]
+    dz = z - float(zd.z[tau])
+    return z, float(zd.comp[tau]) + dz * dz
 
 
 def z_process(path: Path, n: int, t: float) -> float:
     """``Z^n_t = Q^n_t - Q^{n-1}_t`` (with ``Q^0 := 0``)."""
-    z, _, it = _z_at(path, n, t)
-    return float(z[it])
+    return _z_at(path, n, t)[0]
 
 
 @lru_cache(maxsize=256, typed=True)  # only checked calls are kept; typed keeps True apart from 1
@@ -244,8 +245,8 @@ def k_process(path: Path, n: int, K_bound: int, psi: PsiSpec, t: float) -> float
     ``n^4 2^{-2n} + 2^{-n+5}(K+psi(K))^2 + (Z^n_t)^2 - sum_k (dZ along pi_n)^2``.
     """
     budget = k_constant(n, K_bound, psi)
-    z, comp, it = _z_at(path, n, t)
-    return budget + float(z[it]) ** 2 - float(comp[it])
+    z, comp = _z_at(path, n, t)
+    return budget + z ** 2 - comp
 
 
 def _sigma_from_z(zd: _ZData, K_bound: int) -> float:

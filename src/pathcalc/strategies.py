@@ -29,7 +29,7 @@ from . import _kernels as K
 from .errors import ContractError, InternalConsistencyError
 from .partitions import MAX_CROSSING_INTERVALS, MAX_GENERATION, SENTINEL
 from .paths import MODE_LINEAR, MODE_STEP, Path, PsiSpec, _held_table, _scalar
-from .qv import _sigma_from_z, _z_data, k_constant
+from .qv import _sigma_from_z, _z_at, _z_data, k_constant
 
 __all__ = [
     "RealizedStrategy", "StrategyRule", "CapitalCurve",
@@ -459,15 +459,14 @@ class LStrategyReport:
 
 
 def _z_capital(path: Path, n: int, zd) -> np.ndarray:
-    """Capital of the uncut compensated-Z strategy of generation n on a step path's grid.
+    """Capital of the uncut compensated-Z strategy of generation n on its Z record's grid.
 
     The strategy holds h on every generation-n gap; its capital is
-    :func:`capital_curve`'s, read on ``zd.grid`` (the event table) and kept
-    read-only in the path's memo under ``("z-capital", n)``.  A cut strategy
-    holds the same positions before its cut and zero after it, so its capital
-    is this curve up to the cut and the curve's value at the cut after it:
-    each later term of the running sum is a zero position times a finite
-    increment.
+    :func:`capital_curve`'s, read on ``zd.grid`` and kept read-only in the
+    path's memo under ``("z-capital", n)``.  A cut strategy holds the same
+    positions before its cut and zero after it, so its capital is this curve
+    up to the cut and the curve's value at the cut after it: each later term
+    of the running sum is a zero position times a finite increment.
     """
     def build() -> np.ndarray:
         uncut = RealizedStrategy(times=np.append(zd.fine_times, np.inf), positions=zd.h)
@@ -489,10 +488,10 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     deviation beyond tolerance raises :class:`InternalConsistencyError` naming
     the time of the worst one.
 
-    K enters only through the cut, so on a step path the capital is read
-    from the generation's uncut capital (:func:`_z_capital`, built once per
-    path and n) and held at the cut; a linear path builds the capital of the
-    returned strategy on every call.
+    K enters only through the cut, so the capital is the generation's uncut
+    one (:func:`_z_capital`) on its Z record's grid, and grid times from the
+    cut on take the deviation at the cut.  An off-grid cut reads K there from
+    :func:`pathcalc.qv._z_at` and the capital from the returned strategy.
     """
     n = _scalar(n, "n", 2, MAX_GENERATION, integer=True)  # a coarser generation must exist
     K_bound = _scalar(K_bound, "K", 1, integer=True)
@@ -500,8 +499,7 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     if path.dim != 1:
         raise ContractError("the compensated-Z strategy acts on 1-d paths")
     gamma = gamma_K(path, K_bound)
-    # a finite sigma is a fine partition time, so the grid already holds it
-    zd = _z_data(path, n, [gamma] if math.isfinite(gamma) else [])
+    zd = _z_data(path, n)
     grid = zd.grid
     sigma = _sigma_from_z(zd, K_bound)
     cut = min(gamma, sigma)
@@ -521,20 +519,19 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
         realized = RealizedStrategy(times=t_out, positions=p_out)
 
     budget = k_constant(n, K_bound, psi)
-    if path.mode == MODE_STEP:  # the uncut capital, which equals this one up to the cut
-        cap_grid = _z_capital(path, n, zd)
-    else:
-        cap_grid = capital_curve(realized, path).values_at(grid)
-    k_vals = budget + zd.z * zd.z - zd.comp
-    target = budget + cap_grid
-    deviation = np.abs(k_vals - target)
-    if math.isfinite(cut):  # K and the capital stop at the cut: compare the tail with both there
-        cut_idx = int(grid.searchsorted(cut))
-        deviation[cut_idx + 1:] = abs(k_vals[cut_idx] - target[cut_idx])
+    deviation = np.abs(budget + zd.z * zd.z - zd.comp - (budget + _z_capital(path, n, zd)))
+    cut_idx = int(grid.searchsorted(cut))  # K and the capital stop at the cut: so does the check
+    if cut_idx < grid.shape[0] and grid[cut_idx] == cut:
+        deviation = deviation[:cut_idx + 1]
+    elif math.isfinite(cut):
+        z, comp = _z_at(path, n, cut)
+        cap = capital_curve(realized, path).value_at(cut)
+        deviation = np.append(deviation[:cut_idx], abs(budget + z * z - comp - (budget + cap)))
     worst = float(deviation.max())
     if worst > tolerance:
-        raise InternalConsistencyError(f"K-process identity violated by {worst:.3e} "
-                                       f"(> {tolerance:.1e}) at t {grid[deviation.argmax()]}")
+        i = int(deviation.argmax())
+        raise InternalConsistencyError(f"K-process identity violated by {worst:.3e} (> "
+                                       f"{tolerance:.1e}) at t {cut if i == cut_idx else grid[i]}")
     return realized, LStrategyReport(max_deviation=worst, tolerance=tolerance,
                                      budget=budget, gamma=gamma, sigma=sigma)
 
@@ -570,18 +567,11 @@ def _decision_table(decision_times, c) -> tuple[np.ndarray, np.ndarray]:
     return times, c[:, 0]
 
 
-def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
-    """Multiplicative exponential-supermartingale strategy on given steps.
+def _hoeffding(dt: np.ndarray, c: np.ndarray, lam: float):
+    """:func:`hoeffding_strategy`'s map on a checked table, also giving S at each decision time."""
+    betas = np.array([hoeffding_beta(lam, ck) for ck in c.tolist()])
 
-    On step k the portfolio holds ``V_k beta_k`` units, where ``V_k`` is the
-    current capital (starting at 1) and ``beta_k`` comes from
-    :func:`hoeffding_beta`; the per-step price increments must stay within
-    ``c_k`` on the target paths for the guarantee to bind.
-    """
-    dt, c_arr = _decision_table(decision_times, c)
-    betas = np.array([hoeffding_beta(lam, ck) for ck in c_arr.tolist()])
-
-    def evaluate(path: Path) -> RealizedStrategy:
+    def evaluate(path: Path) -> tuple[RealizedStrategy, np.ndarray]:
         if path.dim != 1:
             raise ContractError("the supermartingale strategy acts on 1-d paths")
         s = path.eval(np.minimum(dt, path.horizon))[:, 0]
@@ -590,9 +580,21 @@ def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
             positions = wealth * betas
         if not np.isfinite(positions).all():
             raise ContractError(f"the wealth of lambda {lam!r} on this path is beyond float64")
-        return RealizedStrategy(times=np.append(dt, np.inf), positions=positions)
+        return RealizedStrategy(times=np.append(dt, np.inf), positions=positions), s
 
-    return StrategyRule(evaluate)
+    return evaluate
+
+
+def hoeffding_strategy(decision_times, c, lam: float) -> StrategyRule:
+    """Multiplicative exponential-supermartingale strategy on given steps.
+
+    On step k the portfolio holds ``V_k beta_k`` units, where ``V_k`` is the
+    current capital (starting at 1) and ``beta_k`` comes from
+    :func:`hoeffding_beta`; the per-step price increments must stay within
+    ``c_k`` on the target paths for the guarantee to bind.
+    """
+    evaluate = _hoeffding(*_decision_table(decision_times, c), lam)
+    return StrategyRule(lambda path: evaluate(path)[0])
 
 
 @dataclass(frozen=True)
@@ -610,28 +612,24 @@ def hoeffding_check(path: Path, decision_times, c, lam: float) -> HoeffdingRepor
     actually held on this path (the guarantee is void otherwise).
     """
     dt, c_arr = _decision_table(decision_times, c)
-    realized = hoeffding_strategy(dt, c_arr, lam).realize(path)
+    realized, s_at_step = _hoeffding(dt, c_arr, lam)(path)
     curve = capital_curve(realized, path)
-    s0 = float(path.values[0, 0])
-
-    s_grid = path.eval(curve.times)[:, 0]
+    s_grid = path.eval(curve.times)[:, 0]  # from time 0, where S is S_0
     # map each grid time into the step whose gap (d_k, d_{k+1}] contains it,
     # so the step-endpoint increments |S_{d_{k+1}} - S_{d_k}| are checked too
     step_of = np.clip(np.searchsorted(dt, curve.times, side="left") - 1, 0, len(dt) - 1)
-    s_at_step = path.eval(np.minimum(dt, path.horizon))[:, 0]
     incr = np.abs(s_grid - s_at_step[step_of])
     bound_respected = bool(np.all(incr <= c_arr[step_of] + 1e-12))
 
     started = np.searchsorted(dt, curve.times, side="right")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         penalties = np.concatenate([[0.0], np.cumsum(c_arr ** 2)])
-        exponent = lam * (s_grid - s0) - 0.5 * lam * lam * penalties[started]
+        exponent = lam * (s_grid - s_grid[0]) - 0.5 * lam * lam * penalties[started]
     if not (exponent < 709.78).all():  # exp(709.79) is beyond float64; NaN fails too
         raise ContractError(f"the envelope of lambda {lam!r} and these bounds is beyond float64")
     envelope = np.exp(exponent)
     wealth = 1.0 + curve.values
-    margin = wealth - envelope
-    worst = float(np.min(margin))
+    worst = float(np.min(wealth - envelope))
     ok = bool(worst >= -1e-10 and np.all(wealth >= -1e-12))
     return HoeffdingReport(ok=ok and bound_respected, bound_respected=bound_respected,
                            worst_margin=worst, min_wealth=float(np.min(wealth)))
@@ -663,15 +661,18 @@ def bdg_weights(x) -> np.ndarray:
     return K.bdg_weights(_sequence(x))
 
 
+def _bdg_slack(lhs, rhs):
+    """``rhs + 1e-9 max(1, |rhs|) - lhs``: the transform bound holds where it is not negative."""
+    return rhs + 1e-9 * np.maximum(1.0, np.abs(rhs)) - lhs
+
+
 def bdg_check(x) -> BdgResult:
-    """Verify ``max_k |x_k| <= 6 sqrt([x]_n) + 2 (h.x)_n`` for one sequence.
+    """Verify ``max_k |x_k| <= 6 sqrt([x]_n) + 2 (h.x)_n`` for one sequence, by the batch.
 
     Holds for every finite sequence; a ``False`` signals an implementation bug.
     """
-    xstar, qv, hx = K.bdg_core(_sequence(x))
-    lhs = float(xstar)
-    rhs = float(6.0 * np.sqrt(qv) + 2.0 * hx)
-    return BdgResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-9 * max(1.0, abs(rhs))))
+    (lhs,), (rhs,) = bdg_check_batch([x])
+    return BdgResult(lhs=float(lhs), rhs=float(rhs), holds=bool(_bdg_slack(lhs, rhs) >= 0.0))
 
 
 def bdg_check_batch(sequences) -> tuple[np.ndarray, np.ndarray]:

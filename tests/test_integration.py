@@ -156,6 +156,22 @@ class TestCompensator:
         assert coincide > 0
 
 
+    @pytest.mark.parametrize("kind, mode", [("brownian", "step"), ("brownian", "linear"),
+                                            ("jump-diffusion", "step")])
+    def test_the_checks_sum_the_terminal_of_the_curve(self, kind, mode):
+        """``_compensator_terminal``, which the ensemble checks read, adds the cells as
+        ``integrate_f2_dqv`` does: both give the same terminal, bit for bit."""
+        rng = np.random.default_rng(7)
+        spec = SimSpec(kind=kind, steps=256, mode=mode, seed=5, jump_intensity=5.0)
+        for p in ensemble(spec, 6):
+            jumps = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 5))])
+            for F in (constant_integrand(1.3), StepIntegrand(times=jumps, values=rng.normal(size=6))):
+                for n in (4, 6, 8):
+                    got = integration._compensator_terminal(F, integral_curve(F, p), p,
+                                                            lebesgue_partition_nd(p, n).times)
+                    assert got == integrate_f2_dqv(F, p, n).terminal, n
+
+
 class TestCaglad:
     def test_constant_rule(self, p1):
         F = approximate_caglad(lambda p, t: 2.5, p1, 3)

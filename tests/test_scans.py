@@ -1,15 +1,17 @@
 """What a path keeps in its ``_scans`` memo, and that reading it changes no result.
 
-On a step path ``qv._z_data`` computes generation n's Z data once and keeps
-it under ``("z", n)``: Z, its compensator, the fine partition's times and
-grid positions, and the compensated-Z strategy's positions h.  Next to it
+On a step or linear path ``qv._z_data`` computes generation n's Z record
+once and keeps it under ``("z", n)``: Z, its compensator, the fine
+partition's times and grid positions, and the compensated-Z strategy's
+positions h, on the grid of the events and the partition.  Next to it
 ``l_strategy`` keeps the capital of the uncut compensated-Z strategy (h on
-every generation-n gap) on the event table under ``("z-capital", n)``, and
-each call holds that curve at its own cut.  ``gamma_K`` keeps its stopping
-time per level under ``("gamma", K)``.  ``l_strategy``, ``sigma_n_K``,
+every generation-n gap) on that grid under ``("z-capital", n)``, and each
+call holds that curve at its own cut.  ``gamma_K`` keeps its stopping time
+per level under ``("gamma", K)``.  ``l_strategy``, ``sigma_n_K``,
 ``k_process`` and ``z_process`` read the entries, so on a path that already
 holds them they must return the bits a fresh path gives, whatever the order
-of the calls that filled them.
+of the calls that filled them; at a linear time between grid times those
+are the bits of a grid that holds the time.
 """
 
 from pathlib import Path as FsPath
@@ -24,6 +26,7 @@ from pathcalc import ContractError, Path, PsiSpec, checks
 from pathcalc.qv import _z_data, k_process, sigma_n_K, z_process
 from pathcalc.strategies import RealizedStrategy, capital_curve, gamma_K, l_strategy
 
+import reference_loops as R
 from conftest import random_step_path
 
 PSI = PsiSpec("constant", (0.5,))
@@ -53,7 +56,7 @@ def _bits(path, name, n, K, t):
 
 @st.composite
 def step_paths(draw):
-    """1-d step paths with values on a dyadic grid or drawn freely, and a time in [0, horizon]."""
+    """1-d step paths with values on a dyadic grid or drawn freely."""
     m = draw(st.integers(1, 30))
     if draw(st.booleans()):
         values = np.array(draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))) * 0.125
@@ -61,18 +64,48 @@ def step_paths(draw):
         values = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m)))
     gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=m - 1, max_size=m - 1))
     times = np.concatenate([[0.0], np.cumsum(gaps)])
-    path = Path(times, values, mode="step", horizon=times[-1] + 1.0)
+    return Path(times, values, mode="step", horizon=times[-1] + 1.0)
+
+
+@st.composite
+def walks(draw):
+    """1-d step paths that start near 0 and move by small steps, on a dyadic lattice or
+    drawn freely, so that gamma_K and sigma fall anywhere or nowhere; the horizon is at the
+    last event or beyond it."""
+    m = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        steps = np.array(draw(st.lists(st.integers(-24, 24), min_size=m, max_size=m))) / 64.0
+    else:
+        steps = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=m, max_size=m)))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    values = np.concatenate([[draw(st.floats(-1.25, 1.25))], steps]).cumsum()
+    return Path(times, values, mode="step",
+                horizon=draw(st.sampled_from([None, times[-1] + 0.5])))
+
+
+@st.composite
+def queries(draw):
+    """A path of :func:`step_paths` or :func:`walks` in step or linear mode, and a time in
+    [0, horizon]."""
+    path = draw(st.one_of(step_paths(), walks()))
+    mode = draw(st.sampled_from(["step", "linear"]))
+    path = Path(path.times, path.values, mode=mode, horizon=path.horizon)
     return path, draw(st.floats(0.0, path.horizon))
 
 
 @settings(max_examples=40)
-@given(drawn=step_paths(), order=st.permutations(
+@given(drawn=queries(), order=st.permutations(
     [(name, n, K) for name in FUNCTIONS for n in GENERATIONS for K in LEVELS]))
 def test_a_warm_path_gives_the_bits_of_a_fresh_one(drawn, order):
     path, t = drawn
     for name, n, K in order:
         assert _bits(path, name, n, K, t) == _bits(_fresh(path), name, n, K, t), (name, n, K)
-    assert {key for key in path._scans if key[0] == "z"} == {("z", n) for n in GENERATIONS}
+    for kind in ("z", "z-capital"):
+        assert {key for key in path._scans if key[0] == kind} == {(kind, n) for n in GENERATIONS}
+    for n in GENERATIONS:  # the reference builds a grid that holds t
+        assert z_process(path, n, t) == R.z_process_py(path, n, t), n
+        assert k_process(path, n, 2, PSI, t) == R.k_process_py(path, n, 2, PSI, t), n
 
 
 def _held_capital(path, n, cut):
@@ -103,23 +136,6 @@ def _cuts_hold_the_uncut_capital(path):
     return seen
 
 
-@st.composite
-def walks(draw):
-    """1-d step paths that start near 0 and move by small steps, on a dyadic lattice or
-    drawn freely, so that gamma_K and sigma fall anywhere or nowhere; the horizon is at the
-    last event or beyond it."""
-    m = draw(st.integers(1, 40))
-    if draw(st.booleans()):
-        steps = np.array(draw(st.lists(st.integers(-24, 24), min_size=m, max_size=m))) / 64.0
-    else:
-        steps = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=m, max_size=m)))
-    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
-    times = np.concatenate([[0.0], np.cumsum(gaps)])
-    values = np.concatenate([[draw(st.floats(-1.25, 1.25))], steps]).cumsum()
-    return Path(times, values, mode="step",
-                horizon=draw(st.sampled_from([None, times[-1] + 0.5])))
-
-
 @settings(max_examples=60)
 @given(path=walks())
 def test_a_cut_strategy_has_the_uncut_capital_held_at_its_cut(path):
@@ -138,20 +154,23 @@ def path():
     return random_step_path(np.random.default_rng(11), n_events=60)
 
 
-def test_a_step_path_keeps_one_capital_per_generation(path):
-    linear = Path(path.times, path.values, mode="linear", horizon=path.horizon + 1.0)
+def _linear(path):
+    return Path(path.times, path.values, mode="linear", horizon=path.horizon + 1.0)
+
+
+def test_a_path_keeps_one_capital_per_generation(path):
+    linear = _linear(path)
     for p in (path, linear):
         for n in GENERATIONS:
             for K in LEVELS:
                 l_strategy(p, n, K, PSI)
-    assert {key for key in path._scans if key[0] == "z-capital"} == {
-        ("z-capital", n) for n in GENERATIONS}
-    assert not [key for key in linear._scans if key[0] == "z-capital"]
-    for n in GENERATIONS:
-        capital = path._scans[("z-capital", n)]
-        assert capital.shape == path.times.shape
-        with pytest.raises(ValueError):
-            capital[0] = 99
+        assert {key for key in p._scans if key[0] == "z-capital"} == {
+            ("z-capital", n) for n in GENERATIONS}
+        for n in GENERATIONS:
+            capital = p._scans[("z-capital", n)]
+            assert capital.shape == p._scans[("z", n)].grid.shape
+            with pytest.raises(ValueError):
+                capital[0] = 99
 
 
 def test_l_identity_builds_one_capital_per_path_and_generation(monkeypatch):
@@ -198,14 +217,22 @@ def test_stored_arrays_are_read_only(path):
                 arr[0] = 99
 
 
-def test_a_linear_path_stores_no_z_entry(path):
-    linear = Path(path.times, path.values, mode="linear", horizon=path.horizon + 1.0)
+def test_a_linear_path_keeps_one_z_record_per_generation(path):
+    """Every query reads the generation's one record, and a warm path answers as a fresh one."""
+    linear = _linear(path)
+    t = 0.5 * (path.times[3] + path.times[4])  # between two events
     for n in (2, 4):
-        l_strategy(linear, n, 2, PSI)
-        sigma_n_K(linear, n, 2)
-        k_process(linear, n, 2, PSI, 0.3)
-        z_process(linear, n, 0.3)
-    assert not [key for key in linear._scans if key[0] == "z"]
+        for K in LEVELS:
+            got = _bits(linear, "l_strategy", n, K, t), _bits(linear, "k_process", n, K, t)
+            assert got == (_bits(_fresh(linear), "l_strategy", n, K, t),
+                           _bits(_fresh(linear), "k_process", n, K, t)), (n, K)
+            assert sigma_n_K(linear, n, K) == sigma_n_K(_fresh(linear), n, K)
+        entry = linear._scans[("z", n)]
+        for s in (0.3, t, linear.horizon):
+            assert z_process(linear, n, s) == z_process(_fresh(linear), n, s)
+            assert linear._scans[("z", n)] is entry
+    assert {key for key in linear._scans if key[0] in ("z", "z-capital")} == {
+        (kind, n) for kind in ("z", "z-capital") for n in (2, 4)}
 
 
 def test_gamma_is_kept_per_level(path):
