@@ -271,11 +271,11 @@ class Path:
     :meth:`_memo` is the only way in: the crossing counters of
     :mod:`pathcalc.partitions` store one scan per spacing under ``float(h)``,
     :func:`pathcalc.strategies.gamma_K` its stopping time per level under
-    ``("gamma", K)``, :func:`pathcalc.qv._z_data` generation n's Z record
-    under ``("z", n)`` and :func:`pathcalc.strategies.l_strategy` the capital
-    of its uncut strategy under ``("z-capital", n)``, in either mode.  Every
-    array it holds is read-only.  ``==`` compares the other fields by value,
-    and neither it nor ``repr`` sees the memo.
+    ``("gamma", K)``, :func:`pathcalc.qv._z_data` generation n's Z record,
+    which answers Z and K at any time, under ``("z", n)`` and
+    :func:`pathcalc.strategies.l_strategy` its uncut capital under
+    ``("z-capital", n)``, in either mode.  Every array it holds is read-only.
+    ``==`` compares the other fields by value; neither it nor ``repr`` sees the memo.
     """
 
     times: np.ndarray

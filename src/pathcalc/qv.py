@@ -66,10 +66,10 @@ def discrete_cross_qv(path: Path, n: int, i: int, j: int, t: float,
     It is entry ``(i, j)`` of :func:`_qv_at`, the sum ``qv_limit`` takes, bit for bit.
     """
     i, j = _scalar(i, "i", 1, path.dim, integer=True), _scalar(j, "j", 1, path.dim, integer=True)
-    t = _scalar(t, "t", 0, path.horizon)
+    t, n = _scalar(t, "t", 0, path.horizon), _scalar(n, "n", 1, MAX_GENERATION, integer=True)
     part = partition if partition is not None else lebesgue_partition_nd(path, n)
-    if part.times[-1] > path.horizon:
-        raise ContractError("partition does not belong to this path")
+    if part.times[-1] > path.horizon or part.generation != n:
+        raise ContractError(f"partition does not belong to this path at generation {n}")
     return float(_qv_at(path, part, t)[i - 1, j - 1])
 
 
@@ -148,13 +148,16 @@ def qv_limit(path: Path, n_max: int, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 class _ZData(NamedTuple):
-    """Generation n's Z record on its grid: see :func:`_z_data`."""
+    """Generation n's Z record, all that :func:`_z_at` reads at any t: see :func:`_z_data`."""
 
     grid: np.ndarray
     z: np.ndarray              # Z^n on the grid
     comp: np.ndarray           # its compensator on the grid
     fine_times: np.ndarray     # the generation-n partition times
     fine_pos: np.ndarray       # their grid positions
+    q_fine: np.ndarray         # Q^n at each fine point
+    coarse_pos: np.ndarray | None  # the grid positions of the generation n - 1 points
+    q_coarse: np.ndarray | None    # Q^{n-1} at each of them
     h: np.ndarray | None       # the compensated-Z position at each fine point
     t_acc: float               # first fine time whose compensator passes n^4 2^{-2n}
 
@@ -166,14 +169,15 @@ def _z_data(path: Path, n: int) -> _ZData:
     partition (which contains the coarse one).  The compensator is
     ``sum_k (dZ along pi_n)^2``, with the partial tail.  The coarse
     partition is derived from the fine one, and its grid positions are the
-    fine ones at the points it keeps.  At a fine point the compensated-Z
-    strategy holds ``h = -4 Z (S - S at chi)``, where its coarse projection
-    chi is the last coarse point at or before it; h is ``None`` at n = 1.
-    ``t_acc``, the half of σ that does not depend on K, is the first fine
-    partition time after 0 whose compensator passes ``n^4 2^{-2n}`` (``inf``
-    if none does).  Every array is read-only.  The record depends on the
-    path and n alone, in either mode, so it is kept in the path's memo under
-    ``("z", n)`` and every later call returns that entry.
+    fine ones at the points it keeps; ``Q^n`` and ``Q^{n-1}`` are kept there
+    for :func:`_z_at`.  At a fine point the compensated-Z strategy holds
+    ``h = -4 Z (S - S at chi)``, where its coarse projection chi is the last
+    coarse point at or before it; the coarse fields and h are ``None`` at
+    n = 1.  ``t_acc``, the half of σ that does not depend on K, is the first
+    fine partition time after 0 whose compensator passes ``n^4 2^{-2n}``
+    (``inf`` if none does).  Every array is read-only.  The record depends on
+    the path and n alone, in either mode, so it is kept in the path's memo
+    under ``("z", n)`` and every later call returns that entry.
     """
     n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
     if path.dim != 1:
@@ -184,17 +188,18 @@ def _z_data(path: Path, n: int) -> _ZData:
         grid, (pos,) = _on_grid(path, [pn])
         vals = path.values if path.mode == MODE_STEP else path.eval(grid)
         z = K.qv_on_grid(vals, pos)[0]
-        h = None
+        q_fine, coarse_pos, q_coarse, h = z[pos], None, None, None
         if n >= 2:
             coarse_pos = pos[_coarsen(pn)[1]]
-            z = z - K.qv_on_grid(vals, coarse_pos)[0]
+            q = K.qv_on_grid(vals, coarse_pos)[0]
+            z, q_coarse = z - q, q[coarse_pos]
             # both generations start at grid position 0, so every fine point has a chi
             chi_pos = coarse_pos[np.searchsorted(coarse_pos, pos, side="right") - 1]
             h = -4.0 * z[pos] * (vals[pos, 0] - vals[chi_pos, 0])
         comp = K.qv_on_grid(z[:, None], pos)[0]
         hit = np.flatnonzero(comp[pos[1:]] > float(n) ** 4 * 2.0 ** (-2 * n))
         t_acc = float(pn.times[hit[0] + 1]) if hit.size else SENTINEL
-        data = _ZData(grid, z, comp, pn.times, pos, h, t_acc)
+        data = _ZData(grid, z, comp, pn.times, pos, q_fine, coarse_pos, q_coarse, h, t_acc)
         for arr in data:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -204,21 +209,21 @@ def _z_data(path: Path, n: int) -> _ZData:
 
 
 def _z_at(path: Path, n: int, t: float) -> tuple[float, float]:
-    """``(Z^n_t, compensator at t)``: :func:`_z_data`'s record at the last grid time <= t if t
-    is a grid time or the path a step path; else ``Q^n_t - Q^{n-1}_t`` by :func:`_qv_at` and
-    the compensator at the last fine point plus ``(dZ)^2``, the sums of a grid holding t."""
+    """``(Z^n_t, compensator at t)`` by one formula for any t, in either mode: with tau the
+    last fine point <= t, ``Q^n(tau) + (S_t - S_tau)^2`` less the same sum at the last coarse
+    point, and ``comp(tau) + (Z_t - Z(tau))^2``, as ``qv_on_grid`` sums at a grid time t."""
     t = _scalar(t, "t", 0, path.horizon)
     zd = _z_data(path, n)
-    it = int(np.searchsorted(zd.grid, t, side="right")) - 1
-    if path.mode == MODE_STEP or zd.grid[it] == t:
-        return float(zd.z[it]), float(zd.comp[it])
-    pn = lebesgue_partition_1d(path, n)
-    z = float(_qv_at(path, pn, t)[0, 0])
-    if n >= 2:
-        z -= float(_qv_at(path, _coarsen(pn)[0], t)[0, 0])
-    tau = zd.fine_pos[int(np.searchsorted(zd.fine_times, t, side="right")) - 1]
-    dz = z - float(zd.z[tau])
-    return z, float(zd.comp[tau]) + dz * dz
+    k = int(zd.fine_times.searchsorted(t, side="right")) - 1
+    tau = zd.fine_pos[k]
+    s_t, s_tau = path.eval([t, zd.grid[tau]])[:, 0]
+    z = zd.q_fine[k] + (s_t - s_tau) * (s_t - s_tau)
+    if zd.coarse_pos is not None:  # n >= 2; the last coarse point <= t is the last <= tau
+        c = int(zd.coarse_pos.searchsorted(tau, side="right")) - 1
+        s_c = path.eval(zd.grid[zd.coarse_pos[c]])[0]
+        z -= zd.q_coarse[c] + (s_t - s_c) * (s_t - s_c)
+    dz = z - zd.z[tau]
+    return float(z), float(zd.comp[tau] + dz * dz)
 
 
 def z_process(path: Path, n: int, t: float) -> float:

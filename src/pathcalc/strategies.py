@@ -491,7 +491,7 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     K enters only through the cut, so the capital is the generation's uncut
     one (:func:`_z_capital`) on its Z record's grid, and grid times from the
     cut on take the deviation at the cut.  An off-grid cut reads K there from
-    :func:`pathcalc.qv._z_at` and the capital from the returned strategy.
+    :func:`pathcalc.qv._z_at` and the capital one price step past the uncut one.
     """
     n = _scalar(n, "n", 2, MAX_GENERATION, integer=True)  # a coarser generation must exist
     K_bound = _scalar(K_bound, "K", 1, integer=True)
@@ -523,9 +523,10 @@ def l_strategy(path: Path, n: int, K_bound: int, psi: PsiSpec,
     cut_idx = int(grid.searchsorted(cut))  # K and the capital stop at the cut: so does the check
     if cut_idx < grid.shape[0] and grid[cut_idx] == cut:
         deviation = deviation[:cut_idx + 1]
-    elif math.isfinite(cut):
+    elif math.isfinite(cut):  # the last step of capital_curve's running sum, to the cut
         z, comp = _z_at(path, n, cut)
-        cap = capital_curve(realized, path).value_at(cut)
+        s_prev, s_cut = path.eval([grid[cut_idx - 1], cut])[:, 0]
+        cap = _z_capital(path, n, zd)[cut_idx - 1] + realized.positions[-2, 0] * (s_cut - s_prev)
         deviation = np.append(deviation[:cut_idx], abs(budget + z * z - comp - (budget + cap)))
     worst = float(deviation.max())
     if worst > tolerance:

@@ -1,14 +1,16 @@
 """``tools/ab.py`` pairs base and head runs of the benchmark and summarises them.
 
 A fake runner stands in for ``perfbench/run.py``: it returns the metrics it is
-given per (side, seed) and records the order of the calls.
+given per (side, seed) and records the order of the calls.  Each metric of the
+summary gets a verdict: ``resolved``, ``beyond_bound`` or ``unresolved``.
 """
 
 import pytest
 
 from conftest import ab
 
-BETTER = {"path_p50_ms": "lower", "paths_per_s": "higher"}
+METRICS = {"path_p50_ms": {"better": "lower", "bound": 0.25},
+           "paths_per_s": {"better": "higher", "bound": 0.25}}
 
 
 def _runner(values, calls, failed=0, correct=True):
@@ -25,7 +27,7 @@ def _runner(values, calls, failed=0, correct=True):
 def test_pairs_alternate_and_are_counted():
     calls = []
     values = {"base": [2.0, 2.0, 1.0, 2.0], "head": [1.5, 1.0, 1.5, 1.0]}
-    row = ab.compare("w", 4, 3, {"base": "base", "head": "head"}, BETTER,
+    row = ab.compare("w", 4, 3, {"base": "base", "head": "head"}, METRICS,
                      runner=_runner(values, calls))
     assert calls == [("base", 11), ("head", 11), ("head", 12), ("base", 12),
                      ("base", 13), ("head", 13), ("head", 14), ("base", 14)]
@@ -42,9 +44,36 @@ def test_a_failed_run_stops_the_comparison(failed, correct):
     calls = []
     runner = _runner({"base": [1.0], "head": [1.0]}, calls, failed, correct)
     with pytest.raises(SystemExit, match="base w seed 11"):
-        ab.compare("w", 1, 3, {"base": "base", "head": "head"}, BETTER, runner=runner)
+        ab.compare("w", 1, 3, {"base": "base", "head": "head"}, METRICS, runner=runner)
     assert len(calls) == 1
 
 
 def test_one_run_is_its_own_quartiles():
     assert ab.quartiles([3.0]) == {"q1": 3.0, "median": 3.0, "q3": 3.0}
+
+
+SPREAD = [2.0, 2.1, 1.9, 2.05, 1.95, 2.0, 2.1, 1.9, 2.05, 1.95]  # base p50: median 2.0, IQR 0.1
+
+
+@pytest.mark.parametrize("head, expected", [
+    ([1.5] * 10, "resolved"),                    # won 10/10, better by 0.5 > IQR
+    ([1.5] * 9 + [2.2], "resolved"),             # won 9/10
+    ([1.5] * 8 + [2.2] * 2, "unresolved"),       # won 8/10
+    ([x - 0.01 for x in SPREAD], "unresolved"),  # won 10/10, better by 0.01 < IQR
+    ([2.4] * 10, "unresolved"),                  # worse by 20 %, inside the 25 % bound
+    ([2.6] * 10, "beyond_bound"),                # worse by 30 %
+])
+def test_each_metric_gets_a_verdict(head, expected):
+    row = ab.compare("w", 10, 3, {"base": "base", "head": "head"}, METRICS,
+                     runner=_runner({"base": SPREAD, "head": head}, []))
+    assert row["summary"]["path_p50_ms"]["verdict"] == expected
+
+
+def test_a_higher_is_better_metric_is_judged_by_its_direction():
+    row = ab.compare("w", 10, 3, {"base": "base", "head": "head"}, METRICS,
+                     runner=_runner({"base": SPREAD, "head": [1.5] * 10}, []))
+    assert row["summary"]["paths_per_s"]["head_won"] == "10/10"
+    assert row["summary"]["paths_per_s"]["verdict"] == "resolved"
+    row = ab.compare("w", 10, 3, {"base": "base", "head": "head"}, METRICS,
+                     runner=_runner({"base": SPREAD, "head": [2.8] * 10}, []))
+    assert row["summary"]["paths_per_s"]["verdict"] == "beyond_bound"  # 500 -> 357 paths/s

@@ -42,6 +42,9 @@ LINEAR = Path(STEP.times, STEP.values, mode="linear", horizon=1.5)
 PLANE = Path([0.0, 0.5, 1.0], [[0.0, 0.5], [0.25, -0.5], [0.75, 0.0]])
 PSI = PsiSpec("affine", (0.25, 0.5))
 PART = P.lebesgue_partition_1d(STEP, 3)
+# Q^3_3 = 0.85 and Q^5_3 = 1.21 on SHORT: a partition answers only for its own generation
+SHORT = Path([0.0, 1.0, 2.0, 3.0], [0.0, 0.6, 0.4, 1.3])
+PART5 = P.lebesgue_partition_nd(SHORT, 5)
 REPORT = Q.qv_limit(STEP, 4)
 HELD = G.RealizedStrategy(times=[0.0, 0.5, math.inf], positions=[1.0, -2.0])
 ONE = I.constant_integrand(1.0)
@@ -215,6 +218,10 @@ REJECTED = [
     ("qv tol nan", lambda: Q.qv_limit(STEP, 3, tol=NAN)),
     ("qv tol inf", lambda: Q.qv_limit(STEP, 3, tol=INF)),
     ("cross qv i j True", lambda: Q.discrete_cross_qv(PLANE, 3, True, True, 1.0)),
+    ("cross qv n 'x' with a partition", lambda: Q.discrete_cross_qv(SHORT, "x", 1, 1, 3.0, PART5)),
+    ("cross qv n 999 with a partition", lambda: Q.discrete_cross_qv(SHORT, 999, 1, 1, 3.0, PART5)),
+    ("cross qv n 3 with a generation-5 partition",
+     lambda: Q.discrete_cross_qv(SHORT, 3, 1, 1, 3.0, PART5)),
     ("z generation 1.5", lambda: Q.z_process(STEP, 1.5, 1.0)),
     ("k_constant generation 1.5", lambda: Q.k_constant(1.5, 2, PSI)),
     ("k_constant K 0.5", lambda: Q.k_constant(3, 0.5, PSI)),

@@ -2,29 +2,36 @@
 
 On a step or linear path ``qv._z_data`` computes generation n's Z record
 once and keeps it under ``("z", n)``: Z, its compensator, the fine
-partition's times and grid positions, and the compensated-Z strategy's
-positions h, on the grid of the events and the partition.  Next to it
-``l_strategy`` keeps the capital of the uncut compensated-Z strategy (h on
-every generation-n gap) on that grid under ``("z-capital", n)``, and each
-call holds that curve at its own cut.  ``gamma_K`` keeps its stopping time
-per level under ``("gamma", K)``.  ``l_strategy``, ``sigma_n_K``,
-``k_process`` and ``z_process`` read the entries, so on a path that already
-holds them they must return the bits a fresh path gives, whatever the order
-of the calls that filled them; at a linear time between grid times those
-are the bits of a grid that holds the time.
+partition's times and grid positions, ``Q^n`` at the fine points and
+``Q^{n-1}`` at the coarse ones with their grid positions, and the
+compensated-Z strategy's positions h, on the grid of the events and the
+partition.  Next to it ``l_strategy`` keeps the capital of the uncut
+compensated-Z strategy (h on every generation-n gap) on that grid under
+``("z-capital", n)``, and each call holds that curve at its own cut.
+``gamma_K`` keeps its stopping time per level under ``("gamma", K)``.
+``l_strategy``, ``sigma_n_K``, ``k_process`` and ``z_process`` read the
+entries, so on a path that already holds them they must return the bits a
+fresh path gives, whatever the order of the calls that filled them; at a
+linear time between grid times those are the bits of a grid that holds the
+time.  Once the record exists, a Z or K query at such a time and an
+``l_strategy`` cut there (a linear γ_K an ulp off the partition's crossing
+of level K) are a search and a tail: they scan, coarsen, sum and build no
+capital curve, and the cut's capital is the uncut one at the last grid time
+plus one price step, bit for bit.
 """
 
 from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathcalc
 from pathcalc import ContractError, Path, PsiSpec, checks
 from pathcalc.qv import _z_data, k_process, sigma_n_K, z_process
-from pathcalc.strategies import RealizedStrategy, capital_curve, gamma_K, l_strategy
+from pathcalc.strategies import (RealizedStrategy, _z_capital, capital_curve, gamma_K,
+                                 l_strategy)
 
 import reference_loops as R
 from conftest import random_step_path
@@ -140,6 +147,83 @@ def _cuts_hold_the_uncut_capital(path):
 @given(path=walks())
 def test_a_cut_strategy_has_the_uncut_capital_held_at_its_cut(path):
     _cuts_hold_the_uncut_capital(path)
+
+
+# linear paths whose gamma_K, a quadratic root, falls one ulp before (the first three) or
+# after (the last) the crossing of level K by the generation-n partition, so the cut is off
+# the Z record's grid: ((path, n), K)
+OFF_GRID_CUTS = [
+    ((Path([0.0, 0.3, 0.6], [-0.42, 0.86, 1.51], mode="linear"), 2), 1),
+    ((Path([0.0, 0.8, 1.0, 1.9], [-0.27, -1.26, 0.86, 1.51], mode="linear"), 3), 1),
+    ((Path([0.0, 0.9, 1.1, 2.0], [0.46, 1.15, -0.35, 1.25], mode="linear"), 4), 1),
+    ((Path([0.0, 0.2], [0.58, 2.01], mode="linear"), 2), 2),
+]
+
+
+def _off_grid(zd, cut):
+    i = int(zd.grid.searchsorted(cut))
+    return bool(np.isfinite(cut)) and (i == zd.grid.shape[0] or zd.grid[i] != cut)
+
+
+@settings(max_examples=30)
+@given(case=st.tuples(walks().map(lambda p: Path(p.times, p.values, "linear", p.horizon)),
+                      st.integers(2, 4)), K=st.sampled_from(LEVELS))
+@example(*OFF_GRID_CUTS[0])
+@example(*OFF_GRID_CUTS[1])
+@example(*OFF_GRID_CUTS[2])
+@example(*OFF_GRID_CUTS[3])
+def test_an_off_grid_cut_is_one_price_step_past_the_uncut_capital(case, K):
+    """The capital of the cut strategy at its cut is the uncut capital at the last grid time
+    before it plus the last position times the price step, bit for bit; ``max_deviation`` is
+    the reference K process against the reference capital at every grid time before the cut
+    and at the cut, bit for bit."""
+    path, n = case
+    realized, report = l_strategy(path, n, K, PSI, tolerance=np.inf)
+    zd, cut = _z_data(path, n), min(report.gamma, report.sigma)
+    i = int(zd.grid.searchsorted(cut))
+    if _off_grid(zd, cut):
+        s_prev, s_cut = path.eval([zd.grid[i - 1], cut])[:, 0]
+        tail = _z_capital(path, n, zd)[i - 1] + realized.positions[-2, 0] * (s_cut - s_prev)
+        assert capital_curve(realized, path).value_at(cut).hex() == tail.hex()
+    times = zd.grid if not np.isfinite(cut) else np.append(zd.grid[:i], cut)
+    curve = R.capital_curve_py(realized, path)
+    deviation = max(abs(R.k_process_py(path, n, K, PSI, t) - (report.budget + curve.value_at(t)))
+                    for t in times)
+    assert report.max_deviation.hex() == deviation.hex()
+
+
+def test_a_warm_record_answers_off_grid_queries_without_a_scan(path, monkeypatch):
+    """Once the record exists, Z and K at a linear time between grid times and an l_strategy
+    cut off the grid are a search and a tail: no partition scan, coarsening, QV sum or
+    capital curve."""
+    import pathcalc._kernels as Kern
+    import pathcalc.strategies as S
+    for (p, n), K in OFF_GRID_CUTS:  # each pinned gamma_K is the cut, an ulp off the crossing
+        report, zd = l_strategy(p, n, K, PSI)[1], _z_data(p, n)
+        assert report.gamma < report.sigma and _off_grid(zd, report.gamma)
+        assert np.min(np.abs(zd.fine_times - report.gamma)) <= np.spacing(report.gamma)
+    linear = _linear(path)
+    (cut_path, cut_n), cut_K = OFF_GRID_CUTS[0]
+    t = 0.5 * (path.times[3] + path.times[4])
+    expected = {}
+    for n in (1, 2, 4):
+        assert _off_grid(_z_data(linear, n), t)
+        expected[n] = [z_process(_fresh(linear), n, t)] + [
+            k_process(_fresh(linear), n, K, PSI, t) for K in LEVELS]
+    expected["l"] = _bits(_fresh(cut_path), "l_strategy", cut_n, cut_K, 0.0)
+    _bits(cut_path, "l_strategy", cut_n, cut_K, 0.0)  # fills the record and the capital
+    calls = []
+    for name in ("partition_linear_count", "partition_coarsen", "qv_on_grid"):
+        real = getattr(Kern, name)
+        monkeypatch.setattr(Kern, name, lambda *a, _n=name, _r=real: calls.append(_n) or _r(*a))
+    real_curve = S.capital_curve
+    monkeypatch.setattr(S, "capital_curve", lambda *a: calls.append("capital_curve")
+                        or real_curve(*a))
+    for n in (1, 2, 4):
+        assert [z_process(linear, n, t)] + [k_process(linear, n, K, PSI, t)
+                                            for K in LEVELS] == expected[n], n
+    assert _bits(cut_path, "l_strategy", cut_n, cut_K, 0.0) == expected["l"]
+    assert calls == []
 
 
 def test_the_held_capital_covers_every_kind_of_cut(path):

@@ -12,10 +12,10 @@ directory; the head side is this checkout's working tree, recorded as its
 on both sides, and the side that runs first alternates, base first in pair 0.
 A run that reports ``failed`` > 0 or ``correct`` false stops the tool with
 exit code 1.  The record holds the machine, the revisions, and per workload
-the seeds, every run's end-to-end metrics, each side's median and quartiles
-and the pairs the head side won, by each metric's direction in
-``BENCHMARK.json``.  With ``--out`` an existing record of the same revisions
-keeps its other workloads' rows.
+the seeds, every run's end-to-end metrics, each side's median and quartiles,
+the pairs the head side won, by each metric's direction in ``BENCHMARK.json``,
+and a verdict (see :func:`verdict`).  With ``--out`` an existing record of the
+same revisions keeps its other workloads' rows.
 """
 
 from __future__ import annotations
@@ -69,9 +69,25 @@ def quartiles(xs: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare(workload: str, pairs: int, seconds: int, trees: dict, better: dict,
+def verdict(base: dict, head: dict, won: int, pairs: int, better: str, bound: float) -> str:
+    """``beyond_bound`` if the head median is worse than the base median by more than the
+    relative ``bound``; else ``resolved`` if the head won at least 9 of every 10 pairs and its
+    median is better by more than the base interquartile range; else ``unresolved``."""
+    worse = (1.0 if better == "lower" else -1.0) * (head["median"] - base["median"])
+    if worse > bound * abs(base["median"]):
+        return "beyond_bound"
+    if 10 * won >= 9 * pairs and -worse > base["q3"] - base["q1"]:
+        return "resolved"
+    return "unresolved"
+
+
+def compare(workload: str, pairs: int, seconds: int, trees: dict, metrics: dict,
             runner=run_bench) -> dict:
-    """``pairs`` alternating base/head runs of ``workload``; the row of the record."""
+    """``pairs`` alternating base/head runs of ``workload``; the row of the record.
+
+    ``metrics`` maps each end-to-end metric to its ``BENCHMARK.json`` entry, which gives its
+    direction (``better``) and its relative ``bound``.
+    """
     runs = {"base": [], "head": []}
     seeds = [FIRST_SEED + i for i in range(pairs)]
     machine = None
@@ -86,14 +102,15 @@ def compare(workload: str, pairs: int, seconds: int, trees: dict, better: dict,
                                "attempted": result["attempted"],
                                "metrics": {m: v["value"] for m, v in result["metrics"].items()}})
     summary = {}
-    for metric, direction in better.items():
+    for metric, spec in metrics.items():
         values = {side: [r["metrics"][metric] for r in runs[side]] for side in runs}
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if spec["better"] == "lower" else -1.0
         won = sum(sign * (h - b) < 0 for b, h in zip(values["base"], values["head"]))
-        summary[metric] = {"better": direction,
-                           "base": quartiles(values["base"]),
-                           "head": quartiles(values["head"]),
-                           "head_won": f"{won}/{pairs}"}
+        base, head = quartiles(values["base"]), quartiles(values["head"])
+        summary[metric] = {"better": spec["better"], "base": base, "head": head,
+                           "head_won": f"{won}/{pairs}",
+                           "verdict": verdict(base, head, won, pairs, spec["better"],
+                                              spec["bound"])}
     return {"workload": workload, "seconds": seconds, "seeds": seeds, "machine": machine,
             "summary": summary, "runs": runs}
 
@@ -110,12 +127,12 @@ def main(argv=None) -> int:
         parser.error("--pairs and --seconds must be >= 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     revisions = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD"),
                  "head_uncommitted_changes": bool(git("status", "--porcelain"))}
     with tempfile.TemporaryDirectory(prefix="pathcalc-ab-") as tmp:
         trees = {"base": extract(revisions["base"], Path(tmp, "base")), "head": ROOT}
-        row = compare(args.workload, args.pairs, args.seconds, trees, better)
+        row = compare(args.workload, args.pairs, args.seconds, trees, metrics)
 
     record = {"revisions": revisions, "rows": []}
     if args.out and args.out.exists():
