@@ -155,9 +155,9 @@ class _ZData(NamedTuple):
     comp: np.ndarray           # its compensator on the grid
     fine_times: np.ndarray     # the generation-n partition times
     fine_pos: np.ndarray       # their grid positions
-    q_fine: np.ndarray         # Q^n at each fine point
-    coarse_pos: np.ndarray | None  # the grid positions of the generation n - 1 points
-    q_coarse: np.ndarray | None    # Q^{n-1} at each of them
+    q_fine: np.ndarray | None      # linear mode: Q^n at each fine point
+    coarse_pos: np.ndarray | None  # linear mode, n >= 2: the generation n - 1 grid positions
+    q_coarse: np.ndarray | None    # and Q^{n-1} at each of them
     h: np.ndarray | None       # the compensated-Z position at each fine point
     t_acc: float               # first fine time whose compensator passes n^4 2^{-2n}
 
@@ -169,15 +169,15 @@ def _z_data(path: Path, n: int) -> _ZData:
     partition (which contains the coarse one).  The compensator is
     ``sum_k (dZ along pi_n)^2``, with the partial tail.  The coarse
     partition is derived from the fine one, and its grid positions are the
-    fine ones at the points it keeps; ``Q^n`` and ``Q^{n-1}`` are kept there
-    for :func:`_z_at`.  At a fine point the compensated-Z strategy holds
-    ``h = -4 Z (S - S at chi)``, where its coarse projection chi is the last
-    coarse point at or before it; the coarse fields and h are ``None`` at
-    n = 1.  ``t_acc``, the half of σ that does not depend on K, is the first
-    fine partition time after 0 whose compensator passes ``n^4 2^{-2n}``
-    (``inf`` if none does).  Every array is read-only.  The record depends on
-    the path and n alone, in either mode, so it is kept in the path's memo
-    under ``("z", n)`` and every later call returns that entry.
+    fine ones at the points it keeps; on a linear path ``Q^n`` and ``Q^{n-1}``
+    are kept there for :func:`_z_at`.  At a fine point the compensated-Z
+    strategy holds ``h = -4 Z (S - S at chi)``, chi being the last coarse
+    point at or before it (its coarse projection); the coarse sums and h are
+    ``None`` at n = 1.  ``t_acc``, the half of σ that does not depend on K, is
+    the first fine partition time after 0 whose compensator passes
+    ``n^4 2^{-2n}`` (``inf`` if none does).  Every array is read-only.  The
+    record depends on the path and n alone, in either mode, so it is kept in
+    the path's memo under ``("z", n)`` and every later call returns that entry.
     """
     n = _scalar(n, "n", 1, MAX_GENERATION, integer=True)
     if path.dim != 1:
@@ -199,7 +199,8 @@ def _z_data(path: Path, n: int) -> _ZData:
         comp = K.qv_on_grid(z[:, None], pos)[0]
         hit = np.flatnonzero(comp[pos[1:]] > float(n) ** 4 * 2.0 ** (-2 * n))
         t_acc = float(pn.times[hit[0] + 1]) if hit.size else SENTINEL
-        data = _ZData(grid, z, comp, pn.times, pos, q_fine, coarse_pos, q_coarse, h, t_acc)
+        sums = (q_fine, coarse_pos, q_coarse) if path.mode != MODE_STEP else (None,) * 3
+        data = _ZData(grid, z, comp, pn.times, pos, *sums, h, t_acc)
         for arr in data:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -209,11 +210,14 @@ def _z_data(path: Path, n: int) -> _ZData:
 
 
 def _z_at(path: Path, n: int, t: float) -> tuple[float, float]:
-    """``(Z^n_t, compensator at t)`` by one formula for any t, in either mode: with tau the
-    last fine point <= t, ``Q^n(tau) + (S_t - S_tau)^2`` less the same sum at the last coarse
-    point, and ``comp(tau) + (Z_t - Z(tau))^2``, as ``qv_on_grid`` sums at a grid time t."""
+    """``(Z^n_t, compensator at t)``: the record at the last grid time <= t on a step path or at
+    a grid time; else, with tau the last fine point <= t, ``Q^n(tau) + (S_t - S_tau)^2`` less
+    that at the last coarse point, and ``comp(tau) + (Z_t - Z(tau))^2``, as ``qv_on_grid`` sums."""
     t = _scalar(t, "t", 0, path.horizon)
     zd = _z_data(path, n)
+    it = int(zd.grid.searchsorted(t, side="right")) - 1
+    if zd.q_fine is None or zd.grid[it] == t:  # a step path is flat from its last grid time on
+        return float(zd.z[it]), float(zd.comp[it])
     k = int(zd.fine_times.searchsorted(t, side="right")) - 1
     tau = zd.fine_pos[k]
     s_t, s_tau = path.eval([t, zd.grid[tau]])[:, 0]

@@ -2,7 +2,8 @@
 
 A fake runner stands in for ``perfbench/run.py``: it returns the metrics it is
 given per (side, seed) and records the order of the calls.  Each metric of the
-summary gets a verdict: ``resolved``, ``beyond_bound`` or ``unresolved``.
+summary gets a verdict: ``resolved``, ``beyond_bound``, ``within_bound`` or
+``unresolved``.
 """
 
 import pytest
@@ -53,19 +54,23 @@ def test_one_run_is_its_own_quartiles():
 
 
 SPREAD = [2.0, 2.1, 1.9, 2.05, 1.95, 2.0, 2.1, 1.9, 2.05, 1.95]  # base p50: median 2.0, IQR 0.1
+WIDE = [2.0, 2.8, 1.2, 2.6, 1.4, 2.0, 2.8, 1.2, 2.6, 1.4]  # median 2.0, IQR 1.2 > 25 % of it
 
 
-@pytest.mark.parametrize("head, expected", [
-    ([1.5] * 10, "resolved"),                    # won 10/10, better by 0.5 > IQR
-    ([1.5] * 9 + [2.2], "resolved"),             # won 9/10
-    ([1.5] * 8 + [2.2] * 2, "unresolved"),       # won 8/10
-    ([x - 0.01 for x in SPREAD], "unresolved"),  # won 10/10, better by 0.01 < IQR
-    ([2.4] * 10, "unresolved"),                  # worse by 20 %, inside the 25 % bound
-    ([2.6] * 10, "beyond_bound"),                # worse by 30 %
+@pytest.mark.parametrize("base, head, expected", [
+    (SPREAD, [1.5] * 10, "resolved"),                    # won 10/10, better by 0.5 > IQR
+    (SPREAD, [1.5] * 9 + [2.2], "resolved"),             # won 9/10
+    (SPREAD, [1.5] * 8 + [2.2] * 2, "within_bound"),     # won 8/10
+    (SPREAD, [x - 0.01 for x in SPREAD], "within_bound"),  # won 10/10, better by 0.01 < IQR
+    (SPREAD, [2.4] * 10, "within_bound"),                # worse by 20 %, inside the 25 % bound
+    (SPREAD, [2.6] * 10, "beyond_bound"),                # worse by 30 %
+    (WIDE, [2.4] * 10, "unresolved"),                    # worse by 20 %, but the IQR is 60 %
+    (WIDE, [x - 0.01 for x in WIDE], "unresolved"),      # won 10/10, better by 0.01 < IQR
+    (WIDE, [2.6] * 10, "beyond_bound"),                  # a wide spread still has its bound
 ])
-def test_each_metric_gets_a_verdict(head, expected):
+def test_each_metric_gets_a_verdict(base, head, expected):
     row = ab.compare("w", 10, 3, {"base": "base", "head": "head"}, METRICS,
-                     runner=_runner({"base": SPREAD, "head": head}, []))
+                     runner=_runner({"base": base, "head": head}, []))
     assert row["summary"]["path_p50_ms"]["verdict"] == expected
 
 

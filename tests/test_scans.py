@@ -2,8 +2,8 @@
 
 On a step or linear path ``qv._z_data`` computes generation n's Z record
 once and keeps it under ``("z", n)``: Z, its compensator, the fine
-partition's times and grid positions, ``Q^n`` at the fine points and
-``Q^{n-1}`` at the coarse ones with their grid positions, and the
+partition's times and grid positions, on a linear path ``Q^n`` at the fine
+points and ``Q^{n-1}`` at the coarse ones with their grid positions, and the
 compensated-Z strategy's positions h, on the grid of the events and the
 partition.  Next to it ``l_strategy`` keeps the capital of the uncut
 compensated-Z strategy (h on every generation-n gap) on that grid under
@@ -202,6 +202,7 @@ def test_a_warm_record_answers_off_grid_queries_without_a_scan(path, monkeypatch
         report, zd = l_strategy(p, n, K, PSI)[1], _z_data(p, n)
         assert report.gamma < report.sigma and _off_grid(zd, report.gamma)
         assert np.min(np.abs(zd.fine_times - report.gamma)) <= np.spacing(report.gamma)
+    assert _z_data(path, 2)[5:8] == (None, None, None)  # a step path, flat, needs no sums
     linear = _linear(path)
     (cut_path, cut_n), cut_K = OFF_GRID_CUTS[0]
     t = 0.5 * (path.times[3] + path.times[4])

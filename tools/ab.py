@@ -72,13 +72,16 @@ def quartiles(xs: list[float]) -> dict:
 def verdict(base: dict, head: dict, won: int, pairs: int, better: str, bound: float) -> str:
     """``beyond_bound`` if the head median is worse than the base median by more than the
     relative ``bound``; else ``resolved`` if the head won at least 9 of every 10 pairs and its
-    median is better by more than the base interquartile range; else ``unresolved``."""
+    median is better by more than the base interquartile range; else ``unresolved`` if that
+    range is wider than the bound, so the runs cannot tell a shift of the bound from noise;
+    else ``within_bound``."""
     worse = (1.0 if better == "lower" else -1.0) * (head["median"] - base["median"])
-    if worse > bound * abs(base["median"]):
+    allowed, spread = bound * abs(base["median"]), base["q3"] - base["q1"]
+    if worse > allowed:
         return "beyond_bound"
-    if 10 * won >= 9 * pairs and -worse > base["q3"] - base["q1"]:
+    if 10 * won >= 9 * pairs and -worse > spread:
         return "resolved"
-    return "unresolved"
+    return "unresolved" if spread > allowed else "within_bound"
 
 
 def compare(workload: str, pairs: int, seconds: int, trees: dict, metrics: dict,
